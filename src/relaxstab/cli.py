@@ -145,6 +145,7 @@ class _Runner:
         self.summary = {"schema_version": SCHEMA_VERSION,
                         "config": config.raw, "results": {}}
         self._profile = None
+        self._dichotomy = None       # (field, DichotomyData) once computed
         self._theta_cert = None
 
     def log(self, msg):
@@ -273,14 +274,14 @@ class _Runner:
         if dc.get("dump_frames"):
             dich.frames_to_csv(data, os.path.join(self.out, "frames.csv"))
         self.summary["results"]["dichotomy"] = payload
-        self._dichotomy_cache = (field, data)
+        self._dichotomy = (field, data)
         return chk.passed
 
     def symmetrizer(self):
         sc = self.cfg.section("symmetrizer")
-        if not hasattr(self, "_dichotomy_cache"):
+        if self._dichotomy is None:
             self.dichotomy()
-        field, data = self._dichotomy_cache
+        field, data = self._dichotomy
         forms = symm.lyapunov_Q(data.grid, data.lambda_plus, data.lambda_minus)
         S = symm.assemble_symmetrizer(data.frame, forms)
         cert = symm.verify_symmetrizer(S, field,

@@ -10,8 +10,11 @@ Frames evolve by the projected equation ``Y' = (I - Y Y*) G Y``, which keeps
 them orthonormal; bases are pinned down by ordering the seeding eigenvectors
 by real part.
 
-Propagators over long distances are evaluated in overlapping windows with
-per-window renormalization to avoid overflow; log-norms accumulate exactly.
+Propagators are built from a per-field cache: the one-interval propagators
+``Phi_i = S(x_{i+1}, x_i)`` between neighbouring grid nodes are integrated
+once, and their inverses give the backward steps.  A propagator over a long
+distance is the ordered product of cached steps, renormalized at the end of
+each window to avoid overflow; log-norms accumulate exactly.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .errors import (CenterSpectrumError, FrameConditioningError,
-                     StabilityError, TurningPointSuspectedError)
+from .errors import (CenterSpectrumError, CertificateError,
+                     FrameConditioningError, StabilityError,
+                     TurningPointSuspectedError)
 
 __all__ = [
     "SpectralSplit",
@@ -201,6 +205,24 @@ def _propagate_window(field, x_from, x_to, M0, rtol=1e-10):
     return sol.y[:, -1].reshape(n, n)
 
 
+def _interval_propagators(field, grid):
+    """Cached one-interval propagators of ``field`` on ``grid``.
+
+    Returns ``(Phi, Phi_inv)`` with ``Phi[i] = S(grid[i+1], grid[i])`` and
+    ``Phi_inv[i] = S(grid[i], grid[i+1])``.  The stack is integrated on first
+    use and kept on the field, so every dichotomy on the same field and grid
+    shares it.
+    """
+    cache = field._propagators
+    if cache is None or not np.array_equal(cache[0], grid):
+        eye = np.eye(field.n)
+        Phi = np.stack([_propagate_window(field, a, b, eye)
+                        for a, b in zip(grid[:-1], grid[1:])])
+        cache = (grid, Phi, np.linalg.inv(Phi))
+        field._propagators = cache
+    return cache[1], cache[2]
+
+
 def _chained_propagator(field, data, iy, ix, project=None, max_width=None):
     """Normalized propagator (optionally projector-chained) and its log-norm.
 
@@ -212,12 +234,14 @@ def _chained_propagator(field, data, iy, ix, project=None, max_width=None):
     rate = max(data.constants.get("theta", 1.0), 1e-3)
     max_width = max_width or max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
     edges = _window_edges(grid, iy, ix, max_width)
+    Phi, Phi_inv = _interval_propagators(field, grid)
     M = np.eye(field.n, dtype=complex)
     if project is not None:
         M = project[edges[0]].copy()
     lognorm = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        M = _propagate_window(field, grid[a], grid[b], M)
+        for step in (Phi[a:b] if a < b else Phi_inv[b:a][::-1]):
+            M = step @ M
         if project is not None:
             M = project[b] @ M
         nrm = np.linalg.norm(M, 2)
@@ -232,7 +256,11 @@ def _chained_propagator(field, data, iy, ix, project=None, max_width=None):
 
 
 def _fit_decay(data, field, n_pairs=24, seed=0):
-    """Least-squares fit of log |P S| versus separation, both directions."""
+    """Least-squares fit of log |P S| versus separation, both directions.
+
+    Raises :class:`CertificateError` when the pairs give fewer than 2
+    distinct separations, where a line through the samples is not defined.
+    """
     rng = np.random.default_rng(seed)
     m = data.grid.size
     seps, logs_p, logs_m = [], [], []
@@ -248,6 +276,11 @@ def _fit_decay(data, field, n_pairs=24, seed=0):
         logs_p.append(lp)
         logs_m.append(lm)
     seps = np.asarray(seps)
+    n_seps = np.unique(seps).size
+    if n_seps < 2:
+        raise CertificateError(
+            f"decay fit needs at least 2 distinct separations, got {n_seps} "
+            f"from fit_pairs = {n_pairs}")
     fits = {}
     for tag, logs in (("plus", np.asarray(logs_p)), ("minus", np.asarray(logs_m))):
         slope, intercept = np.polyfit(seps, logs, 1)

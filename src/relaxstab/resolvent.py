@@ -165,6 +165,7 @@ class ResolventOperatorField:
     deriv_order: int = 0
     _interp: object = None
     _bvp: object = None
+    _propagators: object = None  # (grid, Phi, Phi_inv), see dichotomy
 
     @property
     def n(self):

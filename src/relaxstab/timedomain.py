@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .errors import InstabilityError, StepError
+from .errors import CertificateError, InstabilityError, StepError
 from .model import zero_order_matrix
 
 __all__ = [
@@ -483,9 +483,12 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0, cap=1e8):
     * its restriction to the plateau where ``vt = v``,
     * the initial- and final-window bounds, and
     * the assembled integrated damping estimate with ``eta = -2 gamma``.
+
+    A nonlinear history raises :class:`CertificateError`.
     """
     if history.mode != "linearized":
-        raise ValueError("truncation pipeline requires a linearized history")
+        raise CertificateError(
+            "truncation pipeline requires a linearized history")
     t = history.times
     if t.size < 5:
         raise ValueError("history too short")

@@ -139,6 +139,20 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.run(cfg, pipeline="dichotomy", out_dir=str(tmp_path / "o")) == 3
 
 
+def test_nonlinear_simulate_is_typed_failure(tmp_path, capsys):
+    # the truncation certificate needs a linearized history: a nonlinear run
+    # must end with exit code 3 and a message, not a traceback
+    data = small_config()
+    data["profile"]["n_points"] = 201
+    data["simulation"] = {"mode": "nonlinear", "t_final": 1.0, "L_sim": 10.0,
+                          "n_points": 41, "sample_every": 1, "tau_c": 0.2}
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="simulate", out_dir=str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure in simulate" in err and "linearized" in err
+    assert "Traceback" not in err
+
+
 def test_worker_count_env_override(monkeypatch):
     from relaxstab.resolvent import worker_count
     monkeypatch.setenv("RELAXSTAB_THREADS", "3")

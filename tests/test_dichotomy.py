@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
-from relaxstab.errors import (CenterSpectrumError, TurningPointSuspectedError)
+from relaxstab.errors import (CenterSpectrumError, CertificateError,
+                              TurningPointSuspectedError)
 
 from conftest import transport_system
 
@@ -77,7 +80,6 @@ def test_fitted_decay_near_endstate_rates(front_field, front_dichotomy):
 
 
 def test_swapped_projectors_fail_decay(front_field, front_dichotomy):
-    from dataclasses import replace
     swapped = dich.DichotomyData(
         grid=front_dichotomy.grid, P_plus=front_dichotomy.P_minus,
         P_minus=front_dichotomy.P_plus, frame=front_dichotomy.frame,
@@ -88,6 +90,72 @@ def test_swapped_projectors_fail_decay(front_field, front_dichotomy):
     chk = dich.verify_dichotomy(swapped, front_field, sample_pairs=6, seed=2)
     assert not chk.passed
     assert chk.worst_decay > 0  # wrong-direction growth breaks the bound
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pairs", [0, 1])
+def test_decay_fit_needs_two_separations(front_field, front_dichotomy, pairs):
+    with pytest.raises(CertificateError, match="2 distinct separations"):
+        dich._fit_decay(front_dichotomy, front_field, n_pairs=pairs)
+
+
+def _windowed_reference(field, data, iy, ix, project=None):
+    """Chained propagator integrating each whole window (no cache)."""
+    grid = data.grid
+    rate = max(data.constants.get("theta", 1.0), 1e-3)
+    max_width = max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
+    edges = dich._window_edges(grid, iy, ix, max_width)
+    M = np.eye(field.n, dtype=complex)
+    if project is not None:
+        M = project[edges[0]].copy()
+    lognorm = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        M = dich._propagate_window(field, grid[a], grid[b], M)
+        if project is not None:
+            M = project[b] @ M
+        nrm = np.linalg.norm(M, 2)
+        M /= nrm
+        lognorm += float(np.log(nrm))
+    return M, lognorm
+
+
+@pytest.mark.parametrize("iy, ix", [(30, 130), (130, 30)])
+@pytest.mark.parametrize("projected", [False, True])
+def test_cached_propagator_matches_windowed_integration(
+        front_field, front_dichotomy, iy, ix, projected):
+    data = front_dichotomy
+    project = None
+    if projected:
+        project = data.P_plus if iy < ix else data.P_minus
+    M, lognorm = dich._chained_propagator(front_field, data, iy, ix,
+                                          project=project)
+    M_ref, lognorm_ref = _windowed_reference(front_field, data, iy, ix,
+                                             project=project)
+    assert abs(lognorm - lognorm_ref) <= 1e-8
+    assert np.max(np.abs(M - M_ref)) <= 1e-8
+
+
+def test_propagator_cache_integrates_each_interval_once(jx, front,
+                                                         monkeypatch):
+    calls = []
+    solve_ivp = dich.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dich, "solve_ivp", counting_solve_ivp)
+    geom = res.CollocationGrid(n_nodes=43, length=20.0)
+    field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 2.0),
+                           geom=geom)
+    data = dich.propagate_subspaces(field, fit_pairs=8)
+    assert dich.verify_dichotomy(data, field, sample_pairs=8).passed
+    # m - 1 intervals plus the two frames
+    assert len(calls) <= geom.n_nodes + 1
+    # a fresh DichotomyData on the same field reuses the field's cache
+    before = len(calls)
+    dich.verify_dichotomy(replace(data), field, sample_pairs=8, seed=3)
+    assert len(calls) == before
 
 
 def test_engineered_subspace_collision_raises():

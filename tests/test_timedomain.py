@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from relaxstab import profile as prof
 from relaxstab import systems
 from relaxstab import timedomain as td
-from relaxstab.errors import InstabilityError, StepError
+from relaxstab.errors import CertificateError, InstabilityError, StepError
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +273,7 @@ def test_truncation_rejects_nonlinear(jx, front):
                          frames=np.zeros((30, 11, 2)),
                          f_frames=np.zeros((30, 11, 2)),
                          grid=np.linspace(-1, 1, 11), mode="nonlinear")
-    with pytest.raises(ValueError, match="linearized"):
+    with pytest.raises(CertificateError, match="linearized"):
         td.truncation_pipeline(hist, td.CutoffPair(1.0, 5.0), gamma=-0.1)
 
 
