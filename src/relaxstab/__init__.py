@@ -14,7 +14,7 @@ from .model import (HypothesisReport, SymbolMatrix, SystemSpec,
                     check_geometric_regularity, check_hyperbolicity,
                     check_kawashima, check_noncharacteristic, run_hypotheses,
                     zero_order_matrix)
-from .profile import (WaveProfile, load_profile, sample_profile, save_profile,
+from .profile import (WaveProfile, load_profile, save_profile,
                       solve_profile_jinxin, solve_profile_shooting)
 from .resolvent import (CollocationGrid, FrequencyPoint, HatNorm,
                         ResolventOperatorField, SweepResult, assemble_G,

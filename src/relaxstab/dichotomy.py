@@ -40,6 +40,11 @@ __all__ = [
     "coalescence_scan",
 ]
 
+# DOP853 tolerances of the two frame integrations and of the interval
+# propagators
+FRAME_RTOL, FRAME_ATOL = 1e-10, 1e-12
+INTERVAL_RTOL, INTERVAL_ATOL = 1e-10, 1e-13
+
 
 @dataclass(frozen=True)
 class SpectralSplit:
@@ -82,7 +87,7 @@ def _orthonormalize(Y):
     return Y @ (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
 
 
-def _integrate_frame(field, Y0, x_from, x_to, nodes, rtol=1e-10, atol=1e-12):
+def _integrate_frame(field, Y0, x_from, x_to, nodes):
     """Propagate an orthonormal frame and sample it at ``nodes``."""
     import warnings
     n, p = Y0.shape
@@ -98,7 +103,7 @@ def _integrate_frame(field, Y0, x_from, x_to, nodes, rtol=1e-10, atol=1e-12):
         # conditioning check downstream reports the real failure
         warnings.simplefilter("ignore", RuntimeWarning)
         sol = solve_ivp(rhs, (x_from, x_to), Y0.astype(complex).reshape(-1),
-                        method="DOP853", rtol=rtol, atol=atol,
+                        method="DOP853", rtol=FRAME_RTOL, atol=FRAME_ATOL,
                         dense_output=True)
     if not sol.success:
         raise StabilityError(f"frame integration failed: {sol.message}")
@@ -125,7 +130,7 @@ class DichotomyData:
 
 
 def propagate_subspaces(field, splits=None, geom=None, angle_tol=1e-8,
-                        rtol=1e-10, fit_pairs=24, seed=0):
+                        fit_pairs=24, seed=0):
     """Compute an exponential dichotomy for a coefficient field.
 
     Seeds the two invariant families from the endstate eigenbases (``splits``
@@ -150,8 +155,8 @@ def propagate_subspaces(field, splits=None, geom=None, angle_tol=1e-8,
 
     Ts0 = _orthonormalize(plus.stable)
     Tu0 = _orthonormalize(minus.unstable)
-    Ts = _integrate_frame(field, Ts0, nodes[-1], nodes[0], nodes, rtol=rtol)
-    Tu = _integrate_frame(field, Tu0, nodes[0], nodes[-1], nodes, rtol=rtol)
+    Ts = _integrate_frame(field, Ts0, nodes[-1], nodes[0], nodes)
+    Tu = _integrate_frame(field, Tu0, nodes[0], nodes[-1], nodes)
 
     frame = np.concatenate([Ts, Tu], axis=2)      # (m, n, n)
     smin = np.array([np.linalg.svd(frame[i], compute_uv=False)[-1]
@@ -192,14 +197,14 @@ def _window_edges(grid, iy, ix, max_width):
     return edges
 
 
-def _propagate_window(field, x_from, x_to, M0, rtol=1e-10):
+def _propagate_window(field, x_from, x_to, M0):
     n = M0.shape[0]
 
     def rhs(x, mflat):
         return (field.G_at(x) @ mflat.reshape(n, n)).reshape(-1)
 
     sol = solve_ivp(rhs, (x_from, x_to), M0.astype(complex).reshape(-1),
-                    method="DOP853", rtol=rtol, atol=1e-13)
+                    method="DOP853", rtol=INTERVAL_RTOL, atol=INTERVAL_ATOL)
     if not sol.success:
         raise StabilityError(f"propagator window failed: {sol.message}")
     return sol.y[:, -1].reshape(n, n)

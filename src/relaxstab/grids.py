@@ -2,16 +2,15 @@
 
 Chebyshev collocation (nodes, differentiation matrix, Clenshaw-Curtis
 quadrature weights) on ``[-L, L]`` with nodes returned in ascending order,
-plus uniform-grid finite-difference stacks used by the time-domain module.
+plus the uniform-grid finite-difference matrix used by the time-domain
+module.
 """
 
 import numpy as np
 
 __all__ = [
     "cheb_grid",
-    "uniform_grid",
     "fd_matrix",
-    "trapezoid_weights",
 ]
 
 
@@ -56,12 +55,6 @@ def cheb_grid(n_nodes, length):
     return x, np.ascontiguousarray(D), w
 
 
-def uniform_grid(n_nodes, length):
-    """Uniform nodes on ``[-length, length]`` and the spacing."""
-    x = np.linspace(-length, length, n_nodes)
-    return x, x[1] - x[0]
-
-
 def fd_matrix(n_nodes, dx, periodic=False):
     """Second-order first-derivative matrix on a uniform grid.
 
@@ -79,12 +72,3 @@ def fd_matrix(n_nodes, dx, periodic=False):
         D[-1, -1], D[-1, -2], D[-1, -3] = 1.5, -2.0, 0.5
     return D / dx
 
-
-def trapezoid_weights(x):
-    """Trapezoid quadrature weights for an (arbitrary, sorted) 1-d grid."""
-    x = np.asarray(x, dtype=float)
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w

@@ -70,10 +70,15 @@ DEFAULTS = {
 class SystemSpec:
     """A relaxation system given through analytic Jacobian evaluators.
 
+    The evaluators take one state ``w`` of shape ``(n,)``:
     ``flux_jac(w)`` returns the stacked flux Jacobians, shape ``(d, n, n)``;
     ``relax_jac(w)`` returns ``dr/dw(w)``, shape ``(n, n)``;
     ``equilibria(w)`` decides ``r(w) = 0``;
     ``relax(w)`` returns ``r(w)`` itself (needed by profile solvers).
+
+    :meth:`flux_jacs` and :meth:`relax_jacobian` accept one state or a stack
+    of states ``(..., n)``, call the evaluator once per state and validate the
+    stacked result; they are the only place the evaluators are looped over.
     """
 
     n: int
@@ -86,21 +91,35 @@ class SystemSpec:
     name: str = ""
     params: dict = field(default_factory=dict)
 
+    def _per_state(self, evaluator, w, shape, what):
+        """``evaluator`` at each state of ``w``, stacked: ``(...,) + shape``."""
+        w = np.asarray(w, dtype=float)
+        states = w.reshape(-1, w.shape[-1])
+        out = np.empty((states.shape[0],) + shape)
+        for i, wi in enumerate(states):
+            value = np.asarray(evaluator(wi), dtype=float)
+            if value.shape != shape:
+                raise EvaluationError(
+                    f"{what} returned shape {value.shape}, expected {shape}")
+            out[i] = value
+        return out.reshape(w.shape[:-1] + shape)
+
     def flux_jacs(self, w):
-        """Validated ``(d, n, n)`` stack of flux Jacobians at ``w``."""
-        A = np.asarray(self.flux_jac(np.asarray(w, dtype=float)), dtype=float)
-        if A.shape != (self.d, self.n, self.n):
+        """Validated flux Jacobians ``(..., d, n, n)`` at ``w`` ``(..., n)``."""
+        A = self._per_state(self.flux_jac, w, (self.d, self.n, self.n),
+                            "flux_jac")
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if not finite.all():
+            j = int(np.argmin(finite.reshape(-1, self.d).all(axis=0)))
             raise EvaluationError(
-                f"flux_jac returned shape {A.shape}, expected {(self.d, self.n, self.n)}")
-        for j in range(self.d):
-            if not np.all(np.isfinite(A[j])):
-                raise EvaluationError(f"flux Jacobian A_{j + 1} has non-finite entries")
+                f"flux Jacobian A_{j + 1} has non-finite entries")
         return A
 
     def relax_jacobian(self, w):
-        B = np.asarray(self.relax_jac(np.asarray(w, dtype=float)), dtype=float)
-        if B.shape != (self.n, self.n) or not np.all(np.isfinite(B)):
-            raise EvaluationError("relax_jac returned non-finite or ill-shaped matrix")
+        """Validated ``dr/dw`` ``(..., n, n)`` at ``w`` ``(..., n)``."""
+        B = self._per_state(self.relax_jac, w, (self.n, self.n), "relax_jac")
+        if not np.all(np.isfinite(B)):
+            raise EvaluationError("relax_jac returned non-finite entries")
         return B
 
 
@@ -129,35 +148,38 @@ class ZeroOrderCoefficient:
     @classmethod
     def from_profile(cls, sys, profile, grid):
         grid = np.asarray(grid, dtype=float)
-        mats = np.empty((grid.size, sys.n, sys.n))
-        for i, x in enumerate(grid):
-            w, wp = profile.sample(float(x))
-            mats[i] = zero_order_matrix(sys, w, wp)
-        zero = np.zeros(sys.n)
-        limits = (zero_order_matrix(sys, profile.endstates[0], zero),
-                  zero_order_matrix(sys, profile.endstates[1], zero))
-        return cls(grid=grid, matrices=mats, constant_limits=limits)
+        mats = zero_order_matrix(sys, *profile.sample_many(grid))
+        ends = np.array(profile.endstates)
+        limits = zero_order_matrix(sys, ends, np.zeros_like(ends))
+        return cls(grid=grid, matrices=mats, constant_limits=tuple(limits))
 
 
 def zero_order_matrix(sys, w, wprime, fd_step=None):
-    """Pointwise ``E = -dr/dw(w) + d2f1/dw2(w)[., wprime]``.
+    """``E = -dr/dw(w) + d2f1/dw2(w)[., wprime]`` at one state or a stack.
 
-    The flux-Hessian contraction is realized by central differencing of the
-    first flux Jacobian; exact (zero) for fluxes with constant Jacobian.
+    ``w`` and ``wprime`` are ``(n,)`` or ``(..., n)``; the result is
+    ``(..., n, n)``.  The flux-Hessian contraction is realized by central
+    differencing of the first flux Jacobian; exact (zero) for fluxes with
+    constant Jacobian.  Where ``wprime = 0`` the result is ``-dr/dw``
+    exactly.
     """
     w = np.asarray(w, dtype=float)
     wprime = np.asarray(wprime, dtype=float)
     E = -sys.relax_jacobian(w)
-    if np.any(wprime != 0.0):
-        h = fd_step if fd_step is not None else 6e-6 * (1.0 + np.abs(w))
-        H = np.zeros((sys.n, sys.n))
-        for k in range(sys.n):
-            dw = np.zeros(sys.n)
-            dw[k] = h[k] if np.ndim(h) else h
-            Ap = sys.flux_jacs(w + dw)[0]
-            Am = sys.flux_jacs(w - dw)[0]
-            H[:, k] = ((Ap - Am) / (2.0 * dw[k])) @ wprime
-        E = E + H
+    moving = np.any(wprime != 0.0, axis=-1)
+    if np.any(moving):
+        h = np.broadcast_to(
+            fd_step if fd_step is not None else 6e-6 * (1.0 + np.abs(w)),
+            w.shape)
+        # dw[..., k, :] is the step h_k along component k
+        k = np.arange(sys.n)
+        dw = np.zeros(w.shape + (sys.n,))
+        dw[..., k, k] = h
+        Ap = sys.flux_jacs(w[..., None, :] + dw)[..., 0, :, :]
+        Am = sys.flux_jacs(w[..., None, :] - dw)[..., 0, :, :]
+        dA = (Ap - Am) / (2.0 * h)[..., :, None, None]    # (..., k, n, n)
+        H = np.matmul(dA, wprime[..., None, :, None])[..., 0]
+        E = np.where(moving[..., None, None], E + np.swapaxes(H, -1, -2), E)
     return E
 
 
@@ -180,12 +202,8 @@ def check_noncharacteristic(sys, profile, delta=DEFAULTS["a1_delta"]):
     """
     if profile.grid.size == 0:
         raise ValueError("profile grid is empty")
-    margin = np.inf
-    eye = np.eye(sys.n)
-    for w in profile.values:
-        A1 = sys.flux_jacs(w)[0] - profile.speed * eye
-        margin = min(margin, float(np.linalg.svd(A1, compute_uv=False)[-1]))
-    return margin
+    A1 = sys.flux_jacs(profile.values)[:, 0] - profile.speed * np.eye(sys.n)
+    return float(np.min(np.linalg.svd(A1, compute_uv=False)[:, -1]))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "WaveProfile",
     "solve_profile_jinxin",
     "solve_profile_shooting",
-    "sample_profile",
     "save_profile",
     "load_profile",
 ]
@@ -106,11 +105,6 @@ class WaveProfile:
         wp[lo] = 0.0
         wp[hi] = 0.0
         return w, wp
-
-
-def sample_profile(profile, x):
-    """Functional form of :meth:`WaveProfile.sample`."""
-    return profile.sample(x)
 
 
 def _fit_decay_rate(grid, values, endstates):

@@ -189,36 +189,45 @@ class ResolventOperatorField:
         return self._bvp
 
 
+def _G_from_states(sys, speed, fp, xs, wbar, wbar_p, v=0.0, dA1=None):
+    """``G`` and the co-moving ``A_1^{-1}`` at a stack of states.
+
+    ``wbar``/``wbar_p`` (``(m, n)``) give the zero-order coefficient ``E``,
+    the convection coefficients are taken at ``wbar + v``; ``dA1`` is an
+    optional ``(m, n, n)`` correction added to ``E``.  ``xs`` only labels
+    the nodes in the error raised when ``A_1 - s*I`` is singular.
+    """
+    eye = np.eye(sys.n)
+    A = sys.flux_jacs(wbar + v)
+    A1 = A[:, 0] - speed * eye
+    smin = np.linalg.svd(A1, compute_uv=False)[:, -1]
+    singular = np.flatnonzero(smin < 1e-12)
+    if singular.size:
+        raise ModelError(
+            f"A_1 - s*I singular at node x = {xs[singular[0]]:.6g}")
+    E = zero_order_matrix(sys, wbar, wbar_p)
+    if dA1 is not None:
+        E = E + dA1
+    core = fp.lam * eye.astype(complex) + E
+    for j, etaj in enumerate(fp.eta):
+        core = core + 1j * etaj * A[:, j + 1]
+    A1inv = np.linalg.inv(A1)
+    return -A1inv @ core, A1inv
+
+
 def _eval_G(sys, profile, fp, xs, perturbation, deriv_order):
     """Evaluate ``G`` and the co-moving ``A_1^{-1}`` at the points ``xs``."""
     xs = np.asarray(xs, dtype=float)
-    n = sys.n
-    eye = np.eye(n)
     wbar, wbar_p = profile.sample_many(xs)
-    w_eff = wbar + (perturbation(xs) if perturbation is not None else 0.0)
-    lam = fp.lam
-    eta = fp.eta
-    G = np.empty((xs.size, n, n), dtype=complex)
-    A1inv = np.empty((xs.size, n, n))
-    for i, x in enumerate(xs):
-        A = sys.flux_jacs(w_eff[i])
-        A1 = A[0] - profile.speed * eye
-        smin = np.linalg.svd(A1, compute_uv=False)[-1]
-        if smin < 1e-12:
-            raise ModelError(f"A_1 - s*I singular at node x = {x:.6g}")
-        E = zero_order_matrix(sys, wbar[i], wbar_p[i])
-        if deriv_order > 0:
-            h = 1e-6 * max(1.0, profile.length)
-            wp_, _ = profile.sample(min(x + h, profile.length))
-            wm_, _ = profile.sample(max(x - h, -profile.length))
-            dA1 = (sys.flux_jacs(wp_)[0] - sys.flux_jacs(wm_)[0]) / (2 * h)
-            E = E + deriv_order * dA1
-        core = lam * eye.astype(complex) + E
-        for j, etaj in enumerate(eta):
-            core = core + 1j * etaj * A[j + 1]
-        A1inv[i] = np.linalg.inv(A1)
-        G[i] = -A1inv[i] @ core
-    return G, A1inv
+    v = perturbation(xs) if perturbation is not None else 0.0
+    dA1 = None
+    if deriv_order > 0:
+        h = 1e-6 * max(1.0, profile.length)
+        wp_ = profile.sample_many(np.minimum(xs + h, profile.length))[0]
+        wm_ = profile.sample_many(np.maximum(xs - h, -profile.length))[0]
+        dA1 = deriv_order * ((sys.flux_jacs(wp_)[:, 0]
+                              - sys.flux_jacs(wm_)[:, 0]) / (2 * h))
+    return _G_from_states(sys, profile.speed, fp, xs, wbar, wbar_p, v, dA1)
 
 
 def assemble_G(sys, profile, fp, v=None, geom=None, deriv_order=0):
@@ -233,29 +242,12 @@ def assemble_G(sys, profile, fp, v=None, geom=None, deriv_order=0):
         raise ValueError(f"eta must have length d-1 = {sys.d - 1}")
     geom = geom or CollocationGrid()
     G, A1inv = _eval_G(sys, profile, fp, geom.x, v, deriv_order)
-    zero = np.zeros(sys.n)
-
-    class _EndstateProfile:
-        speed = profile.speed
-        length = profile.length
-
-        def __init__(self, w):
-            self._w = w
-
-        def sample_many(self, xs):
-            xs = np.asarray(xs)
-            return (np.tile(self._w, (xs.size, 1)),
-                    np.tile(zero, (xs.size, 1)))
-
-        def sample(self, x):
-            return self._w.copy(), zero.copy()
-
-    limits = tuple(
-        _eval_G(sys, _EndstateProfile(w), fp, np.array([0.0]), None,
-                0)[0][0]
-        for w in profile.endstates)
+    ends = np.array(profile.endstates)
+    G_inf = _G_from_states(sys, profile.speed, fp, [-np.inf, np.inf], ends,
+                           np.zeros_like(ends))[0]
     return ResolventOperatorField(sys=sys, profile=profile, fp=fp, geom=geom,
-                                  G_nodes=G, A1inv_nodes=A1inv, limits=limits,
+                                  G_nodes=G, A1inv_nodes=A1inv,
+                                  limits=tuple(G_inf),
                                   perturbation=v, deriv_order=deriv_order)
 
 
@@ -280,7 +272,7 @@ def _spectral_split(G_inf, gap_tol=HYPERBOLIC_GAP_TOL):
 class _BvpOperator:
     """LU-factored collocation operator with boundary-projection rows."""
 
-    def __init__(self, field, bc_mode="spectral"):
+    def __init__(self, field):
         geom = field.geom
         m, n = geom.n_nodes, field.n
         self.field = field
@@ -293,46 +285,35 @@ class _BvpOperator:
         # forcing injection: rhs enters the collocation rows untouched
         P = np.eye(m * n, dtype=complex)
 
-        if bc_mode == "spectral":
-            minus = _spectral_split(field.limits[0])
-            plus = _spectral_split(field.limits[1])
-            k = minus["right_unstable"].shape[1]
-            j = plus["right_stable"].shape[1]
-            if j + k != n:
-                raise CenterSpectrumError(
-                    f"inconsistent splitting: dim U(-inf) = {k}, "
-                    f"dim S(+inf) = {j}, need sum n = {n}")
-            # complement rows annihilating the admissible subspaces
-            bc_minus = _orth_complement(minus["right_unstable"])     # (n-k, n)
-            bc_plus = _orth_complement(plus["right_stable"])         # (n-j, n)
-            keep_minus = minus["left_unstable"]                      # (k, n)
-            keep_plus = plus["left_stable"]                          # (j, n)
+        minus = _spectral_split(field.limits[0])
+        plus = _spectral_split(field.limits[1])
+        k = minus["right_unstable"].shape[1]
+        j = plus["right_stable"].shape[1]
+        if j + k != n:
+            raise CenterSpectrumError(
+                f"inconsistent splitting: dim U(-inf) = {k}, "
+                f"dim S(+inf) = {j}, need sum n = {n}")
+        # complement rows annihilating the admissible subspaces
+        bc_minus = _orth_complement(minus["right_unstable"])     # (n-k, n)
+        bc_plus = _orth_complement(plus["right_stable"])         # (n-j, n)
+        keep_minus = minus["left_unstable"]                      # (k, n)
+        keep_plus = plus["left_stable"]                          # (j, n)
 
-            r0 = slice(0, n)
-            rN = slice((m - 1) * n, m * n)
-            top = np.zeros((n, m * n), dtype=complex)
-            top[: n - k, r0] = bc_minus
-            top[n - k:, :] = keep_minus @ M[r0, :]
-            Ptop = np.zeros((n, m * n), dtype=complex)
-            Ptop[n - k:, :] = keep_minus @ P[r0, :]
-            bot = np.zeros((n, m * n), dtype=complex)
-            bot[:j, :] = keep_plus @ M[rN, :]
-            bot[j:, rN] = bc_plus
-            Pbot = np.zeros((n, m * n), dtype=complex)
-            Pbot[:j, :] = keep_plus @ P[rN, :]
-            M[r0, :], P[r0, :] = top, Ptop
-            M[rN, :], P[rN, :] = bot, Pbot
-            self.ranks = (j, k)
-        elif bc_mode == "dirichlet":
-            M[0:n, :] = 0.0
-            M[0:n, 0:n] = np.eye(n)
-            P[0:n, :] = 0.0
-            M[(m - 1) * n:, :] = 0.0
-            M[(m - 1) * n:, (m - 1) * n:] = np.eye(n)
-            P[(m - 1) * n:, :] = 0.0
-            self.ranks = None
-        else:
-            raise ValueError(f"unknown bc_mode {bc_mode!r}")
+        r0 = slice(0, n)
+        rN = slice((m - 1) * n, m * n)
+        top = np.zeros((n, m * n), dtype=complex)
+        top[: n - k, r0] = bc_minus
+        top[n - k:, :] = keep_minus @ M[r0, :]
+        Ptop = np.zeros((n, m * n), dtype=complex)
+        Ptop[n - k:, :] = keep_minus @ P[r0, :]
+        bot = np.zeros((n, m * n), dtype=complex)
+        bot[:j, :] = keep_plus @ M[rN, :]
+        bot[j:, rN] = bc_plus
+        Pbot = np.zeros((n, m * n), dtype=complex)
+        Pbot[:j, :] = keep_plus @ P[rN, :]
+        M[r0, :], P[r0, :] = top, Ptop
+        M[rN, :], P[rN, :] = bot, Pbot
+        self.ranks = (j, k)
 
         try:
             self.lu = lu_factor(M)
@@ -386,14 +367,13 @@ def _orth_complement(U):
     return Q[:, U.shape[1]:].conj().T
 
 
-def solve_resolvent_bvp(field, f, bc_mode="spectral"):
+def solve_resolvent_bvp(field, f):
     """Solve the resolvent equation for forcing ``f`` given on the grid.
 
     Returns the solution node values; the collocation residual is checked
     against the hard cap and reported on the operator as ``last_residual``.
     """
-    op = field.bvp() if bc_mode == "spectral" else _BvpOperator(field, bc_mode)
-    return op.solve(f, apply_a1inv=True)
+    return field.bvp().solve(f, apply_a1inv=True)
 
 
 def _random_forcing(geom, n, rng, n_bumps=6):
@@ -531,7 +511,9 @@ class SweepResult:
             }
 
 
-def _sweep_point(field_family, fp, s, trials, seed):
+def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
+    """Gains of one grid point; with ``probe_seed``, also the hat/L2 ratio
+    of the solution for one more forcing drawn from that seed (else 0.0)."""
     field = field_family(fp)
     geom, hat, rho = field.geom, HatNorm(s), fp.magnitude
     op = field.bvp()
@@ -549,7 +531,14 @@ def _sweep_point(field_family, fp, s, trials, seed):
     gain = estimate_resolvent_gain(field, s, trials=max(4, trials // 4),
                                    seed=seed + 1)
     g_hf = max(g_hf, gain)
-    return g_hf, g_pd, absorb
+    ratio = 0.0
+    if probe_seed is not None:
+        f = _random_forcing(geom, field.n, np.random.default_rng(probe_seed))
+        v = op.solve(f)
+        l2 = geom.l2_norm(v)
+        if l2 > 0:
+            ratio = hat.value(v, geom, rho) / l2
+    return (g_hf, g_pd, absorb), ratio
 
 
 def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
@@ -562,18 +551,28 @@ def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
     the per-point gains and the constants.  Singular-set points are excluded
     and reported in ``flagged``.
     """
+    return _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
+                      threads, bounded_cut=-np.inf)[0]
+
+
+def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed, threads,
+               bounded_cut):
+    """:func:`run_sweep` plus the largest hat/L2 probe ratio over the points
+    with ``|lambda| <= bounded_cut`` (0.0 when there are none)."""
     grid = list(grid)
     nP = len(grid)
     g_hf = np.full(nP, np.nan)
     g_pd = np.full(nP, np.nan)
     absorb = np.full(nP, np.nan)
     flagged = []
+    bounded_ratio = 0.0
 
     def work(i):
         fp = grid[i]
+        probe_seed = seed + 7 * i if abs(fp.lam) <= bounded_cut else None
         try:
             return i, _sweep_point(field_family, fp, s, trials,
-                                   seed + 1000 * i), None
+                                   seed + 1000 * i, probe_seed), None
         except CenterSpectrumError as exc:
             return i, None, str(exc)
 
@@ -581,8 +580,9 @@ def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
         for i, res, err in pool.map(work, range(nP)):
             if err is not None:
                 flagged.append((i, err))
-            else:
-                g_hf[i], g_pd[i], absorb[i] = res
+                continue
+            (g_hf[i], g_pd[i], absorb[i]), ratio = res
+            bounded_ratio = max(bounded_ratio, ratio)
 
     ok = ~np.isnan(g_hf)
     weights = np.array([grid[i].lam.real - gamma_star for i in range(nP)])
@@ -603,12 +603,14 @@ def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
     pd_pass = pd_scaled <= C_pd
     hf_pass[~ok] = False
     pd_pass[~ok] = False
-    return SweepResult(points=grid, hfres_gain=hf_scaled, pdamp_gain=pd_scaled,
-                       absorption=absorb, hfres_pass=hf_pass,
-                       pdamp_pass=pd_pass, flagged=flagged,
-                       constants={"C": float(C_hf), "C_pdamp": float(C_pd),
-                                  "gamma_star": float(gamma_star),
-                                  "s": int(s), "trials": int(trials)})
+    sweep = SweepResult(points=grid, hfres_gain=hf_scaled,
+                        pdamp_gain=pd_scaled, absorption=absorb,
+                        hfres_pass=hf_pass, pdamp_pass=pd_pass,
+                        flagged=flagged,
+                        constants={"C": float(C_hf), "C_pdamp": float(C_pd),
+                                   "gamma_star": float(gamma_star),
+                                   "s": int(s), "trials": int(trials)})
+    return sweep, bounded_ratio
 
 
 @dataclass
@@ -632,8 +634,8 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, C=None,
     ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
     exponent); the pass sets of the two bounds are compared pointwise.
     """
-    sweep = run_sweep(field_family, grid, s=s, gamma_star=gamma_star, C=C,
-                      trials=trials, seed=seed, threads=threads)
+    sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, C,
+                                      trials, seed, threads, bounded_cut)
     if sweep.flagged:
         import warnings
         warnings.warn(f"{len(sweep.flagged)} grid point(s) on the singular "
@@ -643,22 +645,6 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, C=None,
     agreement = float(np.mean(agree)) if np.any(ok) else 0.0
 
     mags = np.array([abs(p.lam) for p in sweep.points])
-    bounded = ok & (mags <= bounded_cut)
-    bounded_ratio = 0.0
-    if np.any(bounded):
-        # |v|_hat <= gain * |f|_hat and |f| unit: use measured pdamp gain as
-        # a bounded-frequency proxy; refine with one explicit solve per point
-        for i in np.where(bounded)[0]:
-            field = field_family(sweep.points[i])
-            rng = np.random.default_rng(seed + 7 * i)
-            f = _random_forcing(field.geom, field.n, rng)
-            v = field.bvp().solve(f)
-            l2 = field.geom.l2_norm(v)
-            if l2 > 0:
-                bounded_ratio = max(
-                    bounded_ratio,
-                    HatNorm(s).value(v, field.geom, sweep.points[i].magnitude) / l2)
-
     big = ok & (mags >= bounded_cut) & (np.abs(sweep.absorption) > 0)
     exponent = np.nan
     if np.count_nonzero(big) >= 3:

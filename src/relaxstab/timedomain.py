@@ -65,10 +65,6 @@ class SimState:
     conv_cache: tuple = None     # (mu, R, Rinv) frozen for linearized mode
     boundary_tol: float = 1e-2
 
-    @property
-    def n(self):
-        return self.v.shape[1]
-
     def boundary_ok(self):
         peak = max(float(np.max(np.abs(self.v))), 1e-300)
         edge = max(float(np.max(np.abs(self.v[:2]))),
@@ -80,8 +76,12 @@ class SimState:
         return _replace(self, **kw)
 
 
-def _char_decomposition(A):
-    """Batched eigendecomposition of real-spectrum convection matrices."""
+def _char_decomposition(sys, speed, states):
+    """Eigendecomposition of the co-moving ``A_1 - s*I`` at a stack of states.
+
+    The convection spectrum must be real.
+    """
+    A = sys.flux_jacs(states)[:, 0] - speed * np.eye(sys.n)
     mu, R = np.linalg.eig(A)
     if np.max(np.abs(mu.imag)) > 1e-8 * (1.0 + np.max(np.abs(mu.real))):
         raise StepError("convection matrix lost real spectrum")
@@ -99,9 +99,7 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized",
     grid = np.linspace(-L_sim, L_sim, n_points)
     dx = grid[1] - grid[0]
     wbar, wbar_p = profile.sample_many(grid)
-    E = np.empty((n_points, sys.n, sys.n))
-    for i in range(n_points):
-        E[i] = zero_order_matrix(sys, wbar[i], wbar_p[i])
+    E = zero_order_matrix(sys, wbar, wbar_p)
     if callable(v0):
         v = np.array([np.atleast_1d(v0(x)) for x in grid], dtype=float)
     else:
@@ -110,9 +108,7 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized",
         raise ValueError(f"v0 must have shape {(n_points, sys.n)}")
     conv_cache = None
     if mode == "linearized":
-        A = np.stack([sys.flux_jacs(w)[0] for w in wbar])
-        A -= profile.speed * np.eye(sys.n)[None]
-        conv_cache = _char_decomposition(A)
+        conv_cache = _char_decomposition(sys, profile.speed, wbar)
     return SimState(grid=grid, dx=dx, v=v, t=0.0, mode=mode, sys=sys,
                     profile=profile, wbar=wbar, wbar_p=wbar_p, E_nodes=E,
                     conv_cache=conv_cache, boundary_tol=boundary_tol)
@@ -141,10 +137,8 @@ def _biased_derivatives(v, dx):
 def _split_convection(sim, v):
     """Characteristic-split upwind transport term ``-(A - sI) v_x``."""
     if sim.mode == "nonlinear":
-        states = sim.wbar + v
-        A = np.stack([sim.sys.flux_jacs(w)[0] for w in states])
-        A -= sim.profile.speed * np.eye(sim.n)[None]
-        mu, R, Rinv = _char_decomposition(A)
+        mu, R, Rinv = _char_decomposition(sim.sys, sim.profile.speed,
+                                          sim.wbar + v)
     else:
         mu, R, Rinv = sim.conv_cache
     bwd, fwd = _biased_derivatives(v, sim.dx)
@@ -167,12 +161,11 @@ def _rhs(sim, v, forcing, t):
     conv, speed = _split_convection(sim, v)
     if sim.mode == "nonlinear":
         states = sim.wbar + v
-        eye = np.eye(sim.n)
-        zo = np.empty_like(v)
-        for i in range(v.shape[0]):
-            A1 = sim.sys.flux_jacs(states[i])[0] - sim.profile.speed * eye
-            zo[i] = -(A1 @ sim.wbar_p[i]) + sim.sys.relax(states[i])
-        rhs = conv + zo
+        A1 = (sim.sys.flux_jacs(states)[:, 0]
+              - sim.profile.speed * np.eye(sim.sys.n))
+        source = np.array([sim.sys.relax(w) for w in states])
+        rhs = conv + (-np.matmul(A1, sim.wbar_p[:, :, None])[:, :, 0]
+                      + source)
     else:
         rhs = conv - np.einsum("xij,xj->xi", sim.E_nodes, v)
     if forcing is not None:
@@ -189,9 +182,7 @@ def step(sim, dt, mode=None, forcing=None, cfl=0.7):
     if mode is not None and mode != sim.mode:
         cache = sim.conv_cache
         if mode == "linearized" and cache is None:
-            A = np.stack([sim.sys.flux_jacs(w)[0] for w in sim.wbar])
-            A -= sim.profile.speed * np.eye(sim.n)[None]
-            cache = _char_decomposition(A)
+            cache = _char_decomposition(sim.sys, sim.profile.speed, sim.wbar)
         sim = sim.replace(mode=mode, conv_cache=cache)
     k1, speed = _rhs(sim, sim.v, forcing, sim.t)
     if dt > cfl * sim.dx / max(speed, 1e-300):

@@ -100,7 +100,7 @@ def test_sample_clamps_beyond_domain(front):
 def test_sample_rejects_nonfinite(front):
     with pytest.raises(ValueError):
         front.sample(np.nan)
-    assert prof.sample_profile(front, 1.0)[0][0] == pytest.approx(
+    assert front.sample(1.0)[0][0] == pytest.approx(
         logistic_u(1.0), abs=1e-7)
 
 
