@@ -8,7 +8,6 @@ timestamps and are byte-identical across repeated runs.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys as _sys
@@ -24,6 +23,7 @@ from . import symmetrizer as symm
 from . import timedomain as td
 from .errors import CompatibilityError, ConfigError, RelaxstabError
 from .systems import make_system
+from .tables import write_csv
 
 __all__ = ["RunConfig", "run", "report", "main", "PIPELINES"]
 
@@ -225,22 +225,24 @@ class _Runner:
             trials=rc.get("trials", 6), seed=self.cfg.seed,
             threads=rc.get("threads"))
         sweep = repq.sweep
-        with open(os.path.join(self.out, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re_lambda", "im_lambda", "eta", "hfres_gain",
-                             "pdamp_gain", "absorption", "hfres_pass",
-                             "pdamp_pass"])
-            for row in sweep.rows():
-                writer.writerow([repr(row["re_lambda"]), repr(row["im_lambda"]),
-                                 ";".join(repr(v) for v in row["eta"]),
-                                 repr(row["hfres_gain"]), repr(row["pdamp_gain"]),
-                                 repr(row["absorption"]),
-                                 int(row["hfres_pass"]), int(row["pdamp_pass"])])
-        passed = (repq.agreement == 1.0
-                  and bool(np.all(sweep.hfres_pass | ~np.isfinite(sweep.hfres_gain))))
+        rows = ([r["re_lambda"], r["im_lambda"],
+                 ";".join(repr(v) for v in r["eta"]), r["hfres_gain"],
+                 r["pdamp_gain"], r["absorption"], int(r["hfres_pass"]),
+                 int(r["pdamp_pass"])] for r in sweep.rows())
+        write_csv(os.path.join(self.out, "sweep.csv"),
+                  ["re_lambda", "im_lambda", "eta", "hfres_gain",
+                   "pdamp_gain", "absorption", "hfres_pass", "pdamp_pass"],
+                  rows)
+        # a flagged (singular-set) point has no gain and fails hfres_pass
+        passed = repq.agreement == 1.0 and bool(np.all(sweep.hfres_pass))
+        flagged = [{"re_lambda": sweep.points[i].lam.real,
+                    "im_lambda": sweep.points[i].lam.imag,
+                    "eta": sweep.points[i].eta, "message": msg}
+                   for i, msg in sweep.flagged]
         payload = {
             "constants": sweep.constants, "method": sweep.method,
             "agreement": repq.agreement, "n_flagged": repq.n_flagged,
+            "flagged": flagged,
             "bounded_ratio": repq.bounded_ratio,
             "absorption_exponent": repq.absorption_exponent,
             "passed": passed,

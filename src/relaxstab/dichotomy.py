@@ -26,6 +26,7 @@ from scipy.optimize import minimize_scalar
 from .errors import (CenterSpectrumError, CertificateError,
                      FrameConditioningError, StabilityError,
                      TurningPointSuspectedError)
+from .tables import write_matrix_field
 
 __all__ = [
     "SpectralSplit",
@@ -428,20 +429,7 @@ def coalescence_scan(symbol, x_grid, gap_tol=1e-4, cond_cap=1e4,
 
 def frames_to_csv(data, path):
     """Dump the conjugating frame samples as CSV (for plotting)."""
-    import csv as _csv
-    m, n, _ = data.frame.shape
-    header = ["x"] + [f"T_{i + 1}{j + 1}_{part}" for i in range(n)
-                      for j in range(n) for part in ("re", "im")]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for k in range(m):
-            row = [repr(float(data.grid[k]))]
-            for i in range(n):
-                for j in range(n):
-                    row += [repr(float(data.frame[k, i, j].real)),
-                            repr(float(data.frame[k, i, j].imag))]
-            writer.writerow(row)
+    write_matrix_field(path, "T", data.grid, data.frame)
 
 
 def detect_turning_points(sys, profile, ray, x_grid, gap_tol=1e-3,

@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, ModelError
 from .systems import jin_xin
+from .tables import write_csv
 
 __all__ = [
     "WaveProfile",
@@ -292,14 +293,8 @@ def save_profile(profile, csv_path, json_path=None):
     n = profile.n
     header = (["x"] + [f"w_{k + 1}" for k in range(n)]
               + [f"dw_{k + 1}" for k in range(n)])
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(profile.grid.size):
-            row = ([repr(float(profile.grid[i]))]
-                   + [repr(float(v)) for v in profile.values[i]]
-                   + [repr(float(v)) for v in profile.derivs[i]])
-            writer.writerow(row)
+    write_csv(csv_path, header,
+              np.column_stack([profile.grid, profile.values, profile.derivs]))
     sidecar = {
         "schema_version": PROFILE_SCHEMA_VERSION,
         "speed": profile.speed,

@@ -18,7 +18,9 @@ Gains are measured in the frequency-weighted norm
 
 by randomized unit forcings plus a power-iteration refinement; every gain is
 a certified lower bound of the discrete operator norm and is reported as
-such.
+such.  The trial forcings of a frequency point are drawn and solved in one
+batch (``_trial_solutions``): a stack ``(T, m, n)`` goes through one
+multi-column LU solve of the factored collocation operator.
 """
 
 import os
@@ -270,20 +272,22 @@ def _spectral_split(G_inf, gap_tol=HYPERBOLIC_GAP_TOL):
 
 
 class _BvpOperator:
-    """LU-factored collocation operator with boundary-projection rows."""
+    """LU-factored collocation operator with boundary-projection rows.
+
+    Only the end-node rows differ from plain collocation: there the kept left
+    eigenvectors (``keep_minus``, ``keep_plus``) project the equation.  The
+    operator keeps the node arrays, not the field, so that the field (which
+    holds the operator) is freed by reference counting.
+    """
 
     def __init__(self, field):
-        geom = field.geom
+        geom = self.geom = field.geom
         m, n = geom.n_nodes, field.n
-        self.field = field
+        self.G_nodes, self.A1inv_nodes = field.G_nodes, field.A1inv_nodes
         self.m, self.n = m, n
-        D = geom.D
-        M = np.kron(D, np.eye(n)).astype(complex)
+        M = np.kron(geom.D, np.eye(n)).astype(complex)
         for i in range(m):
             M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= field.G_nodes[i]
-
-        # forcing injection: rhs enters the collocation rows untouched
-        P = np.eye(m * n, dtype=complex)
 
         minus = _spectral_split(field.limits[0])
         plus = _spectral_split(field.limits[1])
@@ -296,23 +300,17 @@ class _BvpOperator:
         # complement rows annihilating the admissible subspaces
         bc_minus = _orth_complement(minus["right_unstable"])     # (n-k, n)
         bc_plus = _orth_complement(plus["right_stable"])         # (n-j, n)
-        keep_minus = minus["left_unstable"]                      # (k, n)
-        keep_plus = plus["left_stable"]                          # (j, n)
+        self.keep_minus = minus["left_unstable"]                 # (k, n)
+        self.keep_plus = plus["left_stable"]                     # (j, n)
 
-        r0 = slice(0, n)
-        rN = slice((m - 1) * n, m * n)
+        r0, rN = slice(0, n), slice((m - 1) * n, m * n)
         top = np.zeros((n, m * n), dtype=complex)
         top[: n - k, r0] = bc_minus
-        top[n - k:, :] = keep_minus @ M[r0, :]
-        Ptop = np.zeros((n, m * n), dtype=complex)
-        Ptop[n - k:, :] = keep_minus @ P[r0, :]
+        top[n - k:, :] = self.keep_minus @ M[r0, :]
         bot = np.zeros((n, m * n), dtype=complex)
-        bot[:j, :] = keep_plus @ M[rN, :]
+        bot[:j, :] = self.keep_plus @ M[rN, :]
         bot[j:, rN] = bc_plus
-        Pbot = np.zeros((n, m * n), dtype=complex)
-        Pbot[:j, :] = keep_plus @ P[rN, :]
-        M[r0, :], P[r0, :] = top, Ptop
-        M[rN, :], P[rN, :] = bot, Pbot
+        M[r0, :], M[rN, :] = top, bot
         self.ranks = (j, k)
 
         try:
@@ -320,42 +318,50 @@ class _BvpOperator:
         except np.linalg.LinAlgError as exc:
             raise NumericError("LU factorization of the collocation operator "
                                "failed") from exc
-        self.P = P
-        self.M = M
-
-    def _rhs_nodes(self, f_nodes, apply_a1inv):
-        f = np.asarray(f_nodes, dtype=complex).reshape(self.m, self.n)
-        if apply_a1inv:
-            f = np.einsum("ijk,ik->ij", self.field.A1inv_nodes, f)
-        return f
 
     def solve(self, f_nodes, apply_a1inv=True):
-        """Solve ``v' = G v + rhs`` and return node values ``(m, n)``."""
-        rhs = self._rhs_nodes(f_nodes, apply_a1inv)
-        b = self.P @ rhs.reshape(-1)
-        v = lu_solve(self.lu, b).reshape(self.m, self.n)
+        """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
+        ``(T, m, n)``; returns node values of the same shape.
+
+        All forcings go through one multi-column LU solve, and the residual
+        cap is checked for each of them.
+        """
+        f = np.asarray(f_nodes, dtype=complex)
+        rhs = f.reshape(-1, self.m, self.n)
+        if apply_a1inv:
+            rhs = np.einsum("ijk,tik->tij", self.A1inv_nodes, rhs)
+        j, k = self.ranks
+        b = rhs.copy()
+        b[:, [0, -1]] = 0.0
+        b[:, 0, self.n - k:] = rhs[:, 0] @ self.keep_minus.T
+        b[:, -1, :j] = rhs[:, -1] @ self.keep_plus.T
+        v = lu_solve(self.lu, b.reshape(len(b), -1).T).T.reshape(rhs.shape)
         self._check_residual(v, rhs)
-        return v
+        return v if f.ndim == 3 else v[0]
 
     def solve_adjoint(self, y_nodes):
         """Apply the conjugate-transposed solution operator (no A1inv)."""
         y = np.asarray(y_nodes, dtype=complex).reshape(-1)
-        return (self.P.conj().T @ lu_solve(self.lu, y, trans=2)).reshape(
-            self.m, self.n)
+        u = lu_solve(self.lu, y, trans=2).reshape(self.m, self.n)
+        j, k = self.ranks
+        u[0] = self.keep_minus.conj().T @ u[0, self.n - k:]
+        u[-1] = self.keep_plus.conj().T @ u[-1, :j]
+        return u
 
     def _check_residual(self, v, rhs):
-        geom = self.field.geom
-        res = geom.D @ v - np.einsum("ijk,ik->ij", self.field.G_nodes, v) - rhs
-        interior = slice(1, self.m - 1)
-        rnorm = float(np.sqrt(np.sum(
-            geom.wq[interior, None] * np.abs(res[interior]) ** 2)))
-        scale = max(1.0, float(np.sqrt(np.sum(geom.wq[:, None]
-                                              * np.abs(rhs) ** 2))))
-        if rnorm > RESIDUAL_CAP * scale:
-            raise NumericError(
-                f"collocation residual {rnorm:.3e} exceeds cap "
-                f"{RESIDUAL_CAP:.0e} (relative to forcing scale {scale:.3g})")
-        self.last_residual = rnorm
+        geom = self.geom
+        res = (np.matmul(geom.D, v)
+               - np.einsum("ijk,tik->tij", self.G_nodes, v) - rhs)
+        rnorm = np.sqrt(np.sum(geom.wq[1:-1, None] * np.abs(res[:, 1:-1]) ** 2,
+                               axis=(1, 2)))
+        scale = np.maximum(1.0, np.sqrt(np.sum(
+            geom.wq[:, None] * np.abs(rhs) ** 2, axis=(1, 2))))
+        for r, sc in zip(rnorm, scale):
+            if r > RESIDUAL_CAP * sc:
+                raise NumericError(
+                    f"collocation residual {r:.3e} exceeds cap "
+                    f"{RESIDUAL_CAP:.0e} (relative to forcing scale {sc:.3g})")
+        self.last_residual = float(np.max(rnorm, initial=0.0))
 
 
 def _orth_complement(U):
@@ -390,6 +396,18 @@ def _random_forcing(geom, n, rng, n_bumps=6):
     return f / (nrm if nrm > 0 else 1.0)
 
 
+def _trial_solutions(field, trials, seed, apply_a1inv=True):
+    """``trials`` random unit forcings drawn from ``seed`` and their solutions.
+
+    Returns ``(F, V)``, both ``(trials, m, n)``; all forcings are solved in
+    one batched call.
+    """
+    geom, rng = field.geom, np.random.default_rng(seed)
+    F = np.array([_random_forcing(geom, field.n, rng) for _ in range(trials)])
+    F = F.reshape(trials, geom.n_nodes, field.n)
+    return F, field.bvp().solve(F, apply_a1inv)
+
+
 def _hat_gram(geom, s, freq_mag):
     """SPD matrix of the Hilbertian surrogate of the hat norm (per component)."""
     W = np.diag(geom.wq)
@@ -412,12 +430,9 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
     hat = HatNorm(s)
     rho = field.fp.magnitude
     op = field.bvp()
-    rng = np.random.default_rng(seed)
     best = 0.0
     best_f = None
-    for _ in range(trials):
-        f = _random_forcing(geom, field.n, rng)
-        v = op.solve(f)
+    for f, v in zip(*_trial_solutions(field, trials, seed)):
         ratio = hat.value(v, geom, rho) / hat.value(f, geom, rho)
         if ratio > best:
             best, best_f = ratio, f
@@ -452,12 +467,8 @@ def verify_hfres(field, s, C, gamma_star, trials=16, seed=0):
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
     geom, hat, rho = field.geom, HatNorm(s), field.fp.magnitude
-    op = field.bvp()
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        f = _random_forcing(geom, field.n, rng)
-        v = op.solve(f)
+    for f, v in zip(*_trial_solutions(field, trials, seed)):
         lhs = hat.value(v, geom, rho) * (field.fp.lam.real - gamma_star)
         worst = max(worst, lhs / (C * hat.value(f, geom, rho)))
     return worst
@@ -472,12 +483,8 @@ def verify_pdamp(field, s, C, gamma_star, trials=16, seed=0):
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
     geom, hat, rho = field.geom, HatNorm(s), field.fp.magnitude
-    op = field.bvp()
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        f = _random_forcing(geom, field.n, rng)
-        v = op.solve(f)
+    for f, v in zip(*_trial_solutions(field, trials, seed)):
         lhs = hat.value(v, geom, rho) * (field.fp.lam.real - gamma_star)
         rhs = C * (hat.value(f, geom, rho) + geom.l2_norm(v))
         worst = max(worst, lhs / rhs)
@@ -516,12 +523,8 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     of the solution for one more forcing drawn from that seed (else 0.0)."""
     field = field_family(fp)
     geom, hat, rho = field.geom, HatNorm(s), fp.magnitude
-    op = field.bvp()
-    rng = np.random.default_rng(seed)
     g_hf = g_pd = absorb = 0.0
-    for _ in range(trials):
-        f = _random_forcing(geom, field.n, rng)
-        v = op.solve(f)
+    for f, v in zip(*_trial_solutions(field, trials, seed)):
         hv, hf = hat.value(v, geom, rho), hat.value(f, geom, rho)
         l2v, l2f = geom.l2_norm(v), geom.l2_norm(f)
         h1v = geom.sobolev_norm(v, 1)
@@ -533,8 +536,7 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     g_hf = max(g_hf, gain)
     ratio = 0.0
     if probe_seed is not None:
-        f = _random_forcing(geom, field.n, np.random.default_rng(probe_seed))
-        v = op.solve(f)
+        (v,) = _trial_solutions(field, 1, probe_seed)[1]
         l2 = geom.l2_norm(v)
         if l2 > 0:
             ratio = hat.value(v, geom, rho) / l2

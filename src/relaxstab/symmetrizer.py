@@ -28,6 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, solve_continuous_lyapunov
 
 from .errors import CertificateError, FrameConditioningError, StabilityError
+from .tables import write_matrix_field
 
 __all__ = [
     "LyapunovForms",
@@ -260,20 +261,7 @@ def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0,
 
 def field_to_csv(S, path):
     """Dump the symmetrizer samples as CSV (for plotting)."""
-    import csv as _csv
-    m, n, _ = S.S.shape
-    header = ["x"] + [f"S_{i + 1}{j + 1}_{part}" for i in range(n)
-                      for j in range(n) for part in ("re", "im")]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for k in range(m):
-            row = [repr(float(S.grid[k]))]
-            for i in range(n):
-                for j in range(n):
-                    row += [repr(float(S.S[k, i, j].real)),
-                            repr(float(S.S[k, i, j].imag))]
-            writer.writerow(row)
+    write_matrix_field(path, "S", S.grid, S.S)
 
 
 def energy_estimate_check(S, field, trials=100, theta=None, C0=None, seed=0,
@@ -285,18 +273,15 @@ def energy_estimate_check(S, field, trials=100, theta=None, C0=None, seed=0,
     ``max theta^2 |u|^2 / (C0^2 |f|^2)``; decay of ``u`` at the domain ends
     is checked a posteriori.
     """
-    from .resolvent import _random_forcing
+    from .resolvent import _trial_solutions
     theta = S.theta if theta is None else theta
     C0 = S.C0 if C0 is None else C0
     if theta <= 0:
         raise CertificateError("energy check requires a positive theta")
     geom = field.geom
-    op = field.bvp()
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        f = _random_forcing(geom, field.n, rng)
-        u = op.solve(f, apply_a1inv=False)
+    for f, u in zip(*_trial_solutions(field, trials, seed,
+                                      apply_a1inv=False)):
         edge = max(np.max(np.abs(u[0])), np.max(np.abs(u[-1])))
         if edge > decay_tol * max(np.max(np.abs(u)), 1e-300):
             warnings.warn("solution does not decay at the truncated ends; "

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import CertificateError, InstabilityError, StepError
 from .model import zero_order_matrix
+from .tables import write_csv
 
 __all__ = [
     "SimState",
@@ -76,12 +77,16 @@ class SimState:
         return _replace(self, **kw)
 
 
-def _char_decomposition(sys, speed, states):
-    """Eigendecomposition of the co-moving ``A_1 - s*I`` at a stack of states.
+def _comoving_A1(sys, speed, states):
+    """Co-moving ``A_1 - s*I`` at a stack of states."""
+    return sys.flux_jacs(states)[:, 0] - speed * np.eye(sys.n)
+
+
+def _char_decomposition(A):
+    """Eigendecomposition of a stack of co-moving convection matrices.
 
     The convection spectrum must be real.
     """
-    A = sys.flux_jacs(states)[:, 0] - speed * np.eye(sys.n)
     mu, R = np.linalg.eig(A)
     if np.max(np.abs(mu.imag)) > 1e-8 * (1.0 + np.max(np.abs(mu.real))):
         raise StepError("convection matrix lost real spectrum")
@@ -108,7 +113,8 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized",
         raise ValueError(f"v0 must have shape {(n_points, sys.n)}")
     conv_cache = None
     if mode == "linearized":
-        conv_cache = _char_decomposition(sys, profile.speed, wbar)
+        conv_cache = _char_decomposition(
+            _comoving_A1(sys, profile.speed, wbar))
     return SimState(grid=grid, dx=dx, v=v, t=0.0, mode=mode, sys=sys,
                     profile=profile, wbar=wbar, wbar_p=wbar_p, E_nodes=E,
                     conv_cache=conv_cache, boundary_tol=boundary_tol)
@@ -134,13 +140,10 @@ def _biased_derivatives(v, dx):
     return bwd, fwd
 
 
-def _split_convection(sim, v):
-    """Characteristic-split upwind transport term ``-(A - sI) v_x``."""
-    if sim.mode == "nonlinear":
-        mu, R, Rinv = _char_decomposition(sim.sys, sim.profile.speed,
-                                          sim.wbar + v)
-    else:
-        mu, R, Rinv = sim.conv_cache
+def _split_convection(sim, v, decomposition):
+    """Characteristic-split upwind transport term ``-(A - sI) v_x`` from the
+    eigendecomposition ``(mu, R, Rinv)`` of ``A - sI``."""
+    mu, R, Rinv = decomposition
     bwd, fwd = _biased_derivatives(v, sim.dx)
     # characteristic variables, upwinded per sign
     cb = np.einsum("xij,xj->xi", Rinv, bwd)
@@ -158,15 +161,15 @@ def _rhs(sim, v, forcing, t):
     vanishes at ``v = 0`` by the profile equation and linearizes to the
     linearized operator.
     """
-    conv, speed = _split_convection(sim, v)
     if sim.mode == "nonlinear":
         states = sim.wbar + v
-        A1 = (sim.sys.flux_jacs(states)[:, 0]
-              - sim.profile.speed * np.eye(sim.sys.n))
+        A1 = _comoving_A1(sim.sys, sim.profile.speed, states)
+        conv, speed = _split_convection(sim, v, _char_decomposition(A1))
         source = np.array([sim.sys.relax(w) for w in states])
         rhs = conv + (-np.matmul(A1, sim.wbar_p[:, :, None])[:, :, 0]
                       + source)
     else:
+        conv, speed = _split_convection(sim, v, sim.conv_cache)
         rhs = conv - np.einsum("xij,xj->xi", sim.E_nodes, v)
     if forcing is not None:
         rhs = rhs + (forcing(t) if callable(forcing) else forcing)
@@ -182,7 +185,8 @@ def step(sim, dt, mode=None, forcing=None, cfl=0.7):
     if mode is not None and mode != sim.mode:
         cache = sim.conv_cache
         if mode == "linearized" and cache is None:
-            cache = _char_decomposition(sim.sys, sim.profile.speed, sim.wbar)
+            cache = _char_decomposition(
+                _comoving_A1(sim.sys, sim.profile.speed, sim.wbar))
         sim = sim.replace(mode=mode, conv_cache=cache)
     k1, speed = _rhs(sim, sim.v, forcing, sim.t)
     if dt > cfl * sim.dx / max(speed, 1e-300):
@@ -554,16 +558,10 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0, cap=1e8):
 
 def trace_to_csv(trace, path, config=None):
     """Write a trace as CSV with the run configuration echoed as JSON."""
-    import csv as _csv
     import json as _json
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "E", "L2", "f"])
-        for i in range(trace.times.size):
-            writer.writerow([repr(float(trace.times[i])),
-                             repr(float(trace.E_values[i])),
-                             repr(float(trace.L2_values[i])),
-                             repr(float(trace.f_values[i]))])
+    write_csv(path, ["t", "E", "L2", "f"],
+              zip(trace.times, trace.E_values, trace.L2_values,
+                  trace.f_values))
     header = {"meta": trace.meta}
     if config is not None:
         header["config"] = config

@@ -131,6 +131,35 @@ def test_seed_variation_only_moves_estimates(tmp_path):
     assert abs(Ca - Cb) <= 0.5 * max(Ca, Cb)
 
 
+def test_singular_set_point_refutes_sweep(tmp_path):
+    # lambda = 0 is the only grid point on the imaginary axis: it is flagged,
+    # written to sweep.json, and makes the sweep fail instead of passing
+    data = small_config()
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    data["resolvent"]["grid"].update(re_lambda=0.0, n_im=1)
+    cfg = cli.RunConfig.from_dict(data)
+    with pytest.warns(UserWarning, match="singular set"):
+        code = cli.run(cfg, pipeline="resolvent-sweep",
+                       out_dir=str(tmp_path / "o"))
+    assert code == 4
+    sweep = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert sweep["agreement"] == 1.0
+    assert sweep["n_flagged"] == 1 and sweep["passed"] is False
+    (entry,) = sweep["flagged"]
+    assert entry["re_lambda"] == entry["im_lambda"] == 0.0
+    assert entry["eta"] == []
+    assert "singular set" in entry["message"]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["passed"] is False
+
+    data["resolvent"]["grid"]["re_lambda"] = 0.5
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="resolvent-sweep",
+                   out_dir=str(tmp_path / "ok")) == 0
+    sweep = json.loads((tmp_path / "ok" / "sweep.json").read_text())
+    assert sweep["flagged"] == [] and sweep["passed"] is True
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # lambda = 0 sits on the essential-spectrum boundary: center spectrum
     data = small_config()

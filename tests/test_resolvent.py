@@ -130,6 +130,93 @@ def test_phase_equivariance(front_field, geom):
     assert np.max(np.abs(vth - np.exp(0.7j) * v)) < 1e-10
 
 
+def _dense_operator(field):
+    """Dense collocation matrix ``M`` and forcing injection ``P``.
+
+    ``P`` is the identity except at the kept boundary rows, where it applies
+    the left eigenvectors to the end-node forcing; the solution operator is
+    ``M^{-1} P`` and its adjoint ``P^H M^{-H}``.
+    """
+    geom = field.geom
+    m, n = geom.n_nodes, field.n
+    M = np.kron(geom.D, np.eye(n)).astype(complex)
+    for i in range(m):
+        M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= field.G_nodes[i]
+    P = np.eye(m * n, dtype=complex)
+    minus = res._spectral_split(field.limits[0])
+    plus = res._spectral_split(field.limits[1])
+    keep_minus, keep_plus = minus["left_unstable"], plus["left_stable"]
+    k, j = keep_minus.shape[0], keep_plus.shape[0]
+    r0, rN = slice(0, n), slice((m - 1) * n, m * n)
+    top = np.zeros((n, m * n), dtype=complex)
+    top[:n - k, r0] = res._orth_complement(minus["right_unstable"])
+    top[n - k:] = keep_minus @ M[r0]
+    bot = np.zeros((n, m * n), dtype=complex)
+    bot[:j] = keep_plus @ M[rN]
+    bot[j:, rN] = res._orth_complement(plus["right_stable"])
+    Ptop = np.zeros((n, m * n), dtype=complex)
+    Ptop[n - k:] = keep_minus @ P[r0]
+    Pbot = np.zeros((n, m * n), dtype=complex)
+    Pbot[:j] = keep_plus @ P[rN]
+    M[r0], M[rN], P[r0], P[rN] = top, bot, Ptop, Pbot
+    return M, P
+
+
+def _transverse_field():
+    # d = 2, n = 3 constant state: boundary blocks of unequal ranks
+    sys2 = systems.jin_xin_2d(2.0)
+    w0 = np.array([0.2, 0.02, 0.02])
+    p = prof.WaveProfile(grid=np.linspace(-30, 30, 11),
+                         values=np.tile(w0, (11, 1)),
+                         derivs=np.zeros((11, 3)), speed=0.4,
+                         endstates=(w0, w0), decay_rate=0.0, tol_end=1e-8)
+    geom = res.CollocationGrid(n_nodes=65, length=30.0)
+    fp = res.FrequencyPoint(np.array([0.6]), 1.5 + 0.5j)
+    return res.assemble_G(sys2, p, fp, geom=geom)
+
+
+def test_batched_solve_matches_single_solves(front_field):
+    field = front_field
+    rng = np.random.default_rng(4)
+    F = np.array([res._random_forcing(field.geom, field.n, rng)
+                  for _ in range(5)])
+    F2, V = res._trial_solutions(field, 5, seed=4)
+    assert np.array_equal(F2, F)          # same draws, same order
+    op = field.bvp()
+    assert V.shape == F.shape
+    scale = np.max(np.abs(V))
+    for f, v in zip(F, V):
+        assert np.allclose(v, op.solve(f), rtol=1e-12, atol=1e-12 * scale)
+    U = op.solve(F, apply_a1inv=False)
+    for f, u in zip(F, U):
+        assert np.allclose(u, op.solve(f, apply_a1inv=False), rtol=1e-12,
+                           atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("which", ["front", "transverse"])
+def test_solve_and_adjoint_match_dense_operator(which, front_field):
+    field = front_field if which == "front" else _transverse_field()
+    op = field.bvp()
+    m, n = field.geom.n_nodes, field.n
+    M, P = _dense_operator(field)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    v = op.solve(f, apply_a1inv=False)
+    ref = np.linalg.solve(M, P @ f.ravel()).reshape(m, n)
+    assert np.allclose(v, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+    fa = np.einsum("ijk,ik->ij", field.A1inv_nodes, f)
+    assert np.allclose(op.solve(f), op.solve(fa, apply_a1inv=False),
+                       rtol=1e-12, atol=1e-12 * np.max(np.abs(v)))
+
+    u = op.solve_adjoint(y)
+    ref = (P.conj().T @ np.linalg.solve(M.conj().T, y.ravel())).reshape(m, n)
+    assert np.allclose(u, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+    lhs, rhs = np.vdot(y, v), np.vdot(u, f)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
 def test_center_spectrum_flagged():
     sys = transport_system([[0.0, 1.0], [1.0, 0.0]], n=2)
     p = prof.WaveProfile(grid=np.linspace(-20, 20, 11),
@@ -239,6 +326,25 @@ def test_sweep_pass_flags_deterministic(small_sweep, jx, front, geom):
                           C=small_sweep.sweep.constants["C"], trials=4, seed=0)
     assert np.array_equal(again.hfres_pass,
                           small_sweep.sweep.hfres_pass[:5])
+
+
+def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
+    monkeypatch.delenv("RELAXSTAB_THREADS", raising=False)
+    geom = res.CollocationGrid(n_nodes=65, length=30.0)
+
+    def family(fp):
+        return res.assemble_G(jx, front, fp, geom=geom)
+
+    grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+            for tau in np.linspace(0.0, 12.0, 4)]
+    grid += [res.FrequencyPoint(np.zeros(0), complex(lam, 0.0))
+             for lam in (0.3, 10.0, 300.0)]
+    one, two = (res.run_sweep(family, grid, s=1, gamma_star=-0.25, trials=4,
+                              seed=2, threads=t) for t in (1, 2))
+    for key in ("hfres_gain", "pdamp_gain", "absorption", "hfres_pass",
+                "pdamp_pass"):
+        assert np.array_equal(getattr(one, key), getattr(two, key)), key
+    assert one.constants == two.constants
 
 
 def test_weighted_conjugation_same_verdicts(jx, front, geom):

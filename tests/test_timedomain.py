@@ -268,6 +268,25 @@ def test_truncation_plateau_identity(front_run):
     assert np.all(chi[plateau] == 1.0)
 
 
+def test_nonlinear_step_evaluates_flux_jacs_once_per_stage(jx, front,
+                                                          monkeypatch):
+    # A_1 - sI at wbar + v serves both the convection split and the source
+    # term, so each of the four RK stages needs one stacked evaluation
+    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-2, width=3.0)
+    sim = td.make_sim(jx, front, v0, L_sim=30.0, n_points=121,
+                      mode="nonlinear")
+    shapes = []
+    flux_jacs = type(jx).flux_jacs
+
+    def counted(self, w):
+        shapes.append(np.shape(w))
+        return flux_jacs(self, w)
+
+    monkeypatch.setattr(type(jx), "flux_jacs", counted)
+    td.step(sim, 0.05)
+    assert shapes == [(121, 2)] * 4
+
+
 def test_truncation_rejects_nonlinear(jx, front):
     hist = td.SimHistory(times=np.linspace(0, 5, 30),
                          frames=np.zeros((30, 11, 2)),
