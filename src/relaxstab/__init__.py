@@ -4,6 +4,12 @@ bounds, exponential dichotomies with symmetrizer certificates, turning-point
 detection, and time-domain confirmation of damping estimates.
 """
 
+import os
+
+# The sweep pool is the only source of parallelism: BLAS threads inside its
+# workers oversubscribe the cores and make results depend on the thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import errors
 from .dichotomy import (DichotomyData, TurningPointReport, block_diagonalize,
                         coalescence_scan, detect_turning_points,

@@ -8,9 +8,11 @@ timestamps and are byte-identical across repeated runs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,8 +136,24 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _stage(fn):
+    """Mark a pipeline stage: with ``--verbose`` every run of it prints its
+    name, wall time and verdict to stderr."""
+    name = fn.__name__.replace("_", "-")
+
+    @functools.wraps(fn)
+    def timed(self):
+        t0 = time.perf_counter()
+        passed = fn(self)
+        self.log(f"{name}: {time.perf_counter() - t0:.3f} s, "
+                 f"{'passed' if passed else 'failed'}")
+        return passed
+    return timed
+
+
 class _Runner:
     def __init__(self, config, out_dir, verbose=False):
+        res.worker_count()       # reject a bad RELAXSTAB_THREADS up front
         self.cfg = config
         self.out = out_dir
         self.verbose = verbose
@@ -150,9 +168,10 @@ class _Runner:
 
     def log(self, msg):
         if self.verbose:
-            print(msg)
+            print(msg, file=_sys.stderr)
 
     # -- pipeline pieces -------------------------------------------------
+    @_stage
     def profile(self):
         pc = self.cfg.section("profile")
         w_minus = np.asarray(pc["endstates"][0], dtype=float)
@@ -179,6 +198,7 @@ class _Runner:
             self.profile()
         return self._profile
 
+    @_stage
     def hypotheses(self):
         hc = self.cfg.section("hypotheses")
         rep = model.run_hypotheses(self.system, self.get_profile(),
@@ -210,6 +230,7 @@ class _Runner:
                                           complex(lam, 0.0)))
         return pts
 
+    @_stage
     def resolvent_sweep(self):
         rc = self.cfg.section("resolvent")
         nc = self.cfg.section("norms")
@@ -226,7 +247,7 @@ class _Runner:
             threads=rc.get("threads"))
         sweep = repq.sweep
         rows = ([r["re_lambda"], r["im_lambda"],
-                 ";".join(repr(v) for v in r["eta"]), r["hfres_gain"],
+                 ";".join(repr(float(v)) for v in r["eta"]), r["hfres_gain"],
                  r["pdamp_gain"], r["absorption"], int(r["hfres_pass"]),
                  int(r["pdamp_pass"])] for r in sweep.rows())
         write_csv(os.path.join(self.out, "sweep.csv"),
@@ -256,6 +277,7 @@ class _Runner:
         fp = res.FrequencyPoint(np.zeros(self.system.d - 1), lam)
         return res.assemble_G(self.system, self.get_profile(), fp, geom=geom)
 
+    @_stage
     def dichotomy(self):
         dc = self.cfg.section("dichotomy")
         lam = complex(*dc.get("lambda", [2.0, 0.0]))
@@ -279,6 +301,7 @@ class _Runner:
         self._dichotomy = (field, data)
         return chk.passed
 
+    @_stage
     def symmetrizer(self):
         sc = self.cfg.section("symmetrizer")
         if self._dichotomy is None:
@@ -299,6 +322,7 @@ class _Runner:
         self._theta_cert = cert.theta_measured
         return cert.passed
 
+    @_stage
     def simulate(self):
         mc = self.cfg.section("simulation")
         nc = self.cfg.section("norms")

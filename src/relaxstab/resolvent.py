@@ -20,7 +20,12 @@ by randomized unit forcings plus a power-iteration refinement; every gain is
 a certified lower bound of the discrete operator norm and is reported as
 such.  The trial forcings of a frequency point are drawn and solved in one
 batch (``_trial_solutions``): a stack ``(T, m, n)`` goes through one
-multi-column LU solve of the factored collocation operator.
+multi-column LU solve of the factored collocation operator.  The frequency
+points of a sweep run on a thread pool, the program's only source of
+parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never changes an
+output, and BLAS defaults to one thread.  A user-set
+``OPENBLAS_NUM_THREADS`` or numpy loaded before ``relaxstab`` keeps several
+BLAS threads, and then the last digit of a result can move (README.md).
 """
 
 import os
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .errors import CenterSpectrumError, ModelError, NumericError
+from .errors import (CenterSpectrumError, ConfigError, ModelError,
+                     NumericError)
 from .grids import cheb_grid
 from .model import zero_order_matrix
 
@@ -59,10 +65,21 @@ RESIDUAL_CAP = 1e-8
 
 
 def worker_count(requested=None):
-    """Thread count for sweeps; ``RELAXSTAB_THREADS`` overrides."""
+    """Thread count of the sweep pool; ``RELAXSTAB_THREADS`` overrides.
+
+    The pool is the program's only source of parallelism: importing
+    ``relaxstab`` pins OpenBLAS to one thread (unless the caller set
+    ``OPENBLAS_NUM_THREADS`` or loaded numpy first), and the pool's thread
+    count never changes a result.  Raises :class:`ConfigError` when
+    ``RELAXSTAB_THREADS`` is not an integer.
+    """
     env = os.environ.get("RELAXSTAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"RELAXSTAB_THREADS must be an integer, "
+                              f"got {env!r}") from None
     if requested:
         return max(1, int(requested))
     return min(8, os.cpu_count() or 1)

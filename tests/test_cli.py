@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relaxstab
 from relaxstab import cli
+from relaxstab import profile as prof
+from relaxstab import resolvent as res
 from relaxstab.errors import CompatibilityError, ConfigError
+
+THREAD_VARS = ("RELAXSTAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def small_config(seed=11, a=2.0, endstates=None):
@@ -188,6 +196,105 @@ def test_worker_count_env_override(monkeypatch):
     assert worker_count() == 3
     monkeypatch.delenv("RELAXSTAB_THREADS")
     assert worker_count(5) == 5
+
+
+def _run_python(args, env_update, cwd):
+    """Run ``python *args`` in a fresh interpreter, with every thread
+    variable removed from the environment and then ``env_update`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(relaxstab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(env_update)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_bad_thread_count_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    proc = _run_python(["-m", "relaxstab.cli", "run", "--config",
+                        str(cfg_path), "--pipeline", "full",
+                        "--out", str(tmp_path / "o")],
+                       {"RELAXSTAB_THREADS": "abc"}, tmp_path)
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr and "RELAXSTAB_THREADS" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # rejected before the profile stage writes anything
+    assert not (tmp_path / "o").exists()
+
+
+def test_outputs_do_not_depend_on_thread_settings(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    for tag, env in (("default", {}),
+                     ("single", {"RELAXSTAB_THREADS": "1",
+                                 "OPENBLAS_NUM_THREADS": "1"})):
+        proc = _run_python(["-m", "relaxstab.cli", "run", "--config",
+                            str(cfg_path), "--pipeline", "resolvent-sweep",
+                            "--out", str(tmp_path / tag)], env, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("summary.json", "sweep.json", "sweep.csv"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(tmp_path, given, expected):
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    proc = _run_python(["-c", "import os, relaxstab; "
+                        "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                       env, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+def test_sweep_csv_writes_transverse_frequencies_as_numbers(tmp_path,
+                                                            monkeypatch):
+    # the Jin-Xin front with a third component is a jin_xin_2d profile
+    base = prof.solve_profile_jinxin(2.0, 1.0, 0.0, n_points=401)
+
+    def third(a):
+        return np.column_stack([a, a[:, 1]])
+
+    front = prof.WaveProfile(
+        grid=base.grid, values=third(base.values), derivs=third(base.derivs),
+        speed=base.speed, endstates=tuple(np.append(e, e[1])
+                                          for e in base.endstates),
+        decay_rate=base.decay_rate, tol_end=base.tol_end)
+    monkeypatch.setattr(cli._Runner, "get_profile", lambda self: front)
+    monkeypatch.setattr(
+        cli._Runner, "_frequency_grid",
+        lambda self: [res.FrequencyPoint(np.array([0.6]), complex(0.5, t))
+                      for t in (0.0, 2.0, 4.0)])
+    data = small_config()
+    data["system"] = {"name": "jin_xin_2d", "params": {"a": 2.0}}
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="resolvent-sweep",
+                   out_dir=str(tmp_path / "o")) == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    col = lines[0].split(",").index("eta")
+    assert [line.split(",")[col] for line in lines[1:]] == ["0.6"] * 3
+
+
+def test_verbose_reports_every_stage_and_keeps_summary(tmp_path, capsys):
+    data = small_config()
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    stages = {}
+    for tag, extra in (("quiet", []), ("verbose", ["--verbose"])):
+        assert cli.main(["run", "--config", str(cfg_path), "--pipeline",
+                         "full", "--out", str(tmp_path / tag), *extra]) == 0
+        stages[tag] = [line.split(":")[0]
+                       for line in capsys.readouterr().err.splitlines()
+                       if line.endswith((" s, passed", " s, failed"))]
+    assert ((tmp_path / "quiet" / "summary.json").read_bytes()
+            == (tmp_path / "verbose" / "summary.json").read_bytes())
+    assert stages["quiet"] == []
+    assert stages["verbose"] == ["profile", "hypotheses", "resolvent-sweep",
+                                 "dichotomy", "symmetrizer", "simulate"]
 
 
 def test_optional_csv_dumps(tmp_path):
