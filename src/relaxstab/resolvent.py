@@ -182,7 +182,7 @@ class ResolventOperatorField:
     limits: tuple                # (G at -inf, G at +inf)
     perturbation: object = None
     deriv_order: int = 0
-    _interp: object = None
+    _interp: object = None       # read by perfbench/tracing.py's G_at hook
     _bvp: object = None
     _propagators: object = None  # (grid, Phi, Phi_inv), see dichotomy
 
@@ -191,16 +191,16 @@ class ResolventOperatorField:
         return self.G_nodes.shape[1]
 
     def G_at(self, x):
-        """Field evaluation at arbitrary ``x`` (PCHIP off the fine cache)."""
-        if self._interp is None:
-            from scipy.interpolate import PchipInterpolator
-            xs = np.linspace(-self.geom.length, self.geom.length, 4001)
-            Gs = _eval_G(self.sys, self.profile, self.fp, xs,
-                         self.perturbation, self.deriv_order)[0]
-            self._interp = (PchipInterpolator(xs, Gs.real, axis=0),
-                            PchipInterpolator(xs, Gs.imag, axis=0))
-        x = np.clip(x, -self.geom.length, self.geom.length)
-        return self._interp[0](x) + 1j * self._interp[1](x)
+        """Exact ``G`` at a point or a stack of points of ``[-L, L]``.
+
+        One call on a stack evaluates every point in one pass through the
+        coefficient path; callers batch their points for that reason.
+        """
+        xs = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
+                     -self.geom.length, self.geom.length)
+        G = _eval_G(self.sys, self.profile, self.fp, xs, self.perturbation,
+                    self.deriv_order)[0]
+        return G if np.ndim(x) else G[0]
 
     def bvp(self):
         if self._bvp is None:

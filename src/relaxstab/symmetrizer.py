@@ -10,7 +10,9 @@ decaying solutions.  Two constructions are provided:
 
 * from an exponential dichotomy, via quadratic forms solving the
   one-sided matrix Lyapunov equations along the diagonal blocks and the
-  conjugation ``S = T^{-*} diag(-Q_plus, Q_minus) T^{-1}``;
+  conjugation ``S = T^{-*} diag(-Q_plus, Q_minus) T^{-1}``; each equation
+  is solved by polynomial collocation on the dichotomy's own nodes, as one
+  linear system for the deviation of ``Q`` from its endstate seed;
 * for frozen high-frequency constant states, ``S = R^{-*} R^{-1}`` from the
   eigenbasis ``R`` of the frozen symbol, certified in the ``S``-weighted
   norm.
@@ -24,7 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# unused here; perfbench/tracing.py binds and wraps this name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import eigh, solve_continuous_lyapunov
 
 from .errors import CertificateError, FrameConditioningError, StabilityError
@@ -74,50 +77,59 @@ class SymmetrizerField:
         return self.S
 
 
-def _interp_blocks(grid, blocks):
-    from scipy.interpolate import PchipInterpolator
-    re = PchipInterpolator(grid, blocks.real, axis=0)
-    im = PchipInterpolator(grid, blocks.imag, axis=0)
-    return lambda x: re(x) + 1j * im(x)
+def _barycentric_D(x):
+    """Differentiation matrix of the polynomial interpolant on the nodes ``x``.
 
-
-def _lyapunov_ode(grid, blocks, forward, sign):
-    """Integrate ``Q' = sign*I - Lam* Q - Q Lam`` from the endstate seed.
-
-    ``forward=False`` integrates from the right end backward.  The seed is
-    the algebraic Lyapunov solution at the corresponding endstate block.
+    Built from the barycentric weights (Berrut & Trefethen, SIAM Review 46,
+    2004), kept in log form so long grids do not overflow; on
+    Chebyshev-Lobatto nodes it is the grid's spectral matrix ``D``.
     """
-    p = blocks.shape[1]
-    lam_at = _interp_blocks(grid, blocks)
-    end = blocks[0] if forward else blocks[-1]
-    seed = solve_continuous_lyapunov(end.conj().T, sign * np.eye(p))
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.sum(np.log(np.abs(diff)), axis=1)
+    w = np.prod(np.sign(diff), axis=1) * np.exp(logw - logw.max())
+    D = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
+
+
+def _lyapunov_collocation(grid, blocks, end, sign):
+    """Collocated ``Q' = sign*I - Lam* Q - Q Lam`` with ``Q[end]`` the seed.
+
+    The seed is the algebraic Lyapunov solution at the endstate block
+    ``blocks[end]``.  The unknown is the deviation ``Q - seed``, zero at the
+    end node, so constant blocks return the seed exactly on any grid.
+    """
+    m, p, _ = blocks.shape
+    eye = np.eye(p)
+    seed = solve_continuous_lyapunov(blocks[end].conj().T, sign * eye)
     seed = 0.5 * (seed + seed.conj().T)
-
-    def rhs(x, qflat):
-        Q = qflat.reshape(p, p)
-        Lam = lam_at(x)
-        return (sign * np.eye(p) - Lam.conj().T @ Q - Q @ Lam).reshape(-1)
-
-    span = (grid[0], grid[-1]) if forward else (grid[-1], grid[0])
-    sol = solve_ivp(rhs, span, seed.astype(complex).reshape(-1),
-                    method="DOP853", rtol=1e-11, atol=1e-13,
-                    dense_output=True)
-    if not sol.success:
-        raise StabilityError(f"Lyapunov integration failed: {sol.message}")
-    Q = np.empty((grid.size, p, p), dtype=complex)
-    for i, x in enumerate(grid):
-        Qi = sol.sol(x).reshape(p, p)
-        Q[i] = 0.5 * (Qi + Qi.conj().T)
-    return Q
+    lam_h = blocks.conj().transpose(0, 2, 1)
+    rhs = sign * eye - lam_h @ seed - seed @ blocks
+    # row-major vec: vec(L* E) = kron(L*, I) e, vec(E L) = kron(I, L^T) e
+    q = p * p
+    A = np.kron(_barycentric_D(grid), np.eye(q)).astype(complex)
+    for i in range(m):
+        A[i * q:(i + 1) * q, i * q:(i + 1) * q] += (
+            np.kron(lam_h[i], eye) + np.kron(eye, blocks[i].T))
+    keep = np.delete(np.arange(m * q).reshape(m, q), end, axis=0).ravel()
+    dev = np.zeros(m * q, dtype=complex)
+    dev[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1)[keep])
+    Q = seed + dev.reshape(m, p, p)
+    return 0.5 * (Q + Q.conj().transpose(0, 2, 1))
 
 
 def lyapunov_Q(grid, lambda_plus, lambda_minus):
     """Quadratic forms for the decoupled diagonal blocks.
 
-    ``Q_plus`` solves ``Q' + Lam_plus^* Q + Q Lam_plus = -I`` backward from
-    the algebraic solution at the right endstate (equivalent to the
-    propagator integral, without evaluating propagators); ``Q_minus``
-    mirrors it with ``+I`` forward from the left endstate.  Requires
+    ``Q_plus`` solves ``Q' + Lam_plus^* Q + Q Lam_plus = -I`` with the
+    algebraic solution at the right endstate as its value at ``grid[-1]``
+    (equivalent to the propagator integral, without evaluating
+    propagators); ``Q_minus`` mirrors it with ``+I`` and its value at
+    ``grid[0]``.  Both are solved by collocation on the ascending ``grid``
+    (exact for constant blocks on any grid, spectrally accurate on Chebyshev
+    nodes).  Requires
     ``Lam_plus`` uniformly forward-stable and ``Lam_minus`` backward-stable.
     """
     grid = np.asarray(grid, dtype=float)
@@ -129,8 +141,8 @@ def lyapunov_Q(grid, lambda_plus, lambda_minus):
     if worst_m <= 0:
         raise StabilityError("lambda_minus block is not uniformly "
                              f"backward-stable (worst Re = {worst_m:.3g})")
-    Q_plus = _lyapunov_ode(grid, lambda_plus, forward=False, sign=-1)
-    Q_minus = _lyapunov_ode(grid, lambda_minus, forward=True, sign=1)
+    Q_plus = _lyapunov_collocation(grid, np.asarray(lambda_plus), -1, -1)
+    Q_minus = _lyapunov_collocation(grid, np.asarray(lambda_minus), 0, 1)
     for tag, Q in (("Q_plus", Q_plus), ("Q_minus", Q_minus)):
         worst = min(float(np.min(np.linalg.eigvalsh(Qi))) for Qi in Q)
         if worst <= 0:

@@ -1,3 +1,7 @@
+# relaxstab before numpy: its import pins OpenBLAS to one thread, as in the
+# CLI, and that only takes effect before numpy loads the library
+import relaxstab  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

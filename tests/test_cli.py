@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -13,6 +15,17 @@ from relaxstab import resolvent as res
 from relaxstab.errors import CompatibilityError, ConfigError
 
 THREAD_VARS = ("RELAXSTAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads():
+    """Threads of the OpenBLAS that numpy loaded, asked through its API."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                  "libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("numpy is not linked against scipy-openblas")
+    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 def small_config(seed=11, a=2.0, endstates=None):
@@ -241,12 +254,20 @@ def test_outputs_do_not_depend_on_thread_settings(tmp_path):
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(tmp_path, given, expected):
+    blas_threads()      # skips where numpy has no scipy-openblas
     env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
-    proc = _run_python(["-c", "import os, relaxstab; "
-                        "print(os.environ['OPENBLAS_NUM_THREADS'])"],
-                       env, tmp_path)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = _run_python(["-c", f"import sys; sys.path.insert(0, {tests!r}); "
+                        "import relaxstab, test_cli; "
+                        "print(test_cli.blas_threads())"], env, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+def test_suite_blas_threads_match_the_environment():
+    # conftest imports relaxstab before numpy, so the suite's BLAS runs on
+    # the thread count the CLI would use
+    assert blas_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 def test_sweep_csv_writes_transverse_frequencies_as_numbers(tmp_path,

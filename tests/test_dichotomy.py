@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
@@ -99,18 +100,43 @@ def test_decay_fit_needs_two_separations(front_field, front_dichotomy, pairs):
         dich._fit_decay(front_dichotomy, front_field, n_pairs=pairs)
 
 
-def _windowed_reference(field, data, iy, ix, project=None):
-    """Chained propagator integrating each whole window (no cache)."""
+def _dop853(field, x_from, x_to, M0, rtol=1e-11, atol=1e-13):
+    """Reference propagation of ``M0``: DOP853 on the exact ``G``."""
+    n = field.n
+    sol = solve_ivp(lambda x, m: (field.G_at(x) @ m.reshape(n, -1)).ravel(),
+                    (x_from, x_to), M0.astype(complex).ravel(),
+                    method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(M0.shape)
+
+
+@pytest.fixture(scope="module")
+def window_step(front_field):
+    """Reference propagator over a window of nodes, integrated once each."""
+    grid = front_field.geom.x
+    cache = {}
+
+    def step(a, b):
+        if (a, b) not in cache:
+            cache[a, b] = _dop853(front_field, grid[a], grid[b],
+                                  np.eye(front_field.n))
+        return cache[a, b]
+
+    return step
+
+
+def _windowed_reference(window_step, data, iy, ix, project=None):
+    """Chained propagator over whole integrated windows (no cache)."""
     grid = data.grid
     rate = max(data.constants.get("theta", 1.0), 1e-3)
     max_width = max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
     edges = dich._window_edges(grid, iy, ix, max_width)
-    M = np.eye(field.n, dtype=complex)
+    M = np.eye(data.frame.shape[1], dtype=complex)
     if project is not None:
         M = project[edges[0]].copy()
     lognorm = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        M = dich._propagate_window(field, grid[a], grid[b], M)
+        M = window_step(a, b) @ M
         if project is not None:
             M = project[b] @ M
         nrm = np.linalg.norm(M, 2)
@@ -122,40 +148,106 @@ def _windowed_reference(field, data, iy, ix, project=None):
 @pytest.mark.parametrize("iy, ix", [(30, 130), (130, 30)])
 @pytest.mark.parametrize("projected", [False, True])
 def test_cached_propagator_matches_windowed_integration(
-        front_field, front_dichotomy, iy, ix, projected):
+        front_field, front_dichotomy, window_step, iy, ix, projected):
     data = front_dichotomy
     project = None
     if projected:
         project = data.P_plus if iy < ix else data.P_minus
     M, lognorm = dich._chained_propagator(front_field, data, iy, ix,
                                           project=project)
-    M_ref, lognorm_ref = _windowed_reference(front_field, data, iy, ix,
+    M_ref, lognorm_ref = _windowed_reference(window_step, data, iy, ix,
                                              project=project)
     assert abs(lognorm - lognorm_ref) <= 1e-8
     assert np.max(np.abs(M - M_ref)) <= 1e-8
 
 
-def test_propagator_cache_integrates_each_interval_once(jx, front,
-                                                         monkeypatch):
+def test_propagator_cache_integrates_each_interval_once(jx, front):
+    geom = res.CollocationGrid(n_nodes=43, length=20.0)
+    field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 2.0),
+                           geom=geom)
     calls = []
-    solve_ivp = dich.solve_ivp
+    G_at = field.G_at
 
-    def counting_solve_ivp(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+    def counting_G_at(x):
+        calls.append(np.shape(x))
+        return G_at(x)
 
-    monkeypatch.setattr(dich, "solve_ivp", counting_solve_ivp)
+    field.G_at = counting_G_at
+    data = dich.propagate_subspaces(field, fit_pairs=8)
+    assert dich.verify_dichotomy(data, field, sample_pairs=8).passed
+    # one stacked evaluation: two Gauss points per Magnus substep
+    h = np.diff(geom.x)
+    substeps = np.ceil(dich.MAGNUS_SUBSTEPS * h / h.max()).sum()
+    assert calls == [(2 * substeps,)]
+    # a fresh DichotomyData on the same field reuses the field's cache
+    dich.verify_dichotomy(replace(data), field, sample_pairs=8, seed=3)
+    assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def stiff_field():
+    # Saint-Venant front at lambda = 3: one eigenvalue of G near -34.5 makes
+    # the forward steps of the right half singular to working precision
+    sv = systems.saint_venant(1.5)
+    h1 = 1.2
+    s = (h1 ** 1.5 - 1.0) / (h1 - 1.0)
+    psv = prof.solve_profile_shooting(sv, np.array([h1, h1 ** 1.5]),
+                                      np.array([1.0, 1.0]), s, L=30.0,
+                                      n_points=801)
+    return res.assemble_G(sv, psv, res.FrequencyPoint(np.zeros(0), 3.0 + 0j),
+                          geom=res.CollocationGrid(n_nodes=81, length=25.0))
+
+
+@pytest.mark.parametrize("which, intervals, tol", [
+    ("front_field", range(0, 160, 16), 1e-9),
+    # the steepest part of the stiff front, where the Magnus error peaks
+    ("stiff_field", (10, 42, 46), 2e-6)])
+def test_magnus_steps_match_tight_integration(request, which, intervals, tol):
+    field = request.getfixturevalue(which)
+    grid = field.geom.x
+    Phi, Phi_inv = dich._interval_propagators(field, grid)
+    eye = np.eye(field.n)
+    for i in intervals:
+        fwd = _dop853(field, grid[i], grid[i + 1], eye)
+        bwd = _dop853(field, grid[i + 1], grid[i], eye)
+        assert np.linalg.norm(Phi[i] - fwd, 2) <= tol * np.linalg.norm(fwd, 2)
+        assert (np.linalg.norm(Phi_inv[i] - bwd, 2)
+                <= tol * np.linalg.norm(bwd, 2))
+    if which == "stiff_field":
+        # the backward steps stay accurate where Phi has no usable inverse
+        assert max(np.linalg.cond(P) for P in Phi) > 1e16
+
+
+def test_discrete_frames_match_continuous_frames(jx, front):
     geom = res.CollocationGrid(n_nodes=43, length=20.0)
     field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 2.0),
                            geom=geom)
     data = dich.propagate_subspaces(field, fit_pairs=8)
-    assert dich.verify_dichotomy(data, field, sample_pairs=8).passed
-    # m - 1 intervals plus the two frames
-    assert len(calls) <= geom.n_nodes + 1
-    # a fresh DichotomyData on the same field reuses the field's cache
-    before = len(calls)
-    dich.verify_dichotomy(replace(data), field, sample_pairs=8, seed=3)
-    assert len(calls) == before
+    x = geom.x
+    n = field.n
+
+    def continuous_frame(Y0, x_from, x_to):
+        # orthonormal frame flow Y' = (I - Y Y*) G Y, sampled at the nodes
+        p = Y0.shape[1]
+
+        def rhs(xx, yflat):
+            Y = yflat.reshape(n, p)
+            GY = field.G_at(xx) @ Y
+            return (GY - Y @ (Y.conj().T @ GY)).ravel()
+
+        sol = solve_ivp(rhs, (x_from, x_to), Y0.astype(complex).ravel(),
+                        method="DOP853", rtol=1e-10, atol=1e-12,
+                        dense_output=True)
+        assert sol.success, sol.message
+        return np.stack([sol.sol(xx).reshape(n, p) for xx in x])
+
+    minus, plus = (dich.limit_spectral_split(G) for G in field.limits)
+    Ts = continuous_frame(dich._orthonormalize(plus.stable), x[-1], x[0])
+    Tu = continuous_frame(dich._orthonormalize(minus.unstable), x[0], x[-1])
+    frame = np.concatenate([Ts, Tu], axis=2)
+    j = data.ranks[0]
+    P_ref = frame[:, :, :j] @ np.linalg.inv(frame)[:, :j, :]
+    assert np.max(np.abs(data.P_plus - P_ref)) <= 1e-8
 
 
 def test_engineered_subspace_collision_raises():
@@ -197,7 +289,7 @@ def test_block_diagonalize_constant_eigenframe():
     order = np.argsort(mu.real)
     frame = np.broadcast_to(V[:, order], (49, 2, 2)).astype(complex)
     lam_p, lam_m, residual = dich.block_diagonalize(field, frame.copy(),
-                                                    ranks=(1, 1), geom=geom)
+                                                    ranks=(1, 1))
     assert residual < 1e-10
     assert lam_p[0, 0, 0] == pytest.approx(mu[order][0], abs=1e-10)
     assert lam_m[0, 0, 0] == pytest.approx(mu[order][1], abs=1e-10)
@@ -209,7 +301,7 @@ def test_block_diagonalize_identity_frame():
     field = res.constant_field(G, geom)
     frame = np.broadcast_to(np.eye(2), (33, 2, 2)).astype(complex)
     lam_p, lam_m, residual = dich.block_diagonalize(field, frame.copy(),
-                                                    ranks=(1, 1), geom=geom)
+                                                    ranks=(1, 1))
     assert residual < 1e-12
     assert lam_p[5, 0, 0] == pytest.approx(-1.0)
     assert lam_m[5, 0, 0] == pytest.approx(3.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
@@ -53,7 +54,6 @@ def test_contract_derivative_identity(small_geom):
                                   [0.0, -2.0 + 0.5 / np.cosh(x / 5.0)]]))
     forms = symm.lyapunov_Q(grid, lam_field,
                             np.full((grid.size, 1, 1), 1.0 + 0j))
-    from scipy.integrate import solve_ivp
     from scipy.interpolate import PchipInterpolator
     lam_at = PchipInterpolator(grid, lam_field.real, axis=0)
     Q_at_re = PchipInterpolator(grid, forms.Q_plus.real, axis=0)
@@ -68,6 +68,37 @@ def test_contract_derivative_identity(small_geom):
         qb = zb @ Q_at_re(x0 + h) @ zb
         deriv = (qb - qa) / (2 * h)
         assert abs(deriv + zm @ zm) < 5e-3 * max(1.0, abs(zm @ zm))
+
+
+def test_collocated_forms_match_tight_integration(small_geom):
+    # non-constant blocks: Q' = sign*I - Lam* Q - Q Lam from the endstate
+    # seed, integrated by DOP853 on the exact Lam(x)
+    grid = small_geom.x
+
+    def lam_plus(x):
+        return np.array([[-1.0 - 0.3 * np.tanh(x / 5.0), 0.2 + 0.3j],
+                         [0.1j, -2.0 + 0.5 / np.cosh(x / 5.0)]])
+
+    def lam_minus(x):
+        return np.array([[1.0 + 0.4 * np.tanh(x / 5.0) + 0.5j]])
+
+    forms = symm.lyapunov_Q(grid, np.stack([lam_plus(x) for x in grid]),
+                            np.stack([lam_minus(x) for x in grid]))
+    for Q, lam, sign, x0, x1 in ((forms.Q_plus, lam_plus, -1, 20.0, -20.0),
+                                 (forms.Q_minus, lam_minus, 1, -20.0, 20.0)):
+        p = Q.shape[1]
+
+        def rhs(x, qflat):
+            Lam = lam(x)
+            Qx = qflat.reshape(p, p)
+            return (sign * np.eye(p) - Lam.conj().T @ Qx - Qx @ Lam).ravel()
+
+        seed = solve_continuous_lyapunov(lam(x0).conj().T, sign * np.eye(p))
+        sol = solve_ivp(rhs, (x0, x1), seed.astype(complex).ravel(),
+                        method="DOP853", rtol=1e-12, atol=1e-14,
+                        dense_output=True)
+        Q_ref = sol.sol(grid).T.reshape(-1, p, p)
+        assert np.max(np.abs(Q - Q_ref)) <= 1e-8 * np.max(np.abs(Q_ref))
 
 
 def test_nonstable_block_rejected(small_geom):
