@@ -84,12 +84,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        import jsonschema
-        try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
+        from jsonschema import exceptions, validators
+        # CONFIG_SCHEMA is a constant, checked against its metaschema by the
+        # tests, so the config is only validated, not the schema as well
+        validator = validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+        exc = exceptions.best_match(validator.iter_errors(data))
+        if exc is not None:
             path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-            raise ConfigError(f"config invalid at {path}: {exc.message}") from None
+            raise ConfigError(f"config invalid at {path}: {exc.message}")
         return cls(raw=data, seed=int(data.get("seed", 0)))
 
     @classmethod
@@ -103,8 +105,8 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
-    def section(self, name, default=None):
-        return self.raw.get(name, default or {})
+    def section(self, name):
+        return self.raw.get(name, {})
 
 
 def _jsonable(obj):

@@ -56,6 +56,17 @@ __all__ = [
 # Magnus substeps on the longest grid interval; interval i gets
 # ceil(MAGNUS_SUBSTEPS * h_i / max h), so substeps shrink with the grid
 MAGNUS_SUBSTEPS = 32
+# smallest |Re mu| of a limit matrix with a usable stable/unstable split
+SPLIT_GAP_TOL = 1e-9
+# multiplicative headroom of verify_dichotomy over the fitted constant C
+DECAY_SLACK = 2.0
+# condition-number cap of the conjugating frame in block_diagonalize
+FRAME_COND_CAP = 1e10
+# coalescence_scan: eigenvector condition cap and sub-grid refinement tolerance
+COALESCENCE_COND_CAP = 1e4
+REFINE_TOL = 1e-10
+# eigenvalue-gap tolerance of detect_turning_points
+TURNING_GAP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,18 +79,19 @@ class SpectralSplit:
     values: np.ndarray
 
 
-def limit_spectral_split(G_inf, gap_tol=1e-9):
+def limit_spectral_split(G_inf):
     """Stable/unstable eigenbasis of a constant matrix.
 
     Raises :class:`CenterSpectrumError` when an eigenvalue sits within
-    ``gap_tol`` of the imaginary axis.
+    ``SPLIT_GAP_TOL`` of the imaginary axis.
     """
     G_inf = np.asarray(G_inf)
     mu, V = np.linalg.eig(G_inf)
     margin = float(np.min(np.abs(mu.real)))
-    if margin < gap_tol:
+    if margin < SPLIT_GAP_TOL:
         raise CenterSpectrumError(
-            f"eigenvalue with |Re| = {margin:.3g} within gap_tol of the axis")
+            f"eigenvalue with |Re| = {margin:.3g} within {SPLIT_GAP_TOL:.0e} "
+            "of the axis")
     order = np.argsort(mu.real)
     mu, V = mu[order], V[:, order]
     # reproducible sign: largest-magnitude component made real positive
@@ -128,13 +140,11 @@ class DichotomyData:
     block_residual: float = 0.0
 
 
-def propagate_subspaces(field, splits=None, angle_tol=1e-8, fit_pairs=24,
-                        seed=0):
+def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
     """Compute an exponential dichotomy for a coefficient field.
 
-    Seeds the two invariant families from the endstate eigenbases (``splits``
-    may carry precomputed :class:`SpectralSplit` pairs for the two limits),
-    steps them through the cached interval propagators with discrete
+    Seeds the two invariant families from the endstate eigenbases, steps
+    them through the cached interval propagators with discrete
     orthonormalization, assembles the projector pair and fits the decay
     constants ``(C, theta)`` from windowed propagator samples.
     Near-collisions of the two subspaces raise
@@ -142,10 +152,8 @@ def propagate_subspaces(field, splits=None, angle_tol=1e-8, fit_pairs=24,
     """
     nodes = field.geom.x
     n = field.n
-    if splits is None:
-        splits = (limit_spectral_split(field.limits[0]),
-                  limit_spectral_split(field.limits[1]))
-    minus, plus = splits
+    minus = limit_spectral_split(field.limits[0])
+    plus = limit_spectral_split(field.limits[1])
     j = plus.stable.shape[1]
     k = minus.unstable.shape[1]
     if j + k != n:
@@ -159,8 +167,7 @@ def propagate_subspaces(field, splits=None, angle_tol=1e-8, fit_pairs=24,
     Tu = _discrete_frame(Tu0, Phi)
 
     frame = np.concatenate([Ts, Tu], axis=2)      # (m, n, n)
-    smin = np.array([np.linalg.svd(frame[i], compute_uv=False)[-1]
-                     for i in range(nodes.size)])
+    smin = np.linalg.svd(frame, compute_uv=False)[:, -1]
     if np.min(smin) < angle_tol:
         xworst = nodes[int(np.argmin(smin))]
         raise TurningPointSuspectedError(
@@ -168,11 +175,7 @@ def propagate_subspaces(field, splits=None, angle_tol=1e-8, fit_pairs=24,
             f"(frame sigma_min = {np.min(smin):.3e}); run turning-point "
             "detection on this ray")
 
-    P_plus = np.empty((nodes.size, n, n), dtype=complex)
-    sel = np.zeros((n, n))
-    sel[:j, :j] = np.eye(j)
-    for i in range(nodes.size):
-        P_plus[i] = frame[i] @ sel @ np.linalg.inv(frame[i])
+    P_plus = frame[:, :, :j] @ np.linalg.inv(frame)[:, :j, :]
     P_minus = np.eye(n)[None, :, :] - P_plus
 
     lam_p, lam_m, block_res = block_diagonalize(field, frame, (j, k))
@@ -231,16 +234,17 @@ def _interval_propagators(field, grid):
     return cache[1], cache[2]
 
 
-def _chained_propagator(field, data, iy, ix, project=None, max_width=None):
+def _chained_propagator(field, data, iy, ix, project=None):
     """Normalized propagator (optionally projector-chained) and its log-norm.
 
     Returns ``(M, log_norm)`` with ``|M| = 1``; ``project`` selects the
     ``P_plus``/``P_minus`` chain inserted at the window ends, implementing
-    ``P(x) S(x, y)`` without overflow.
+    ``P(x) S(x, y)`` without overflow.  Windows are ``2/theta`` long (at
+    least 1/64 of the grid), with ``theta`` the fitted rate once known.
     """
     grid = data.grid
     rate = max(data.constants.get("theta", 1.0), 1e-3)
-    max_width = max_width or max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
+    max_width = max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
     edges = _window_edges(grid, iy, ix, max_width)
     Phi, Phi_inv = _interval_propagators(field, grid)
     M = np.eye(field.n, dtype=complex)
@@ -309,18 +313,17 @@ class DichotomyCheck:
     n_pairs: int
 
 
-def verify_dichotomy(data, field, sample_pairs=50, tol=1e-6, seed=0,
-                     decay_slack=2.0):
+def verify_dichotomy(data, field, sample_pairs=50, tol=1e-6, seed=0):
     """Check the projector axioms on random node pairs.
 
     Verifies the commuting identity to relative tolerance ``tol`` and the
     two-sided exponential decay against the stored fitted constants with
-    multiplicative headroom ``decay_slack``.
+    multiplicative headroom ``DECAY_SLACK``.
     """
     rng = np.random.default_rng(seed)
     m = data.grid.size
     theta = data.constants["theta"]
-    C = data.constants["C"] * decay_slack
+    C = data.constants["C"] * DECAY_SLACK
     worst_comm = 0.0
     worst_decay = -np.inf
     for _ in range(sample_pairs):
@@ -339,42 +342,30 @@ def verify_dichotomy(data, field, sample_pairs=50, tol=1e-6, seed=0,
                           n_pairs=sample_pairs)
 
 
-def block_diagonalize(field, frame_or_data, ranks=None, cond_cap=1e10):
+def block_diagonalize(field, frame, ranks):
     """Conjugated generator ``T^{-1} G T - T^{-1} T'`` and its block residual.
 
-    The frame is sampled on the field's grid, where ``G`` is the stored
-    ``field.G_nodes``; ``T'`` is computed by spectral differentiation of the
-    frame samples.
+    The frame ``(m, n, n)`` is sampled on the field's grid, where ``G`` is
+    the stored ``field.G_nodes``; ``T'`` is computed by spectral
+    differentiation of the frame samples, and ``ranks = (j, k)`` sizes the
+    two blocks.  Raises :class:`FrameConditioningError` at the first node
+    whose frame condition number exceeds ``FRAME_COND_CAP``.
     Returns the two diagonal blocks and the relative off-diagonal residual.
     """
-    if isinstance(frame_or_data, DichotomyData):
-        frame = frame_or_data.frame
-        ranks = frame_or_data.ranks
-    else:
-        frame = frame_or_data
     geom = field.geom
-    j, k = ranks
-    m, n, _ = frame.shape
-    D = geom.D
-    Tp = np.tensordot(D, frame, axes=(1, 0))   # (m, n, n) derivative samples
-    lam_p = np.empty((m, j, j), dtype=complex)
-    lam_m = np.empty((m, k, k), dtype=complex)
-    off = 0.0
-    scale = 0.0
-    for i in range(m):
-        T = frame[i]
-        if np.linalg.cond(T) > cond_cap:
-            raise FrameConditioningError(
-                f"frame condition number exceeds {cond_cap:.1e} at "
-                f"x = {geom.x[i]:.4g}")
-        Lam = np.linalg.solve(T, field.G_nodes[i] @ T - Tp[i])
-        lam_p[i] = Lam[:j, :j]
-        lam_m[i] = Lam[j:, j:]
-        off = max(off, np.linalg.norm(Lam[:j, j:], 2),
-                  np.linalg.norm(Lam[j:, :j], 2))
-        scale = max(scale, np.linalg.norm(Lam, 2))
+    j, _ = ranks
+    bad = np.flatnonzero(np.linalg.cond(frame) > FRAME_COND_CAP)
+    if bad.size:
+        raise FrameConditioningError(
+            f"frame condition number exceeds {FRAME_COND_CAP:.1e} at "
+            f"x = {geom.x[bad[0]]:.4g}")
+    Tp = np.tensordot(geom.D, frame, axes=(1, 0))   # derivative samples
+    Lam = np.linalg.solve(frame, field.G_nodes @ frame - Tp)
+    off = max(np.max(np.linalg.norm(Lam[:, :j, j:], 2, axis=(1, 2))),
+              np.max(np.linalg.norm(Lam[:, j:, :j], 2, axis=(1, 2))))
+    scale = np.max(np.linalg.norm(Lam, 2, axis=(1, 2)))
     residual = off / max(scale, 1e-300)
-    return lam_p, lam_m, residual
+    return Lam[:, :j, :j].copy(), Lam[:, j:, j:].copy(), residual
 
 
 @dataclass(frozen=True)
@@ -386,13 +377,13 @@ class TurningPointReport:
     severity: tuple              # (eigenvalue gap, eigenvector condition) per hit
 
 
-def coalescence_scan(symbol, x_grid, gap_tol=1e-4, cond_cap=1e4,
-                     refine_tol=1e-10, ray=()):
+def coalescence_scan(symbol, x_grid, gap_tol=1e-4, ray=()):
     """Scan a matrix-valued map for eigenvalue coalescence with degeneration.
 
-    A location is reported when, after sub-grid refinement of a local gap
-    minimum, the eigenvalue separation falls below ``gap_tol`` *and* the
-    eigenvector matrix condition number exceeds ``cond_cap``.  Crossings with
+    A location is reported when, after sub-grid refinement (to
+    ``REFINE_TOL``) of a local gap minimum, the eigenvalue separation falls
+    below ``gap_tol`` *and* the eigenvector matrix condition number exceeds
+    ``COALESCENCE_COND_CAP``.  Crossings with
     well-conditioned eigenvectors are ignored.
     """
     x_grid = np.asarray(x_grid, dtype=float)
@@ -418,9 +409,9 @@ def coalescence_scan(symbol, x_grid, gap_tol=1e-4, cond_cap=1e4,
         resu = minimize_scalar(lambda x: gap_cond(x)[0],
                                bounds=(x_grid[i - 1], x_grid[i + 1]),
                                method="bounded",
-                               options={"xatol": refine_tol})
+                               options={"xatol": REFINE_TOL})
         g_star, c_star = gap_cond(resu.x)
-        if g_star < gap_tol and c_star > cond_cap:
+        if g_star < gap_tol and c_star > COALESCENCE_COND_CAP:
             if locations and abs(resu.x - locations[-1]) < 2 * (
                     x_grid[i] - x_grid[i - 1]):
                 continue
@@ -435,13 +426,12 @@ def frames_to_csv(data, path):
     write_matrix_field(path, "T", data.grid, data.frame)
 
 
-def detect_turning_points(sys, profile, ray, x_grid, gap_tol=1e-3,
-                          cond_cap=1e4):
+def detect_turning_points(sys, profile, ray, x_grid):
     """Scan the principal symbol along a profile for Jordan-type coalescence.
 
     ``ray = (eta_1, ..., eta_{d-1}, tau)`` is normalized internally; the
     principal part is ``-A_1^{-1} (sum_j i eta_j A_{j+1} + i tau I)`` with
-    ``A_1`` co-moving.
+    ``A_1`` co-moving.  The scan uses the gap tolerance ``TURNING_GAP_TOL``.
     """
     ray = np.asarray(ray, dtype=float)
     if ray.size != sys.d:
@@ -462,5 +452,5 @@ def detect_turning_points(sys, profile, ray, x_grid, gap_tol=1e-3,
             core = core + 1j * etaj * A[jj + 1]
         return -np.linalg.solve(A1, core)
 
-    return coalescence_scan(symbol, x_grid, gap_tol=gap_tol,
-                            cond_cap=cond_cap, ray=tuple(ray))
+    return coalescence_scan(symbol, x_grid, gap_tol=TURNING_GAP_TOL,
+                            ray=tuple(ray))

@@ -49,21 +49,22 @@ __all__ = [
     "check_kawashima",
     "run_hypotheses",
     "sphere_loop",
-    "DEFAULTS",
 ]
 
-# Default tolerances; every check accepts overrides.
-DEFAULTS = {
-    "a1_delta": 1e-8,          # singular-value margin for noncharacteristicity
-    "imag_tol": 1e-8,          # |Im| cap on hyperbolic spectra
-    "cond_cap": 1e8,           # eigenvector-matrix condition cap (semisimplicity proxy)
-    "gap_tol": 1e-6,           # eigenvalue-separation tolerance for regularity
-    "projector_cap": 1e6,      # individual spectral-projector norm cap
-    "coupling_tol": 1e-8,      # genuine-coupling norm threshold
-    "chf_eta_max_factor": 20.0,
-    "chf_n_radii": 40,
-    "chf_keep_fraction": 0.2,  # fraction of radii that must remain above the threshold
-}
+# Tolerances of the structural checks.
+A1_DELTA = 1e-8           # singular-value margin for noncharacteristicity
+IMAG_TOL = 1e-8           # |Im| cap on hyperbolic spectra
+COND_CAP = 1e8            # eigenvector condition cap (semisimplicity proxy)
+GAP_TOL = 1e-6            # eigenvalue-separation tolerance for regularity
+PROJECTOR_CAP = 1e6       # individual spectral-projector norm cap
+COUPLING_TOL = 1e-8       # genuine-coupling norm threshold
+FD_STEP = 6e-6            # relative step of the flux-Hessian differences
+# dissipativity scan: radii eta_min .. CHF_ETA_MAX_FACTOR * eta_min
+CHF_ETA_MAX_FACTOR = 20.0
+CHF_N_RADII = 40
+CHF_N_DIRECTIONS = 16
+CHF_KEEP_FRACTION = 0.2   # fraction of radii kept above the threshold
+KAWASHIMA_N_DIRECTIONS = 17
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,14 @@ class ZeroOrderCoefficient:
         return cls(grid=grid, matrices=mats, constant_limits=tuple(limits))
 
 
-def zero_order_matrix(sys, w, wprime, fd_step=None):
+def zero_order_matrix(sys, w, wprime):
     """``E = -dr/dw(w) + d2f1/dw2(w)[., wprime]`` at one state or a stack.
 
     ``w`` and ``wprime`` are ``(n,)`` or ``(..., n)``; the result is
     ``(..., n, n)``.  The flux-Hessian contraction is realized by central
-    differencing of the first flux Jacobian; exact (zero) for fluxes with
-    constant Jacobian.  Where ``wprime = 0`` the result is ``-dr/dw``
+    differencing of the first flux Jacobian, with step
+    ``FD_STEP * (1 + |w_k|)`` along component ``k``; exact (zero) for fluxes
+    with constant Jacobian.  Where ``wprime = 0`` the result is ``-dr/dw``
     exactly.
     """
     w = np.asarray(w, dtype=float)
@@ -168,9 +170,7 @@ def zero_order_matrix(sys, w, wprime, fd_step=None):
     E = -sys.relax_jacobian(w)
     moving = np.any(wprime != 0.0, axis=-1)
     if np.any(moving):
-        h = np.broadcast_to(
-            fd_step if fd_step is not None else 6e-6 * (1.0 + np.abs(w)),
-            w.shape)
+        h = FD_STEP * (1.0 + np.abs(w))
         # dw[..., k, :] is the step h_k along component k
         k = np.arange(sys.n)
         dw = np.zeros(w.shape + (sys.n,))
@@ -195,10 +195,11 @@ def assemble_symbol(sys, w, eta):
     return SymbolMatrix(base_state=np.asarray(w, dtype=float), eta=eta, matrix=T)
 
 
-def check_noncharacteristic(sys, profile, delta=DEFAULTS["a1_delta"]):
+def check_noncharacteristic(sys, profile):
     """Smallest singular value of ``A_1(wbar(x)) - s*I`` over the grid.
 
-    Pass criterion is ``margin >= delta``; the margin itself is returned.
+    Returns the margin; :func:`run_hypotheses` passes the wave when it is
+    at least ``A1_DELTA``.
     """
     if profile.grid.size == 0:
         raise ValueError("profile grid is empty")
@@ -214,12 +215,12 @@ class HyperbolicityResult:
     failures: tuple = ()
 
 
-def check_hyperbolicity(sys, w, eta_samples, tol=DEFAULTS["imag_tol"],
-                        cond_cap=DEFAULTS["cond_cap"]):
+def check_hyperbolicity(sys, w, eta_samples):
     """Real-and-semisimple test of the convection symbol at sampled directions.
 
-    Semisimplicity is proxied by the condition number of the eigenvector
-    matrix staying below ``cond_cap``.
+    A spectrum is real when every ``|Im mu| <= IMAG_TOL``; semisimplicity is
+    proxied by the condition number of the eigenvector matrix staying below
+    ``COND_CAP``.
     """
     eta_samples = [np.atleast_1d(np.asarray(e, dtype=float)) for e in eta_samples]
     if not eta_samples:
@@ -240,7 +241,7 @@ def check_hyperbolicity(sys, w, eta_samples, tol=DEFAULTS["imag_tol"],
         im = float(np.max(np.abs(mu.imag)))
         worst_im = max(worst_im, im)
         worst_cond = max(worst_cond, cond)
-        if im > tol or cond > cond_cap:
+        if im > IMAG_TOL or cond > COND_CAP:
             failures.append((tuple(eta), im, cond))
     return HyperbolicityResult(passed=not failures, worst_imag=worst_im,
                                worst_cond=worst_cond, failures=tuple(failures))
@@ -302,14 +303,13 @@ def _gap_proj(sys, w, eta):
     return gap, float(np.max(proj)), mu, proj
 
 
-def check_geometric_regularity(sys, w, sphere_path=None, tol=DEFAULTS["gap_tol"],
-                               projector_cap=DEFAULTS["projector_cap"]):
+def check_geometric_regularity(sys, w, sphere_path=None):
     """Track eigenvalue branches of ``T(w, eta)`` along a direction loop.
 
     Local minima of the eigenvalue separation along the path are refined on
     the sphere; a refined direction is flagged when the separation collapses
-    below ``tol`` *while* individual spectral projectors blow up past
-    ``projector_cap``, signalling a genuine multiplicity change.  Crossings
+    below ``GAP_TOL`` *while* individual spectral projectors blow up past
+    ``PROJECTOR_CAP``, signalling a genuine multiplicity change.  Crossings
     with bounded projectors (constant multiplicity) pass.
     """
     if sphere_path is None:
@@ -348,7 +348,7 @@ def check_geometric_regularity(sys, w, sphere_path=None, tol=DEFAULTS["gap_tol"]
     npts = path.shape[0]
     for i in range(npts):
         if sys.n < 2 or sys.d < 2:
-            if gaps[i] < tol and projs[i] > projector_cap:
+            if gaps[i] < GAP_TOL and projs[i] > PROJECTOR_CAP:
                 coalescence.append((i, tuple(path[i]), gaps[i], projs[i]))
             continue
         lo, hi = (i - 1) % npts, (i + 1) % npts
@@ -363,7 +363,7 @@ def check_geometric_regularity(sys, w, sphere_path=None, tol=DEFAULTS["gap_tol"]
                                options={"xatol": 1e-12})
         eta_star = _slerp(u, v, float(best.x))
         g_star, p_star, _, _ = _gap_proj(sys, w, eta_star)
-        if g_star < tol and p_star > projector_cap:
+        if g_star < GAP_TOL and p_star > PROJECTOR_CAP:
             coalescence.append((i, tuple(eta_star), g_star, p_star))
 
     # merge flags at consecutive path indices into one coalescence event
@@ -387,34 +387,25 @@ class ChfResult:
     worst_real: float       # max Re sigma(M) over |eta| >= eta_threshold
 
 
-def check_chf(sys, w0, eta_min, theta_req, eta_grid=None,
-              eta_max=None, n_radii=None, n_directions=16):
+def check_chf(sys, w0, eta_min, theta_req):
     """High-frequency dissipativity of the frozen state ``w0``.
 
-    Scans ``M(eta) = -i T(w0, eta) - E(w0)`` over rays ``|eta|`` in
-    ``[eta_min, eta_max]`` and reports the largest ``theta`` such that
-    ``max Re sigma(M(eta)) <= -theta`` for all grid points with
-    ``|eta| >= eta_threshold``.  Pass iff ``theta >= theta_req``.
+    Scans ``M(eta) = -i T(w0, eta) - E(w0)`` over ``CHF_N_RADII`` radii
+    ``|eta|`` in ``[eta_min, CHF_ETA_MAX_FACTOR * eta_min]`` times
+    ``CHF_N_DIRECTIONS`` directions (two in one dimension) and reports the
+    largest ``theta`` such that ``max Re sigma(M(eta)) <= -theta`` for all
+    grid points with ``|eta| >= eta_threshold``.  Pass iff
+    ``theta >= theta_req``.
     """
     w0 = np.asarray(w0, dtype=float)
     if not sys.equilibria(w0):
         raise ValueError("w0 is not an equilibrium state (r(w0) != 0)")
     E = -sys.relax_jacobian(w0)
 
-    if eta_grid is None:
-        eta_max = eta_max or DEFAULTS["chf_eta_max_factor"] * eta_min
-        n_radii = n_radii or DEFAULTS["chf_n_radii"]
-        radii = np.geomspace(eta_min, eta_max, n_radii)
-        if sys.d == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            dirs = sphere_loop(sys.d, n_directions)
-        eta_grid = [r * u for r in radii for u in dirs]
-    eta_grid = [np.atleast_1d(np.asarray(e, dtype=float)) for e in eta_grid]
-
+    scan = np.geomspace(eta_min, CHF_ETA_MAX_FACTOR * eta_min, CHF_N_RADII)
+    eta_grid = [r * u for r in scan
+                for u in sphere_loop(sys.d, CHF_N_DIRECTIONS)]
     radii = np.array([np.linalg.norm(e) for e in eta_grid])
-    if np.min(radii) < eta_min * (1 - 1e-12):
-        raise ValueError("eta_grid contains points below eta_min")
     worst = np.empty(len(eta_grid))
     for i, eta in enumerate(eta_grid):
         T = assemble_symbol(sys, w0, eta).matrix
@@ -422,7 +413,7 @@ def check_chf(sys, w0, eta_min, theta_req, eta_grid=None,
 
     # tail maxima over increasing threshold candidates
     uniq = np.unique(np.round(radii, 12))
-    keep = max(3, int(np.ceil(DEFAULTS["chf_keep_fraction"] * uniq.size)))
+    keep = max(3, int(np.ceil(CHF_KEEP_FRACTION * uniq.size)))
     best = None
     for k, thr in enumerate(uniq):
         if uniq.size - k < keep:
@@ -444,28 +435,27 @@ class KawashimaResult:
     failures: tuple = ()
 
 
-def check_kawashima(sys, w0, eta_samples=None, tol=DEFAULTS["coupling_tol"]):
+def check_kawashima(sys, w0):
     """Genuine-coupling test: no convection eigenvector in ``ker(dr/dw)``.
 
-    For each sampled direction, eigenvalues of ``T(w0, eta)`` are clustered;
-    the test requires ``dr/dw(w0)`` restricted to each eigenspace to have
-    full column rank (smallest singular value above ``tol``).
+    For each of ``KAWASHIMA_N_DIRECTIONS`` directions, eigenvalues of
+    ``T(w0, eta)`` are clustered; the test requires ``dr/dw(w0)`` restricted
+    to each eigenspace to have full column rank (smallest singular value
+    above ``COUPLING_TOL``).
     """
     w0 = np.asarray(w0, dtype=float)
     if not sys.equilibria(w0):
         raise ValueError("w0 is not an equilibrium state (r(w0) != 0)")
-    if eta_samples is None:
-        eta_samples = sphere_loop(sys.d, 17)
     B = sys.relax_jacobian(w0)
     worst = np.inf
     failures = []
-    for eta in np.atleast_2d(np.asarray(eta_samples, dtype=float)):
+    for eta in sphere_loop(sys.d, KAWASHIMA_N_DIRECTIONS):
         T = assemble_symbol(sys, w0, eta).matrix
         try:
             mu, V = np.linalg.eig(T)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigensolver failed at eta={eta}") from exc
-        if np.linalg.cond(V) > DEFAULTS["cond_cap"]:
+        if np.linalg.cond(V) > COND_CAP:
             raise NumericError(f"defective eigenvector basis at eta={eta}")
         scale = max(1.0, float(np.max(np.abs(mu))))
         order = np.argsort(mu.real)
@@ -477,7 +467,7 @@ def check_kawashima(sys, w0, eta_samples=None, tol=DEFAULTS["coupling_tol"]):
             basis = np.linalg.qr(V[:, start:stop])[0]
             smin = float(np.linalg.svd(B @ basis, compute_uv=False)[-1])
             worst = min(worst, smin)
-            if smin <= tol:
+            if smin <= COUPLING_TOL:
                 failures.append((tuple(eta), complex(mu[start]), smin))
             start = stop
     return KawashimaResult(passed=not failures, worst_norm=worst,
@@ -521,27 +511,20 @@ class HypothesisReport:
         }
 
 
-def run_hypotheses(sys, profile, a1_delta=DEFAULTS["a1_delta"],
-                   eta_min=10.0, theta_req=0.0, tol=None):
+def run_hypotheses(sys, profile, eta_min=10.0, theta_req=0.0):
     """Run every structural check for a wave and aggregate the verdicts.
 
     Hyperbolicity/regularity are evaluated at the endstates and the profile
     midpoint; the dissipativity and coupling checks at both (equilibrium)
     endstates, with the worst case reported.
     """
-    tol = tol or {}
-    margin = check_noncharacteristic(sys, profile, delta=a1_delta)
+    margin = check_noncharacteristic(sys, profile)
     mid_w, _ = profile.sample(0.0)
     states = [profile.endstates[0], profile.endstates[1], mid_w]
 
     dirs = sphere_loop(sys.d, 13)
-    a2 = [check_hyperbolicity(sys, w, dirs,
-                              tol=tol.get("imag_tol", DEFAULTS["imag_tol"]),
-                              cond_cap=tol.get("cond_cap", DEFAULTS["cond_cap"]))
-          for w in states]
-    a3 = [check_geometric_regularity(sys, w,
-                                     tol=tol.get("gap_tol", DEFAULTS["gap_tol"]))
-          for w in states]
+    a2 = [check_hyperbolicity(sys, w, dirs) for w in states]
+    a3 = [check_geometric_regularity(sys, w) for w in states]
     chf = [check_chf(sys, w0, eta_min=eta_min, theta_req=theta_req)
            for w0 in profile.endstates]
     kaw = [check_kawashima(sys, w0) for w0 in profile.endstates]
@@ -550,7 +533,7 @@ def run_hypotheses(sys, profile, a1_delta=DEFAULTS["a1_delta"],
     coal = tuple(c for r in a3 for c in r.coalescence)
     return HypothesisReport(
         a1_margin=margin,
-        a1_pass=margin >= a1_delta,
+        a1_pass=margin >= A1_DELTA,
         a2_pass=all(r.passed for r in a2),
         a2_worst_imag=max(r.worst_imag for r in a2),
         a2_worst_cond=max(r.worst_cond for r in a2),

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 PROFILE_SCHEMA_VERSION = 1
+# shooting starts this far (relative to the endstate jump) from w_minus
+# along its unstable direction
+SEED_OFFSET = 1e-10
 
 
 @dataclass(eq=False)
@@ -174,11 +177,12 @@ def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001,
 
 
 def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
-                           n_points=2001, anchor_value=None, seed_offset=1e-10):
+                           n_points=2001, anchor_value=None):
     """Shooting solution of ``(A_1(w) - s I) w' = r(w)`` between endstates.
 
     Integrates along the unstable manifold of ``w_-`` (required
-    one-dimensional) until the trajectory reaches ``w_+``, then re-centers so
+    one-dimensional), from ``SEED_OFFSET`` times the endstate jump off
+    ``w_-``, until the trajectory reaches ``w_+``, then re-centers so
     the anchor component crosses ``anchor_value`` (endstate midpoint by
     default) at ``x = 0`` and resamples on ``[-L, L]``.
     """
@@ -218,7 +222,7 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
         r_u = -r_u
 
     jump = float(np.linalg.norm(w_plus - w_minus))
-    eps = seed_offset * jump
+    eps = SEED_OFFSET * jump
     w0 = w_minus + eps * r_u
 
     DFp = np.linalg.solve(sys.flux_jacs(w_plus)[0] - s * eye,

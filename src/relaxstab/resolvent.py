@@ -62,6 +62,8 @@ __all__ = [
 GAMMA_FLOOR_DEFAULT = -10.0
 HYPERBOLIC_GAP_TOL = 1e-9
 RESIDUAL_CAP = 1e-8
+N_BUMPS = 6               # Gaussian bumps per random forcing
+BOUNDED_CUT = 5.0         # |lambda| up to which hat/L2 ratios are probed
 
 
 def worker_count(requested=None):
@@ -112,7 +114,7 @@ class FrequencyPoint:
 class CollocationGrid:
     """Chebyshev nodes with cached differentiation powers and quadrature."""
 
-    def __init__(self, n_nodes=257, length=60.0):
+    def __init__(self, n_nodes, length):
         self.x, self.D, self.wq = cheb_grid(n_nodes, length)
         self.n_nodes = n_nodes
         self.length = float(length)
@@ -249,8 +251,9 @@ def _eval_G(sys, profile, fp, xs, perturbation, deriv_order):
     return _G_from_states(sys, profile.speed, fp, xs, wbar, wbar_p, v, dA1)
 
 
-def assemble_G(sys, profile, fp, v=None, geom=None, deriv_order=0):
-    """Assemble the resolvent coefficient field for one frequency point.
+def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
+    """Assemble the resolvent coefficient field for one frequency point on
+    the collocation grid ``geom``.
 
     ``v`` is an optional frozen perturbation callable ``x -> (n,)``;
     ``deriv_order > 0`` adds the differentiated-system correction
@@ -259,7 +262,6 @@ def assemble_G(sys, profile, fp, v=None, geom=None, deriv_order=0):
     """
     if fp.eta.size != sys.d - 1:
         raise ValueError(f"eta must have length d-1 = {sys.d - 1}")
-    geom = geom or CollocationGrid()
     G, A1inv = _eval_G(sys, profile, fp, geom.x, v, deriv_order)
     ends = np.array(profile.endstates)
     G_inf = _G_from_states(sys, profile.speed, fp, [-np.inf, np.inf], ends,
@@ -270,10 +272,11 @@ def assemble_G(sys, profile, fp, v=None, geom=None, deriv_order=0):
                                   perturbation=v, deriv_order=deriv_order)
 
 
-def _spectral_split(G_inf, gap_tol=HYPERBOLIC_GAP_TOL):
-    """Right/left eigendata split by sign of ``Re mu``; center spectrum fails."""
+def _spectral_split(G_inf):
+    """Right/left eigendata split by sign of ``Re mu``; an eigenvalue within
+    ``HYPERBOLIC_GAP_TOL`` of the imaginary axis fails."""
     mu, V = np.linalg.eig(G_inf)
-    if np.min(np.abs(mu.real)) < gap_tol:
+    if np.min(np.abs(mu.real)) < HYPERBOLIC_GAP_TOL:
         raise CenterSpectrumError(
             f"limit matrix has eigenvalue with |Re| = {np.min(np.abs(mu.real)):.3g} "
             "on the imaginary axis (frequency on the singular set)")
@@ -399,12 +402,13 @@ def solve_resolvent_bvp(field, f):
     return field.bvp().solve(f, apply_a1inv=True)
 
 
-def _random_forcing(geom, n, rng, n_bumps=6):
-    """Smooth exponentially-localized complex forcing with unit amplitude."""
+def _random_forcing(geom, n, rng):
+    """Smooth exponentially-localized complex forcing with unit amplitude:
+    a sum of ``N_BUMPS`` Gaussian bumps."""
     x = geom.x
     f = np.zeros((geom.n_nodes, n), dtype=complex)
     L = geom.length
-    for _ in range(n_bumps):
+    for _ in range(N_BUMPS):
         c = rng.uniform(-0.6 * L, 0.6 * L)
         w = rng.uniform(L / 25.0, L / 8.0)
         amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -644,17 +648,18 @@ class EquivalenceReport:
     sweep: SweepResult
 
 
-def verify_equivalence(field_family, s, grid, gamma_star=-0.25, C=None,
-                       trials=8, seed=0, threads=None, bounded_cut=5.0):
+def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
+                       seed=0, threads=None):
     """Numerical version of both absorption arguments over a grid.
 
-    (i) at bounded frequencies the hat norm is controlled by L2 (the ratio is
-    reported); (ii) along growing ``|lambda|`` the ratio
+    The constants are fitted as in :func:`run_sweep`.  (i) at bounded
+    frequencies ``|lambda| <= BOUNDED_CUT`` the hat norm is controlled by L2
+    (the ratio is reported); (ii) along growing ``|lambda|`` the ratio
     ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
     exponent); the pass sets of the two bounds are compared pointwise.
     """
-    sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, C,
-                                      trials, seed, threads, bounded_cut)
+    sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, None,
+                                      trials, seed, threads, BOUNDED_CUT)
     if sweep.flagged:
         import warnings
         warnings.warn(f"{len(sweep.flagged)} grid point(s) on the singular "
@@ -664,7 +669,7 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, C=None,
     agreement = float(np.mean(agree)) if np.any(ok) else 0.0
 
     mags = np.array([abs(p.lam) for p in sweep.points])
-    big = ok & (mags >= bounded_cut) & (np.abs(sweep.absorption) > 0)
+    big = ok & (mags >= BOUNDED_CUT) & (np.abs(sweep.absorption) > 0)
     exponent = np.nan
     if np.count_nonzero(big) >= 3:
         exponent = float(np.polyfit(np.log(mags[big]),
@@ -675,17 +680,16 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, C=None,
                              absorption_exponent=exponent, sweep=sweep)
 
 
-def constant_field(G, geom=None, A1inv=None):
-    """Wrap a constant matrix as a coefficient field (tests, worked examples)."""
-    geom = geom or CollocationGrid(n_nodes=65, length=20.0)
+def constant_field(G, geom):
+    """Wrap a constant matrix as a coefficient field on ``geom``, with
+    ``A_1^{-1} = I`` (tests, worked examples)."""
     G = np.asarray(G, dtype=complex)
     n = G.shape[0]
-    A1inv = np.eye(n) if A1inv is None else np.asarray(A1inv)
     fld = ResolventOperatorField(
         sys=None, profile=None,
         fp=FrequencyPoint(np.zeros(0), 1.0), geom=geom,
         G_nodes=np.broadcast_to(G, (geom.n_nodes, n, n)).copy(),
-        A1inv_nodes=np.broadcast_to(A1inv, (geom.n_nodes, n, n)).copy(),
+        A1inv_nodes=np.broadcast_to(np.eye(n), (geom.n_nodes, n, n)).copy(),
         limits=(G.copy(), G.copy()))
     fld.G_at = lambda x: (np.broadcast_to(G, np.shape(x) + G.shape).copy()
                           if np.ndim(x) else G.copy())

@@ -44,6 +44,14 @@ __all__ = [
     "energy_estimate_check",
 ]
 
+# eigenbasis condition cap of constant_symmetrizer
+COND_CAP = 1e8
+# Hermitian defect allowed by verify_symmetrizer, relative to max(1, C0)
+HERMITIAN_TOL = 1e-10
+# end-node amplitude, relative to the peak, above which the energy check
+# warns that a solution does not decay at the truncated ends
+DECAY_TOL = 1e-2
+
 
 @dataclass(eq=False)
 class LyapunovForms:
@@ -160,31 +168,28 @@ def assemble_symmetrizer(frame, forms):
     frame = np.asarray(frame)
     m, n, _ = frame.shape
     j = forms.Q_plus.shape[1]
-    S = np.empty((m, n, n), dtype=complex)
-    tmax = 0.0
-    for i in range(m):
-        B = np.zeros((n, n), dtype=complex)
-        B[:j, :j] = -forms.Q_plus[i]
-        B[j:, j:] = forms.Q_minus[i]
-        Tinv = np.linalg.inv(frame[i])
-        Si = Tinv.conj().T @ B @ Tinv
-        S[i] = 0.5 * (Si + Si.conj().T)
-        tmax = max(tmax, np.linalg.norm(frame[i], 2))
-    C0 = max(float(np.linalg.norm(S[i], 2)) for i in range(m))
+    B = np.zeros((m, n, n), dtype=complex)
+    B[:, :j, :j] = -forms.Q_plus
+    B[:, j:, j:] = forms.Q_minus
+    Tinv = np.linalg.inv(frame)
+    S = Tinv.conj().transpose(0, 2, 1) @ B @ Tinv
+    S = 0.5 * (S + S.conj().transpose(0, 2, 1))
+    tmax = float(np.max(np.linalg.norm(frame, 2, axis=(1, 2))))
+    C0 = float(np.max(np.linalg.norm(S, 2, axis=(1, 2))))
     return SymmetrizerField(grid=forms.grid, S=S, C0=C0,
                             theta=1.0 / (2.0 * tmax ** 2),
                             provenance="lyapunov")
 
 
-def constant_symmetrizer(sys, w0, eta, v0=None, cond_cap=1e8):
+def constant_symmetrizer(sys, w0, eta, v0=None):
     """High-frequency symmetrizer for a frozen (possibly perturbed) state.
 
     Diagonalizes the frozen generator ``N = -i T(w0+v0, eta) - E(w0)`` by its
     eigenbasis ``R`` and returns ``S = R^{-*} R^{-1}`` together with the
     decay rate certified in the ``S``-norm: the smallest eigenvalue of the
     pencil ``(Re(S (-N)), S)``, which equals ``min(-Re sigma(N))`` up to
-    roundoff.  Near eigenvector coalescence the construction fails with a
-    conditioning error.
+    roundoff.  Near eigenvector coalescence (eigenbasis condition number
+    above ``COND_CAP``) the construction fails with a conditioning error.
     """
     w0 = np.asarray(w0, dtype=float)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -194,7 +199,7 @@ def constant_symmetrizer(sys, w0, eta, v0=None, cond_cap=1e8):
     E = -sys.relax_jacobian(w0)
     N = -1j * T - E
     mu, R = np.linalg.eig(N)
-    if np.linalg.cond(R) > cond_cap:
+    if np.linalg.cond(R) > COND_CAP:
         raise FrameConditioningError(
             "frozen symbol eigenbasis is near-defective (geometric "
             f"regularity fails near eta = {eta})")
@@ -234,32 +239,30 @@ class Certificate:
         }
 
 
-def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0,
-                       hermitian_tol=1e-10):
+def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0):
     """Certify a symmetrizer against a coefficient field.
 
     Measures ``min eig(2 Re(S G) + S')`` over the grid (with ``S'`` by
     spectral differencing, the same scheme used for frame derivatives) and
     the sup bound; optionally runs the randomized energy-inequality check.
+    ``worst_node`` is the first node where the minimum is attained.
     """
     geom = field.geom
     Sg = np.asarray(S.on_grid(geom.x), dtype=complex)
-    defect = max(float(np.linalg.norm(Si - Si.conj().T, 2)) for Si in Sg)
-    if defect > hermitian_tol * max(1.0, S.C0):
+    defect = float(np.max(np.linalg.norm(Sg - Sg.conj().transpose(0, 2, 1), 2,
+                                         axis=(1, 2))))
+    if defect > HERMITIAN_TOL * max(1.0, S.C0):
         raise CertificateError(
             f"symmetrizer is not Hermitian (defect {defect:.3e})")
     Sp = (np.zeros_like(Sg) if S.constant
           else np.tensordot(geom.D, Sg, axes=(1, 0)))
-    worst = np.inf
-    worst_x = geom.x[0]
-    for i in range(geom.n_nodes):
-        H = Sg[i] @ field.G_nodes[i]
-        form = H + H.conj().T + Sp[i]
-        lam_min = float(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[0])
-        if lam_min < worst:
-            worst, worst_x = lam_min, float(geom.x[i])
-    theta_measured = 0.5 * worst
-    c0 = max(float(np.linalg.norm(Si, 2)) for Si in Sg)
+    H = Sg @ field.G_nodes
+    form = H + H.conj().transpose(0, 2, 1) + Sp
+    lam_min = np.linalg.eigvalsh(
+        0.5 * (form + form.conj().transpose(0, 2, 1)))[:, 0]
+    i = int(np.argmin(lam_min))
+    theta_measured = 0.5 * float(lam_min[i])
+    c0 = float(np.max(np.linalg.norm(Sg, 2, axis=(1, 2))))
     energy = 0.0
     if energy_trials > 0:
         energy = energy_estimate_check(S, field, trials=energy_trials,
@@ -267,7 +270,7 @@ def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0,
     passed = (theta_measured >= theta_req) and energy <= 1.0
     return Certificate(theta_measured=theta_measured, c0_measured=c0,
                        energy_check=energy, passed=passed,
-                       theta_req=theta_req, worst_node=worst_x,
+                       theta_req=theta_req, worst_node=float(geom.x[i]),
                        hermitian_defect=defect, provenance=S.provenance)
 
 
@@ -276,18 +279,17 @@ def field_to_csv(S, path):
     write_matrix_field(path, "S", S.grid, S.S)
 
 
-def energy_estimate_check(S, field, trials=100, theta=None, C0=None, seed=0,
-                          decay_tol=1e-2):
+def energy_estimate_check(S, field, trials, theta, C0, seed=0):
     """Worst ratio in ``theta |u|^2 <= (C0^2/theta) |f|^2`` over random forcings.
 
     Solves ``u' = G u + f`` with spectral-projection boundary conditions for
     exponentially localized random ``f`` and returns
     ``max theta^2 |u|^2 / (C0^2 |f|^2)``; decay of ``u`` at the domain ends
-    is checked a posteriori.
+    is checked a posteriori against ``DECAY_TOL``.  ``theta`` and ``C0`` are
+    the constants measured for the symmetrizer ``S`` (see
+    :func:`verify_symmetrizer`); only they enter the check.
     """
     from .resolvent import _trial_solutions
-    theta = S.theta if theta is None else theta
-    C0 = S.C0 if C0 is None else C0
     if theta <= 0:
         raise CertificateError("energy check requires a positive theta")
     geom = field.geom
@@ -295,7 +297,7 @@ def energy_estimate_check(S, field, trials=100, theta=None, C0=None, seed=0,
     for f, u in zip(*_trial_solutions(field, trials, seed,
                                       apply_a1inv=False)):
         edge = max(np.max(np.abs(u[0])), np.max(np.abs(u[-1])))
-        if edge > decay_tol * max(np.max(np.abs(u)), 1e-300):
+        if edge > DECAY_TOL * max(np.max(np.abs(u)), 1e-300):
             warnings.warn("solution does not decay at the truncated ends; "
                           "enlarge the domain", stacklevel=2)
         ratio = (theta ** 2 * geom.l2_norm(u) ** 2) / (

@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 BLOWUP_CAP = 1e6
+CFL = 0.7                 # Courant number a step may not exceed
+# end-node amplitude, relative to the peak, that SimState.boundary_ok allows
+BOUNDARY_TOL = 1e-2
+# verify_classical_damping: N_ETA candidate rates, geometric in [1e-4, ETA_MAX]
+ETA_MAX = 10.0
+N_ETA = 200
+C_CAP = 50.0              # cap on the damping constant C
+DAMPING_SLACK = 1e-9      # allowed violation where L2 + f vanishes, relative
+TRUNCATION_CAP = 1e8      # cap on every truncation_pipeline constant
 
 
 @dataclass(eq=False)
@@ -64,13 +73,12 @@ class SimState:
     wbar_p: np.ndarray           # (m, n) wave derivative samples
     E_nodes: np.ndarray          # (m, n, n)
     conv_cache: tuple = None     # (mu, R, Rinv) frozen for linearized mode
-    boundary_tol: float = 1e-2
 
     def boundary_ok(self):
         peak = max(float(np.max(np.abs(self.v))), 1e-300)
         edge = max(float(np.max(np.abs(self.v[:2]))),
                    float(np.max(np.abs(self.v[-2:]))))
-        return edge <= self.boundary_tol * peak
+        return edge <= BOUNDARY_TOL * peak
 
     def replace(self, **kw):
         from dataclasses import replace as _replace
@@ -93,8 +101,7 @@ def _char_decomposition(A):
     return mu.real, R.real, np.linalg.inv(R.real)
 
 
-def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized",
-             boundary_tol=1e-2):
+def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized"):
     """Set up a simulation on a uniform grid with initial data ``v0``.
 
     ``v0`` is either an ``(m, n)`` array or a callable ``x -> (n,)``.
@@ -117,7 +124,7 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized",
             _comoving_A1(sys, profile.speed, wbar))
     return SimState(grid=grid, dx=dx, v=v, t=0.0, mode=mode, sys=sys,
                     profile=profile, wbar=wbar, wbar_p=wbar_p, E_nodes=E,
-                    conv_cache=conv_cache, boundary_tol=boundary_tol)
+                    conv_cache=conv_cache)
 
 
 def gaussian_initial_data(direction, amplitude=1e-3, center=0.0, width=3.0):
@@ -176,22 +183,16 @@ def _rhs(sim, v, forcing, t):
     return rhs, speed
 
 
-def step(sim, dt, mode=None, forcing=None, cfl=0.7):
+def step(sim, dt, forcing=None):
     """One classical Runge-Kutta step; returns the advanced state.
 
-    Raises :class:`StepError` on CFL violation and
+    Raises :class:`StepError` when ``dt`` exceeds the ``CFL`` limit and
     :class:`InstabilityError` on blowup.
     """
-    if mode is not None and mode != sim.mode:
-        cache = sim.conv_cache
-        if mode == "linearized" and cache is None:
-            cache = _char_decomposition(
-                _comoving_A1(sim.sys, sim.profile.speed, sim.wbar))
-        sim = sim.replace(mode=mode, conv_cache=cache)
     k1, speed = _rhs(sim, sim.v, forcing, sim.t)
-    if dt > cfl * sim.dx / max(speed, 1e-300):
+    if dt > CFL * sim.dx / max(speed, 1e-300):
         raise StepError(f"CFL violation: dt = {dt:.3g} > "
-                        f"{cfl * sim.dx / speed:.3g} (max speed {speed:.3g})")
+                        f"{CFL * sim.dx / speed:.3g} (max speed {speed:.3g})")
     k2, _ = _rhs(sim, sim.v + 0.5 * dt * k1, forcing, sim.t + 0.5 * dt)
     k3, _ = _rhs(sim, sim.v + 0.5 * dt * k2, forcing, sim.t + 0.5 * dt)
     k4, _ = _rhs(sim, sim.v + dt * k3, forcing, sim.t + dt)
@@ -262,15 +263,17 @@ class SimHistory:
     meta: dict = dfield(default_factory=dict)
 
 
-def run_simulation(sys, profile, v0, t_final, dt=None, L_sim=50.0,
-                   n_points=1001, mode="linearized", s=1, alpha=0.0,
-                   forcing=None, sample_every=5, store_history=False,
-                   cfl=0.7):
-    """March to ``t_final`` recording an energy trace (and optional history)."""
+def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
+                   mode="linearized", s=1, alpha=0.0, forcing=None,
+                   sample_every=5, store_history=False):
+    """March to ``t_final`` recording an energy trace (and optional history).
+
+    The time step is 0.9 of the ``CFL`` limit at the initial state, shortened
+    to divide ``t_final`` evenly.
+    """
     sim = make_sim(sys, profile, v0, L_sim=L_sim, n_points=n_points, mode=mode)
-    if dt is None:
-        _, speed = _rhs(sim, sim.v, None, 0.0)
-        dt = cfl * sim.dx / speed * 0.9
+    _, speed = _rhs(sim, sim.v, None, 0.0)
+    dt = CFL * sim.dx / speed * 0.9
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
 
@@ -295,7 +298,7 @@ def run_simulation(sys, profile, v0, t_final, dt=None, L_sim=50.0,
 
     record(sim)
     for k in range(n_steps):
-        sim = step(sim, dt, forcing=forcing, cfl=cfl)
+        sim = step(sim, dt, forcing=forcing)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(sim)
 
@@ -326,22 +329,19 @@ class DampingFit:
         return self.feasible and self.eta > 0
 
 
-def verify_classical_damping(trace, window=None, eta_max=10.0, n_eta=200,
-                             C_cap=50.0, slack=1e-9):
+def verify_classical_damping(trace):
     """Largest feasible decay rate in ``dE/dt <= -eta E + C (L2 + f)``.
 
-    Finite differences of the sampled energy are tested against the
-    inequality on the window; for each candidate ``eta`` the minimal
-    verifying ``C`` is computed and capped.  Returns the maximal feasible
-    ``eta`` (relative to the configured caps) or a refutation carrying the
-    witness sample.
+    Central differences of the sampled energy are tested against the
+    inequality at every interior sample; for each of ``N_ETA`` candidate
+    rates up to ``ETA_MAX`` the minimal verifying ``C`` is computed and
+    capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
+    refutation carrying the witness sample.
     """
     t = trace.times
     if t.size < 5:
         raise ValueError("trace too short to difference; sample more densely")
-    sl = window or slice(1, t.size - 1)
-    idx = np.arange(t.size)[sl]
-    idx = idx[(idx >= 1) & (idx <= t.size - 2)]
+    idx = np.arange(1, t.size - 1)
     Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
         t[idx + 1] - t[idx - 1])
     E = trace.E_values[idx]
@@ -349,15 +349,15 @@ def verify_classical_damping(trace, window=None, eta_max=10.0, n_eta=200,
     scale = max(float(np.max(E)), 1e-300)
 
     best = None
-    for eta in np.geomspace(1e-4, eta_max, n_eta):
+    for eta in np.geomspace(1e-4, ETA_MAX, N_ETA):
         need = Edot + eta * E
         hard = g <= 1e-14 * scale
-        if np.any(need[hard] > slack * scale):
+        if np.any(need[hard] > DAMPING_SLACK * scale):
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             Creq = np.where(~hard & (need > 0), need / np.maximum(g, 1e-300), 0.0)
         C = float(np.max(Creq))
-        if C <= C_cap:
+        if C <= C_CAP:
             best = (float(eta), C)
     if best is None:
         witness = int(idx[int(np.argmax(Edot + 1e-4 * E))])
@@ -464,7 +464,7 @@ def _weighted_integral(t, values, weight):
     return float(np.trapezoid(weight * values, t))
 
 
-def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0, cap=1e8):
+def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     """Verify the time-weighted inequalities for a cutoff trajectory.
 
     Forms ``vt = chi1(t) chiT(t) v`` and its forcing
@@ -478,6 +478,8 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0, cap=1e8):
     * its restriction to the plateau where ``vt = v``,
     * the initial- and final-window bounds, and
     * the assembled integrated damping estimate with ``eta = -2 gamma``.
+
+    It passes when every constant is finite and at most ``TRUNCATION_CAP``.
 
     A nonlinear history raises :class:`CertificateError`.
     """
@@ -549,7 +551,7 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0, cap=1e8):
     C_assembled = ratio(hs_v[-1], rhs_a)
 
     vals = [C2_weighted, C2_plateau, C_front, C_tail, C_assembled]
-    passed = all(np.isfinite(c) and c <= cap for c in vals)
+    passed = all(np.isfinite(c) and c <= TRUNCATION_CAP for c in vals)
     return TruncationReport(C2_weighted=C2_weighted, C2_plateau=C2_plateau,
                             C_front=C_front, C_tail=C_tail,
                             C_assembled=C_assembled, gamma=float(gamma),

@@ -48,6 +48,14 @@ def small_config(seed=11, a=2.0, endstates=None):
     }
 
 
+def test_config_schema_is_valid():
+    # RunConfig.from_dict validates configs against the schema without
+    # checking the schema itself on every call
+    from jsonschema import validators
+    schema = cli.CONFIG_SCHEMA
+    validators.validator_for(schema).check_schema(schema)
+
+
 def test_config_missing_endstates_names_field():
     bad = small_config()
     del bad["profile"]["endstates"]

@@ -9,6 +9,7 @@ from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
 from relaxstab.errors import (CenterSpectrumError, CertificateError,
+                              FrameConditioningError,
                               TurningPointSuspectedError)
 
 from conftest import transport_system
@@ -305,6 +306,18 @@ def test_block_diagonalize_identity_frame():
     assert residual < 1e-12
     assert lam_p[5, 0, 0] == pytest.approx(-1.0)
     assert lam_m[5, 0, 0] == pytest.approx(3.0)
+
+
+def test_block_diagonalize_names_first_ill_conditioned_node():
+    geom = res.CollocationGrid(n_nodes=33, length=5.0)
+    field = res.constant_field(np.diag([-1.0, 3.0]), geom)
+    frame = np.broadcast_to(np.eye(2), (33, 2, 2)).astype(complex)
+    # condition numbers about 4e12 and 4e14, both above the 1e10 cap
+    frame[9] = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
+    frame[21] = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
+    with pytest.raises(FrameConditioningError,
+                       match=f"x = {geom.x[9]:.4g}$"):
+        dich.block_diagonalize(field, frame, ranks=(1, 1))
 
 
 def test_front_block_residual_small_and_refines(jx, front):

@@ -64,7 +64,7 @@ def test_noncharacteristic_margin_jinxin(jx, front):
     margin = model.check_noncharacteristic(jx, front)
     # the co-moving matrix is x-independent for this system
     assert abs(margin - smin) < 1e-12
-    assert margin > model.DEFAULTS["a1_delta"]
+    assert margin > model.A1_DELTA
     assert abs(np.abs(np.linalg.det(M)) - 3.75) < 1e-14
 
 

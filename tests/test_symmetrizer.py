@@ -214,6 +214,23 @@ def test_non_hermitian_rejected(small_geom):
         symm.verify_symmetrizer(S, field, theta_req=0.0)
 
 
+def test_worst_node_is_the_first_coercivity_minimum(small_geom):
+    # with S = I the form at node i is 2 G_i: the minimum sits where G does
+    S = symm.SymmetrizerField(grid=np.zeros(1), S=np.ones((1, 1, 1),
+                                                         dtype=complex),
+                              C0=1.0, theta=0.0)
+    field = res.constant_field(np.array([[-1.0]]), small_geom)
+    field.G_nodes[[7, 30]] = -3.0
+    field.G_nodes[12] = -2.0
+    cert = symm.verify_symmetrizer(S, field, theta_req=-10.0)
+    assert cert.theta_measured == -3.0
+    assert cert.worst_node == small_geom.x[7]
+    field.G_nodes[40] = -4.0
+    cert = symm.verify_symmetrizer(S, field, theta_req=-10.0)
+    assert cert.theta_measured == -4.0
+    assert cert.worst_node == small_geom.x[40]
+
+
 def test_front_certificate(front_field, front_symmetrizer):
     cert = symm.verify_symmetrizer(front_symmetrizer, front_field,
                                    theta_req=0.0, energy_trials=30, seed=7)
