@@ -8,7 +8,7 @@ Everything is built from one per-field cache of one-interval propagators
 backward steps ``S(x_i, x_{i+1})``.  Each interval is split into substeps of
 a fourth-order Magnus method (two Gauss points per substep, Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009); ``G`` is evaluated exactly, in one
-stacked call per field and grid.  A backward step is the product of the
+stacked call per field.  A backward step is the product of the
 inverse substep exponentials ``expm(-Omega)``, never a matrix inverse: a
 stiff interval can make ``Phi_i`` singular to working precision.
 
@@ -22,9 +22,15 @@ closest gauge of its predecessor, the discrete form of the parallel-
 transport gauge ``Y* Y' = 0``.  Bases are pinned down by ordering the
 seeding eigenvectors by real part.
 
+The seeds come from the same limit splits as the boundary rows of the
+resolvent operator (:meth:`ResolventOperatorField.limit_splits`).
+
 A propagator over a long distance is the ordered product of cached steps,
-renormalized at the end of each window to avoid overflow; log-norms
-accumulate exactly.
+one interval at a time, with the projector applied at every node.  Each
+product is rescaled by its largest entry against overflow and its 2-norm is
+taken once, at the end, so a log-norm is exact wherever the rescalings fall.
+The decay fit and the verifier share that chain and their random node pairs
+(:func:`_pair_lognorms`).
 """
 
 from dataclasses import dataclass
@@ -36,8 +42,9 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm, polar
 from scipy.optimize import minimize_scalar
 
-from .errors import (CenterSpectrumError, CertificateError,
-                     FrameConditioningError, TurningPointSuspectedError)
+from .errors import (CertificateError, FrameConditioningError,
+                     TurningPointSuspectedError, WindowOverflowError)
+from .resolvent import SpectralSplit, limit_spectral_split
 from .tables import write_matrix_field
 
 __all__ = [
@@ -56,8 +63,6 @@ __all__ = [
 # Magnus substeps on the longest grid interval; interval i gets
 # ceil(MAGNUS_SUBSTEPS * h_i / max h), so substeps shrink with the grid
 MAGNUS_SUBSTEPS = 32
-# smallest |Re mu| of a limit matrix with a usable stable/unstable split
-SPLIT_GAP_TOL = 1e-9
 # multiplicative headroom of verify_dichotomy over the fitted constant C
 DECAY_SLACK = 2.0
 # condition-number cap of the conjugating frame in block_diagonalize
@@ -67,40 +72,6 @@ COALESCENCE_COND_CAP = 1e4
 REFINE_TOL = 1e-10
 # eigenvalue-gap tolerance of detect_turning_points
 TURNING_GAP_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Eigendata of a limit matrix split by sign of the real part."""
-
-    stable: np.ndarray        # (n, j) right eigenvectors, Re mu < 0
-    unstable: np.ndarray      # (n, k)
-    gap: float                # min |Re mu|: distance of the spectrum to the axis
-    values: np.ndarray
-
-
-def limit_spectral_split(G_inf):
-    """Stable/unstable eigenbasis of a constant matrix.
-
-    Raises :class:`CenterSpectrumError` when an eigenvalue sits within
-    ``SPLIT_GAP_TOL`` of the imaginary axis.
-    """
-    G_inf = np.asarray(G_inf)
-    mu, V = np.linalg.eig(G_inf)
-    margin = float(np.min(np.abs(mu.real)))
-    if margin < SPLIT_GAP_TOL:
-        raise CenterSpectrumError(
-            f"eigenvalue with |Re| = {margin:.3g} within {SPLIT_GAP_TOL:.0e} "
-            "of the axis")
-    order = np.argsort(mu.real)
-    mu, V = mu[order], V[:, order]
-    # reproducible sign: largest-magnitude component made real positive
-    for c in range(V.shape[1]):
-        pivot = V[np.argmax(np.abs(V[:, c])), c]
-        V[:, c] *= np.abs(pivot) / pivot
-    stable = mu.real < 0
-    return SpectralSplit(stable=V[:, stable], unstable=V[:, ~stable],
-                         gap=margin, values=mu)
 
 
 def _orthonormalize(Y):
@@ -143,26 +114,22 @@ class DichotomyData:
 def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
     """Compute an exponential dichotomy for a coefficient field.
 
-    Seeds the two invariant families from the endstate eigenbases, steps
-    them through the cached interval propagators with discrete
-    orthonormalization, assembles the projector pair and fits the decay
-    constants ``(C, theta)`` from windowed propagator samples.
-    Near-collisions of the two subspaces raise
+    Seeds the two invariant families from the endstate eigenbases of
+    ``field.limit_splits()``, steps them through the cached interval
+    propagators with discrete orthonormalization, assembles the projector
+    pair and fits the decay constants ``(C, theta)`` from chained propagator
+    samples.  Near-collisions of the two subspaces raise
     :class:`TurningPointSuspectedError`.
     """
     nodes = field.geom.x
     n = field.n
-    minus = limit_spectral_split(field.limits[0])
-    plus = limit_spectral_split(field.limits[1])
+    minus, plus = field.limit_splits()
     j = plus.stable.shape[1]
     k = minus.unstable.shape[1]
-    if j + k != n:
-        raise CenterSpectrumError(
-            f"inconsistent splitting: dim S(+inf) = {j}, dim U(-inf) = {k}")
 
     Ts0 = _orthonormalize(plus.stable)
     Tu0 = _orthonormalize(minus.unstable)
-    Phi, Phi_inv = _interval_propagators(field, nodes)
+    Phi, Phi_inv = _interval_propagators(field)
     Ts = _discrete_frame(Ts0, Phi_inv[::-1])[::-1]
     Tu = _discrete_frame(Tu0, Phi)
 
@@ -187,28 +154,16 @@ def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
     return data
 
 
-def _window_edges(grid, iy, ix, max_width):
-    """Node indices splitting ``[grid[iy], grid[ix]]`` into short windows."""
-    lo, hi = (iy, ix) if iy <= ix else (ix, iy)
-    edges = [lo]
-    for i in range(lo + 1, hi + 1):
-        if grid[i] - grid[edges[-1]] >= max_width or i == hi:
-            edges.append(i)
-    if iy > ix:
-        edges = edges[::-1]
-    return edges
+def _interval_propagators(field):
+    """Cached one-interval propagators of ``field`` on its grid ``x``.
 
-
-def _interval_propagators(field, grid):
-    """Cached one-interval propagators of ``field`` on ``grid``.
-
-    Returns ``(Phi, Phi_inv)`` with ``Phi[i] = S(grid[i+1], grid[i])`` and
-    ``Phi_inv[i] = S(grid[i], grid[i+1])``, both by fourth-order Magnus
-    substeps.  The stack is built on first use and kept on the field, so
-    every dichotomy on the same field and grid shares it.
+    Returns ``(Phi, Phi_inv)`` with ``Phi[i] = S(x[i+1], x[i])`` and
+    ``Phi_inv[i] = S(x[i], x[i+1])``, both by fourth-order Magnus substeps.
+    The stack is built on first use and kept on the field, so every
+    dichotomy on the same field shares it.
     """
-    cache = field._propagators
-    if cache is None or not np.array_equal(cache[0], grid):
+    if field._propagators is None:
+        grid = field.geom.x
         h = np.diff(grid)
         k = np.ceil(MAGNUS_SUBSTEPS * h / h.max()).astype(int)
         edges = [np.linspace(a, b, ki + 1)
@@ -229,42 +184,59 @@ def _interval_propagators(field, grid):
                         for lo, hi in zip(ends - k, ends)])
         Phi_inv = np.stack([reduce(np.matmul, E_inv[lo:hi])
                             for lo, hi in zip(ends - k, ends)])
-        cache = (grid, Phi, Phi_inv)
-        field._propagators = cache
-    return cache[1], cache[2]
+        field._propagators = (Phi, Phi_inv)
+    return field._propagators
 
 
 def _chained_propagator(field, data, iy, ix, project=None):
-    """Normalized propagator (optionally projector-chained) and its log-norm.
+    """Propagator from node ``iy`` to node ``ix``, scaled to norm 1, and
+    the log of its norm.
 
-    Returns ``(M, log_norm)`` with ``|M| = 1``; ``project`` selects the
-    ``P_plus``/``P_minus`` chain inserted at the window ends, implementing
-    ``P(x) S(x, y)`` without overflow.  Windows are ``2/theta`` long (at
-    least 1/64 of the grid), with ``theta`` the fitted rate once known.
+    Returns ``(M, log_norm)`` with ``|M|_2 = 1``.  The cached steps are
+    multiplied one interval at a time; ``project`` (``P_plus`` or
+    ``P_minus``) is applied at every node, start and end included, giving
+    ``P(x) S(x, y) P(y)``.  Each product is divided by its largest entry and
+    the 2-norm is taken once, at the end.  Raises
+    :class:`WindowOverflowError` when a product is not finite or vanishes.
     """
-    grid = data.grid
-    rate = max(data.constants.get("theta", 1.0), 1e-3)
-    max_width = max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
-    edges = _window_edges(grid, iy, ix, max_width)
-    Phi, Phi_inv = _interval_propagators(field, grid)
-    M = np.eye(field.n, dtype=complex)
-    if project is not None:
-        M = project[edges[0]].copy()
+    Phi, Phi_inv = _interval_propagators(field)
+    if iy <= ix:
+        steps, nodes = Phi[iy:ix], range(iy + 1, ix + 1)
+    else:
+        steps, nodes = Phi_inv[ix:iy][::-1], range(iy - 1, ix - 1, -1)
+    M = np.eye(field.n, dtype=complex) if project is None else project[iy]
     lognorm = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        for step in (Phi[a:b] if a < b else Phi_inv[b:a][::-1]):
-            M = step @ M
+    for i, step in zip(nodes, steps):
+        M = step @ M
         if project is not None:
-            M = project[b] @ M
-        nrm = np.linalg.norm(M, 2)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            from .errors import WindowOverflowError
+            M = project[i] @ M
+        scale = np.max(np.abs(M))
+        if not np.isfinite(scale) or scale == 0.0:
             raise WindowOverflowError(
-                f"propagator window [{grid[a]:.3g}, {grid[b]:.3g}] produced "
-                f"norm {nrm}; reduce the window width")
-        M /= nrm
-        lognorm += float(np.log(nrm))
-    return M, lognorm
+                f"propagator from x = {data.grid[iy]:.3g} to "
+                f"x = {data.grid[i]:.3g} has entries of size {scale}")
+        M = M / scale
+        lognorm += np.log(scale)
+    nrm = np.linalg.norm(M, 2)
+    return M / nrm, float(lognorm + np.log(nrm))
+
+
+def _pair_lognorms(data, field, n_pairs, seed):
+    """Random node pairs ``iy < ix`` with their separation and the log-norms
+    of the projected propagators, forward with ``P_plus`` and backward with
+    ``P_minus``.
+
+    Yields ``(iy, ix, sep, log_plus, log_minus)``; the decay fit and the
+    verifier draw their pairs here, so the same seed gives the same pairs.
+    """
+    rng = np.random.default_rng(seed)
+    m = data.grid.size
+    for _ in range(n_pairs):
+        iy = int(rng.integers(0, m - 2))
+        ix = int(rng.integers(iy + 1, m))
+        _, lp = _chained_propagator(field, data, iy, ix, project=data.P_plus)
+        _, lm = _chained_propagator(field, data, ix, iy, project=data.P_minus)
+        yield iy, ix, float(data.grid[ix] - data.grid[iy]), lp, lm
 
 
 def _fit_decay(data, field, n_pairs=24, seed=0):
@@ -273,28 +245,17 @@ def _fit_decay(data, field, n_pairs=24, seed=0):
     Raises :class:`CertificateError` when the pairs give fewer than 2
     distinct separations, where a line through the samples is not defined.
     """
-    rng = np.random.default_rng(seed)
-    m = data.grid.size
-    seps, logs_p, logs_m = [], [], []
-    for _ in range(n_pairs):
-        iy = int(rng.integers(0, m - 2))
-        ix = int(rng.integers(iy + 1, m))
-        sep = float(data.grid[ix] - data.grid[iy])
-        if sep < 1e-6:
-            continue
-        _, lp = _chained_propagator(field, data, iy, ix, project=data.P_plus)
-        _, lm = _chained_propagator(field, data, ix, iy, project=data.P_minus)
-        seps.append(sep)
-        logs_p.append(lp)
-        logs_m.append(lm)
-    seps = np.asarray(seps)
+    pairs = list(_pair_lognorms(data, field, n_pairs, seed))
+    seps = np.array([p[2] for p in pairs])
+    logs_p = np.array([p[3] for p in pairs])
+    logs_m = np.array([p[4] for p in pairs])
     n_seps = np.unique(seps).size
     if n_seps < 2:
         raise CertificateError(
             f"decay fit needs at least 2 distinct separations, got {n_seps} "
             f"from fit_pairs = {n_pairs}")
     fits = {}
-    for tag, logs in (("plus", np.asarray(logs_p)), ("minus", np.asarray(logs_m))):
+    for tag, logs in (("plus", logs_p), ("minus", logs_m)):
         slope, intercept = np.polyfit(seps, logs, 1)
         # shift the intercept so every fitted sample satisfies the bound
         shift = float(np.max(logs - (slope * seps + intercept)))
@@ -320,21 +281,14 @@ def verify_dichotomy(data, field, sample_pairs=50, tol=1e-6, seed=0):
     two-sided exponential decay against the stored fitted constants with
     multiplicative headroom ``DECAY_SLACK``.
     """
-    rng = np.random.default_rng(seed)
-    m = data.grid.size
     theta = data.constants["theta"]
     C = data.constants["C"] * DECAY_SLACK
     worst_comm = 0.0
     worst_decay = -np.inf
-    for _ in range(sample_pairs):
-        iy = int(rng.integers(0, m - 2))
-        ix = int(rng.integers(iy + 1, m))
-        sep = float(data.grid[ix] - data.grid[iy])
+    for iy, ix, sep, lp, lm in _pair_lognorms(data, field, sample_pairs, seed):
         S, _ = _chained_propagator(field, data, iy, ix)
         comm = np.linalg.norm(data.P_plus[ix] @ S - S @ data.P_plus[iy], 2)
         worst_comm = max(worst_comm, comm)
-        _, lp = _chained_propagator(field, data, iy, ix, project=data.P_plus)
-        _, lm = _chained_propagator(field, data, ix, iy, project=data.P_minus)
         bound = np.log(C) - theta * sep
         worst_decay = max(worst_decay, lp - bound, lm - bound)
     return DichotomyCheck(passed=(worst_comm <= tol and worst_decay <= 0.0),

@@ -81,7 +81,7 @@ class StabilityError(RelaxstabError):
 
 
 class WindowOverflowError(RelaxstabError):
-    """A propagator window overflowed; shrink the window width."""
+    """A chained propagator product became non-finite or vanished."""
 
 
 class StepError(RelaxstabError):

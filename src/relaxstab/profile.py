@@ -64,10 +64,8 @@ class WaveProfile:
             raise ValueError("profile grid must be strictly increasing")
         self.endstates = (np.asarray(self.endstates[0], dtype=float),
                           np.asarray(self.endstates[1], dtype=float))
-        self._val_interp = [PchipInterpolator(self.grid, self.values[:, k])
-                            for k in range(self.n)]
-        self._der_interp = [PchipInterpolator(self.grid, self.derivs[:, k])
-                            for k in range(self.n)]
+        self._val_interp = PchipInterpolator(self.grid, self.values)
+        self._der_interp = PchipInterpolator(self.grid, self.derivs)
 
     @property
     def n(self):
@@ -85,23 +83,17 @@ class WaveProfile:
 
     def sample(self, x):
         """State and derivative at ``x``; clamps to endstates beyond +-L."""
-        if not np.isfinite(x):
-            raise ValueError("sample point must be finite")
-        if x < self.grid[0]:
-            return self.endstates[0].copy(), np.zeros(self.n)
-        if x > self.grid[-1]:
-            return self.endstates[1].copy(), np.zeros(self.n)
-        w = np.array([ip(x) for ip in self._val_interp])
-        wp = np.array([ip(x) for ip in self._der_interp])
-        return w, wp
+        w, wp = self.sample_many([x])
+        return w[0], wp[0]
 
     def sample_many(self, xs):
-        """Vectorized :meth:`sample` over a 1-d array of points."""
+        """States and derivatives ``(m, n)`` at a 1-d array of points;
+        clamps to the endstates beyond +-L."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("sample points must be finite")
-        w = np.column_stack([ip(xs) for ip in self._val_interp])
-        wp = np.column_stack([ip(xs) for ip in self._der_interp])
+        w = self._val_interp(xs)
+        wp = self._der_interp(xs)
         lo = xs < self.grid[0]
         hi = xs > self.grid[-1]
         w[lo] = self.endstates[0]

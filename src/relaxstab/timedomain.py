@@ -500,14 +500,15 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     l2_vt = np.empty(K)
     hs_ft = np.empty(K)
     hs_v = np.empty(K)
+    l2_v = np.empty(K)
     hs_f = np.empty(K)
     for kk in range(K):
         vt = chi[kk] * history.frames[kk]
         ft = chi_d[kk] * history.frames[kk] + chi[kk] * history.f_frames[kk]
         hs_vt[kk], l2_vt[kk] = measure_energy(history.grid, vt, s=s, alpha=alpha)
         hs_ft[kk] = measure_energy(history.grid, ft, s=s, alpha=alpha)[0]
-        hs_v[kk] = measure_energy(history.grid, history.frames[kk], s=s,
-                                  alpha=alpha)[0]
+        hs_v[kk], l2_v[kk] = measure_energy(history.grid, history.frames[kk],
+                                            s=s, alpha=alpha)
         hs_f[kk] = measure_energy(history.grid, history.f_frames[kk], s=s,
                                   alpha=alpha)[0]
 
@@ -543,8 +544,6 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
                                       np.ones(tail.sum())), tail_rhs)
 
     eta = -2.0 * gamma
-    l2_v = np.array([measure_energy(history.grid, fr, s=0, alpha=alpha)[1]
-                     for fr in history.frames])
     wgt_e = np.exp(-eta * (T - t))
     rhs_a = (np.exp(-eta * T) * hs_v[0]
              + _weighted_integral(t, l2_v + hs_f, wgt_e))

@@ -167,9 +167,8 @@ def test_singular_set_point_refutes_sweep(tmp_path):
     data["domain"] = {"length": 20.0, "n_nodes": 43}
     data["resolvent"]["grid"].update(re_lambda=0.0, n_im=1)
     cfg = cli.RunConfig.from_dict(data)
-    with pytest.warns(UserWarning, match="singular set"):
-        code = cli.run(cfg, pipeline="resolvent-sweep",
-                       out_dir=str(tmp_path / "o"))
+    code = cli.run(cfg, pipeline="resolvent-sweep",
+                   out_dir=str(tmp_path / "o"))
     assert code == 4
     sweep = json.loads((tmp_path / "o" / "sweep.json").read_text())
     assert sweep["agreement"] == 1.0
@@ -229,6 +228,47 @@ def _run_python(args, env_update, cwd):
     env.update(env_update)
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True)
+
+
+TRACED_RUN = """
+import json, sys
+perfbench, out = sys.argv[1:]
+sys.path.insert(0, perfbench)
+import relaxstab
+import tracing, workloads
+from relaxstab import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+with open(out + "/config.json", "w") as fh:
+    json.dump(workloads.make_config("full_small", 0), fh)
+result = {}
+for pipeline in ("symmetrizer", "resolvent-sweep"):
+    code = cli.main(["run", "--config", out + "/config.json",
+                     "--pipeline", pipeline, "--out", out + "/" + pipeline])
+    spans, _ = tracer.drain()
+    result[pipeline] = {"code": code,
+                        "names": sorted({s[1] for s in spans})}
+print(json.dumps(result))
+"""
+
+
+def test_traced_run_records_G_at_spans(tmp_path):
+    # the benchmark's tracer patches G_at and reads the field's _interp slot;
+    # a traced run must still work, time the stacked G evaluations, and
+    # record no dichotomy span in a sweep, which shares only the limit split
+    perfbench = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench")
+    proc = _run_python(["-c", TRACED_RUN, perfbench, str(tmp_path)], {},
+                       tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    symm, sweep = result["symmetrizer"], result["resolvent-sweep"]
+    assert symm["code"] == sweep["code"] == 0
+    assert "resolvent.G_at_build" in symm["names"]
+    assert "dichotomy.propagate_subspaces" in symm["names"]
+    assert "resolvent.assemble_G" in sweep["names"]
+    assert not [n for n in sweep["names"] if n.startswith("dichotomy.")]
 
 
 def test_bad_thread_count_is_usage_error(tmp_path):

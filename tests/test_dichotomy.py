@@ -10,7 +10,7 @@ from relaxstab import resolvent as res
 from relaxstab import systems
 from relaxstab.errors import (CenterSpectrumError, CertificateError,
                               FrameConditioningError,
-                              TurningPointSuspectedError)
+                              TurningPointSuspectedError, WindowOverflowError)
 
 from conftest import transport_system
 
@@ -35,6 +35,34 @@ def test_split_jinxin_endstate(front_field):
 def test_split_center_spectrum_raises():
     with pytest.raises(CenterSpectrumError):
         dich.limit_spectral_split(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_bvp_and_dichotomy_share_ranks(front_field, front_dichotomy):
+    assert front_field.bvp().ranks == front_dichotomy.ranks == (1, 1)
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    field = res.constant_field(np.diag([-1.0, 2.0, -3.0]), geom)
+    data = dich.propagate_subspaces(field, fit_pairs=4)
+    assert field.bvp().ranks == data.ranks == (2, 1)
+
+
+def test_inconsistent_ranks_same_error_from_bvp_and_dichotomy():
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    field = res.constant_field(np.diag([-1.0, 2.0]), geom)
+    # dim U(-inf) = 1 but dim S(+inf) = 2
+    field.limits = (np.diag([-1.0, 2.0]), np.diag([-1.0, -2.0]))
+    with pytest.raises(CenterSpectrumError) as from_bvp:
+        field.bvp()
+    with pytest.raises(CenterSpectrumError) as from_dichotomy:
+        dich.propagate_subspaces(field, fit_pairs=4)
+    assert str(from_bvp.value) == str(from_dichotomy.value)
+    assert "inconsistent splitting" in str(from_bvp.value)
+
+
+def test_dichotomy_on_singular_set_names_it():
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    field = res.constant_field(np.array([[0.0, 1.0], [-1.0, 0.0]]), geom)
+    with pytest.raises(CenterSpectrumError, match="singular set"):
+        dich.propagate_subspaces(field, fit_pairs=4)
 
 
 # ----------------------------------------------------------- propagation ----
@@ -126,12 +154,22 @@ def window_step(front_field):
     return step
 
 
+def _window_edges(grid, iy, ix, max_width):
+    """Node indices splitting ``[grid[iy], grid[ix]]`` into short windows."""
+    lo, hi = (iy, ix) if iy <= ix else (ix, iy)
+    edges = [lo]
+    for i in range(lo + 1, hi + 1):
+        if grid[i] - grid[edges[-1]] >= max_width or i == hi:
+            edges.append(i)
+    return edges if iy <= ix else edges[::-1]
+
+
 def _windowed_reference(window_step, data, iy, ix, project=None):
-    """Chained propagator over whole integrated windows (no cache)."""
+    """Chained propagator over whole integrated windows of length about
+    ``2/theta`` (no cache), projected at the window ends only."""
     grid = data.grid
-    rate = max(data.constants.get("theta", 1.0), 1e-3)
-    max_width = max(2.0 / rate, (grid[-1] - grid[0]) / 64.0)
-    edges = dich._window_edges(grid, iy, ix, max_width)
+    max_width = max(2.0 / data.constants["theta"], (grid[-1] - grid[0]) / 64.0)
+    edges = _window_edges(grid, iy, ix, max_width)
     M = np.eye(data.frame.shape[1], dtype=complex)
     if project is not None:
         M = project[edges[0]].copy()
@@ -160,6 +198,44 @@ def test_cached_propagator_matches_windowed_integration(
                                              project=project)
     assert abs(lognorm - lognorm_ref) <= 1e-8
     assert np.max(np.abs(M - M_ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("iy, ix", [(30, 37), (37, 30)])
+@pytest.mark.parametrize("projected", [False, True])
+def test_short_chain_lognorm_is_log_of_plain_product(
+        front_field, front_dichotomy, iy, ix, projected):
+    data = front_dichotomy
+    Phi, Phi_inv = dich._interval_propagators(front_field)
+    project = None
+    if projected:
+        project = data.P_plus if iy < ix else data.P_minus
+    forward = iy < ix
+    ref = np.eye(front_field.n) if project is None else project[iy]
+    for i in (range(iy, ix) if forward else range(iy - 1, ix - 1, -1)):
+        # interval i joins node i to node i + 1
+        ref = (Phi[i] if forward else Phi_inv[i]) @ ref
+        if project is not None:
+            ref = project[i + 1 if forward else i] @ ref
+    M, lognorm = dich._chained_propagator(front_field, data, iy, ix,
+                                          project=project)
+    nrm = np.linalg.norm(ref, 2)
+    assert abs(lognorm - np.log(nrm)) <= 1e-12
+    assert np.max(np.abs(M - ref / nrm)) <= 1e-12
+
+
+def test_nonfinite_cached_step_raises_overflow():
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    field = res.constant_field(np.diag([-1.0, 2.0]), geom)
+    data = dich.propagate_subspaces(field, fit_pairs=4)
+    Phi, Phi_inv = dich._interval_propagators(field)
+    Phi = Phi.copy()
+    Phi[12, 0, 0] = np.nan
+    field._propagators = (Phi, Phi_inv)
+    with pytest.raises(WindowOverflowError, match=f"{geom.x[13]:.3g}"):
+        dich._chained_propagator(field, data, 5, 20)
+    dich._chained_propagator(field, data, 20, 5)     # backward steps intact
+    with pytest.raises(WindowOverflowError):
+        dich.verify_dichotomy(data, field, sample_pairs=50, seed=1)
 
 
 def test_propagator_cache_integrates_each_interval_once(jx, front):
@@ -206,7 +282,7 @@ def stiff_field():
 def test_magnus_steps_match_tight_integration(request, which, intervals, tol):
     field = request.getfixturevalue(which)
     grid = field.geom.x
-    Phi, Phi_inv = dich._interval_propagators(field, grid)
+    Phi, Phi_inv = dich._interval_propagators(field)
     eye = np.eye(field.n)
     for i in intervals:
         fwd = _dop853(field, grid[i], grid[i + 1], eye)

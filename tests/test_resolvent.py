@@ -130,12 +130,29 @@ def test_phase_equivariance(front_field, geom):
     assert np.max(np.abs(vth - np.exp(0.7j) * v)) < 1e-10
 
 
+def _reference_split(G_inf):
+    """Unsorted, unnormalized eigendata of a limit matrix: right bases and
+    the matching rows of ``V^{-1}``, split by the sign of ``Re mu``."""
+    mu, V = np.linalg.eig(G_inf)
+    W = np.linalg.inv(V)
+    stable = mu.real < 0
+    return V[:, stable], V[:, ~stable], W[stable], W[~stable]
+
+
+def _orth_complement(U):
+    """Rows spanning the orthogonal complement of the columns of ``U``."""
+    Q = np.linalg.qr(np.asarray(U, dtype=complex), mode="complete")[0]
+    return Q[:, U.shape[1]:].conj().T
+
+
 def _dense_operator(field):
     """Dense collocation matrix ``M`` and forcing injection ``P``.
 
     ``P`` is the identity except at the kept boundary rows, where it applies
     the left eigenvectors to the end-node forcing; the solution operator is
-    ``M^{-1} P`` and its adjoint ``P^H M^{-H}``.
+    ``M^{-1} P`` and its adjoint ``P^H M^{-H}``.  The rows that confine the
+    end values are built independently of the operator under test: the
+    orthogonal complement (QR) of the admissible eigenvectors.
     """
     geom = field.geom
     m, n = geom.n_nodes, field.n
@@ -143,17 +160,16 @@ def _dense_operator(field):
     for i in range(m):
         M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= field.G_nodes[i]
     P = np.eye(m * n, dtype=complex)
-    minus = res._spectral_split(field.limits[0])
-    plus = res._spectral_split(field.limits[1])
-    keep_minus, keep_plus = minus["left_unstable"], plus["left_stable"]
+    _, unstable_minus, _, keep_minus = _reference_split(field.limits[0])
+    stable_plus, _, keep_plus, _ = _reference_split(field.limits[1])
     k, j = keep_minus.shape[0], keep_plus.shape[0]
     r0, rN = slice(0, n), slice((m - 1) * n, m * n)
     top = np.zeros((n, m * n), dtype=complex)
-    top[:n - k, r0] = res._orth_complement(minus["right_unstable"])
+    top[:n - k, r0] = _orth_complement(unstable_minus)
     top[n - k:] = keep_minus @ M[r0]
     bot = np.zeros((n, m * n), dtype=complex)
     bot[:j] = keep_plus @ M[rN]
-    bot[j:, rN] = res._orth_complement(plus["right_stable"])
+    bot[j:, rN] = _orth_complement(stable_plus)
     Ptop = np.zeros((n, m * n), dtype=complex)
     Ptop[n - k:] = keep_minus @ P[r0]
     Pbot = np.zeros((n, m * n), dtype=complex)
