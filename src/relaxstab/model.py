@@ -343,7 +343,6 @@ def check_geometric_regularity(sys, w, sphere_path=None):
         gaps[idx] = gap
         projs[idx] = pnorm
 
-    from scipy.optimize import minimize_scalar
     coalescence = []
     npts = path.shape[0]
     for i in range(npts):
@@ -354,6 +353,7 @@ def check_geometric_regularity(sys, w, sphere_path=None):
         lo, hi = (i - 1) % npts, (i + 1) % npts
         if not (gaps[i] <= gaps[lo] and gaps[i] <= gaps[hi]):
             continue
+        from scipy.optimize import minimize_scalar
         u, v = path[lo], path[hi]
 
         def gap_at(t):

@@ -18,9 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, ModelError
 from .systems import jin_xin
@@ -38,6 +35,55 @@ PROFILE_SCHEMA_VERSION = 1
 # shooting starts this far (relative to the endstate jump) from w_minus
 # along its unstable direction
 SEED_OFFSET = 1e-10
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    overshoot = (~flip & (np.sign(m0) != np.sign(m1))
+                 & (np.abs(d) > 3.0 * np.abs(m0)))
+    d[flip] = 0.0
+    d[overshoot] = 3.0 * m0[overshoot]
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic (PCHIP) interpolant of the columns of ``y``.
+
+    The same numbers as scipy's ``PchipInterpolator`` (checked bit for bit
+    by the tests): Fritsch-Carlson slopes by weighted harmonic mean, the
+    limited one-sided end slopes, the cubic Hermite coefficients and the
+    polynomial evaluation order of ``PPoly``.  Extrapolates the end cubics.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)[:, None]
+        mk = np.diff(y, axis=0) / h
+        d = np.empty_like(y)
+        if y.shape[0] == 2:
+            d[:] = mk
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = ((np.sign(mk[1:]) != np.sign(mk[:-1]))
+                    | (mk[1:] == 0) | (mk[:-1] == 0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            d[0] = _pchip_end_slope(h[0], h[1], mk[0], mk[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], mk[-1], mk[-2])
+        t = (d[:-1] + d[1:] - 2 * mk) / h
+        self.x = x
+        self.c = (t / h, (mk - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, xs):
+        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1,
+                    0, self.x.size - 2)
+        s = (xs - self.x[i])[:, None]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        # PPoly's order; starting from 0.0 turns a -0.0 coefficient into +0.0
+        return (((0.0 + c3) + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
 
 
 @dataclass(eq=False)
@@ -62,10 +108,17 @@ class WaveProfile:
         self.derivs = np.atleast_2d(np.asarray(self.derivs, dtype=float))
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("profile grid must be strictly increasing")
+        if (self.grid.size < 2 or self.values.shape[0] != self.grid.size
+                or self.derivs.shape != self.values.shape):
+            raise ValueError("profile needs (m, n) values and derivatives "
+                             "on m >= 2 grid nodes")
+        if not (np.all(np.isfinite(self.values))
+                and np.all(np.isfinite(self.derivs))):
+            raise ValueError("profile values and derivatives must be finite")
         self.endstates = (np.asarray(self.endstates[0], dtype=float),
                           np.asarray(self.endstates[1], dtype=float))
-        self._val_interp = PchipInterpolator(self.grid, self.values)
-        self._der_interp = PchipInterpolator(self.grid, self.derivs)
+        self._val_interp = _Pchip(self.grid, self.values)
+        self._der_interp = _Pchip(self.grid, self.derivs)
 
     @property
     def n(self):
@@ -178,6 +231,11 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
     the anchor component crosses ``anchor_value`` (endstate midpoint by
     default) at ``x = 0`` and resamples on ``[-L, L]``.
     """
+    # the only integration in the package: scipy.integrate and
+    # scipy.optimize load here, not on import
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     w_minus = np.asarray(w_minus, dtype=float)
     w_plus = np.asarray(w_plus, dtype=float)
     for tag, w in (("w_minus", w_minus), ("w_plus", w_plus)):

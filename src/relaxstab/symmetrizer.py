@@ -26,12 +26,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; perfbench/tracing.py binds and wraps this name
-from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import eigh, solve_continuous_lyapunov
 
 from .errors import CertificateError, FrameConditioningError, StabilityError
 from .tables import write_matrix_field
+
+solve_ivp = None  # read by perfbench/tracing.py, which wraps this name
 
 __all__ = [
     "LyapunovForms",

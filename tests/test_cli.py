@@ -271,6 +271,88 @@ def test_traced_run_records_G_at_spans(tmp_path):
     assert not [n for n in sweep["names"] if n.startswith("dichotomy.")]
 
 
+# scipy packages that the certificate path does not need; the tests import
+# some of them, so the check runs in a fresh interpreter
+UNUSED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                "scipy.special")
+
+PIPELINES_RUN = """
+import json, sys
+cfg, out = sys.argv[1:]
+from relaxstab import cli, dichotomy, symmetrizer
+codes = [cli.main(["run", "--config", cfg, "--pipeline", pipeline,
+                   "--out", out + "/" + pipeline])
+         for pipeline in ("full", "resolvent-sweep")]
+print(json.dumps({
+    "codes": codes,
+    "loaded": sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                      if m.startswith("scipy.")}),
+    "tracer_names": [hasattr(dichotomy, "solve_ivp"),
+                     hasattr(symmetrizer, "solve_ivp")]}))
+"""
+
+
+def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    proc = _run_python(["-c", PIPELINES_RUN, str(cfg_path), str(tmp_path)],
+                       {}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert not set(UNUSED_SCIPY) & set(result["loaded"])
+    # perfbench/tracing.py binds and wraps these names
+    assert result["tracer_names"] == [True, True]
+
+
+LAZY_PATHS_RUN = """
+import json, sys
+import numpy as np
+from relaxstab import dichotomy, model, profile, systems
+before = [m for m in %r if m in sys.modules]
+
+jx = systems.jin_xin(2.0)
+p = profile.solve_profile_shooting(jx, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
+u = 1.0 / (1.0 + np.exp(p.grid / 7.5))
+shoot_err = float(np.max(np.abs(p.values - np.column_stack([u, 0.5 * u]))))
+
+reg = model.check_geometric_regularity(systems.jin_xin_2d(2.0),
+                                       [0.3, 0.045, 0.045])
+
+# A2(w) = [[0, 1], [u, 0]] degenerates where u = tanh(x - 1.2345) crosses 0
+sys2 = systems.SystemSpec(
+    n=2, d=2,
+    flux_jac=lambda w: np.stack([np.eye(2), [[0.0, 1.0], [w[0], 0.0]]]),
+    relax_jac=lambda w: np.zeros((2, 2)), equilibria=lambda w: True,
+    relax=lambda w: np.zeros(2), name="synthetic")
+grid = np.linspace(-10.0, 10.0, 201)
+th = np.tanh(grid - 1.2345)
+wave = profile.WaveProfile(
+    grid=grid, values=np.column_stack([th, 0 * th]),
+    derivs=np.column_stack([1 - th ** 2, 0 * th]), speed=0.0,
+    endstates=(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
+    decay_rate=2.0, tol_end=1e-8)
+rep = dichotomy.detect_turning_points(sys2, wave, ray=[1.0, 0.3],
+                                      x_grid=np.linspace(-8, 8, 161))
+print(json.dumps({"before": before, "shoot_err": shoot_err,
+                  "regular": bool(reg.passed),
+                  "turning": list(rep.locations)}))
+""" % (UNUSED_SCIPY,)
+
+
+def test_lazy_scipy_paths_run_in_a_fresh_interpreter(tmp_path):
+    # shooting, d >= 2 regularity and the turning-point scan import their
+    # scipy solvers locally; the suite's own imports would hide a missing one
+    proc = _run_python(["-c", LAZY_PATHS_RUN], {}, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["before"] == []
+    assert result["shoot_err"] <= 1e-8
+    assert result["regular"]
+    assert len(result["turning"]) == 1
+    assert abs(result["turning"][0] - 1.2345) < 0.1
+
+
 def test_bad_thread_count_is_usage_error(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(small_config()))

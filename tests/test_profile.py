@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from relaxstab import profile as prof
 from relaxstab import systems
@@ -104,6 +105,18 @@ def test_sample_rejects_nonfinite(front):
         logistic_u(1.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("grid, values", [
+    (np.array([0.0]), np.zeros((1, 2))),                  # one node
+    (np.arange(3.0), np.zeros((2, 2))),                   # rows != nodes
+    (np.arange(3.0), np.array([[0.0, 1.0], [0.0, np.nan], [0.0, 0.0]])),
+])
+def test_profile_rejects_bad_arrays(grid, values):
+    with pytest.raises(ValueError):
+        prof.WaveProfile(grid=grid, values=values, derivs=values, speed=0.0,
+                         endstates=(values[0], values[-1]), decay_rate=0.0,
+                         tol_end=1e-8)
+
+
 def test_interpolation_order():
     # halving the node spacing shrinks the mid-cell error by >= ~8x (cubic)
     errs = []
@@ -113,6 +126,66 @@ def test_interpolation_order():
         w, _ = p.sample_many(xs)
         errs.append(np.max(np.abs(w[:, 0] - logistic_u(xs))))
     assert errs[1] < errs[0] / 6.0
+
+
+def _assert_matches_scipy_pchip(x, y, xs):
+    # the package's PCHIP against scipy's, bit for bit: coefficients,
+    # values and the sign of every zero
+    ours, ref = prof._Pchip(x, y), PchipInterpolator(x, y)
+    assert np.array_equal(np.stack(ours.c), ref.c)
+    got, want = ours(xs), ref(xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_pchip_matches_scipy_on_the_front():
+    p = prof.solve_profile_jinxin(2.0, 1.0, 0.0, L=45.0, n_points=801)
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(-1.05 * p.length, 1.05 * p.length,
+                                     20000),
+                         p.grid, [-p.length, p.length]])
+    for y in (p.values, p.derivs):
+        _assert_matches_scipy_pchip(p.grid, y, xs)
+    # through the profile: sample_many is the interpolant inside [-L, L]
+    inside = xs[np.abs(xs) <= p.length]
+    w, wp = p.sample_many(inside)
+    assert np.array_equal(w, PchipInterpolator(p.grid, p.values)(inside))
+    assert np.array_equal(wp, PchipInterpolator(p.grid, p.derivs)(inside))
+
+
+def test_pchip_matches_scipy_on_rough_data():
+    # integer levels give flat runs, repeated values and slope sign changes
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 4, 7, 20):
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.1, 2.0, m)) - 3.0
+            y = (rng.integers(-2, 3, (m, 4))
+                 * rng.choice([1.0, 0.5, -0.0], (m, 4)))
+            xs = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 300),
+                                 x])
+            _assert_matches_scipy_pchip(x, y, xs)
+
+
+def test_pchip_end_slope_limiters_match_scipy():
+    # column 0: the three-point end slope has the wrong sign and is set to 0;
+    # column 1: the slope changes sign and the end slope is capped at 3*m0;
+    # the reversed data hit the same two limiters at the right end
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    y = np.array([[0.0, 0.0], [1.0, 1.0], [6.0, -4.0], [6.5, -4.5]])
+    p = prof._Pchip(x, y)
+    assert p.c[2][0, 0] == 0.0
+    assert p.c[2][0, 1] == 3.0
+    _assert_matches_scipy_pchip(x, y, np.linspace(-1.0, 4.0, 101))
+    _assert_matches_scipy_pchip(x, y[::-1], np.linspace(-1.0, 4.0, 101))
+
+
+def test_pchip_zero_node_value_keeps_scipys_sign():
+    # all four terms at the node x = 9 are -0.0; scipy's sum starts from
+    # +0.0, so the value there is +0.0
+    x = np.array([3.0, 5.0, 8.0, 9.0, 11.0])
+    y = np.array([[4.0], [4.0], [1.0], [-0.0], [-3.0]])
+    _assert_matches_scipy_pchip(x, y, x)
+    assert not np.signbit(prof._Pchip(x, y)(x)[3, 0])
 
 
 def test_translation_invariance(jx):
