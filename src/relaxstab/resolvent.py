@@ -18,17 +18,28 @@ Gains are measured in the frequency-weighted norm
 
 by randomized unit forcings plus a power-iteration refinement; every gain is
 a certified lower bound of the discrete operator norm and is reported as
-such.  The trial forcings of a frequency point are drawn and solved in one
-batch (``_trial_solutions``): a stack ``(T, m, n)`` goes through one
-multi-column LU solve of the factored collocation operator.  The frequency
-points of a sweep run on a thread pool, the program's only source of
-parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never changes an
-output, and BLAS defaults to one thread.  A user-set
+such.
+
+What a frequency point costs: the coefficients that do not depend on
+``lambda`` (``A_j``, ``E`` and ``(A_1 - s*I)^{-1}`` at the nodes and at
+``-inf, +inf``) are built once per grid and wave and memoized on the
+:class:`CollocationGrid`, so :func:`assemble_G` at a new point only forms
+``G``, a batched ``n x n`` product per node.  Most of a point's time is
+then the LU factorization of the ``mn x mn`` collocation matrix and the
+solves with it.  The trial forcings are drawn and solved in one batch
+(``_trial_solutions``), a stack ``(T, m, n)`` through one multi-column LU
+solve, and their hat, L2 and H^1 norms are taken in one pass over the
+stack; each power-iteration step adds two single-column solves.
+
+The frequency points of a sweep run on a thread pool, the program's only
+source of parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never
+changes an output, and BLAS defaults to one thread.  A user-set
 ``OPENBLAS_NUM_THREADS`` or numpy loaded before ``relaxstab`` keeps several
 BLAS threads, and then the last digit of a result can move (README.md).
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -113,33 +124,63 @@ class FrequencyPoint:
 
 
 class CollocationGrid:
-    """Chebyshev nodes with cached differentiation powers and quadrature."""
+    """Chebyshev nodes with quadrature and per-grid memoized matrices.
+
+    The differentiation powers, the hat-Gram stiffness terms and the wave
+    coefficients of :func:`assemble_G` are built once per grid, under a lock,
+    so the sweep's threads share one copy.
+    """
 
     def __init__(self, n_nodes, length):
         self.x, self.D, self.wq = cheb_grid(n_nodes, length)
         self.n_nodes = n_nodes
         self.length = float(length)
-        self._dpow = {1: self.D}
+        self._memo = {("dpow", 1): self.D}
+        self._lock = threading.RLock()
+
+    def _cached(self, key, build):
+        """``build()`` on the first call for ``key``; later calls, from any
+        thread, return that value.  A build that raises stores nothing."""
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = build()
+            return self._memo[key]
 
     def dpow(self, k):
-        if k not in self._dpow:
-            self._dpow[k] = self.D @ self.dpow(k - 1)
-        return self._dpow[k]
+        return self._cached(("dpow", k), lambda: self.D @ self.dpow(k - 1))
+
+    def stiffness(self, k):
+        """``D^k^T W D^k`` with ``W`` the quadrature weights."""
+        def build():
+            Dk = self.dpow(k)
+            return Dk.T @ np.diag(self.wq) @ Dk
+        return self._cached(("stiffness", k), build)
+
+    def _l2(self, V):
+        return np.sqrt(np.sum(self.wq[:, None] * np.abs(V) ** 2,
+                              axis=(-2, -1)))
 
     def l2_norm(self, v):
         v = np.atleast_2d(np.asarray(v))
         if v.shape[0] != self.n_nodes:
             v = v.T
-        return float(np.sqrt(np.sum(self.wq[:, None] * np.abs(v) ** 2)))
+        return float(self._l2(v))
 
-    def sobolev_norm(self, v, s):
-        v = np.atleast_2d(np.asarray(v))
-        if v.shape[0] != self.n_nodes:
-            v = v.T
-        total = self.l2_norm(v) ** 2
+    def sobolev_norms(self, V, s):
+        """``[L2, H^1, ..., H^s]`` norms of every field of a stack
+        ``(T, m, n)``, each an array ``(T,)``, in one pass.
+
+        The squares are taken on Python floats, so they round as libm
+        ``pow`` does (not always as ``x*x``): the rounding every reported
+        gain has been computed with.
+        """
+        l2 = self._l2(V)
+        norms, total = [l2], [a ** 2 for a in l2.tolist()]
         for k in range(1, s + 1):
-            total += self.l2_norm(self.dpow(k) @ v) ** 2
-        return float(np.sqrt(total))
+            dk = self._l2(np.matmul(self.dpow(k), V)).tolist()
+            total = [t + a ** 2 for t, a in zip(total, dk)]
+            norms.append(np.sqrt(total))
+        return norms
 
 
 @dataclass(frozen=True)
@@ -155,9 +196,15 @@ class HatNorm:
         if not isinstance(self.s, (int, np.integer)) or self.s < 0:
             raise ValueError("hat norms are defined for integer s >= 0")
 
+    def norms(self, V, geom, freq_mag):
+        """Hat, L2 and H^1 norms of every field of a stack ``(T, m, n)``."""
+        sob = geom.sobolev_norms(V, max(self.s, 1))
+        hat = sob[self.s] + (1.0 + freq_mag) ** self.s * sob[0]
+        return hat, sob[0], sob[1]
+
     def value(self, v, geom, freq_mag):
-        return (geom.sobolev_norm(v, self.s)
-                + (1.0 + freq_mag) ** self.s * geom.l2_norm(v))
+        """Hat norm of one field ``(m, n)``."""
+        return float(self.norms(np.asarray(v)[None], geom, freq_mag)[0][0])
 
 
 def bump_perturbation(direction, amplitude, center=0.0, width=4.0):
@@ -242,8 +289,8 @@ class ResolventOperatorField:
         """
         xs = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
                      -self.geom.length, self.geom.length)
-        G = _eval_G(self.sys, self.profile, self.fp, xs, self.perturbation,
-                    self.deriv_order)[0]
+        G = _G_product(self.fp, _coefficients_at(
+            self.sys, self.profile, xs, self.perturbation, self.deriv_order))
         return G if np.ndim(x) else G[0]
 
     def limit_splits(self):
@@ -267,17 +314,26 @@ class ResolventOperatorField:
         return self._bvp
 
 
-def _G_from_states(sys, speed, fp, xs, wbar, wbar_p, v=0.0, dA1=None):
-    """``G`` and the co-moving ``A_1^{-1}`` at a stack of states.
+@dataclass(frozen=True)
+class _Coefficients:
+    """The lambda-independent coefficients at a stack of points."""
+
+    A1inv: np.ndarray     # (m, n, n) co-moving (A_1 - s*I)^{-1}
+    E: np.ndarray         # (m, n, n) zero-order coefficient
+    A_t: np.ndarray       # (m, d-1, n, n) transverse A_2 .. A_d
+
+
+def _coefficients_from_states(sys, speed, xs, wbar, wbar_p, v=0.0, dA1=None):
+    """:class:`_Coefficients` at a stack of states.
 
     ``wbar``/``wbar_p`` (``(m, n)``) give the zero-order coefficient ``E``,
     the convection coefficients are taken at ``wbar + v``; ``dA1`` is an
     optional ``(m, n, n)`` correction added to ``E``.  ``xs`` only labels
-    the nodes in the error raised when ``A_1 - s*I`` is singular.
+    the nodes in the :class:`ModelError` raised when ``A_1 - s*I`` is
+    singular.
     """
-    eye = np.eye(sys.n)
     A = sys.flux_jacs(wbar + v)
-    A1 = A[:, 0] - speed * eye
+    A1 = A[:, 0] - speed * np.eye(sys.n)
     smin = np.linalg.svd(A1, compute_uv=False)[:, -1]
     singular = np.flatnonzero(smin < 1e-12)
     if singular.size:
@@ -286,15 +342,11 @@ def _G_from_states(sys, speed, fp, xs, wbar, wbar_p, v=0.0, dA1=None):
     E = zero_order_matrix(sys, wbar, wbar_p)
     if dA1 is not None:
         E = E + dA1
-    core = fp.lam * eye.astype(complex) + E
-    for j, etaj in enumerate(fp.eta):
-        core = core + 1j * etaj * A[:, j + 1]
-    A1inv = np.linalg.inv(A1)
-    return -A1inv @ core, A1inv
+    return _Coefficients(A1inv=np.linalg.inv(A1), E=E, A_t=A[:, 1:])
 
 
-def _eval_G(sys, profile, fp, xs, perturbation, deriv_order):
-    """Evaluate ``G`` and the co-moving ``A_1^{-1}`` at the points ``xs``."""
+def _coefficients_at(sys, profile, xs, perturbation, deriv_order):
+    """:class:`_Coefficients` of the wave at the points ``xs``."""
     xs = np.asarray(xs, dtype=float)
     wbar, wbar_p = profile.sample_many(xs)
     v = perturbation(xs) if perturbation is not None else 0.0
@@ -305,7 +357,40 @@ def _eval_G(sys, profile, fp, xs, perturbation, deriv_order):
         wm_ = profile.sample_many(np.maximum(xs - h, -profile.length))[0]
         dA1 = deriv_order * ((sys.flux_jacs(wp_)[:, 0]
                               - sys.flux_jacs(wm_)[:, 0]) / (2 * h))
-    return _G_from_states(sys, profile.speed, fp, xs, wbar, wbar_p, v, dA1)
+    return _coefficients_from_states(sys, profile.speed, xs, wbar, wbar_p, v,
+                                     dA1)
+
+
+def _G_product(fp, c):
+    """``G = -(A_1 - s*I)^{-1} (lambda*I + E + sum_j i eta_j A_{j+1})`` from
+    :class:`_Coefficients`: the only per-frequency work of an assembly."""
+    core = fp.lam * np.eye(c.E.shape[-1]).astype(complex) + c.E
+    for j, etaj in enumerate(fp.eta):
+        core = core + 1j * etaj * c.A_t[:, j]
+    return -c.A1inv @ core
+
+
+def _wave_coefficients(sys, profile, geom, v, deriv_order):
+    """:class:`_Coefficients` at the nodes of ``geom`` and at ``-inf, +inf``.
+
+    Memoized on ``geom`` by the identity of ``sys``, ``profile`` and ``v``
+    (the entry keeps them alive, so an identity is never reused) and by
+    ``deriv_order``; the arrays are read-only because every field of the
+    grid shares them.
+    """
+    def build():
+        nodes = _coefficients_at(sys, profile, geom.x, v, deriv_order)
+        ends = np.array(profile.endstates)
+        limits = _coefficients_from_states(sys, profile.speed,
+                                           [-np.inf, np.inf], ends,
+                                           np.zeros_like(ends))
+        for c in (nodes, limits):
+            for arr in (c.A1inv, c.E, c.A_t):
+                arr.flags.writeable = False
+        return (sys, profile, v), nodes, limits
+
+    key = ("wave", id(sys), id(profile), id(v), deriv_order)
+    return geom._cached(key, build)[1:]
 
 
 def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
@@ -315,17 +400,17 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
     ``v`` is an optional frozen perturbation callable ``x -> (n,)``;
     ``deriv_order > 0`` adds the differentiated-system correction
     ``deriv_order * d/dx A_1`` to the zero-order coefficient (realized by
-    finite differencing, not symbolic re-derivation).
+    finite differencing, not symbolic re-derivation).  The
+    lambda-independent coefficients come from the grid's memo
+    (:func:`_wave_coefficients`), so a point pays only for ``G`` itself.
     """
     if fp.eta.size != sys.d - 1:
         raise ValueError(f"eta must have length d-1 = {sys.d - 1}")
-    G, A1inv = _eval_G(sys, profile, fp, geom.x, v, deriv_order)
-    ends = np.array(profile.endstates)
-    G_inf = _G_from_states(sys, profile.speed, fp, [-np.inf, np.inf], ends,
-                           np.zeros_like(ends))[0]
+    nodes, limits = _wave_coefficients(sys, profile, geom, v, deriv_order)
     return ResolventOperatorField(sys=sys, profile=profile, fp=fp, geom=geom,
-                                  G_nodes=G, A1inv_nodes=A1inv,
-                                  limits=tuple(G_inf),
+                                  G_nodes=_G_product(fp, nodes),
+                                  A1inv_nodes=nodes.A1inv,
+                                  limits=tuple(_G_product(fp, limits)),
                                   perturbation=v, deriv_order=deriv_order)
 
 
@@ -346,9 +431,13 @@ class _BvpOperator:
         m, n = geom.n_nodes, field.n
         self.G_nodes, self.A1inv_nodes = field.G_nodes, field.A1inv_nodes
         self.m, self.n = m, n
-        M = np.kron(geom.D, np.eye(n)).astype(complex)
-        for i in range(m):
-            M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= field.G_nodes[i]
+        # M[(i, a), (j, b)] = D[i, j] delta_ab - delta_ij G_i[a, b]
+        M = np.zeros((m, n, m, n), dtype=complex)
+        for a in range(n):
+            M[:, a, :, a] = geom.D
+        nodes = np.arange(m)
+        M[nodes, :, nodes, :] -= field.G_nodes
+        M = M.reshape(m * n, m * n)
 
         minus, plus = field.limit_splits()
         self.keep_minus = minus.left_unstable                    # (k, n)
@@ -388,14 +477,18 @@ class _BvpOperator:
         b[:, [0, -1]] = 0.0
         b[:, 0, self.n - k:] = rhs[:, 0] @ self.keep_minus.T
         b[:, -1, :j] = rhs[:, -1] @ self.keep_plus.T
-        v = lu_solve(self.lu, b.reshape(len(b), -1).T).T.reshape(rhs.shape)
+        # the LU was checked when factored and every solution is checked by
+        # the residual cap, so no finiteness scan of the right-hand side
+        v = lu_solve(self.lu, b.reshape(len(b), -1).T,
+                     check_finite=False).T.reshape(rhs.shape)
         self._check_residual(v, rhs)
         return v if f.ndim == 3 else v[0]
 
     def solve_adjoint(self, y_nodes):
         """Apply the conjugate-transposed solution operator (no A1inv)."""
         y = np.asarray(y_nodes, dtype=complex).reshape(-1)
-        u = lu_solve(self.lu, y, trans=2).reshape(self.m, self.n)
+        u = lu_solve(self.lu, y, trans=2,
+                     check_finite=False).reshape(self.m, self.n)
         j, k = self.ranks
         u[0] = self.keep_minus.conj().T @ u[0, self.n - k:]
         u[-1] = self.keep_plus.conj().T @ u[-1, :j]
@@ -410,7 +503,7 @@ class _BvpOperator:
         scale = np.maximum(1.0, np.sqrt(np.sum(
             geom.wq[:, None] * np.abs(rhs) ** 2, axis=(1, 2))))
         for r, sc in zip(rnorm, scale):
-            if r > RESIDUAL_CAP * sc:
+            if not r <= RESIDUAL_CAP * sc:     # a NaN residual fails too
                 raise NumericError(
                     f"collocation residual {r:.3e} exceeds cap "
                     f"{RESIDUAL_CAP:.0e} (relative to forcing scale {sc:.3g})")
@@ -453,13 +546,25 @@ def _trial_solutions(field, trials, seed, apply_a1inv=True):
     return F, field.bvp().solve(F, apply_a1inv)
 
 
+def _trial_norms(field, s, trials, seed):
+    """Hat, L2 and H^1 norms of the solutions and of the forcings of
+    :func:`_trial_solutions`: two tuples of arrays ``(trials,)``."""
+    F, V = _trial_solutions(field, trials, seed)
+    hat, rho = HatNorm(s), field.fp.magnitude
+    return hat.norms(V, field.geom, rho), hat.norms(F, field.geom, rho)
+
+
+def _worst(ratios):
+    """Largest of ``ratios`` and 0, taken in order as ``max`` would."""
+    return max([0.0] + ratios.tolist())
+
+
 def _hat_gram(geom, s, freq_mag):
     """SPD matrix of the Hilbertian surrogate of the hat norm (per component)."""
     W = np.diag(geom.wq)
     Gm = W * (1.0 + freq_mag) ** (2 * s) + W
     for k in range(1, s + 1):
-        Dk = geom.dpow(k)
-        Gm = Gm + Dk.T @ W @ Dk
+        Gm = Gm + geom.stiffness(k)
     return 0.5 * (Gm + Gm.T)
 
 
@@ -475,27 +580,29 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
     hat = HatNorm(s)
     rho = field.fp.magnitude
     op = field.bvp()
+    F, V = _trial_solutions(field, trials, seed)
+    ratios = hat.norms(V, geom, rho)[0] / hat.norms(F, geom, rho)[0]
     best = 0.0
     best_f = None
-    for f, v in zip(*_trial_solutions(field, trials, seed)):
-        ratio = hat.value(v, geom, rho) / hat.value(f, geom, rho)
+    for f, ratio in zip(F, ratios.tolist()):
         if ratio > best:
             best, best_f = ratio, f
 
     if power_iters > 0 and best_f is not None:
         Gm = _hat_gram(geom, s, rho)
-        cf = cho_factor(Gm)
+        cf = cho_factor(Gm, check_finite=False)
         # interior envelope: keeps the iteration inside the class of
         # localized resolved forcings (boundary-node spikes are artifacts of
         # the clustered grid, not modes of the whole-line operator)
         envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
+        A1inv_h = field.A1inv_nodes.conj()
         f = best_f
         for _ in range(power_iters):
             v = op.solve(f)
             y = Gm @ v
             u = op.solve_adjoint(y)
-            u = np.einsum("ijk,ij->ik", field.A1inv_nodes.conj(), u)
-            f = envelope * cho_solve(cf, u)
+            u = np.einsum("ijk,ij->ik", A1inv_h, u)
+            f = envelope * cho_solve(cf, u, check_finite=False)
             nrm = geom.l2_norm(f)
             if nrm == 0:
                 break
@@ -511,12 +618,9 @@ def verify_hfres(field, s, C, gamma_star, trials=16, seed=0):
     """Worst ratio of |v|_hat (Re lambda - gamma*) / (C |f|_hat)."""
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
-    geom, hat, rho = field.geom, HatNorm(s), field.fp.magnitude
-    worst = 0.0
-    for f, v in zip(*_trial_solutions(field, trials, seed)):
-        lhs = hat.value(v, geom, rho) * (field.fp.lam.real - gamma_star)
-        worst = max(worst, lhs / (C * hat.value(f, geom, rho)))
-    return worst
+    (hv, _, _), (hf, _, _) = _trial_norms(field, s, trials, seed)
+    lhs = hv * (field.fp.lam.real - gamma_star)
+    return _worst(lhs / (C * hf))
 
 
 def verify_pdamp(field, s, C, gamma_star, trials=16, seed=0):
@@ -527,13 +631,9 @@ def verify_pdamp(field, s, C, gamma_star, trials=16, seed=0):
     """
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
-    geom, hat, rho = field.geom, HatNorm(s), field.fp.magnitude
-    worst = 0.0
-    for f, v in zip(*_trial_solutions(field, trials, seed)):
-        lhs = hat.value(v, geom, rho) * (field.fp.lam.real - gamma_star)
-        rhs = C * (hat.value(f, geom, rho) + geom.l2_norm(v))
-        worst = max(worst, lhs / rhs)
-    return worst
+    (hv, l2v, _), (hf, _, _) = _trial_norms(field, s, trials, seed)
+    lhs = hv * (field.fp.lam.real - gamma_star)
+    return _worst(lhs / (C * (hf + l2v)))
 
 
 @dataclass
@@ -567,24 +667,18 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     """Gains of one grid point; with ``probe_seed``, also the hat/L2 ratio
     of the solution for one more forcing drawn from that seed (else 0.0)."""
     field = field_family(fp)
-    geom, hat, rho = field.geom, HatNorm(s), fp.magnitude
-    g_hf = g_pd = absorb = 0.0
-    for f, v in zip(*_trial_solutions(field, trials, seed)):
-        hv, hf = hat.value(v, geom, rho), hat.value(f, geom, rho)
-        l2v, l2f = geom.l2_norm(v), geom.l2_norm(f)
-        h1v = geom.sobolev_norm(v, 1)
-        g_hf = max(g_hf, hv / hf)
-        g_pd = max(g_pd, hv / (hf + l2v))
-        absorb = max(absorb, l2v / (h1v + l2f))
+    (hv, l2v, h1v), (hf, l2f, _) = _trial_norms(field, s, trials, seed)
+    g_hf = _worst(hv / hf)
+    g_pd = _worst(hv / (hf + l2v))
+    absorb = _worst(l2v / (h1v + l2f))
     gain = estimate_resolvent_gain(field, s, trials=max(4, trials // 4),
                                    seed=seed + 1)
     g_hf = max(g_hf, gain)
     ratio = 0.0
     if probe_seed is not None:
-        (v,) = _trial_solutions(field, 1, probe_seed)[1]
-        l2 = geom.l2_norm(v)
-        if l2 > 0:
-            ratio = hat.value(v, geom, rho) / l2
+        hv, l2, _ = _trial_norms(field, s, 1, probe_seed)[0]
+        if l2[0] > 0:
+            ratio = float(hv[0] / l2[0])
     return (g_hf, g_pd, absorb), ratio
 
 
@@ -596,7 +690,8 @@ def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
     When ``C`` is None it is fitted as 1.25x the worst calibration gain over
     every other grid point; pass flags are then deterministic functions of
     the per-point gains and the constants.  Singular-set points are excluded
-    and reported in ``flagged``.
+    and reported in ``flagged``; when every point is on the singular set,
+    :class:`CenterSpectrumError` is raised.
     """
     return _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
                       threads, bounded_cut=-np.inf)[0]
@@ -632,6 +727,9 @@ def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed, threads,
             bounded_ratio = max(bounded_ratio, ratio)
 
     ok = ~np.isnan(g_hf)
+    if not np.any(ok):
+        raise CenterSpectrumError(
+            f"no grid point of {nP} is off the singular set")
     weights = np.array([grid[i].lam.real - gamma_star for i in range(nP)])
     if np.any(weights[ok] <= 0):
         raise ValueError("grid contains Re lambda <= gamma_star")

@@ -292,15 +292,14 @@ def energy_estimate_check(S, field, trials, theta, C0, seed=0):
     from .resolvent import _trial_solutions
     if theta <= 0:
         raise CertificateError("energy check requires a positive theta")
-    geom = field.geom
-    worst = 0.0
-    for f, u in zip(*_trial_solutions(field, trials, seed,
-                                      apply_a1inv=False)):
+    F, U = _trial_solutions(field, trials, seed, apply_a1inv=False)
+    for u in U:
         edge = max(np.max(np.abs(u[0])), np.max(np.abs(u[-1])))
         if edge > DECAY_TOL * max(np.max(np.abs(u)), 1e-300):
             warnings.warn("solution does not decay at the truncated ends; "
                           "enlarge the domain", stacklevel=2)
-        ratio = (theta ** 2 * geom.l2_norm(u) ** 2) / (
-            C0 ** 2 * geom.l2_norm(f) ** 2)
-        worst = max(worst, ratio)
+    l2u, l2f = (field.geom.sobolev_norms(X, 0)[0].tolist() for X in (U, F))
+    worst = 0.0
+    for a, b in zip(l2u, l2f):
+        worst = max(worst, (theta ** 2 * a ** 2) / (C0 ** 2 * b ** 2))
     return worst

@@ -188,6 +188,22 @@ def test_singular_set_point_refutes_sweep(tmp_path):
     assert sweep["flagged"] == [] and sweep["passed"] is True
 
 
+def test_sweep_with_every_point_flagged_exits_3(tmp_path, monkeypatch,
+                                                capsys):
+    # lambda = 0 is on the singular set: with nothing else on the grid the
+    # sweep has no point to fit its constants on
+    monkeypatch.setattr(
+        cli._Runner, "_frequency_grid",
+        lambda self: [res.FrequencyPoint(np.zeros(0), 0.0)] * 3)
+    data = small_config()
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="resolvent-sweep",
+                   out_dir=str(tmp_path / "o")) == 3
+    assert "no grid point of 3 is off the singular set" in \
+        capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # lambda = 0 sits on the essential-spectrum boundary: center spectrum
     data = small_config()

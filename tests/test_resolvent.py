@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import numpy.fft as fft
 import pytest
@@ -5,7 +8,7 @@ import pytest
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
-from relaxstab.errors import CenterSpectrumError
+from relaxstab.errors import CenterSpectrumError, NumericError
 
 from conftest import transport_system
 
@@ -41,11 +44,19 @@ def _fourier_oracle(G0, A1inv, lam_unused, geom, f_profile, direction):
 
 def test_hat_norm_at_zero_frequency(geom):
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((geom.n_nodes, 2))
+    V = rng.standard_normal((3, geom.n_nodes, 2))
     for s in (0, 1, 2):
         hat = res.HatNorm(s)
-        expect = geom.sobolev_norm(v, s) + geom.l2_norm(v)
-        assert hat.value(v, geom, 0.0) == pytest.approx(expect, rel=1e-14)
+        for v in V:
+            sq = [np.sum(geom.wq[:, None]
+                         * (np.linalg.matrix_power(geom.D, k) @ v) ** 2)
+                  for k in range(s + 1)]
+            expect = np.sqrt(sum(sq)) + np.sqrt(sq[0])
+            assert hat.value(v, geom, 0.0) == pytest.approx(expect, rel=1e-14)
+        # one pass over the stack gives each field's norms bit for bit
+        hv, l2, _ = hat.norms(V, geom, 0.0)
+        assert np.array_equal(hv, [hat.value(v, geom, 0.0) for v in V])
+        assert np.array_equal(l2, [geom.l2_norm(v) for v in V])
 
 
 def test_frequency_point_validation():
@@ -246,6 +257,14 @@ def test_center_spectrum_flagged():
         res.solve_resolvent_bvp(field, np.zeros((33, 2)))
 
 
+def test_nonfinite_forcing_is_numeric_error(front_field):
+    # one NaN entry poisons the solution; the residual cap must catch it
+    f = np.zeros((front_field.geom.n_nodes, 2))
+    f[80, 1] = np.nan
+    with pytest.raises(NumericError, match="residual"):
+        res.solve_resolvent_bvp(front_field, f)
+
+
 # ------------------------------------------------------------------ gains ----
 
 def test_gain_matches_symbol_oracle(jx, eq_field):
@@ -376,7 +395,7 @@ def test_weighted_conjugation_same_verdicts(jx, front, geom):
 
 # ----------------------------------------------- frozen perturbation family ----
 
-def test_frozen_perturbation_family(jx, front, geom):
+def test_frozen_perturbation_family(jx, front, geom, sv_front):
     # linear flux: the frozen-v family collapses onto the linearized field
     fp = res.FrequencyPoint(np.zeros(0), 2.0 + 0j)
     base = res.assemble_G(jx, front, fp, geom=geom)
@@ -385,10 +404,7 @@ def test_frozen_perturbation_family(jx, front, geom):
     assert np.array_equal(fld.G_nodes, base.G_nodes)
 
     # nonlinear flux: first-order response that shrinks with the amplitude
-    sv = systems.saint_venant(1.5)
-    p = prof.solve_profile_shooting(
-        sv, np.array([1.2, 1.2 ** 1.5]), np.array([1.0, 1.0]),
-        s_for_sv(sv), L=30.0, n_points=801)
+    sv, p = sv_front
     geom_sv = res.CollocationGrid(n_nodes=65, length=25.0)
     fp2 = res.FrequencyPoint(np.zeros(0), 3.0 + 0j)
     base_sv = res.assemble_G(sv, p, fp2, geom=geom_sv)
@@ -401,7 +417,7 @@ def test_frozen_perturbation_family(jx, front, geom):
     assert diffs[1] < 0.6 * diffs[0]
 
 
-def test_differentiated_system_coefficient(jx, front, geom):
+def test_differentiated_system_coefficient(jx, front, geom, sv_front):
     # linear flux: the s-differentiated family coincides with the base one
     fp = res.FrequencyPoint(np.zeros(0), 2.0 + 0j)
     base = res.assemble_G(jx, front, fp, geom=geom)
@@ -409,10 +425,7 @@ def test_differentiated_system_coefficient(jx, front, geom):
     assert np.allclose(diff1.G_nodes, base.G_nodes, atol=1e-12)
 
     # genuinely nonlinear flux: the correction tracks dA1/dx
-    sv = systems.saint_venant(1.5)
-    p = prof.solve_profile_shooting(
-        sv, np.array([1.2, 1.2 ** 1.5]), np.array([1.0, 1.0]),
-        s_for_sv(sv), L=30.0, n_points=801)
+    sv, p = sv_front
     geom_sv = res.CollocationGrid(n_nodes=65, length=25.0)
     fp2 = res.FrequencyPoint(np.zeros(0), 3.0 + 0j)
     b = res.assemble_G(sv, p, fp2, geom=geom_sv)
@@ -428,11 +441,79 @@ def test_differentiated_system_coefficient(jx, front, geom):
     assert np.allclose(d1.G_nodes[mid] - b.G_nodes[mid], expect, atol=1e-4)
 
 
-def s_for_sv(sv):
-    # jump-condition speed for the hydraulic front between the two equilibria
+@pytest.fixture(scope="module")
+def sv_front():
+    # Saint-Venant hydraulic front between two equilibria: a nonlinear flux
+    sv = systems.saint_venant(1.5)
     h1, h2 = 1.2, 1.0
-    q1, q2 = h1 ** 1.5, h2 ** 1.5
-    return (q1 - q2) / (h1 - h2)
+    speed = (h1 ** 1.5 - h2 ** 1.5) / (h1 - h2)     # jump condition
+    p = prof.solve_profile_shooting(sv, np.array([h1, h1 ** 1.5]),
+                                    np.array([h2, h2 ** 1.5]), speed,
+                                    L=30.0, n_points=801)
+    return sv, p
+
+
+# ------------------------------------------------- wave coefficient memo ----
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_evaluates_the_wave_once(jx, front, monkeypatch, threads):
+    # the lambda-independent coefficients are built once per grid, however
+    # many points the sweep has and however many threads ask at once
+    monkeypatch.setenv("RELAXSTAB_THREADS", threads)
+    flux_jacs = type(jx).flux_jacs
+    calls = []
+
+    def counted(self, w):
+        calls.append(threading.get_ident())
+        time.sleep(0.01)        # widen the window in which threads could race
+        return flux_jacs(self, w)
+
+    monkeypatch.setattr(type(jx), "flux_jacs", counted)
+    counts = []
+    for n_points in (2, 5):
+        geom = res.CollocationGrid(n_nodes=33, length=20.0)
+        grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+                for tau in np.linspace(0.0, 4.0, n_points)]
+        calls.clear()
+        res.run_sweep(lambda fp: res.assemble_G(jx, front, fp, geom=geom),
+                      grid, s=1, gamma_star=-0.25, trials=2, seed=0)
+        counts.append(len(calls))
+    # nodes: the states and the two flux-Hessian differences; limits: states
+    assert counts == [4, 4]
+
+
+def test_memo_on_a_shared_grid_matches_fresh_grids(jx, front, sv_front):
+    sv, p_sv = sv_front
+    other = prof.solve_profile_jinxin(2.0, 1.0, 0.2)
+    v = res.bump_perturbation(np.array([1.0, 0.0]), 0.05, width=5.0)
+    fp = res.FrequencyPoint(np.zeros(0), 1.0 + 2.0j)
+    shared = res.CollocationGrid(n_nodes=65, length=25.0)
+    for sys, p, pert, order in [(jx, front, None, 0), (jx, other, None, 0),
+                                (sv, p_sv, None, 0), (sv, p_sv, v, 0),
+                                (sv, p_sv, None, 2)]:
+        got = res.assemble_G(sys, p, fp, geom=shared, v=pert,
+                             deriv_order=order)
+        ref = res.assemble_G(sys, p, fp,
+                             geom=res.CollocationGrid(n_nodes=65, length=25.0),
+                             v=pert, deriv_order=order)
+        assert np.array_equal(got.G_nodes, ref.G_nodes)
+        assert np.array_equal(got.A1inv_nodes, ref.A1inv_nodes)
+        for a, b in zip(got.limits, ref.limits):
+            assert np.array_equal(a, b)
+
+
+def test_wave_coefficients_are_read_only(jx, front):
+    geom = res.CollocationGrid(n_nodes=33, length=20.0)
+    field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 1.0),
+                           geom=geom)
+    nodes, limits = res._wave_coefficients(jx, front, geom, None, 0)
+    assert field.A1inv_nodes is nodes.A1inv
+    for c in (nodes, limits):
+        for arr in (c.A1inv, c.E, c.A_t):
+            assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        field.A1inv_nodes[0] = 0.0
+    assert field.G_nodes.flags.writeable     # G is the field's own
 
 
 def test_sweep_flags_singular_points_and_both_fail():
@@ -455,6 +536,18 @@ def test_sweep_flags_singular_points_and_both_fail():
     assert len(sweep.flagged) == 1 and sweep.flagged[0][0] == 0
     assert not sweep.hfres_pass[0] and not sweep.pdamp_pass[0]
     assert sweep.hfres_pass[1] and sweep.pdamp_pass[1]
+
+
+def test_sweep_with_every_point_flagged_raises():
+    def family(fp):
+        raise CenterSpectrumError("frequency on the singular set")
+
+    grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+            for tau in (0.0, 1.0, 2.0)]
+    for C in (None, 1.0):
+        with pytest.raises(CenterSpectrumError, match="no grid point"):
+            res.run_sweep(family, grid, s=1, gamma_star=-0.25, C=C,
+                          trials=2, seed=0)
 
 
 def test_transverse_frequency_path_against_fourier_oracle():
