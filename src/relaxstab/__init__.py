@@ -24,8 +24,7 @@ from .profile import (WaveProfile, load_profile, save_profile,
                       solve_profile_jinxin, solve_profile_shooting)
 from .resolvent import (CollocationGrid, FrequencyPoint, HatNorm,
                         ResolventOperatorField, SweepResult, assemble_G,
-                        bump_perturbation, conjugate_field,
-                        estimate_resolvent_gain, run_sweep,
+                        bump_perturbation, estimate_resolvent_gain, run_sweep,
                         solve_resolvent_bvp, verify_equivalence, verify_hfres,
                         verify_pdamp)
 from .symmetrizer import (Certificate, LyapunovForms, SymmetrizerField,

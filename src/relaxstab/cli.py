@@ -125,8 +125,6 @@ def _jsonable(obj):
         if np.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
-    if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj

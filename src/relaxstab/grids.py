@@ -1,16 +1,13 @@
 """Grid and differentiation utilities shared by the frequency-domain modules.
 
 Chebyshev collocation (nodes, differentiation matrix, Clenshaw-Curtis
-quadrature weights) on ``[-L, L]`` with nodes returned in ascending order,
-plus the uniform-grid finite-difference matrix used by the time-domain
-module.
+quadrature weights) on ``[-L, L]`` with nodes returned in ascending order.
 """
 
 import numpy as np
 
 __all__ = [
     "cheb_grid",
-    "fd_matrix",
 ]
 
 
@@ -53,22 +50,4 @@ def cheb_grid(n_nodes, length):
     D = D[::-1, ::-1] / length
     w = w[::-1] * length
     return x, np.ascontiguousarray(D), w
-
-
-def fd_matrix(n_nodes, dx, periodic=False):
-    """Second-order first-derivative matrix on a uniform grid.
-
-    Centered in the interior; one-sided 3-point closures at the ends unless
-    ``periodic`` is set, in which case the stencil wraps.
-    """
-    D = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        D[i, (i + 1) % n_nodes] += 0.5
-        D[i, (i - 1) % n_nodes] -= 0.5
-    if not periodic:
-        D[0, :] = 0.0
-        D[0, 0], D[0, 1], D[0, 2] = -1.5, 2.0, -0.5
-        D[-1, :] = 0.0
-        D[-1, -1], D[-1, -2], D[-1, -3] = 1.5, -2.0, 0.5
-    return D / dx
 

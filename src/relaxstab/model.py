@@ -77,9 +77,10 @@ class SystemSpec:
     ``equilibria(w)`` decides ``r(w) = 0``;
     ``relax(w)`` returns ``r(w)`` itself (needed by profile solvers).
 
-    :meth:`flux_jacs` and :meth:`relax_jacobian` accept one state or a stack
-    of states ``(..., n)``, call the evaluator once per state and validate the
-    stacked result; they are the only place the evaluators are looped over.
+    :meth:`flux_jacs`, :meth:`relax_jacobian` and :meth:`relaxation` accept
+    one state or a stack of states ``(..., n)``, call the evaluator once per
+    state and validate the stacked result; they are the only place the
+    evaluators are looped over.
     """
 
     n: int
@@ -122,6 +123,13 @@ class SystemSpec:
         if not np.all(np.isfinite(B)):
             raise EvaluationError("relax_jac returned non-finite entries")
         return B
+
+    def relaxation(self, w):
+        """Validated source ``r(w)`` ``(..., n)`` at ``w`` ``(..., n)``."""
+        r = self._per_state(self.relax, w, (self.n,), "relax")
+        if not np.all(np.isfinite(r)):
+            raise EvaluationError("relax returned non-finite entries")
+        return r
 
 
 @dataclass(frozen=True)
@@ -250,14 +258,12 @@ def check_hyperbolicity(sys, w, eta_samples):
 def sphere_loop(d, n_points=181):
     """Default direction path for the regularity check.
 
-    For ``d == 1`` the unit sphere is two points.  For ``d == 2`` a half
-    circle of directions suffices since ``T(w, -eta) = -T(w, eta)``.
+    For ``d == 1`` the unit sphere is two points.  Otherwise the path is a
+    half circle in the first two directions, which for ``d == 2`` suffices
+    since ``T(w, -eta) = -T(w, eta)``.
     """
     if d == 1:
         return np.array([[1.0], [-1.0]])
-    if d == 2:
-        phi = np.linspace(0.0, np.pi, n_points, endpoint=False)
-        return np.column_stack([np.cos(phi), np.sin(phi)])
     phi = np.linspace(0.0, np.pi, n_points, endpoint=False)
     path = np.zeros((n_points, d))
     path[:, 0] = np.cos(phi)

@@ -239,14 +239,15 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
     w_minus = np.asarray(w_minus, dtype=float)
     w_plus = np.asarray(w_plus, dtype=float)
     for tag, w in (("w_minus", w_minus), ("w_plus", w_plus)):
-        res = np.linalg.norm(sys.relax(w))
+        res = np.linalg.norm(sys.relaxation(w))
         if res > 1e-10:
             raise ModelError(f"{tag} is not an equilibrium: |r| = {res:.3g}")
     scale = float(np.max(np.abs(np.concatenate([w_minus, w_plus])))) + 1.0
     eye = np.eye(sys.n)
 
     def rhs(x, w):
-        return np.linalg.solve(sys.flux_jacs(w)[0] - s * eye, sys.relax(w))
+        return np.linalg.solve(sys.flux_jacs(w)[0] - s * eye,
+                               sys.relaxation(w))
 
     if np.allclose(w_minus, w_plus, atol=1e-12 * scale):
         grid = np.linspace(-L, L, n_points)

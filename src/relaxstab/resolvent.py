@@ -65,7 +65,6 @@ __all__ = [
     "verify_hfres",
     "verify_equivalence",
     "run_sweep",
-    "conjugate_field",
     "bump_perturbation",
     "worker_count",
 ]
@@ -815,13 +814,3 @@ def constant_field(G, geom):
                           if np.ndim(x) else G.copy())
     return fld
 
-
-def conjugate_field(field, alpha):
-    """Exponential-weight conjugation: ``G -> G - alpha*I`` (limits included)."""
-    eye = np.eye(field.n)
-    return ResolventOperatorField(
-        sys=field.sys, profile=field.profile, fp=field.fp, geom=field.geom,
-        G_nodes=field.G_nodes - alpha * eye[None, :, :],
-        A1inv_nodes=field.A1inv_nodes,
-        limits=(field.limits[0] - alpha * eye, field.limits[1] - alpha * eye),
-        perturbation=field.perturbation, deriv_order=field.deriv_order)

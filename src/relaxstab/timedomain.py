@@ -13,7 +13,8 @@ Energy functionals are discrete weighted Sobolev sums
 
     E = sum_{k <= s} |alpha * d^k v|^2_{L2,grid},   alpha = exp(a*x),
 
-and the verifiers below fit/check the differential damping inequality, its
+taken by :func:`measure_energy` of one field or a stack of fields, and the
+verifiers below fit/check the differential damping inequality, its
 Gronwall-integrated version, the short-time bound, and the time-weighted
 space-time inequality obtained from temporal cutoffs.
 """
@@ -102,20 +103,15 @@ def _char_decomposition(A):
 
 
 def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized"):
-    """Set up a simulation on a uniform grid with initial data ``v0``.
-
-    ``v0`` is either an ``(m, n)`` array or a callable ``x -> (n,)``.
-    """
+    """Set up a simulation on a uniform grid with initial data ``v0``,
+    a callable ``x -> (n,)``."""
     if mode not in ("linearized", "nonlinear"):
         raise ValueError("mode must be 'linearized' or 'nonlinear'")
     grid = np.linspace(-L_sim, L_sim, n_points)
     dx = grid[1] - grid[0]
     wbar, wbar_p = profile.sample_many(grid)
     E = zero_order_matrix(sys, wbar, wbar_p)
-    if callable(v0):
-        v = np.array([np.atleast_1d(v0(x)) for x in grid], dtype=float)
-    else:
-        v = np.array(v0, dtype=float)
+    v = np.array([np.atleast_1d(v0(x)) for x in grid], dtype=float)
     if v.shape != (n_points, sys.n):
         raise ValueError(f"v0 must have shape {(n_points, sys.n)}")
     conv_cache = None
@@ -160,8 +156,8 @@ def _split_convection(sim, v, decomposition):
     return -conv, float(np.max(np.abs(mu)))
 
 
-def _rhs(sim, v, forcing, t):
-    """Semidiscrete right-hand side.
+def _rhs(sim, v, forcing):
+    """Semidiscrete right-hand side with a fixed ``(m, n)`` forcing.
 
     Linearized: ``-(A(wbar)-sI) v_x - E v``.  Nonlinear: the exact quadratic
     source is kept, ``-(A(wbar+v)-sI) (v_x + wbar') + r(wbar+v)``, which
@@ -172,14 +168,14 @@ def _rhs(sim, v, forcing, t):
         states = sim.wbar + v
         A1 = _comoving_A1(sim.sys, sim.profile.speed, states)
         conv, speed = _split_convection(sim, v, _char_decomposition(A1))
-        source = np.array([sim.sys.relax(w) for w in states])
+        source = sim.sys.relaxation(states)
         rhs = conv + (-np.matmul(A1, sim.wbar_p[:, :, None])[:, :, 0]
                       + source)
     else:
         conv, speed = _split_convection(sim, v, sim.conv_cache)
         rhs = conv - np.einsum("xij,xj->xi", sim.E_nodes, v)
     if forcing is not None:
-        rhs = rhs + (forcing(t) if callable(forcing) else forcing)
+        rhs = rhs + forcing
     return rhs, speed
 
 
@@ -189,54 +185,50 @@ def step(sim, dt, forcing=None):
     Raises :class:`StepError` when ``dt`` exceeds the ``CFL`` limit and
     :class:`InstabilityError` on blowup.
     """
-    k1, speed = _rhs(sim, sim.v, forcing, sim.t)
+    k1, speed = _rhs(sim, sim.v, forcing)
     if dt > CFL * sim.dx / max(speed, 1e-300):
         raise StepError(f"CFL violation: dt = {dt:.3g} > "
                         f"{CFL * sim.dx / speed:.3g} (max speed {speed:.3g})")
-    k2, _ = _rhs(sim, sim.v + 0.5 * dt * k1, forcing, sim.t + 0.5 * dt)
-    k3, _ = _rhs(sim, sim.v + 0.5 * dt * k2, forcing, sim.t + 0.5 * dt)
-    k4, _ = _rhs(sim, sim.v + dt * k3, forcing, sim.t + dt)
+    k2, _ = _rhs(sim, sim.v + 0.5 * dt * k1, forcing)
+    k3, _ = _rhs(sim, sim.v + 0.5 * dt * k2, forcing)
+    k4, _ = _rhs(sim, sim.v + dt * k3, forcing)
     v_new = sim.v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(v_new)) or np.max(np.abs(v_new)) > BLOWUP_CAP:
         raise InstabilityError(f"solution blew up at t = {sim.t + dt:.4g}")
     return sim.replace(v=v_new, t=sim.t + dt)
 
 
-_FD_CACHE = {}
+def _difference_matrix(m, dx):
+    """Second-order first-derivative matrix on ``m`` uniform nodes: centered
+    in the interior, one-sided 3-point closures at the ends."""
+    D = np.zeros((m, m))
+    i = np.arange(1, m - 1)
+    D[i, i + 1] = 0.5
+    D[i, i - 1] = -0.5
+    D[0, :3] = (-1.5, 2.0, -0.5)
+    D[-1, -3:] = (0.5, -2.0, 1.5)
+    return D / dx
 
 
-def _fd1(m, dx, periodic):
-    key = (m, round(dx, 14), periodic)
-    if key not in _FD_CACHE:
-        from .grids import fd_matrix
-        _FD_CACHE[key] = fd_matrix(m, dx, periodic=periodic)
-    return _FD_CACHE[key]
-
-
-def measure_energy(sim_or_grid, v=None, s=1, alpha=0.0, periodic=False):
+def measure_energy(grid, v, s=1, alpha=0.0):
     """Discrete weighted Sobolev energy and weighted L2, both squared.
 
-    ``alpha`` is the exponent of the weight ``exp(alpha*x)``.  Difference
-    stacks are centered with one-sided closures (or periodic wrap) and
-    support ``s <= 3``.
+    ``v`` is one field ``(m, n)`` or a stack ``(K, m, n)`` on ``grid``; the
+    results are scalars or ``(K,)`` arrays.  ``alpha`` is the exponent of
+    the weight ``exp(alpha*x)``.  Differences are centered with one-sided
+    closures and support ``s <= 3``.
     """
-    if v is None:
-        grid, v = sim_or_grid.grid, sim_or_grid.v
-    else:
-        grid = np.asarray(sim_or_grid)
-        v = np.atleast_2d(v)
     if s > 3:
         raise ValueError("discrete energies support s <= 3")
-    m = grid.size
     dx = grid[1] - grid[0]
     wgt = np.exp(alpha * grid)[:, None]
-    l2 = float(np.sum(np.abs(wgt * v) ** 2) * dx)
+    l2 = np.sum(np.abs(wgt * v) ** 2, axis=(-2, -1)) * dx
     total = l2
-    D = _fd1(m, dx, periodic)
+    D = _difference_matrix(grid.size, dx)
     dv = v
     for _ in range(s):
         dv = D @ dv
-        total += float(np.sum(np.abs(wgt * dv) ** 2) * dx)
+        total = total + np.sum(np.abs(wgt * dv) ** 2, axis=(-2, -1)) * dx
     return total, l2
 
 
@@ -260,7 +252,6 @@ class SimHistory:
     f_frames: np.ndarray         # (K, m, n) (zeros when unforced)
     grid: np.ndarray
     mode: str
-    meta: dict = dfield(default_factory=dict)
 
 
 def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
@@ -269,51 +260,39 @@ def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
     """March to ``t_final`` recording an energy trace (and optional history).
 
     The time step is 0.9 of the ``CFL`` limit at the initial state, shortened
-    to divide ``t_final`` evenly.
+    to divide ``t_final`` evenly.  ``forcing`` is a fixed ``(m, n)`` array.
     """
     sim = make_sim(sys, profile, v0, L_sim=L_sim, n_points=n_points, mode=mode)
-    _, speed = _rhs(sim, sim.v, None, 0.0)
+    if forcing is not None and np.shape(forcing) != sim.v.shape:
+        raise ValueError(f"forcing must have shape {sim.v.shape}")
+    _, speed = _rhs(sim, sim.v, None)
     dt = CFL * sim.dx / speed * 0.9
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
 
-    times, Es, L2s, Fs = [], [], [], []
-    frames, fframes = [], []
-
-    def record(state):
-        E, L2 = measure_energy(state, s=s, alpha=alpha)
-        fval = 0.0
-        if forcing is not None:
-            fnow = forcing(state.t) if callable(forcing) else forcing
-            fval = measure_energy(state.grid, fnow, s=s, alpha=alpha)[0]
-        times.append(state.t)
-        Es.append(E)
-        L2s.append(L2)
-        Fs.append(fval)
-        if store_history:
-            frames.append(state.v.copy())
-            fnow = (np.zeros_like(state.v) if forcing is None
-                    else (forcing(state.t) if callable(forcing) else forcing))
-            fframes.append(np.array(fnow, dtype=float))
-
-    record(sim)
+    times, frames = [sim.t], [sim.v]
     for k in range(n_steps):
         sim = step(sim, dt, forcing=forcing)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            record(sim)
+            times.append(sim.t)
+            frames.append(sim.v)
+    times, frames = np.asarray(times), np.asarray(frames)
+    E, L2 = measure_energy(sim.grid, frames, s=s, alpha=alpha)
+    F = np.zeros(times.size)
+    if forcing is not None:
+        F[:] = measure_energy(sim.grid, forcing, s=s, alpha=alpha)[0]
 
-    trace = EnergyTrace(times=np.asarray(times), E_values=np.asarray(Es),
-                        L2_values=np.asarray(L2s), f_values=np.asarray(Fs),
+    trace = EnergyTrace(times=times, E_values=E, L2_values=L2, f_values=F,
                         meta={"s": s, "alpha": alpha, "dt": dt,
                               "dx": sim.dx, "mode": mode,
                               "L_sim": L_sim, "n_points": n_points})
     history = None
     if store_history:
-        history = SimHistory(times=np.asarray(times),
-                             frames=np.asarray(frames),
-                             f_frames=np.asarray(fframes),
-                             grid=sim.grid, mode=mode,
-                             meta=dict(trace.meta))
+        f_frames = np.zeros_like(frames)
+        if forcing is not None:
+            f_frames[:] = forcing
+        history = SimHistory(times=times, frames=frames, f_frames=f_frames,
+                             grid=sim.grid, mode=mode)
     return sim, trace, history
 
 
@@ -460,10 +439,6 @@ class TruncationReport:
                  "C_assembled", "gamma", "tau_c", "passed")}
 
 
-def _weighted_integral(t, values, weight):
-    return float(np.trapezoid(weight * values, t))
-
-
 def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     """Verify the time-weighted inequalities for a cutoff trajectory.
 
@@ -495,58 +470,45 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     chi = cutoffs.product(t)
     chi_d = cutoffs.product_d(t)
 
-    K = t.size
-    hs_vt = np.empty(K)
-    l2_vt = np.empty(K)
-    hs_ft = np.empty(K)
-    hs_v = np.empty(K)
-    l2_v = np.empty(K)
-    hs_f = np.empty(K)
-    for kk in range(K):
-        vt = chi[kk] * history.frames[kk]
-        ft = chi_d[kk] * history.frames[kk] + chi[kk] * history.f_frames[kk]
-        hs_vt[kk], l2_vt[kk] = measure_energy(history.grid, vt, s=s, alpha=alpha)
-        hs_ft[kk] = measure_energy(history.grid, ft, s=s, alpha=alpha)[0]
-        hs_v[kk], l2_v[kk] = measure_energy(history.grid, history.frames[kk],
-                                            s=s, alpha=alpha)
-        hs_f[kk] = measure_energy(history.grid, history.f_frames[kk], s=s,
-                                  alpha=alpha)[0]
+    chi3, chi_d3 = chi[:, None, None], chi_d[:, None, None]
+    hs_vt, l2_vt = measure_energy(history.grid, chi3 * history.frames, s=s,
+                                  alpha=alpha)
+    hs_ft = measure_energy(history.grid, chi_d3 * history.frames
+                           + chi3 * history.f_frames, s=s, alpha=alpha)[0]
+    hs_v, l2_v = measure_energy(history.grid, history.frames, s=s,
+                                alpha=alpha)
+    hs_f = measure_energy(history.grid, history.f_frames, s=s, alpha=alpha)[0]
 
     wgt = np.exp(2.0 * gamma * (T - t))
 
     def ratio(lhs, rhs):
         if lhs <= 1e-28 and rhs <= 1e-28:
             return 0.0
-        return lhs / max(rhs, 1e-300)
+        return float(lhs / max(rhs, 1e-300))
 
-    lhs_w = _weighted_integral(t, hs_vt, wgt)
-    rhs_w = _weighted_integral(t, hs_ft + l2_vt, wgt)
-    C2_weighted = ratio(lhs_w, rhs_w)
+    rhs_w = np.trapezoid(wgt * (hs_ft + l2_vt), t)
+    C2_weighted = ratio(np.trapezoid(wgt * hs_vt, t), rhs_w)
 
     plateau = (t >= cutoffs.tau_c) & (t <= T - cutoffs.tau_c)
-    lhs_p = _weighted_integral(t[plateau], hs_v[plateau], wgt[plateau])
-    C2_plateau = ratio(lhs_p, rhs_w)
+    C2_plateau = ratio(np.trapezoid(wgt[plateau] * hs_v[plateau], t[plateau]),
+                       rhs_w)
 
     tau = cutoffs.tau_c
     front = t <= tau
-    lhs_f = _weighted_integral(t[front], hs_v[front], np.ones(front.sum()))
-    rhs_f = hs_v[0] + _weighted_integral(t[front], hs_f[front],
-                                         np.ones(front.sum()))
-    C_front = ratio(lhs_f, rhs_f)
+    C_front = ratio(np.trapezoid(hs_v[front], t[front]),
+                    hs_v[0] + np.trapezoid(hs_f[front], t[front]))
 
     tail = t >= T - tau
     mid = (t >= T - 2 * tau) & (t <= T - tau)
-    tail_rhs = (_weighted_integral(t[mid], hs_v[mid], np.ones(mid.sum()))
-                + _weighted_integral(t[t >= T - 2 * tau],
-                                     hs_f[t >= T - 2 * tau],
-                                     np.ones((t >= T - 2 * tau).sum())))
-    C_tail = ratio(_weighted_integral(t[tail], hs_v[tail],
-                                      np.ones(tail.sum())), tail_rhs)
+    late = t >= T - 2 * tau
+    C_tail = ratio(np.trapezoid(hs_v[tail], t[tail]),
+                   np.trapezoid(hs_v[mid], t[mid])
+                   + np.trapezoid(hs_f[late], t[late]))
 
     eta = -2.0 * gamma
     wgt_e = np.exp(-eta * (T - t))
     rhs_a = (np.exp(-eta * T) * hs_v[0]
-             + _weighted_integral(t, l2_v + hs_f, wgt_e))
+             + np.trapezoid(wgt_e * (l2_v + hs_f), t))
     C_assembled = ratio(hs_v[-1], rhs_a)
 
     vals = [C2_weighted, C2_plateau, C_front, C_tail, C_assembled]

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import glob
 import json
 import os
@@ -12,6 +13,7 @@ import relaxstab
 from relaxstab import cli
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
+from relaxstab import systems
 from relaxstab.errors import CompatibilityError, ConfigError
 
 THREAD_VARS = ("RELAXSTAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -54,6 +56,24 @@ def test_config_schema_is_valid():
     from jsonschema import validators
     schema = cli.CONFIG_SCHEMA
     validators.validator_for(schema).check_schema(schema)
+
+
+def test_bad_relax_in_nonlinear_simulate_is_numeric_failure(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # a wrongly shaped r(w) is a typed failure (exit 3), not a traceback
+    monkeypatch.setitem(
+        systems.SYSTEM_REGISTRY, "jin_xin_bad_relax",
+        lambda a=2.0: dataclasses.replace(systems.jin_xin(a),
+                                          relax=lambda w: np.zeros(3)))
+    cfg = small_config()
+    cfg["system"]["name"] = "jin_xin_bad_relax"
+    cfg["simulation"].update(mode="nonlinear", t_final=1.0, L_sim=30.0,
+                             n_points=121)
+    code = cli.run(cli.RunConfig.from_dict(cfg), pipeline="simulate",
+                   out_dir=str(tmp_path / "o"))
+    assert code == 3
+    assert "relax returned shape (3,)" in capsys.readouterr().err
 
 
 def test_config_missing_endstates_names_field():

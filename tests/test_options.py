@@ -5,7 +5,8 @@ and the CLI only ever run one value of it.  Such a value belongs in a named
 constant next to the code that uses it, and the branches only other values
 reach belong nowhere.  This test parses ``src/relaxstab`` and fails on a
 defaulted parameter that no call in ``src/`` or ``tests/`` sets, unless it
-is on the short allow-list below.
+is on the short allow-list below, and it caps the number of defaulted
+parameters so that a new option shows up in the diff that adds it.
 
 Calls are matched by name (``f(...)``, ``obj.f(...)``, and ``Cls(...)`` for
 ``Cls.__init__``); a parameter counts as set when a call passes it by
@@ -29,6 +30,9 @@ ALLOWED = {
     ("resolvent.bump_perturbation", "center"),
     ("timedomain.gaussian_initial_data", "center"),
 }
+
+# Defaulted parameters in src/relaxstab; a change that adds one raises this.
+MAX_DEFAULTS = 86
 
 
 def _defaults(fn):
@@ -115,3 +119,10 @@ def test_allow_list_names_unset_defaults():
     # an entry whose option is gone, or now set by a call, is stale
     stale = ALLOWED - unset_defaults()
     assert not stale, f"stale allow-list entries: {sorted(stale)}"
+
+
+def test_defaulted_parameters_within_ceiling():
+    count = sum(len(_defaults(fn)) for _, _, _, fn in _definitions())
+    assert count <= MAX_DEFAULTS, (
+        f"{count} defaulted parameters in src/relaxstab, ceiling "
+        f"{MAX_DEFAULTS}; a new option raises MAX_DEFAULTS in its own diff")

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
 from relaxstab import profile as prof
 from relaxstab import systems
-from relaxstab.errors import CompatibilityError, ConvergenceError, ModelError
+from relaxstab.errors import (CompatibilityError, ConvergenceError,
+                              EvaluationError, ModelError)
 
 from conftest import logistic_u
 
@@ -70,6 +73,13 @@ def test_shooting_constant_profile(jx):
     p = prof.solve_profile_shooting(jx, [0.5, 0.125], [0.5, 0.125], 0.3,
                                     L=10.0, n_points=41)
     assert np.all(p.values == p.values[0])
+
+
+def test_shooting_nonfinite_relax_is_evaluation_error(jx):
+    # a NaN residual used to pass the endstate check (NaN > tol is False)
+    bad = dataclasses.replace(jx, relax=lambda w: np.full(2, np.nan))
+    with pytest.raises(EvaluationError, match="relax"):
+        prof.solve_profile_shooting(bad, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
 
 
 def test_shooting_wrong_speed_no_connection(jx):

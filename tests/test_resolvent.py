@@ -382,17 +382,6 @@ def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
     assert one.constants == two.constants
 
 
-def test_weighted_conjugation_same_verdicts(jx, front, geom):
-    fp = res.FrequencyPoint(np.zeros(0), 2.0 + 1.0j)
-    field = res.assemble_G(jx, front, fp, geom=geom)
-    shifted = res.conjugate_field(field, alpha=0.05)
-    for fld in (field, shifted):
-        pd = res.verify_pdamp(fld, 1, C=5.0, gamma_star=-0.25, trials=6)
-        hf = res.verify_hfres(fld, 1, C=5.0, gamma_star=-0.25, trials=6)
-        assert pd <= 1.0 and hf <= 1.0
-    assert np.allclose(shifted.G_nodes, field.G_nodes - 0.05 * np.eye(2)[None])
-
-
 # ----------------------------------------------- frozen perturbation family ----
 
 def test_frozen_perturbation_family(jx, front, geom, sv_front):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.fft as fft
 import pytest
@@ -6,7 +8,8 @@ from scipy.linalg import expm
 from relaxstab import profile as prof
 from relaxstab import systems
 from relaxstab import timedomain as td
-from relaxstab.errors import CertificateError, InstabilityError, StepError
+from relaxstab.errors import (CertificateError, EvaluationError,
+                              InstabilityError, StepError)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +49,19 @@ def test_blowup_raises(front):
     with pytest.raises(InstabilityError):
         td.run_simulation(bad, front, v0, t_final=8.0, L_sim=30.0,
                           n_points=201)
+
+
+@pytest.mark.parametrize("relax, match", [
+    (lambda w: np.zeros(3), "shape"),
+    (lambda w: np.full(2, np.nan), "non-finite"),
+])
+def test_bad_relax_in_nonlinear_run_is_evaluation_error(jx, front, relax,
+                                                        match):
+    bad = dataclasses.replace(jx, relax=relax)
+    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-2, width=3.0)
+    with pytest.raises(EvaluationError, match=match):
+        td.run_simulation(bad, front, v0, t_final=1.0, L_sim=30.0,
+                          n_points=121, mode="nonlinear")
 
 
 def test_front_run_decays_and_respects_boundary(front_run):
@@ -91,18 +107,39 @@ def test_energy_zero_state():
 
 
 def test_energy_sine_discrete_parseval():
+    # v = 1 - cos(k x) vanishes with its derivative at the ends of [-pi, pi],
+    # so the one-sided closures see only O(h^3) and the centered rows act on
+    # the mode exactly: D v = (sin(k h) / h) sin(k x)
     k = 2.0
-    m = 256
-    L = np.pi
-    grid = np.linspace(-L, L, m, endpoint=False)
+    m = 257
+    grid = np.linspace(-np.pi, np.pi, m)
     h = grid[1] - grid[0]
-    v = np.sin(k * grid)[:, None]
-    E, L2 = td.measure_energy(grid, v, s=1, periodic=True)
-    # centered stencil on the periodic grid: exact discrete factor
-    factor = 1.0 + (np.sin(k * h) / h) ** 2
-    assert E == pytest.approx(factor * L2, rel=1e-12)
-    # continuum factor reached at the discretization order
-    assert E == pytest.approx((1.0 + k * k) * L2, rel=2 * (k * h) ** 2)
+    v = (1.0 - np.cos(k * grid))[:, None]
+    E, L2 = td.measure_energy(grid, v, s=1)
+    assert L2 == pytest.approx(3.0 * np.pi, rel=1e-12)
+    # exact discrete factor of the centered stencil
+    assert E - L2 == pytest.approx((np.sin(k * h) / h) ** 2 * np.pi, rel=1e-9)
+    # continuum value k^2 |sin(k x)|^2 reached at the discretization order
+    assert E - L2 == pytest.approx(k * k * np.pi, rel=2 * (k * h) ** 2)
+
+
+def test_energy_stack_matches_single_fields():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(-5.0, 5.0, 121)
+    frames = rng.standard_normal((7, 121, 3))
+    for s in (0, 1, 3):
+        E, L2 = td.measure_energy(grid, frames, s=s, alpha=0.3)
+        single = [td.measure_energy(grid, f, s=s, alpha=0.3) for f in frames]
+        assert np.array_equal(np.column_stack([E, L2]), np.array(single))
+
+
+def test_trace_is_energy_of_stored_frames(front_run):
+    _, trace, hist = front_run
+    assert np.array_equal(trace.times, hist.times)
+    single = [td.measure_energy(hist.grid, f, s=1) for f in hist.frames]
+    assert np.array_equal(np.column_stack([trace.E_values, trace.L2_values]),
+                          np.array(single))
+    assert np.all(trace.f_values == 0.0) and np.all(hist.f_frames == 0.0)
 
 
 def test_energy_weight_shift_law():
@@ -207,6 +244,14 @@ def test_short_time_forced_finite(jx, front):
                                     n_points=401, forcing=f_arr)
     fit = td.verify_short_time(trace)
     assert np.isfinite(fit.C_short) and not fit.refuted
+
+
+def test_forcing_of_wrong_shape_rejected(jx, front):
+    # an (n,) forcing would broadcast over the whole domain
+    v0 = td.gaussian_initial_data([1.0, 0.0], amplitude=1e-3, width=3.0)
+    with pytest.raises(ValueError, match="forcing must have shape"):
+        td.run_simulation(jx, front, v0, t_final=1.0, L_sim=30.0,
+                          n_points=121, forcing=np.array([0.0, 1e-4]))
 
 
 def test_short_time_blowup_refuted():
