@@ -10,6 +10,7 @@ timestamps and are byte-identical across repeated runs.
 import argparse
 import functools
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -33,80 +34,165 @@ SCHEMA_VERSION = 1
 PIPELINES = ("hypotheses", "profile", "resolvent-sweep", "dichotomy",
              "symmetrizer", "simulate", "full")
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "system", "profile"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer"},
-        "system": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {"name": {"type": "string"},
-                           "params": {"type": "object"}},
-        },
-        "profile": {
-            "type": "object",
-            "required": ["endstates"],
-            "properties": {
-                "endstates": {"type": "array", "minItems": 2, "maxItems": 2},
-                "speed": {"type": ["number", "null"]},
-                "L": {"type": ["number", "null"]},
-                "n_points": {"type": "integer", "minimum": 8},
-                "tol_end": {"type": "number"},
-            },
-        },
-        "domain": {
-            "type": "object",
-            "properties": {"length": {"type": "number"},
-                           "n_nodes": {"type": "integer", "minimum": 8}},
-        },
-        "norms": {
-            "type": "object",
-            "properties": {"s": {"type": "integer", "minimum": 0},
-                           "alpha": {"type": "number"}},
-        },
-        "hypotheses": {"type": "object"},
-        "resolvent": {"type": "object"},
-        "dichotomy": {"type": "object"},
-        "symmetrizer": {"type": "object"},
-        "simulation": {"type": "object"},
-    },
+REQUIRED = object()      # default of a key every config must give
+
+# Every config key the CLI reads: dotted path -> (type, default), plus the
+# smallest allowed value of a count.  A type is a name in _TYPES, with "?"
+# when null is allowed too, or a tuple of the allowed values.
+OPTIONS = {
+    "schema_version": ((SCHEMA_VERSION,), REQUIRED),
+    "seed": ("integer", 0, 0),
+    "system.name": ("string", REQUIRED),
+    "system.params": ("object?", None),
+    "profile.endstates": ("endstates", REQUIRED),
+    "profile.speed": ("number?", None),       # required for a shooting profile
+    "profile.L": ("positive?", None),         # null: chosen by the solver
+    "profile.n_points": ("integer", 2001, 8),
+    "profile.tol_end": ("positive", 1e-8),
+    "domain.length": ("positive", 50.0),
+    "domain.n_nodes": ("integer", 161, 8),
+    "norms.s": ("integer", 1, 0),
+    "norms.alpha": ("number", 0.0),
+    "hypotheses.eta_min": ("number", 10.0),
+    "hypotheses.theta_req": ("number", 0.0),
+    "resolvent.gamma_star": ("number", -0.25),
+    "resolvent.trials": ("integer", 6, 1),
+    "resolvent.grid.re_lambda": ("number", 0.5),
+    "resolvent.grid.im_max": ("number", 30.0),
+    "resolvent.grid.n_im": ("integer", 16, 1),
+    "resolvent.grid.real_ray.min": ("positive", 0.1),
+    "resolvent.grid.real_ray.max": ("positive", 1000.0),
+    "resolvent.grid.real_ray.n": ("integer", 12, 1),
+    "dichotomy.lambda": ("complex", (2.0, 0.0)),
+    "dichotomy.pairs": ("integer", 50, 1),
+    "dichotomy.tol": ("positive", 1e-6),
+    "dichotomy.dump_frames": ("boolean", False),
+    "symmetrizer.theta_req": ("number", 0.0),
+    "symmetrizer.energy_trials": ("integer", 50, 1),
+    "symmetrizer.dump_field": ("boolean", False),
+    "simulation.amplitude": ("number", 1e-3),
+    "simulation.width": ("positive", 3.0),
+    "simulation.t_final": ("positive", 12.0),
+    "simulation.L_sim": ("positive", 50.0),
+    "simulation.n_points": ("integer", 601, 8),
+    "simulation.mode": (("linearized", "nonlinear"), "linearized"),
+    "simulation.sample_every": ("integer", 5, 1),
+    "simulation.theta": ("number", 0.3),      # used without a symmetrizer
+    "simulation.tau_c": ("positive", 2.0),
 }
+
+
+def _is_number(v):
+    # JSON allows no NaN or infinity, but Python's reader does
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)))
+
+
+# type name -> (test, what the message says is expected)
+_TYPES = {
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                "an integer"),
+    "number": (_is_number, "a finite number"),
+    "positive": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "complex": (lambda v: isinstance(v, list) and len(v) == 2
+                and all(map(_is_number, v)), "[re, im], two numbers"),
+    "endstates": (lambda v: isinstance(v, list) and len(v) == 2
+                  and all(isinstance(w, list) and all(map(_is_number, w))
+                          for w in v), "two state vectors of numbers"),
+}
+
+
+def _option_tree():
+    """``OPTIONS`` as nested sections: ``{"resolvent": {"grid": ...}}``."""
+    tree = {}
+    for path, spec in OPTIONS.items():
+        *sections, key = path.split(".")
+        node = tree
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = spec
+    return tree
+
+
+def _check_value(spec, value, where):
+    kind, _, *least = spec
+    if isinstance(kind, tuple):
+        ok = any(type(value) is type(c) and value == c for c in kind)
+        expected = "one of " + ", ".join(json.dumps(c) for c in kind)
+    else:
+        test, expected = _TYPES[kind.rstrip("?")]
+        ok = test(value) or (kind.endswith("?") and value is None)
+        expected += " or null" if kind.endswith("?") else ""
+    if not ok:
+        raise ConfigError(f"config invalid at {where}: expected {expected}, "
+                          f"got {value!r}")
+    if least and value < least[0]:
+        raise ConfigError(f"config invalid at {where}: must be at least "
+                          f"{least[0]}, got {value}")
+
+
+def _filled(data, tree, path):
+    """``data`` checked against ``tree``, with every default filled in."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config invalid at {path or 'top level'}: "
+                          f"expected an object, got {data!r}")
+    for key in data:
+        if key not in tree:
+            where = f"{path}.{key}" if path else key
+            raise ConfigError(f"config invalid at {where}: unknown key")
+    out = {}
+    for key, spec in tree.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            out[key] = _filled(data.get(key, {}), spec, where)
+        elif key in data:
+            _check_value(spec, data[key], where)
+            out[key] = data[key]
+        elif spec[1] is REQUIRED:
+            raise ConfigError(f"config invalid at {where}: required key "
+                              f"missing")
+        else:
+            out[key] = spec[1]
+    return out
+
+
+def _load_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path} is not readable JSON: "
+                          f"{exc}") from None
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (see ``CONFIG_SCHEMA``)."""
+    """A run configuration checked against ``OPTIONS``.
+
+    ``raw`` is the dict as given, echoed by the outputs; ``section(name)``
+    returns that section with every default filled in.
+    """
 
     raw: dict
     seed: int = 0
+    options: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, data):
-        from jsonschema import exceptions, validators
-        # CONFIG_SCHEMA is a constant, checked against its metaschema by the
-        # tests, so the config is only validated, not the schema as well
-        validator = validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-        exc = exceptions.best_match(validator.iter_errors(data))
-        if exc is not None:
-            path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-            raise ConfigError(f"config invalid at {path}: {exc.message}")
-        return cls(raw=data, seed=int(data.get("seed", 0)))
+        options = _filled(data, _option_tree(), "")
+        return cls(raw=data, seed=options["seed"], options=options)
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(_load_json(path, "config"))
 
     def section(self, name):
-        return self.raw.get(name, {})
+        return self.options[name]
 
 
 def _jsonable(obj):
@@ -159,7 +245,7 @@ class _Runner:
         self.verbose = verbose
         os.makedirs(out_dir, exist_ok=True)
         sys_cfg = config.section("system")
-        self.system = make_system(sys_cfg["name"], sys_cfg.get("params"))
+        self.system = make_system(sys_cfg["name"], sys_cfg["params"])
         self.summary = {"schema_version": SCHEMA_VERSION,
                         "config": config.raw, "results": {}}
         self._profile = None
@@ -176,16 +262,21 @@ class _Runner:
         pc = self.cfg.section("profile")
         w_minus = np.asarray(pc["endstates"][0], dtype=float)
         w_plus = np.asarray(pc["endstates"][1], dtype=float)
+        if w_minus.size != self.system.n or w_plus.size != self.system.n:
+            raise ConfigError(f"config invalid at profile.endstates: "
+                              f"{self.system.name} has {self.system.n} "
+                              f"components per state")
         if self.system.name == "jin_xin":
             p = prof.solve_profile_jinxin(
                 self.system.params["a"], w_minus[0], w_plus[0],
-                L=pc.get("L"), n_points=pc.get("n_points", 2001),
-                tol_end=pc.get("tol_end", 1e-8))
+                L=pc["L"], n_points=pc["n_points"], tol_end=pc["tol_end"])
+        elif pc["speed"] is None:
+            raise ConfigError("config invalid at profile.speed: a shooting "
+                              "profile needs the wave speed")
         else:
             p = prof.solve_profile_shooting(
-                self.system, w_minus, w_plus, pc["speed"],
-                L=pc.get("L", 50.0), n_points=pc.get("n_points", 2001),
-                tol=pc.get("tol_end", 1e-8))
+                self.system, w_minus, w_plus, pc["speed"], L=pc["L"],
+                n_points=pc["n_points"], tol=pc["tol_end"])
         self._profile = p
         prof.save_profile(p, os.path.join(self.out, "profile.csv"))
         self.summary["results"]["profile"] = {
@@ -202,8 +293,8 @@ class _Runner:
     def hypotheses(self):
         hc = self.cfg.section("hypotheses")
         rep = model.run_hypotheses(self.system, self.get_profile(),
-                                   eta_min=hc.get("eta_min", 10.0),
-                                   theta_req=hc.get("theta_req", 0.0))
+                                   eta_min=hc["eta_min"],
+                                   theta_req=hc["theta_req"])
         payload = rep.to_dict()
         _write_json(os.path.join(self.out, "hypotheses.json"), payload)
         self.summary["results"]["hypotheses"] = payload
@@ -211,21 +302,16 @@ class _Runner:
 
     def _geom(self):
         dc = self.cfg.section("domain")
-        return res.CollocationGrid(n_nodes=dc.get("n_nodes", 161),
-                                   length=dc.get("length", 50.0))
+        return res.CollocationGrid(n_nodes=dc["n_nodes"], length=dc["length"])
 
     def _frequency_grid(self):
-        rc = self.cfg.section("resolvent")
-        gc = rc.get("grid", {})
+        gc = self.cfg.section("resolvent")["grid"]
         pts = []
-        re0 = gc.get("re_lambda", 0.5)
-        for tau in np.linspace(0.0, gc.get("im_max", 30.0),
-                               gc.get("n_im", 16)):
+        for tau in np.linspace(0.0, gc["im_max"], gc["n_im"]):
             pts.append(res.FrequencyPoint(np.zeros(self.system.d - 1),
-                                          complex(re0, tau)))
-        ray = gc.get("real_ray", {})
-        for lam in np.geomspace(ray.get("min", 0.1), ray.get("max", 1000.0),
-                                ray.get("n", 12)):
+                                          complex(gc["re_lambda"], tau)))
+        ray = gc["real_ray"]
+        for lam in np.geomspace(ray["min"], ray["max"], ray["n"]):
             pts.append(res.FrequencyPoint(np.zeros(self.system.d - 1),
                                           complex(lam, 0.0)))
         return pts
@@ -241,10 +327,9 @@ class _Runner:
             return res.assemble_G(self.system, p, fp, geom=geom)
 
         repq = res.verify_equivalence(
-            family, nc.get("s", 1), self._frequency_grid(),
-            gamma_star=rc.get("gamma_star", -0.25),
-            trials=rc.get("trials", 6), seed=self.cfg.seed,
-            threads=rc.get("threads"))
+            family, nc["s"], self._frequency_grid(),
+            gamma_star=rc["gamma_star"], trials=rc["trials"],
+            seed=self.cfg.seed)
         sweep = repq.sweep
         rows = ([r["re_lambda"], r["im_lambda"],
                  ";".join(repr(float(v)) for v in r["eta"]), r["hfres_gain"],
@@ -280,12 +365,11 @@ class _Runner:
     @_stage
     def dichotomy(self):
         dc = self.cfg.section("dichotomy")
-        lam = complex(*dc.get("lambda", [2.0, 0.0]))
+        lam = complex(*dc["lambda"])
         field = self._field_at(lam)
         data = dich.propagate_subspaces(field, seed=self.cfg.seed)
         chk = dich.verify_dichotomy(data, field,
-                                    sample_pairs=dc.get("pairs", 50),
-                                    tol=dc.get("tol", 1e-6),
+                                    sample_pairs=dc["pairs"], tol=dc["tol"],
                                     seed=self.cfg.seed)
         payload = {
             "ranks": list(data.ranks), "constants": data.constants,
@@ -295,7 +379,7 @@ class _Runner:
             "passed": chk.passed,
         }
         _write_json(os.path.join(self.out, "dichotomy.json"), payload)
-        if dc.get("dump_frames"):
+        if dc["dump_frames"]:
             dich.frames_to_csv(data, os.path.join(self.out, "frames.csv"))
         self.summary["results"]["dichotomy"] = payload
         self._dichotomy = (field, data)
@@ -310,12 +394,12 @@ class _Runner:
         forms = symm.lyapunov_Q(data.grid, data.lambda_plus, data.lambda_minus)
         S = symm.assemble_symmetrizer(data.frame, forms)
         cert = symm.verify_symmetrizer(S, field,
-                                       theta_req=sc.get("theta_req", 0.0),
-                                       energy_trials=sc.get("energy_trials", 50),
+                                       theta_req=sc["theta_req"],
+                                       energy_trials=sc["energy_trials"],
                                        seed=self.cfg.seed)
         payload = cert.to_dict()
         _write_json(os.path.join(self.out, "symmetrizer.json"), payload)
-        if sc.get("dump_field"):
+        if sc["dump_field"]:
             symm.field_to_csv(S, os.path.join(self.out,
                                               "symmetrizer_field.csv"))
         self.summary["results"]["symmetrizer"] = payload
@@ -328,13 +412,12 @@ class _Runner:
         nc = self.cfg.section("norms")
         p = self.get_profile()
         v0 = td.gaussian_initial_data(
-            np.ones(self.system.n), amplitude=mc.get("amplitude", 1e-3),
-            width=mc.get("width", 3.0))
+            np.ones(self.system.n), amplitude=mc["amplitude"],
+            width=mc["width"])
         sim, trace, hist = td.run_simulation(
-            self.system, p, v0, t_final=mc.get("t_final", 12.0),
-            L_sim=mc.get("L_sim", 50.0), n_points=mc.get("n_points", 601),
-            mode=mc.get("mode", "linearized"), s=nc.get("s", 1),
-            alpha=nc.get("alpha", 0.0), sample_every=mc.get("sample_every", 5),
+            self.system, p, v0, t_final=mc["t_final"], L_sim=mc["L_sim"],
+            n_points=mc["n_points"], mode=mc["mode"], s=nc["s"],
+            alpha=nc["alpha"], sample_every=mc["sample_every"],
             store_history=True)
         td.trace_to_csv(trace, os.path.join(self.out, "trace.csv"),
                         config=self.cfg.raw)
@@ -342,12 +425,11 @@ class _Runner:
         slack = (td.verify_integrated_damping(trace, fit.eta, max(1.0, fit.C))
                  if fit.feasible else -np.inf)
         short = td.verify_short_time(trace)
-        theta = self._theta_cert if self._theta_cert else mc.get("theta", 0.3)
-        cuts = td.CutoffPair(tau_c=mc.get("tau_c", 2.0),
+        theta = self._theta_cert if self._theta_cert else mc["theta"]
+        cuts = td.CutoffPair(tau_c=mc["tau_c"],
                              T=float(trace.times[-1]))
         trunc = td.truncation_pipeline(hist, cuts, gamma=-abs(theta) / 2.0,
-                                       s=nc.get("s", 1),
-                                       alpha=nc.get("alpha", 0.0))
+                                       s=nc["s"], alpha=nc["alpha"])
         passed = bool(fit.passed and slack >= 0 and not short.refuted
                       and trunc.passed and sim.boundary_ok())
         payload = {
@@ -371,7 +453,7 @@ class _Runner:
 
     def finish(self):
         self.summary["passed"] = all(
-            r.get("passed", True) for r in self.summary["results"].values())
+            r["passed"] for r in self.summary["results"].values())
         _write_json(os.path.join(self.out, "summary.json"), self.summary)
         return self.summary["passed"]
 
@@ -380,7 +462,7 @@ def run(config, pipeline="full", out_dir="out", verbose=False):
     """Execute a pipeline; returns the process exit code."""
     try:
         runner = _Runner(config, out_dir, verbose=verbose)
-    except (ConfigError, KeyError, RelaxstabError) as exc:
+    except RelaxstabError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return 2
     name_map = {
@@ -423,8 +505,9 @@ def report(paths):
     merged = {}
     version = None
     for path in paths:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _load_json(path, "summary")
+        if not isinstance(data, dict):
+            raise ConfigError(f"summary {path} is not a JSON object")
         v = data.get("schema_version")
         if version is None:
             version = v
@@ -463,12 +546,12 @@ def main(argv=None):
     if args.command == "run":
         try:
             config = RunConfig.from_file(args.config)
+            if args.seed is not None:
+                config = RunConfig.from_dict({**config.raw,
+                                              "seed": args.seed})
         except ConfigError as exc:
             print(f"usage error: {exc}", file=_sys.stderr)
             return 2
-        if args.seed is not None:
-            config.raw["seed"] = args.seed
-            config.seed = args.seed
         return run(config, pipeline=args.pipeline, out_dir=args.out,
                    verbose=args.verbose)
     if args.command == "report":

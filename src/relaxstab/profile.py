@@ -35,6 +35,8 @@ PROFILE_SCHEMA_VERSION = 1
 # shooting starts this far (relative to the endstate jump) from w_minus
 # along its unstable direction
 SEED_OFFSET = 1e-10
+# half-length of a shooting profile's grid when the caller gives none
+SHOOTING_HALF_LENGTH = 50.0
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -229,8 +231,11 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
     one-dimensional), from ``SEED_OFFSET`` times the endstate jump off
     ``w_-``, until the trajectory reaches ``w_+``, then re-centers so
     the anchor component crosses ``anchor_value`` (endstate midpoint by
-    default) at ``x = 0`` and resamples on ``[-L, L]``.
+    default) at ``x = 0`` and resamples on ``[-L, L]``; an ``L`` of None
+    stands for ``SHOOTING_HALF_LENGTH``.
     """
+    if L is None:
+        L = SHOOTING_HALF_LENGTH
     # the only integration in the package: scipy.integrate and
     # scipy.optimize load here, not on import
     from scipy.integrate import solve_ivp

@@ -770,7 +770,7 @@ class EquivalenceReport:
 
 
 def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
-                       seed=0, threads=None):
+                       seed=0):
     """Numerical version of both absorption arguments over a grid.
 
     The constants are fitted as in :func:`run_sweep`.  (i) at bounded
@@ -782,7 +782,7 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ``sweep.flagged``.
     """
     sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, None,
-                                      trials, seed, threads, BOUNDED_CUT)
+                                      trials, seed, None, BOUNDED_CUT)
     ok = ~np.isnan(sweep.hfres_gain)
     agree = sweep.hfres_pass[ok] == sweep.pdamp_pass[ok]
     agreement = float(np.mean(agree)) if np.any(ok) else 0.0

@@ -19,6 +19,8 @@ Provided systems:
 Custom systems register through :func:`register_system`.
 """
 
+import inspect
+
 import numpy as np
 
 from .errors import ModelError
@@ -164,4 +166,9 @@ def make_system(name, params=None):
     except KeyError:
         raise ModelError(f"unknown system {name!r}; registered: "
                          f"{sorted(SYSTEM_REGISTRY)}") from None
-    return factory(**(params or {}))
+    params = params or {}
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ModelError(f"system {name!r}: {exc}") from None
+    return factory(**params)

@@ -134,12 +134,10 @@ def gaussian_initial_data(direction, amplitude=1e-3, center=0.0, width=3.0):
 
 def _biased_derivatives(v, dx):
     """Second-order one-sided stacks with zero ghost values."""
-    m = v.shape[0]
-    pad = np.zeros((2, v.shape[1]))
-    vp = np.vstack([pad, v, pad])
-    i = np.arange(2, m + 2)
-    bwd = (3.0 * vp[i] - 4.0 * vp[i - 1] + vp[i - 2]) / (2.0 * dx)
-    fwd = (-3.0 * vp[i] + 4.0 * vp[i + 1] - vp[i + 2]) / (2.0 * dx)
+    vp = np.zeros((v.shape[0] + 4, v.shape[1]))
+    vp[2:-2] = v
+    bwd = (3.0 * vp[2:-2] - 4.0 * vp[1:-3] + vp[:-4]) / (2.0 * dx)
+    fwd = (-3.0 * vp[2:-2] + 4.0 * vp[3:-1] - vp[4:]) / (2.0 * dx)
     return bwd, fwd
 
 

@@ -50,12 +50,99 @@ def small_config(seed=11, a=2.0, endstates=None):
     }
 
 
-def test_config_schema_is_valid():
-    # RunConfig.from_dict validates configs against the schema without
-    # checking the schema itself on every call
-    from jsonschema import validators
-    schema = cli.CONFIG_SCHEMA
-    validators.validator_for(schema).check_schema(schema)
+def saint_venant_config():
+    h1 = 1.2
+    return {
+        "schema_version": 1, "seed": 3,
+        "system": {"name": "saint_venant", "params": {"froude": 1.5}},
+        "profile": {"endstates": [[h1, h1 ** 1.5], [1.0, 1.0]],
+                    "speed": (h1 ** 1.5 - 1.0) / (h1 - 1.0), "L": 30.0,
+                    "n_points": 801},
+        "hypotheses": {"eta_min": 10.0, "theta_req": 0.0},
+    }
+
+
+def _run_argv(edit, config=small_config):
+    """argv of ``relaxstab run`` on ``config()`` after ``edit``."""
+    def argv(tmp_path):
+        cfg = config()
+        edit(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _report_argv(name, text=None):
+    """argv of ``relaxstab report`` on a file holding ``text`` (or none)."""
+    def argv(tmp_path):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        return ["report", str(tmp_path / name)]
+    return argv
+
+
+BAD_INPUTS = {
+    "string-trials": (_run_argv(lambda c: c["resolvent"].update(trials="6")),
+                      "resolvent.trials"),
+    "string-pairs": (_run_argv(lambda c: c["dichotomy"].update(pairs="8")),
+                     "dichotomy.pairs"),
+    "misspelt-key": (_run_argv(lambda c: c["dichotomy"].update(pairz=8)),
+                     "dichotomy.pairz"),
+    "retired-threads-key": (
+        _run_argv(lambda c: c["resolvent"].update(threads=2)),
+        "resolvent.threads"),
+    "negative-length": (_run_argv(lambda c: c["domain"].update(length=-20)),
+                        "domain.length"),
+    "bool-for-number": (_run_argv(lambda c: c["norms"].update(alpha=True)),
+                        "norms.alpha"),
+    "count-below-bound": (_run_argv(lambda c: c["domain"].update(n_nodes=4)),
+                          "domain.n_nodes"),
+    "endstate-of-wrong-size": (
+        _run_argv(lambda c: c["profile"]["endstates"][0].append(0.0),
+                  saint_venant_config), "profile.endstates"),
+    "shooting-without-speed": (
+        _run_argv(lambda c: c["profile"].pop("speed"), saint_venant_config),
+        "profile.speed"),
+    "unknown-system-param": (
+        _run_argv(lambda c: c["system"].update(params={"b": 1})), "'b'"),
+    "three-part-lambda": (
+        _run_argv(lambda c: c["dichotomy"].update({"lambda": [1, 2, 3]})),
+        "dichotomy.lambda"),
+    "report-missing-file": (_report_argv("missing.json"), "missing.json"),
+    "report-not-json": (_report_argv("broken.json", "{"), "broken.json"),
+}
+
+
+@pytest.mark.parametrize("argv, where", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_is_usage_error_naming_the_key(tmp_path, capsys, argv,
+                                                 where):
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and where in err
+
+
+def test_spelled_out_defaults_give_the_minimal_results(tmp_path):
+    # a stage that fell back on a default of its own would tell them apart
+    minimal = {"schema_version": 1, "system": {"name": "jin_xin"},
+               "profile": {"endstates": [[1.0, 0.5], [0.0, 0.0]]}}
+    spelled = json.loads(json.dumps(minimal))
+    for path, (_, default, *_) in cli.OPTIONS.items():
+        if default is not cli.REQUIRED:
+            *sections, key = path.split(".")
+            node = spelled
+            for name in sections:
+                node = node.setdefault(name, {})
+            node[key] = list(default) if isinstance(default, tuple) \
+                else default
+    results = []
+    for tag, data in (("minimal", minimal), ("spelled", spelled)):
+        cfg = cli.RunConfig.from_dict(data)
+        assert cli.run(cfg, pipeline="full", out_dir=str(tmp_path / tag)) == 0
+        summary = json.loads((tmp_path / tag / "summary.json").read_text())
+        assert summary["config"] == data
+        results.append(summary["results"])
+    assert results[0] == results[1]
 
 
 def test_bad_relax_in_nonlinear_simulate_is_numeric_failure(tmp_path,
@@ -324,7 +411,8 @@ print(json.dumps({
     "loaded": sorted({".".join(m.split(".")[:2]) for m in sys.modules
                       if m.startswith("scipy.")}),
     "tracer_names": [hasattr(dichotomy, "solve_ivp"),
-                     hasattr(symmetrizer, "solve_ivp")]}))
+                     hasattr(symmetrizer, "solve_ivp")],
+    "jsonschema": "jsonschema" in sys.modules}))
 """
 
 
@@ -339,6 +427,7 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
     assert not set(UNUSED_SCIPY) & set(result["loaded"])
     # perfbench/tracing.py binds and wraps these names
     assert result["tracer_names"] == [True, True]
+    assert result["jsonschema"] is False
 
 
 LAZY_PATHS_RUN = """
@@ -496,16 +585,7 @@ def test_optional_csv_dumps(tmp_path):
 
 
 def test_saint_venant_pipeline_through_cli(tmp_path):
-    h1 = 1.2
-    s = (h1 ** 1.5 - 1.0) / (h1 - 1.0)
-    data = {
-        "schema_version": 1, "seed": 3,
-        "system": {"name": "saint_venant", "params": {"froude": 1.5}},
-        "profile": {"endstates": [[h1, h1 ** 1.5], [1.0, 1.0]],
-                    "speed": s, "L": 30.0, "n_points": 801},
-        "hypotheses": {"eta_min": 10.0, "theta_req": 0.0},
-    }
-    cfg = cli.RunConfig.from_dict(data)
+    cfg = cli.RunConfig.from_dict(saint_venant_config())
     code = cli.run(cfg, pipeline="hypotheses", out_dir=str(tmp_path / "sv"))
     assert code == 0
     rep = json.loads((tmp_path / "sv" / "hypotheses.json").read_text())

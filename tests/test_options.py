@@ -5,8 +5,9 @@ and the CLI only ever run one value of it.  Such a value belongs in a named
 constant next to the code that uses it, and the branches only other values
 reach belong nowhere.  This test parses ``src/relaxstab`` and fails on a
 defaulted parameter that no call in ``src/`` or ``tests/`` sets, unless it
-is on the short allow-list below, and it caps the number of defaulted
-parameters so that a new option shows up in the diff that adds it.
+is on the short allow-list below.  It caps the number of defaulted
+parameters and of CLI config keys so that a new option shows up in the diff
+that adds it, and checks that README.md lists every config key.
 
 Calls are matched by name (``f(...)``, ``obj.f(...)``, and ``Cls(...)`` for
 ``Cls.__init__``); a parameter counts as set when a call passes it by
@@ -14,7 +15,10 @@ keyword, positionally, or through ``*args``/``**kwargs``.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from relaxstab.cli import OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "relaxstab"
@@ -32,7 +36,9 @@ ALLOWED = {
 }
 
 # Defaulted parameters in src/relaxstab; a change that adds one raises this.
-MAX_DEFAULTS = 86
+MAX_DEFAULTS = 85
+# Config keys of the CLI (``cli.OPTIONS``); the same holds for a new key.
+MAX_CONFIG_KEYS = 39
 
 
 def _defaults(fn):
@@ -126,3 +132,15 @@ def test_defaulted_parameters_within_ceiling():
     assert count <= MAX_DEFAULTS, (
         f"{count} defaulted parameters in src/relaxstab, ceiling "
         f"{MAX_DEFAULTS}; a new option raises MAX_DEFAULTS in its own diff")
+
+
+def test_config_keys_within_ceiling():
+    assert len(OPTIONS) <= MAX_CONFIG_KEYS, (
+        f"{len(OPTIONS)} config keys, ceiling {MAX_CONFIG_KEYS}; a new key "
+        f"raises MAX_CONFIG_KEYS in its own diff")
+
+
+def test_readme_lists_every_config_key():
+    listed = re.findall(r"^\| `([\w.]+)` \|", (ROOT / "README.md").read_text(),
+                        re.MULTILINE)
+    assert listed == list(OPTIONS)

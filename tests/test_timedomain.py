@@ -98,6 +98,22 @@ def test_scheme_order_against_fourier_oracle(jx):
     assert order > 1.9
 
 
+def test_biased_derivatives_match_the_nodewise_stencil():
+    # second-order one-sided differences, zero beyond the ends, node by node
+    v = np.random.default_rng(4).standard_normal((37, 2))
+    dx = 0.37
+
+    def at(i):
+        return v[i] if 0 <= i < len(v) else np.zeros(2)
+
+    bwd, fwd = td._biased_derivatives(v, dx)
+    for i in range(len(v)):
+        assert np.array_equal(
+            bwd[i], (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * dx))
+        assert np.array_equal(
+            fwd[i], (-3.0 * at(i) + 4.0 * at(i + 1) - at(i + 2)) / (2.0 * dx))
+
+
 # ----------------------------------------------------------------- energy ----
 
 def test_energy_zero_state():
