@@ -313,11 +313,14 @@ def verify_classical_damping(trace):
     inequality at every interior sample; for each of ``N_ETA`` candidate
     rates up to ``ETA_MAX`` the minimal verifying ``C`` is computed and
     capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
-    refutation carrying the witness sample.
+    refutation carrying the witness sample.  A trace of fewer than 5
+    samples raises :class:`CertificateError`: it cannot be differenced.
     """
     t = trace.times
     if t.size < 5:
-        raise ValueError("trace too short to difference; sample more densely")
+        raise CertificateError(
+            f"trace too short to difference ({t.size} samples, need 5); "
+            "sample more densely")
     idx = np.arange(1, t.size - 1)
     Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
         t[idx + 1] - t[idx - 1])

@@ -333,6 +333,19 @@ def test_nonlinear_simulate_is_typed_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_short_simulation_is_typed_failure(tmp_path, capsys):
+    # a run too short to difference its energy trace ends with exit code 3
+    # and one message line, not a traceback
+    data = saint_venant_config()
+    data["simulation"] = {"t_final": 2.0, "n_points": 101, "L_sim": 20.0,
+                          "tau_c": 50.0}
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="simulate", out_dir=str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure in simulate: trace too short")
+    assert len(err.splitlines()) == 1
+
+
 def test_worker_count_env_override(monkeypatch):
     from relaxstab.resolvent import worker_count
     monkeypatch.setenv("RELAXSTAB_THREADS", "3")

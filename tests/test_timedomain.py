@@ -220,7 +220,7 @@ def test_damping_short_trace_rejected():
     t = np.linspace(0.0, 1.0, 3)
     trace = td.EnergyTrace(times=t, E_values=np.ones(3),
                            L2_values=np.zeros(3), f_values=np.zeros(3))
-    with pytest.raises(ValueError, match="dense"):
+    with pytest.raises(CertificateError, match="dense"):
         td.verify_classical_damping(trace)
 
 
