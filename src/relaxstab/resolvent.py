@@ -27,15 +27,20 @@ What a frequency point costs: the coefficients that do not depend on
 ``G``, a batched ``n x n`` product per node.  Most of a point's time is
 then the LU factorization of the ``mn x mn`` collocation matrix and the
 solves with it.  The trial forcings are drawn and solved in one batch
-(``_trial_solutions``), a stack ``(T, m, n)`` through one multi-column LU
-solve, and their hat, L2 and H^1 norms are taken in one pass over the
-stack; each power-iteration step adds two single-column solves and one
-Cholesky solve with the hat-Gram matrix.  Around these LAPACK calls a
-point does little numpy work, which holds the GIL while LAPACK does not:
-the collocation matrix is filled in Fortran order and factored in place,
-real operands are cast to complex once per point or grid instead of on
-every call, the residual check reads only the interior rows, and the bumps
-of a batch of forcings are evaluated in one pass.
+(``_trial_solutions``), a stack ``(T, m, n)``, and their hat, L2 and H^1
+norms are taken in one pass over the stack; each power-iteration step
+adds a forward and an adjoint single-column solve and one Cholesky solve
+with the hat-Gram matrix.  Every collocation solve goes through
+:func:`lu_solve`: a stack through one ``getrs`` call, a single column (the
+power iteration's 21 per point) through a row permutation and two
+``trsv`` calls.  At one BLAS thread a one-column ``getrs`` packs the whole
+factor for ``trsm`` on every call and takes about three times as long.
+Around the LAPACK calls a point does little numpy work, which holds the
+GIL while LAPACK does not: the collocation matrix is filled in Fortran
+order and factored in place, real operands are cast to complex once per
+point or grid instead of on every call, the residual check reads only the
+interior rows, and the bumps of a batch of forcings are evaluated in one
+pass.
 
 The frequency points of a sweep run on a thread pool, the program's only
 source of parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never
@@ -50,7 +55,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import (cho_factor, get_blas_funcs, get_lapack_funcs,
+                          lu_factor)
 
 from .errors import (CenterSpectrumError, ConfigError, ModelError,
                      NumericError)
@@ -426,6 +432,48 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
                                   perturbation=v, deriv_order=deriv_order)
 
 
+# the collocation matrix is complex: its solvers are looked up once
+_trsv, = get_blas_funcs(("trsv",), dtype=complex)
+_getrs, = get_lapack_funcs(("getrs",), dtype=complex)
+
+
+def _row_permutation(piv):
+    """Rows ``perm`` with ``A[perm] = L @ U`` for the pivots ``piv`` of
+    ``lu_factor(A)``: its row swaps applied in order to ``0 .. N-1``."""
+    perm = list(range(len(piv)))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    return np.array(perm)
+
+
+def lu_solve(factors, b, trans):
+    """Solve ``A x = b`` (``trans=0``) or ``A^H x = b`` (``trans=2``) for
+    a complex ``A`` with ``factors = (lu, piv, perm)``: the Fortran-ordered
+    LU matrix and the pivots of ``lu_factor``, and their
+    :func:`_row_permutation`.
+
+    A single column ``(N,)`` is solved by the permutation and two ``trsv``
+    calls, a stack ``(N, T)`` by one ``getrs`` call that may overwrite
+    ``b``.  ``getrs`` shifts the pivots it is given to 1-based indices
+    while it runs, so it gets a private copy, and threads may share the
+    factors.  Nothing is checked for finiteness.
+    """
+    lu, piv, perm = factors
+    if b.ndim == 1:
+        if trans == 0:
+            x = _trsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
+            return _trsv(lu, x, overwrite_x=1)
+        x = _trsv(lu, b, trans=trans)
+        x = _trsv(lu, x, lower=1, trans=trans, diag=1, overwrite_x=1)
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+    x, info = _getrs(lu, piv.copy(), b, trans=trans, overwrite_b=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
 class _BvpOperator:
     """LU-factored collocation operator with boundary-projection rows.
 
@@ -437,8 +485,9 @@ class _BvpOperator:
     subspaces.  The operator keeps the node arrays, not the field, so that
     the field (which holds the operator) is freed by reference counting.
     The arrays that every solve applies are prepared here, once: ``A_1^{-1}``
-    cast to complex, and ``D`` and ``G`` cut to the interior rows of the
-    residual check.
+    cast to complex, ``D`` and ``G`` cut to the interior rows of the
+    residual check, and the row permutation of the LU pivots
+    (:func:`lu_solve`).
     """
 
     def __init__(self, field):
@@ -484,17 +533,19 @@ class _BvpOperator:
         # G is finite by construction, and every solution is checked by the
         # residual cap, so no finiteness scan of M
         try:
-            self.lu = lu_factor(M, overwrite_a=True, check_finite=False)
+            lu, piv = lu_factor(M, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericError("LU factorization of the collocation operator "
                                "failed") from exc
+        self.lu = (lu, piv, _row_permutation(piv))
 
     def solve(self, f_nodes, apply_a1inv=True):
         """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
         ``(T, m, n)``; returns node values of the same shape.
 
-        All forcings go through one multi-column LU solve, and the residual
-        cap is checked for each of them.
+        A stack goes through one multi-column LU solve and one forcing
+        through two triangular solves (:func:`lu_solve`); the residual cap
+        is checked for each of them.
         """
         f = np.asarray(f_nodes, dtype=complex)
         rhs = f.reshape(-1, self.m, self.n)
@@ -507,16 +558,16 @@ class _BvpOperator:
         b[:, -1, :j] = rhs[:, -1] @ self.keep_plus.T
         # b is a scratch copy, and every solution is checked by the residual
         # cap, so LAPACK may overwrite it and need not scan it
-        v = lu_solve(self.lu, b.reshape(len(b), -1).T, overwrite_b=True,
-                     check_finite=False).T.reshape(rhs.shape)
+        single = f.ndim < 3
+        cols = b.reshape(-1) if single else b.reshape(len(b), -1).T
+        v = lu_solve(self.lu, cols, trans=0).T.reshape(rhs.shape)
         self._check_residual(v, rhs)
-        return v if f.ndim == 3 else v[0]
+        return v[0] if single else v
 
     def solve_adjoint(self, y_nodes):
         """Apply the conjugate-transposed solution operator (no A1inv)."""
         y = np.asarray(y_nodes, dtype=complex).reshape(-1)
-        u = lu_solve(self.lu, y, trans=2,
-                     check_finite=False).reshape(self.m, self.n)
+        u = lu_solve(self.lu, y, trans=2).reshape(self.m, self.n)
         j, k = self.ranks
         u[0] = self.keep_minus_h @ u[0, self.n - k:]
         u[-1] = self.keep_plus_h @ u[-1, :j]
@@ -662,9 +713,9 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
         # the clustered grid, not modes of the whole-line operator)
         envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
         A1inv_h = field.A1inv_nodes.conj()
-        # V holds the solution of best_f, but not always to the bit: numpy
-        # projects the end rows of a stack and of one forcing with different
-        # BLAS calls, so the first step solves best_f alone
+        # V holds the solution of best_f, but not to the bit: the batch
+        # went through getrs and a single column goes through trsv, which
+        # round differently, so the first step solves best_f alone
         f = best_f
         for _ in range(power_iters):
             v = op.solve(f)

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import numpy.fft as fft
 import pytest
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import (cho_factor, cho_solve, lu_factor, lu_solve,
+                          solve_triangular)
 
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
@@ -576,7 +580,8 @@ def test_transverse_frequency_path_against_fourier_oracle():
 # amplifies a change of rounding; with seed 126 there, starting the power
 # iteration from the batch's solution of the best forcing would change the
 # gain, because it differs in its last bits from a solve of that forcing
-# alone.
+# alone.  A single column is solved the plain way: the pivots applied by
+# row swaps, then two triangular solves.
 
 KERNEL_SEED = 125       # _sweep_point draws its gain estimate from seed + 1
 
@@ -614,7 +619,7 @@ class _ReferenceOperator:
         bot[:j, :] = self.keep_plus @ M[rN, :]
         bot[j:, rN] = plus.left_unstable
         M[r0, :], M[rN, :] = top, bot
-        self.lu = lu_factor(M)
+        self.M, self.lu = M, lu_factor(M)
         self.field, self.m, self.n, self.ranks = field, m, n, (j, k)
 
     def solve(self, f):
@@ -626,12 +631,25 @@ class _ReferenceOperator:
         b[:, [0, -1]] = 0.0
         b[:, 0, self.n - k:] = rhs[:, 0] @ self.keep_minus.T
         b[:, -1, :j] = rhs[:, -1] @ self.keep_plus.T
-        v = lu_solve(self.lu, b.reshape(len(b), -1).T).T.reshape(rhs.shape)
-        return v if f.ndim == 3 else v[0]
+        if f.ndim == 3:
+            return lu_solve(self.lu, b.reshape(len(b), -1).T).T.reshape(
+                rhs.shape)
+        lu, piv = self.lu
+        x = b.reshape(-1)
+        for i, p in enumerate(piv):
+            x[[i, p]] = x[[p, i]]
+        x = solve_triangular(lu, x, lower=True, unit_diagonal=True)
+        return solve_triangular(lu, x).reshape(self.m, self.n)
 
     def solve_adjoint(self, y):
-        u = lu_solve(self.lu, np.asarray(y, dtype=complex).reshape(-1),
-                     trans=2).reshape(self.m, self.n)
+        lu, piv = self.lu
+        x = solve_triangular(lu, np.asarray(y, dtype=complex).reshape(-1),
+                             trans=2)
+        x = solve_triangular(lu, x, lower=True, unit_diagonal=True, trans=2)
+        for i in reversed(range(len(piv))):
+            p = piv[i]
+            x[[i, p]] = x[[p, i]]
+        u = x.reshape(self.m, self.n)
         j, k = self.ranks
         u[0] = self.keep_minus.conj().T @ u[0, self.n - k:]
         u[-1] = self.keep_plus.conj().T @ u[-1, :j]
@@ -761,3 +779,99 @@ def test_sweep_point_lapack_work(jx, front, geom, monkeypatch, threads):
     # per point: 4 trial columns, 4 more for the gain estimate, then 10
     # power steps of a forward and an adjoint solve and one last forward solve
     assert counts == {"factorizations": 2, "columns": 2 * 29}
+
+
+# ------------------------------------------- single columns by trsv ----
+
+def test_row_permutation_reproduces_lu(front_field):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    lu, piv = lu_factor(A)
+    lu_M, _, perm_M = front_field.bvp().lu
+    for A, lu, perm in ((A, lu, res._row_permutation(piv)),
+                        (_ReferenceOperator(front_field).M, lu_M, perm_M)):
+        assert sorted(perm.tolist()) == list(range(len(A)))
+        LU = (np.tril(lu, -1) + np.eye(len(lu))) @ np.triu(lu)
+        assert np.allclose(A[perm], LU, rtol=0,
+                           atol=1e-12 * np.max(np.abs(A)))
+
+
+@pytest.mark.parametrize("which", ["front", "transverse"])
+def test_single_column_solves_match_scipy(which, front_field):
+    field = front_field if which == "front" else _transverse_field()
+    factors = field.bvp().lu
+    lu, piv, _ = factors
+    rng = np.random.default_rng(12)
+    B = rng.standard_normal((len(lu), 3)) + 1j * rng.standard_normal(
+        (len(lu), 3))
+    for trans in (0, 2):
+        b = B[:, 0].copy()
+        x = res.lu_solve(factors, b, trans=trans)
+        ref = lu_solve((lu, piv), b, trans=trans)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        # a stack still takes one getrs call, bit for bit
+        assert np.array_equal(res.lu_solve(factors, B.copy(order="F"),
+                                           trans=trans),
+                              lu_solve((lu, piv), B, trans=trans))
+
+
+def test_power_iteration_solves_single_columns(jx, front, geom, monkeypatch):
+    # the power iteration's 10 forward, 10 adjoint and 1 last solve of a
+    # point reach lu_solve as 1-D right-hand sides, the triangular path
+    counts = {"single": 0, "stacked": 0}
+    lock = threading.Lock()
+    solve = res.lu_solve
+
+    def counted_solve(factors, b, trans):
+        with lock:
+            if b.ndim == 1:
+                counts["single"] += 1
+            else:
+                counts["stacked"] += b.shape[1]
+        return solve(factors, b, trans=trans)
+
+    monkeypatch.setattr(res, "lu_solve", counted_solve)
+    grid = [res.FrequencyPoint(np.zeros(0), lam)
+            for lam in (0.5 + 15.65j, 0.5 + 60j)]
+    res.run_sweep(lambda fp: res.assemble_G(jx, front, fp, geom=geom), grid,
+                  s=1, gamma_star=-0.25, trials=4, seed=0)
+    assert counts == {"single": 2 * 21, "stacked": 2 * 8}
+
+
+CONCURRENT_SOLVES = """
+import threading
+import numpy as np
+from relaxstab import profile as prof, resolvent as res, systems
+field = res.assemble_G(systems.jin_xin(2.0),
+                       prof.solve_profile_jinxin(2.0, 1.0, 0.0),
+                       res.FrequencyPoint(np.zeros(0), 0.5 + 3j),
+                       geom=res.CollocationGrid(n_nodes=161, length=50.0))
+rng = np.random.default_rng(0)
+F = rng.standard_normal((2, 161, 2)) + 1j * rng.standard_normal((2, 161, 2))
+serial = res.solve_resolvent_bvp(field, F)
+same = []
+
+def work():
+    same.append(all(np.array_equal(res.solve_resolvent_bvp(field, F), serial)
+                    for _ in range(1500)))
+
+threads = [threading.Thread(target=work) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert same == [True, True], same
+"""
+
+
+def test_concurrent_solves_on_one_field():
+    # getrs shifts the pivots it is given while it runs; two threads that
+    # shared them corrupted the heap and killed the interpreter, so the
+    # solves run in a fresh one
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(res.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", CONCURRENT_SOLVES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
