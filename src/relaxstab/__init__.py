@@ -18,8 +18,8 @@ from .dichotomy import (DichotomyData, TurningPointReport, block_diagonalize,
 from .model import (HypothesisReport, SymbolMatrix, SystemSpec,
                     ZeroOrderCoefficient, assemble_symbol, check_chf,
                     check_geometric_regularity, check_hyperbolicity,
-                    check_kawashima, check_noncharacteristic, run_hypotheses,
-                    zero_order_matrix)
+                    check_kawashima, check_noncharacteristic, per_state,
+                    run_hypotheses, zero_order_matrix)
 from .profile import (WaveProfile, load_profile, save_profile,
                       solve_profile_jinxin, solve_profile_shooting)
 from .resolvent import (CollocationGrid, FrequencyPoint, HatNorm,

@@ -10,7 +10,11 @@ a fourth-order Magnus method (two Gauss points per substep, Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009); ``G`` is evaluated exactly, in one
 stacked call per field.  A backward step is the product of the
 inverse substep exponentials ``expm(-Omega)``, never a matrix inverse: a
-stiff interval can make ``Phi_i`` singular to working precision.
+stiff interval can make ``Phi_i`` singular to working precision.  The
+exponentials of all substeps, forward and backward, come from one stacked
+Pade-13 scaling-and-squaring pass (:func:`_expm`), and the substeps of all
+intervals are multiplied in one pairwise pass (:func:`_interval_products`),
+so no Python loop runs over substeps or intervals.
 
 The forward-decaying family is tracked by stepping the stable frame of
 ``G(+inf)`` backward from ``+L``; the backward-decaying family by stepping
@@ -34,10 +38,9 @@ The decay fit and the verifier share that chain and their random node pairs
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm, polar
+from scipy.linalg import polar
 
 from .errors import (CertificateError, FrameConditioningError,
                      TurningPointSuspectedError, WindowOverflowError)
@@ -71,6 +74,81 @@ COALESCENCE_COND_CAP = 1e4
 REFINE_TOL = 1e-10
 # eigenvalue-gap tolerance of detect_turning_points
 TURNING_GAP_TOL = 1e-3
+
+
+# Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+# with the scaling of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+          16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152         # largest 1-norm Pade-13 takes unscaled
+ELL13 = 113250775606021113483283660800000000.0  # 1/|c_27| of the error series
+
+
+def _mm(X, Y):
+    """Products of two matrix stacks held entry-major, ``(n, n, K)``.
+
+    Each entry is a vector over the stack, so a product is ``n``
+    broadcast multiply-adds instead of ``K`` small matrix products.
+    """
+    P = X[:, 0, None] * Y[None, 0]
+    for j in range(1, X.shape[1]):
+        P += X[:, j, None] * Y[None, j]
+    return P
+
+
+def _norm1(X):
+    """1-norms of an entry-major stack ``(n, n, K)``."""
+    return np.abs(X).sum(axis=0).max(axis=0)
+
+
+def _expm(A):
+    """Matrix exponentials of a stack ``(K, n, n)``, in one pass.
+
+    Every matrix gets its own scaling ``s`` from the exact norms of its
+    powers (``eta_5`` of Al-Mohy & Higham, plus their ``ell`` correction
+    against overscaling), the Pade-13 approximant of ``2^-s A``, and ``s``
+    squarings, masked to the matrices that need them.  The products run on
+    the entry-major layout (:func:`_mm`).
+    """
+    X = np.ascontiguousarray(np.moveaxis(A, 0, -1))
+    n, K = X.shape[0], X.shape[-1]
+    X2 = _mm(X, X)
+    X4 = _mm(X2, X2)
+    X6 = _mm(X4, X2)
+    d6, d8, d10 = (_norm1(X6) ** (1 / 6), _norm1(_mm(X4, X4)) ** (1 / 8),
+                   _norm1(_mm(X4, X6)) ** (1 / 10))
+    eta5 = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(eta5 / THETA13)), 0.0)
+    # ell: extra halvings until |c_27| |2^-s A|^27 is below the unit
+    # roundoff relative to |2^-s A| (1-norms; |A|^27 from the left by 1^T)
+    absX = np.abs(X) * 2.0 ** -s
+    col = absX.sum(axis=0)
+    for _ in range(26):
+        col = (col[:, None] * absX).sum(axis=0)
+    nrm = _norm1(absX)
+    alpha = np.divide(col.max(axis=0), nrm * ELL13, out=np.zeros(K),
+                      where=nrm > 0)
+    with np.errstate(divide="ignore"):
+        ell = np.ceil(np.log2(alpha / 2.0 ** -53) / 26.0)
+    s = (s + np.maximum(ell, 0.0)).astype(int)
+
+    c = 2.0 ** -s
+    X, X2, X4, X6 = X * c, X2 * c ** 2, X4 * c ** 4, X6 * c ** 6
+    b = PADE13
+    eye = np.eye(n)[:, :, None]
+    U = _mm(X, _mm(X6, b[13] * X6 + b[11] * X4 + b[9] * X2)
+            + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (_mm(X6, b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = np.moveaxis(np.linalg.solve(np.moveaxis(V - U, -1, 0),
+                                    np.moveaxis(V + U, -1, 0)), 0, -1)
+    for k in range(int(s.max(initial=0))):
+        idx = np.flatnonzero(s > k)
+        R[..., idx] = _mm(R[..., idx], R[..., idx])
+    return np.ascontiguousarray(np.moveaxis(R, -1, 0))
 
 
 def _orthonormalize(Y):
@@ -153,38 +231,66 @@ def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
     return data
 
 
+def _magnus_exponents(field):
+    """Fourth-order Magnus exponents ``Omega`` of every substep of ``field``'s
+    grid, in grid order, and the substep count ``k`` of each interval.
+
+    Interval ``i`` gets ``ceil(MAGNUS_SUBSTEPS * h_i / max h)`` equal
+    substeps; ``G`` is evaluated at their two Gauss points each, in one
+    stacked call.
+    """
+    grid = field.geom.x
+    h = np.diff(grid)
+    k = np.ceil(MAGNUS_SUBSTEPS * h / h.max()).astype(int)
+    edges = [np.linspace(a, b, ki + 1)
+             for a, b, ki in zip(grid[:-1], grid[1:], k)]
+    start = np.concatenate([e[:-1] for e in edges])
+    dt = np.concatenate([np.diff(e) for e in edges])
+    c = np.sqrt(3.0) / 6.0
+    G = field.G_at(np.concatenate([start + (0.5 - c) * dt,
+                                   start + (0.5 + c) * dt]))
+    G1, G2 = G[:dt.size], G[dt.size:]
+    dt = dt[:, None, None]
+    Omega = (0.5 * dt * (G1 + G2)
+             + (np.sqrt(3.0) / 12.0) * dt ** 2 * (G2 @ G1 - G1 @ G2))
+    return Omega, k
+
+
 def _interval_propagators(field):
     """Cached one-interval propagators of ``field`` on its grid ``x``.
 
     Returns ``(Phi, Phi_inv)`` with ``Phi[i] = S(x[i+1], x[i])`` and
-    ``Phi_inv[i] = S(x[i], x[i+1])``, both by fourth-order Magnus substeps.
-    The stack is built on first use and kept on the field, so every
-    dichotomy on the same field shares it.
+    ``Phi_inv[i] = S(x[i], x[i+1])``, the ordered products of the substep
+    exponentials ``expm(Omega)`` and ``expm(-Omega)``, all taken in one
+    :func:`_expm` call.  The stack is built on first use and kept on the
+    field, so every dichotomy on the same field shares it.
     """
     if field._propagators is None:
-        grid = field.geom.x
-        h = np.diff(grid)
-        k = np.ceil(MAGNUS_SUBSTEPS * h / h.max()).astype(int)
-        edges = [np.linspace(a, b, ki + 1)
-                 for a, b, ki in zip(grid[:-1], grid[1:], k)]
-        start = np.concatenate([e[:-1] for e in edges])
-        dt = np.concatenate([np.diff(e) for e in edges])
-        # two Gauss points per substep, one stacked evaluation of G
-        c = np.sqrt(3.0) / 6.0
-        G = field.G_at(np.concatenate([start + (0.5 - c) * dt,
-                                       start + (0.5 + c) * dt]))
-        G1, G2 = G[:dt.size], G[dt.size:]
-        dt = dt[:, None, None]
-        Omega = (0.5 * dt * (G1 + G2)
-                 + (np.sqrt(3.0) / 12.0) * dt ** 2 * (G2 @ G1 - G1 @ G2))
-        E, E_inv = expm(Omega), expm(-Omega)
-        ends = np.cumsum(k)
-        Phi = np.stack([reduce(np.matmul, E[lo:hi][::-1])
-                        for lo, hi in zip(ends - k, ends)])
-        Phi_inv = np.stack([reduce(np.matmul, E_inv[lo:hi])
-                            for lo, hi in zip(ends - k, ends)])
-        field._propagators = (Phi, Phi_inv)
+        Omega, k = _magnus_exponents(field)
+        E, E_inv = np.split(_expm(np.concatenate([Omega, -Omega])), 2)
+        field._propagators = (_interval_products(E, k, later_left=True),
+                              _interval_products(E_inv, k, later_left=False))
     return field._propagators
+
+
+def _interval_products(E, k, later_left):
+    """Ordered products of the substep matrices ``E`` (grid order) over each
+    interval of ``k[i]`` substeps, later substeps on the left or the right.
+
+    The substeps of all intervals sit in one entry-major table, padded with
+    identities to a power of two, and neighbours are multiplied pairwise
+    until one matrix per interval is left.
+    """
+    n = E.shape[-1]
+    width = 1 << int(k.max() - 1).bit_length()
+    slots = np.arange(width) < k[:, None]                 # (intervals, width)
+    P = np.empty((n, n) + slots.shape, dtype=E.dtype)
+    P[:, :, slots] = np.moveaxis(E, 0, -1)
+    P[:, :, ~slots] = np.eye(n)[:, :, None]
+    while P.shape[-1] > 1:
+        early, late = P[..., 0::2], P[..., 1::2]
+        P = _mm(late, early) if later_left else _mm(early, late)
+    return np.ascontiguousarray(np.moveaxis(P[..., 0], -1, 0))
 
 
 def _chained_propagator(field, data, iy, ix, project=None):

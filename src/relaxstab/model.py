@@ -24,6 +24,7 @@ Co-moving shifts ``A_1 -> A_1 - s*I`` only translate ``sigma(M)`` along the
 imaginary axis and do not affect any verdict below.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +34,7 @@ from .errors import EvaluationError, NumericError, PathResolutionError
 
 __all__ = [
     "SystemSpec",
+    "per_state",
     "SymbolMatrix",
     "ZeroOrderCoefficient",
     "HypothesisReport",
@@ -71,16 +73,17 @@ KAWASHIMA_N_DIRECTIONS = 17
 class SystemSpec:
     """A relaxation system given through analytic Jacobian evaluators.
 
-    The evaluators take one state ``w`` of shape ``(n,)``:
-    ``flux_jac(w)`` returns the stacked flux Jacobians, shape ``(d, n, n)``;
-    ``relax_jac(w)`` returns ``dr/dw(w)``, shape ``(n, n)``;
-    ``equilibria(w)`` decides ``r(w) = 0``;
-    ``relax(w)`` returns ``r(w)`` itself (needed by profile solvers).
+    ``flux_jac``, ``relax_jac`` and ``relax`` take one state ``w`` of shape
+    ``(n,)`` or a stack of states ``(..., n)`` and evaluate all of it in one
+    call: ``flux_jac(w)`` returns the stacked flux Jacobians ``(..., d, n,
+    n)``, ``relax_jac(w)`` returns ``dr/dw(w)`` ``(..., n, n)`` and
+    ``relax(w)`` returns ``r(w)`` itself ``(..., n)`` (needed by profile
+    solvers).  ``equilibria(w)`` decides ``r(w) = 0`` at one state.  An
+    evaluator written for one state goes through :func:`per_state`.
 
-    :meth:`flux_jacs`, :meth:`relax_jacobian` and :meth:`relaxation` accept
-    one state or a stack of states ``(..., n)``, call the evaluator once per
-    state and validate the stacked result; they are the only place the
-    evaluators are looped over.
+    :meth:`flux_jacs`, :meth:`relax_jacobian` and :meth:`relaxation` call an
+    evaluator once and validate its result: a wrong shape or a non-finite
+    entry raises :class:`EvaluationError`.
     """
 
     n: int
@@ -93,23 +96,20 @@ class SystemSpec:
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    def _per_state(self, evaluator, w, shape, what):
-        """``evaluator`` at each state of ``w``, stacked: ``(...,) + shape``."""
+    def _evaluate(self, evaluator, w, shape, what):
+        """``evaluator(w)`` as a fresh array ``w.shape[:-1] + shape``."""
         w = np.asarray(w, dtype=float)
-        states = w.reshape(-1, w.shape[-1])
-        out = np.empty((states.shape[0],) + shape)
-        for i, wi in enumerate(states):
-            value = np.asarray(evaluator(wi), dtype=float)
-            if value.shape != shape:
-                raise EvaluationError(
-                    f"{what} returned shape {value.shape}, expected {shape}")
-            out[i] = value
-        return out.reshape(w.shape[:-1] + shape)
+        value = np.array(evaluator(w), dtype=float)
+        expected = w.shape[:-1] + shape
+        if value.shape != expected:
+            raise EvaluationError(
+                f"{what} returned shape {value.shape}, expected {expected}")
+        return value
 
     def flux_jacs(self, w):
         """Validated flux Jacobians ``(..., d, n, n)`` at ``w`` ``(..., n)``."""
-        A = self._per_state(self.flux_jac, w, (self.d, self.n, self.n),
-                            "flux_jac")
+        A = self._evaluate(self.flux_jac, w, (self.d, self.n, self.n),
+                           "flux_jac")
         finite = np.isfinite(A).all(axis=(-2, -1))
         if not finite.all():
             j = int(np.argmin(finite.reshape(-1, self.d).all(axis=0)))
@@ -119,17 +119,43 @@ class SystemSpec:
 
     def relax_jacobian(self, w):
         """Validated ``dr/dw`` ``(..., n, n)`` at ``w`` ``(..., n)``."""
-        B = self._per_state(self.relax_jac, w, (self.n, self.n), "relax_jac")
+        B = self._evaluate(self.relax_jac, w, (self.n, self.n), "relax_jac")
         if not np.all(np.isfinite(B)):
             raise EvaluationError("relax_jac returned non-finite entries")
         return B
 
     def relaxation(self, w):
         """Validated source ``r(w)`` ``(..., n)`` at ``w`` ``(..., n)``."""
-        r = self._per_state(self.relax, w, (self.n,), "relax")
+        r = self._evaluate(self.relax, w, (self.n,), "relax")
         if not np.all(np.isfinite(r)):
             raise EvaluationError("relax returned non-finite entries")
         return r
+
+
+def per_state(evaluator):
+    """Stack-taking form of an evaluator written for one state ``(n,)``.
+
+    The returned evaluator calls ``evaluator`` once per state of a stack
+    ``(..., n)`` and stacks the results; a result whose shape differs from
+    the first state's raises :class:`EvaluationError`.  It is the one loop
+    over states left in the package, for user systems that do not
+    vectorize.
+    """
+    @functools.wraps(evaluator)
+    def stacked(w):
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            return evaluator(w)
+        values = [np.asarray(evaluator(wi), dtype=float)
+                  for wi in w.reshape(-1, w.shape[-1])]
+        shape = values[0].shape
+        for value in values:
+            if value.shape != shape:
+                raise EvaluationError(
+                    f"{getattr(evaluator, '__name__', 'evaluator')} returned "
+                    f"shapes {shape} and {value.shape} within one stack")
+        return np.stack(values).reshape(w.shape[:-1] + shape)
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -198,9 +224,14 @@ def assemble_symbol(sys, w, eta):
         raise ValueError(f"eta must have length d={sys.d}, got shape {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite")
-    A = sys.flux_jacs(w)
-    T = np.tensordot(eta, A, axes=(0, 0))
+    T = _symbols(sys.flux_jacs(w), eta)
     return SymbolMatrix(base_state=np.asarray(w, dtype=float), eta=eta, matrix=T)
+
+
+def _symbols(A, eta):
+    """``T = sum_j eta_j A_j`` from the flux Jacobians ``A`` ``(d, n, n)`` at
+    one state, for one direction ``(d,)`` or a stack ``(K, d)``."""
+    return np.tensordot(eta, A, axes=(-1, 0))
 
 
 def check_noncharacteristic(sys, profile):
@@ -230,29 +261,28 @@ def check_hyperbolicity(sys, w, eta_samples):
     proxied by the condition number of the eigenvector matrix staying below
     ``COND_CAP``.
     """
-    eta_samples = [np.atleast_1d(np.asarray(e, dtype=float)) for e in eta_samples]
-    if not eta_samples:
+    if not len(eta_samples):
         raise ValueError("eta_samples must be nonempty")
-    worst_im = 0.0
-    worst_cond = 1.0
-    failures = []
-    for eta in eta_samples:
-        nrm = np.linalg.norm(eta)
-        if not np.isclose(nrm, 1.0, atol=1e-12):
-            raise ValueError("eta_samples must be unit vectors")
-        T = assemble_symbol(sys, w, eta).matrix
-        try:
-            mu, V = np.linalg.eig(T)
-            cond = float(np.linalg.cond(V))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed at eta={eta}") from exc
-        im = float(np.max(np.abs(mu.imag)))
-        worst_im = max(worst_im, im)
-        worst_cond = max(worst_cond, cond)
-        if im > IMAG_TOL or cond > COND_CAP:
-            failures.append((tuple(eta), im, cond))
-    return HyperbolicityResult(passed=not failures, worst_imag=worst_im,
-                               worst_cond=worst_cond, failures=tuple(failures))
+    etas = np.asarray(eta_samples, dtype=float).reshape(len(eta_samples), -1)
+    if etas.shape[1] != sys.d or not np.all(np.isfinite(etas)):
+        raise ValueError(f"eta_samples must be finite vectors of length "
+                         f"d={sys.d}")
+    if not np.all(np.isclose(np.linalg.norm(etas, axis=1), 1.0, atol=1e-12)):
+        raise ValueError("eta_samples must be unit vectors")
+    T = _symbols(sys.flux_jacs(w), etas)
+    try:
+        mu, V = np.linalg.eig(T)
+        cond = np.linalg.cond(V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed at w={w}") from exc
+    im = np.max(np.abs(mu.imag), axis=-1)
+    failures = [(tuple(eta), float(i), float(c))
+                for eta, i, c in zip(etas, im, cond)
+                if i > IMAG_TOL or c > COND_CAP]
+    return HyperbolicityResult(passed=not failures,
+                               worst_imag=max(0.0, float(np.max(im))),
+                               worst_cond=max(1.0, float(np.max(cond))),
+                               failures=tuple(failures))
 
 
 def sphere_loop(d, n_points=181):
@@ -299,13 +329,14 @@ def _slerp(u, v, t):
     return (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
 
 
-def _gap_proj(sys, w, eta):
-    T = assemble_symbol(sys, w, eta).matrix
-    mu, proj = _projector_norms(T)
-    if sys.n < 2:
+def _gap_proj(A, eta):
+    """Eigenvalue gap and largest projector norm of the symbol of ``A``."""
+    mu, proj = _projector_norms(_symbols(A, eta))
+    n = mu.size
+    if n < 2:
         return np.inf, float(np.max(proj)), mu, proj
     diffs = np.abs(mu[None, :] - mu[:, None])
-    gap = float(np.min(diffs[~np.eye(sys.n, dtype=bool)]))
+    gap = float(np.min(diffs[~np.eye(n, dtype=bool)]))
     return gap, float(np.max(proj)), mu, proj
 
 
@@ -324,11 +355,12 @@ def check_geometric_regularity(sys, w, sphere_path=None):
     if path.shape[0] < 2:
         raise ValueError("sphere_path needs at least two points")
 
+    A = sys.flux_jacs(w)
     gaps = np.empty(path.shape[0])
     projs = np.empty(path.shape[0])
     prev = None
     for idx, eta in enumerate(path):
-        gap, pnorm, mu, _ = _gap_proj(sys, w, eta)
+        gap, pnorm, mu, _ = _gap_proj(A, eta)
         order = np.argsort(mu.real + 1e-9 * mu.imag)
         mu = mu[order]
         # no continuation in one space dimension: the direction set is
@@ -363,12 +395,12 @@ def check_geometric_regularity(sys, w, sphere_path=None):
         u, v = path[lo], path[hi]
 
         def gap_at(t):
-            return _gap_proj(sys, w, _slerp(u, v, t))[0]
+            return _gap_proj(A, _slerp(u, v, t))[0]
 
         best = minimize_scalar(gap_at, bounds=(0.0, 1.0), method="bounded",
                                options={"xatol": 1e-12})
         eta_star = _slerp(u, v, float(best.x))
-        g_star, p_star, _, _ = _gap_proj(sys, w, eta_star)
+        g_star, p_star, _, _ = _gap_proj(A, eta_star)
         if g_star < GAP_TOL and p_star > PROJECTOR_CAP:
             coalescence.append((i, tuple(eta_star), g_star, p_star))
 
@@ -409,13 +441,13 @@ def check_chf(sys, w0, eta_min, theta_req):
     E = -sys.relax_jacobian(w0)
 
     scan = np.geomspace(eta_min, CHF_ETA_MAX_FACTOR * eta_min, CHF_N_RADII)
-    eta_grid = [r * u for r in scan
-                for u in sphere_loop(sys.d, CHF_N_DIRECTIONS)]
-    radii = np.array([np.linalg.norm(e) for e in eta_grid])
-    worst = np.empty(len(eta_grid))
-    for i, eta in enumerate(eta_grid):
-        T = assemble_symbol(sys, w0, eta).matrix
-        worst[i] = float(np.max(np.linalg.eigvals(-1j * T - E).real))
+    eta_grid = (scan[:, None, None]
+                * sphere_loop(sys.d, CHF_N_DIRECTIONS)).reshape(-1, sys.d)
+    if not np.all(np.isfinite(eta_grid)):
+        raise ValueError("eta must be finite")
+    radii = np.linalg.norm(eta_grid, axis=1)
+    T = _symbols(sys.flux_jacs(w0), eta_grid)
+    worst = np.max(np.linalg.eigvals(-1j * T - E).real, axis=-1)
 
     # tail maxima over increasing threshold candidates
     uniq = np.unique(np.round(radii, 12))
@@ -453,10 +485,11 @@ def check_kawashima(sys, w0):
     if not sys.equilibria(w0):
         raise ValueError("w0 is not an equilibrium state (r(w0) != 0)")
     B = sys.relax_jacobian(w0)
+    A = sys.flux_jacs(w0)
     worst = np.inf
     failures = []
     for eta in sphere_loop(sys.d, KAWASHIMA_N_DIRECTIONS):
-        T = assemble_symbol(sys, w0, eta).matrix
+        T = _symbols(A, eta)
         try:
             mu, V = np.linalg.eig(T)
         except np.linalg.LinAlgError as exc:

@@ -52,7 +52,7 @@ BLAS threads, and then the last digit of a result can move (README.md).
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.linalg import (cho_factor, get_blas_funcs, get_lapack_funcs,
@@ -294,6 +294,8 @@ class ResolventOperatorField:
     _interp: object = None       # read by perfbench/tracing.py's G_at hook
     _bvp: object = None
     _propagators: object = None  # (Phi, Phi_inv), see dichotomy
+    _lock: object = dfield(default_factory=threading.Lock, init=False,
+                           repr=False)
 
     @property
     def n(self):
@@ -327,8 +329,12 @@ class ResolventOperatorField:
         return minus, plus
 
     def bvp(self):
-        if self._bvp is None:
-            self._bvp = _BvpOperator(self)
+        """The LU-factored collocation operator, built on first use; the
+        build holds the field's lock, so threads that ask at once share one
+        factorization."""
+        with self._lock:
+            if self._bvp is None:
+                self._bvp = _BvpOperator(self)
         return self._bvp
 
 

@@ -16,7 +16,9 @@ Provided systems:
                         z_t + c z_x = 0; genuine coupling fails by
                         construction.
 
-Custom systems register through :func:`register_system`.
+Every evaluator takes one state ``(n,)`` or a stack ``(..., n)`` (see
+:class:`~relaxstab.model.SystemSpec`).  Custom systems register through
+:func:`register_system`.
 """
 
 import inspect
@@ -37,21 +39,36 @@ __all__ = [
 ]
 
 
+def _entries(w, shape, values):
+    """Array of shape ``w.shape[:-1] + shape`` filled in C order from
+    ``values``, each a scalar or an array over the stack of states ``w``."""
+    out = np.empty(w.shape[:-1] + (len(values),))
+    for k, value in enumerate(values):
+        out[..., k] = value
+    return out.reshape(w.shape[:-1] + shape)
+
+
+def _constant(w, M):
+    """The matrix stack ``M`` repeated over the stack of states ``w``."""
+    return np.broadcast_to(M, np.shape(w)[:-1] + M.shape)
+
+
 def jin_xin(a=2.0):
     """Jin-Xin relaxation of the Burgers equation with frozen speed ``a``."""
     if a <= 0:
         raise ModelError("jin_xin requires a > 0")
     a2 = float(a) ** 2
-    A1 = np.array([[0.0, 1.0], [a2, 0.0]])
+    A1 = np.array([[[0.0, 1.0], [a2, 0.0]]])
 
     def flux_jac(w):
-        return A1[None, :, :]
+        return _constant(w, A1)
 
     def relax_jac(w):
-        return np.array([[0.0, 0.0], [w[0], -1.0]])
+        return _entries(w, (2, 2), [0.0, 0.0, w[..., 0], -1.0])
 
     def relax(w):
-        return np.array([0.0, 0.5 * w[0] ** 2 - w[1]])
+        u = w[..., 0]
+        return _entries(w, (2,), [0.0, 0.5 * (u * u) - w[..., 1]])
 
     def equilibria(w):
         return abs(0.5 * w[0] ** 2 - w[1]) < 1e-10
@@ -71,14 +88,16 @@ def jin_xin_2d(a=2.0):
     A = np.stack([A1, A2])
 
     def flux_jac(w):
-        return A
+        return _constant(w, A)
 
     def relax_jac(w):
-        return np.array([[0.0, 0.0, 0.0], [w[0], -1.0, 0.0], [w[0], 0.0, -1.0]])
+        u = w[..., 0]
+        return _entries(w, (3, 3), [0.0, 0.0, 0.0, u, -1.0, 0.0, u, 0.0, -1.0])
 
     def relax(w):
-        f = 0.5 * w[0] ** 2
-        return np.array([0.0, f - w[1], f - w[2]])
+        u = w[..., 0]
+        f = 0.5 * (u * u)
+        return _entries(w, (3,), [0.0, f - w[..., 1], f - w[..., 2]])
 
     def equilibria(w):
         f = 0.5 * w[0] ** 2
@@ -94,24 +113,29 @@ def saint_venant(froude=1.5):
 
     Equilibria are ``q = h^{3/2}`` (slope balancing friction); the uniform
     flow ``(1, 1)`` destabilizes at high frequency for ``froude > 2``.
+    The flux Jacobian raises :class:`ModelError` when any state of a stack
+    has ``h <= 0``.
     """
     if froude <= 0:
         raise ModelError("saint_venant requires froude > 0")
     F2 = float(froude) ** 2
 
     def flux_jac(w):
-        h, q = w
-        if h <= 0:
+        h, q = w[..., 0], w[..., 1]
+        if np.any(h <= 0):
             raise ModelError("saint_venant requires h > 0")
-        return np.array([[[0.0, 1.0], [-(q / h) ** 2 + h / F2, 2.0 * q / h]]])
+        u = q / h
+        return _entries(w, (1, 2, 2), [0.0, 1.0, -(u * u) + h / F2, 2.0 * u])
 
     def relax_jac(w):
-        h, q = w
-        return np.array([[0.0, 0.0], [1.0 + 2.0 * q ** 2 / h ** 3, -2.0 * q / h ** 2]])
+        h, q = w[..., 0], w[..., 1]
+        return _entries(w, (2, 2), [0.0, 0.0,
+                                    1.0 + 2.0 * (q * q) / (h * h * h),
+                                    -2.0 * q / (h * h)])
 
     def relax(w):
-        h, q = w
-        return np.array([0.0, h - q ** 2 / h ** 2])
+        h, q = w[..., 0], w[..., 1]
+        return _entries(w, (2,), [0.0, h - (q * q) / (h * h)])
 
     def equilibria(w):
         h, q = w
@@ -125,16 +149,18 @@ def saint_venant(froude=1.5):
 def partially_damped(a=2.0, c=1.0):
     """Jin-Xin plus an undamped transport field ``z_t + c z_x = 0``."""
     a2 = float(a) ** 2
-    A1 = np.array([[0.0, 1.0, 0.0], [a2, 0.0, 0.0], [0.0, 0.0, float(c)]])
+    A1 = np.array([[[0.0, 1.0, 0.0], [a2, 0.0, 0.0], [0.0, 0.0, float(c)]]])
 
     def flux_jac(w):
-        return A1[None, :, :]
+        return _constant(w, A1)
 
     def relax_jac(w):
-        return np.array([[0.0, 0.0, 0.0], [w[0], -1.0, 0.0], [0.0, 0.0, 0.0]])
+        return _entries(w, (3, 3),
+                        [0.0, 0.0, 0.0, w[..., 0], -1.0, 0.0, 0.0, 0.0, 0.0])
 
     def relax(w):
-        return np.array([0.0, 0.5 * w[0] ** 2 - w[1], 0.0])
+        u = w[..., 0]
+        return _entries(w, (3,), [0.0, 0.5 * (u * u) - w[..., 1], 0.0])
 
     def equilibria(w):
         return abs(0.5 * w[0] ** 2 - w[1]) < 1e-10

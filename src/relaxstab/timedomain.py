@@ -9,6 +9,12 @@ classical fourth-order Runge-Kutta in time.  Perturbations are assumed to
 vanish at the domain ends (zero ghost values); the domain must be sized so
 outgoing signals decay before reaching the boundary.
 
+The linearized operator is frozen: :func:`make_sim` builds it once as a
+5-point stencil per node (the upwind split of ``A_1 - sI`` with ``-E``
+folded in), and every stage applies it in one contraction over a sliding
+window.  The nonlinear mode splits ``A_1(wbar + v) - sI`` into
+characteristics at every stage.
+
 Energy functionals are discrete weighted Sobolev sums
 
     E = sum_{k <= s} |alpha * d^k v|^2_{L2,grid},   alpha = exp(a*x),
@@ -73,7 +79,8 @@ class SimState:
     wbar: np.ndarray             # (m, n) wave samples
     wbar_p: np.ndarray           # (m, n) wave derivative samples
     E_nodes: np.ndarray          # (m, n, n)
-    conv_cache: tuple = None     # (mu, R, Rinv) frozen for linearized mode
+    stencil: np.ndarray = None   # (m, n, 5n) linearized operator, see _rhs
+    speed: float = 0.0           # its largest characteristic speed
 
     def boundary_ok(self):
         peak = max(float(np.max(np.abs(self.v))), 1e-300)
@@ -114,13 +121,15 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized"):
     v = np.array([np.atleast_1d(v0(x)) for x in grid], dtype=float)
     if v.shape != (n_points, sys.n):
         raise ValueError(f"v0 must have shape {(n_points, sys.n)}")
-    conv_cache = None
+    stencil, speed = None, 0.0
     if mode == "linearized":
-        conv_cache = _char_decomposition(
+        mu, R, Rinv = _char_decomposition(
             _comoving_A1(sys, profile.speed, wbar))
+        stencil = _upwind_stencil(mu, R, Rinv, E, dx)
+        speed = float(np.max(np.abs(mu)))
     return SimState(grid=grid, dx=dx, v=v, t=0.0, mode=mode, sys=sys,
                     profile=profile, wbar=wbar, wbar_p=wbar_p, E_nodes=E,
-                    conv_cache=conv_cache)
+                    stencil=stencil, speed=speed)
 
 
 def gaussian_initial_data(direction, amplitude=1e-3, center=0.0, width=3.0):
@@ -154,13 +163,44 @@ def _split_convection(sim, v, decomposition):
     return -conv, float(np.max(np.abs(mu)))
 
 
+def _upwind_stencil(mu, R, Rinv, E, dx):
+    """The linearized right-hand side ``-(A - sI) v_x - E v`` as a 5-point
+    stencil per node, ``(m, n, 5n)``.
+
+    Block ``k`` of node ``x`` multiplies ``v[x + k - 2]``.  It is the
+    characteristic split of :func:`_split_convection` with the one-sided
+    differences of :func:`_biased_derivatives` folded in: characteristics
+    with ``mu > 0`` take the backward difference, the others the forward
+    one.
+    """
+    up = mu > 0
+    scale = -1.0 / (2.0 * dx)
+    Mb = np.einsum("xij,xj,xjk->xik", R, np.where(up, mu, 0.0), Rinv) * scale
+    Mf = np.einsum("xij,xj,xjk->xik", R, np.where(up, 0.0, mu), Rinv) * scale
+    S = np.stack([Mb, -4.0 * Mb, 3.0 * (Mb - Mf) - E, 4.0 * Mf, -Mf], axis=2)
+    return S.reshape(S.shape[0], S.shape[1], -1)
+
+
+def _apply_stencil(stencil, v):
+    """``stencil`` (:func:`_upwind_stencil`) applied to ``v`` ``(m, n)``
+    with zero ghost values."""
+    m, n = v.shape
+    vp = np.zeros((m + 4) * n)
+    vp[2 * n: -2 * n] = v.ravel()
+    # row x views vp[x*n : (x+5)*n], the values at nodes x-2 .. x+2
+    windows = np.ndarray((m, 5 * n), buffer=vp,
+                         strides=(n * vp.itemsize, vp.itemsize))
+    return np.einsum("xip,xp->xi", stencil, windows)
+
+
 def _rhs(sim, v, forcing):
     """Semidiscrete right-hand side with a fixed ``(m, n)`` forcing.
 
-    Linearized: ``-(A(wbar)-sI) v_x - E v``.  Nonlinear: the exact quadratic
-    source is kept, ``-(A(wbar+v)-sI) (v_x + wbar') + r(wbar+v)``, which
-    vanishes at ``v = 0`` by the profile equation and linearizes to the
-    linearized operator.
+    Linearized: ``-(A(wbar)-sI) v_x - E v``, from the stencil frozen by
+    :func:`make_sim`.  Nonlinear: the exact quadratic source is kept,
+    ``-(A(wbar+v)-sI) (v_x + wbar') + r(wbar+v)``, which vanishes at
+    ``v = 0`` by the profile equation and linearizes to the linearized
+    operator.
     """
     if sim.mode == "nonlinear":
         states = sim.wbar + v
@@ -170,8 +210,7 @@ def _rhs(sim, v, forcing):
         rhs = conv + (-np.matmul(A1, sim.wbar_p[:, :, None])[:, :, 0]
                       + source)
     else:
-        conv, speed = _split_convection(sim, v, sim.conv_cache)
-        rhs = conv - np.einsum("xij,xj->xi", sim.E_nodes, v)
+        rhs, speed = _apply_stencil(sim.stencil, v), sim.speed
     if forcing is not None:
         rhs = rhs + forcing
     return rhs, speed
@@ -196,16 +235,16 @@ def step(sim, dt, forcing=None):
     return sim.replace(v=v_new, t=sim.t + dt)
 
 
-def _difference_matrix(m, dx):
-    """Second-order first-derivative matrix on ``m`` uniform nodes: centered
-    in the interior, one-sided 3-point closures at the ends."""
-    D = np.zeros((m, m))
-    i = np.arange(1, m - 1)
-    D[i, i + 1] = 0.5
-    D[i, i - 1] = -0.5
-    D[0, :3] = (-1.5, 2.0, -0.5)
-    D[-1, -3:] = (0.5, -2.0, 1.5)
-    return D / dx
+def _difference(v, dx):
+    """Second-order first differences of ``v`` along its grid axis (``-2``):
+    centered in the interior, one-sided 3-point closures at the ends."""
+    d = np.empty_like(v)
+    d[..., 1:-1, :] = 0.5 * (v[..., 2:, :] - v[..., :-2, :])
+    d[..., 0, :] = (-1.5 * v[..., 0, :] + 2.0 * v[..., 1, :]
+                    - 0.5 * v[..., 2, :])
+    d[..., -1, :] = (0.5 * v[..., -3, :] - 2.0 * v[..., -2, :]
+                     + 1.5 * v[..., -1, :])
+    return d / dx
 
 
 def measure_energy(grid, v, s=1, alpha=0.0):
@@ -222,10 +261,9 @@ def measure_energy(grid, v, s=1, alpha=0.0):
     wgt = np.exp(alpha * grid)[:, None]
     l2 = np.sum(np.abs(wgt * v) ** 2, axis=(-2, -1)) * dx
     total = l2
-    D = _difference_matrix(grid.size, dx)
     dv = v
     for _ in range(s):
-        dv = D @ dv
+        dv = _difference(dv, dx)
         total = total + np.sum(np.abs(wgt * dv) ** 2, axis=(-2, -1)) * dx
     return total, l2
 

@@ -10,6 +10,7 @@ from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import symmetrizer as symm
 from relaxstab import systems
+from relaxstab.model import per_state
 
 
 def logistic_u(x, a=2.0, u_minus=1.0, u_plus=0.0):
@@ -57,8 +58,8 @@ def transport_system(A_stack, n, d=1):
     A = np.asarray(A_stack, dtype=float).reshape(d, n, n)
     return systems.SystemSpec(
         n=n, d=d,
-        flux_jac=lambda w: A,
-        relax_jac=lambda w: np.zeros((n, n)),
+        flux_jac=per_state(lambda w: A),
+        relax_jac=per_state(lambda w: np.zeros((n, n))),
         equilibria=lambda w: True,
-        relax=lambda w: np.zeros(n),
+        relax=per_state(lambda w: np.zeros(n)),
         name="transport")

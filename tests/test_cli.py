@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import dataclasses
 import glob
@@ -161,6 +162,34 @@ def test_bad_relax_in_nonlinear_simulate_is_numeric_failure(tmp_path,
                    out_dir=str(tmp_path / "o"))
     assert code == 3
     assert "relax returned shape (3,)" in capsys.readouterr().err
+
+
+def test_full_run_calls_each_evaluator_a_few_dozen_times(tmp_path,
+                                                         monkeypatch):
+    # every stage evaluates whole stacks of states: a loop over single
+    # states would call the evaluators thousands of times
+    calls = collections.Counter()
+
+    def counted(name, evaluator):
+        def wrapper(w):
+            calls[name] += 1
+            return evaluator(w)
+        return wrapper
+
+    def factory(a=2.0):
+        jx = systems.jin_xin(a)
+        return dataclasses.replace(jx, **{
+            name: counted(name, getattr(jx, name))
+            for name in ("flux_jac", "relax_jac", "relax")})
+
+    monkeypatch.setitem(systems.SYSTEM_REGISTRY, "jin_xin_counted", factory)
+    cfg = small_config()
+    cfg["system"]["name"] = "jin_xin_counted"
+    code = cli.run(cli.RunConfig.from_dict(cfg), pipeline="full",
+                   out_dir=str(tmp_path / "o"))
+    assert code == 0
+    assert calls["flux_jac"] > 0 and calls["relax_jac"] > 0
+    assert max(calls.values()) <= 40, dict(calls)
 
 
 def test_config_missing_endstates_names_field():
@@ -460,9 +489,11 @@ reg = model.check_geometric_regularity(systems.jin_xin_2d(2.0),
 # A2(w) = [[0, 1], [u, 0]] degenerates where u = tanh(x - 1.2345) crosses 0
 sys2 = systems.SystemSpec(
     n=2, d=2,
-    flux_jac=lambda w: np.stack([np.eye(2), [[0.0, 1.0], [w[0], 0.0]]]),
-    relax_jac=lambda w: np.zeros((2, 2)), equilibria=lambda w: True,
-    relax=lambda w: np.zeros(2), name="synthetic")
+    flux_jac=model.per_state(
+        lambda w: np.stack([np.eye(2), [[0.0, 1.0], [w[0], 0.0]]])),
+    relax_jac=model.per_state(lambda w: np.zeros((2, 2))),
+    equilibria=lambda w: True,
+    relax=model.per_state(lambda w: np.zeros(2)), name="synthetic")
 grid = np.linspace(-10.0, 10.0, 201)
 th = np.tanh(grid - 1.2345)
 wave = profile.WaveProfile(

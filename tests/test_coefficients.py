@@ -104,6 +104,64 @@ def test_stacked_evaluators_match_per_state(name):
         assert np.array_equal(E[0, 1], -B[0, 1])
 
 
+def _admissible(sys, lead, rng):
+    """States of a built-in system over the stack shape ``lead``."""
+    w = rng.uniform(0.5, 1.5, size=lead + (sys.n,))
+    if sys.name == "saint_venant":
+        w[..., 0] = rng.uniform(0.8, 1.4, size=lead)
+    return w
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["one", "7", "3x4"])
+@pytest.mark.parametrize("name", sorted(systems.SYSTEM_REGISTRY))
+def test_builtin_evaluators_take_stacks(name, lead):
+    # one call on a stack equals the one-state calls bit for bit, and the
+    # validated methods return the evaluator's values unchanged
+    sys = systems.make_system(name)
+    w = _admissible(sys, lead, np.random.default_rng(8))
+    cases = ((sys.flux_jac, sys.flux_jacs, (sys.d, sys.n, sys.n)),
+             (sys.relax_jac, sys.relax_jacobian, (sys.n, sys.n)),
+             (sys.relax, sys.relaxation, (sys.n,)))
+    for evaluator, validated, shape in cases:
+        stacked = np.asarray(evaluator(w))
+        assert stacked.shape == lead + shape
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(stacked[idx], evaluator(w[idx]))
+        assert np.array_equal(validated(w), stacked)
+
+
+def test_saint_venant_rejects_a_dry_state_inside_a_stack():
+    sv = systems.saint_venant(1.5)
+    w = np.ones((3, 4, 2))
+    sv.flux_jacs(w)
+    w[1, 2, 0] = 0.0
+    with pytest.raises(ModelError, match="h > 0"):
+        sv.flux_jacs(w)
+    with pytest.raises(ModelError, match="h > 0"):
+        sv.flux_jacs(w[1, 2])
+
+
+def test_per_state_wrong_shape_is_evaluation_error():
+    A = np.array([[[0.0, 1.0], [4.0, 0.0]]])
+    w = np.array([[0.1, 0.0], [0.5, 0.0], [0.7, 0.0]])
+    # one state of the stack returns another shape
+    sys = _system(lambda w: _bad_at(w, A, A[0]), lambda w: np.zeros((2, 2)))
+    with pytest.raises(EvaluationError, match="shapes"):
+        sys.flux_jacs(w)
+    # every state returns the same wrong shape
+    sys = _system(lambda w: A[0], lambda w: np.zeros((2, 2)))
+    with pytest.raises(EvaluationError, match=r"expected \(3, 1, 2, 2\)"):
+        sys.flux_jacs(w)
+    # a one-state evaluator without the wrapper fails on a stack
+    bare = model.SystemSpec(n=2, d=1, flux_jac=lambda w: A,
+                            relax_jac=lambda w: np.zeros((2, 2)),
+                            equilibria=lambda w: True,
+                            relax=lambda w: np.zeros(2))
+    assert np.array_equal(bare.flux_jacs(w[0]), A)
+    with pytest.raises(EvaluationError, match="flux_jac returned shape"):
+        bare.flux_jacs(w)
+
+
 def _front_3d():
     """The Jin-Xin front with a third component, as a jin_xin_2d profile."""
     base = prof.solve_profile_jinxin(2.0, 1.0, 0.0, n_points=801)
@@ -155,9 +213,11 @@ def test_eval_G_matches_per_node_loop(case):
 
 
 def _system(flux_jac, relax_jac):
-    return model.SystemSpec(n=2, d=1, flux_jac=flux_jac, relax_jac=relax_jac,
+    """A system from one-state evaluators."""
+    return model.SystemSpec(n=2, d=1, flux_jac=model.per_state(flux_jac),
+                            relax_jac=model.per_state(relax_jac),
                             equilibria=lambda w: True,
-                            relax=lambda w: np.zeros(2))
+                            relax=model.per_state(lambda w: np.zeros(2)))
 
 
 def _bad_at(w, good, bad):
@@ -192,10 +252,11 @@ def test_nonfinite_flux_names_the_component():
     A = np.array([[[0.0, 1.0], [4.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
     bad = A.copy()
     bad[1, 0, 0] = np.nan
-    sys = model.SystemSpec(n=2, d=2, flux_jac=lambda w: _bad_at(w, A, bad),
-                           relax_jac=lambda w: np.zeros((2, 2)),
-                           equilibria=lambda w: True,
-                           relax=lambda w: np.zeros(2))
+    sys = model.SystemSpec(
+        n=2, d=2, flux_jac=model.per_state(lambda w: _bad_at(w, A, bad)),
+        relax_jac=model.per_state(lambda w: np.zeros((2, 2))),
+        equilibria=lambda w: True,
+        relax=model.per_state(lambda w: np.zeros(2)))
     with pytest.raises(EvaluationError, match="A_2"):
         sys.flux_jacs(np.array([[0.1, 0.0], [0.5, 0.0]]))
 
@@ -222,9 +283,11 @@ def test_registered_per_point_factory_round_trip(jx, front):
             return np.array([[0.0, 0.0], [w[0], -1.0]])
 
         return model.SystemSpec(
-            n=2, d=1, flux_jac=flux_jac, relax_jac=relax_jac,
+            n=2, d=1, flux_jac=model.per_state(flux_jac),
+            relax_jac=model.per_state(relax_jac),
             equilibria=lambda w: abs(0.5 * w[0] ** 2 - w[1]) < 1e-10,
-            relax=lambda w: np.array([0.0, 0.5 * w[0] ** 2 - w[1]]),
+            relax=model.per_state(
+                lambda w: np.array([0.0, 0.5 * w[0] ** 2 - w[1]])),
             name="per_point_jin_xin")
 
     systems.register_system("per_point_jin_xin", factory)

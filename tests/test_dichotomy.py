@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
+from relaxstab.model import per_state
 from relaxstab.errors import (CenterSpectrumError, CertificateError,
                               FrameConditioningError,
                               TurningPointSuspectedError, WindowOverflowError)
@@ -295,6 +297,39 @@ def test_magnus_steps_match_tight_integration(request, which, intervals, tol):
         assert max(np.linalg.cond(P) for P in Phi) > 1e16
 
 
+def _expm_gap(A):
+    """Largest relative 2-norm distance of the stacked exponentials of
+    ``A`` from ``scipy.linalg.expm``, one matrix at a time."""
+    got = dich._expm(A)
+    want = np.stack([expm(a) for a in A])
+    return max(np.linalg.norm(g - e, 2) / np.linalg.norm(e, 2)
+               for g, e in zip(got, want))
+
+
+@pytest.mark.parametrize("which, scale", [
+    ("front_field", 1.0),
+    # four substeps merged into one: 1-norms up to 13.5, so the stack takes
+    # the squaring path, matrix by matrix
+    ("stiff_field", 4.0)])
+def test_stacked_expm_matches_scipy_on_magnus_exponents(request, which,
+                                                        scale):
+    Omega, _ = dich._magnus_exponents(request.getfixturevalue(which))
+    A = scale * np.concatenate([Omega, -Omega])
+    if which == "stiff_field":
+        assert np.max(np.abs(A).sum(axis=1)) > 2 * dich.THETA13
+    assert _expm_gap(A) <= 1e-14
+
+
+def test_stacked_expm_of_zero_and_mixed_norms():
+    assert _expm_gap(np.zeros((3, 2, 2))) <= 1e-14
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+    A *= (np.geomspace(1e-9, 10.0, 40)
+          / np.abs(A).sum(axis=1).max(axis=1))[:, None, None]
+    A[7] = 0.0
+    assert _expm_gap(A) <= 1e-14
+
+
 def test_discrete_frames_match_continuous_frames(jx, front):
     geom = res.CollocationGrid(n_nodes=43, length=20.0)
     field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 2.0),
@@ -434,9 +469,9 @@ def test_detect_turning_points_variable_symbol():
         return np.stack([np.eye(2), np.array([[0.0, 1.0], [w[0], 0.0]])])
 
     sys = systems.SystemSpec(
-        n=2, d=2, flux_jac=flux_jac,
-        relax_jac=lambda w: np.zeros((2, 2)),
-        equilibria=lambda w: True, relax=lambda w: np.zeros(2),
+        n=2, d=2, flux_jac=per_state(flux_jac),
+        relax_jac=per_state(lambda w: np.zeros((2, 2))),
+        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
         name="synthetic")
     grid = np.linspace(-10.0, 10.0, 201)
     u = np.tanh(grid - 1.2345)

@@ -4,6 +4,7 @@ import pytest
 from relaxstab import model, systems
 from relaxstab.errors import EvaluationError, NumericError, PathResolutionError
 from relaxstab import profile as prof
+from relaxstab.model import per_state
 
 from conftest import transport_system
 
@@ -45,10 +46,10 @@ def test_symbol_rejects_bad_eta(jx):
 def test_symbol_nonfinite_jacobian_names_component():
     bad = systems.SystemSpec(
         n=2, d=1,
-        flux_jac=lambda w: np.array([[[np.nan, 0.0], [0.0, 0.0]]]),
-        relax_jac=lambda w: np.zeros((2, 2)),
+        flux_jac=per_state(lambda w: np.array([[[np.nan, 0.0], [0.0, 0.0]]])),
+        relax_jac=per_state(lambda w: np.zeros((2, 2))),
         equilibria=lambda w: True,
-        relax=lambda w: np.zeros(2))
+        relax=per_state(lambda w: np.zeros(2)))
     with pytest.raises(EvaluationError, match="A_1"):
         model.assemble_symbol(bad, [0.0, 0.0], [1.0])
 

@@ -875,3 +875,34 @@ def test_concurrent_solves_on_one_field():
     done = subprocess.run([sys.executable, "-c", CONCURRENT_SOLVES], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_concurrent_first_bvp_calls_factor_once(jx, front, monkeypatch):
+    # two threads ask a fresh field for its operator at once; the first
+    # factorization is slowed down so that the second arrives while it runs
+    field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 0.5),
+                           geom=res.CollocationGrid(n_nodes=33, length=20.0))
+    factor = res.lu_factor
+    calls = []
+
+    def slow_factor(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(0.2)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(res, "lu_factor", slow_factor)
+    start = threading.Barrier(2)
+    ops = []
+
+    def work():
+        start.wait(timeout=30)
+        ops.append(field.bvp())
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(calls) == 1
+    assert ops[0] is ops[1]

@@ -8,6 +8,7 @@ from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import symmetrizer as symm
 from relaxstab import systems
+from relaxstab.model import per_state
 from relaxstab.errors import (CertificateError, FrameConditioningError,
                               StabilityError)
 
@@ -152,9 +153,9 @@ def test_constant_symmetrizer_normal_case():
     th = 0.7
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     sys = systems.SystemSpec(
-        n=2, d=1, flux_jac=lambda w: A[None],
-        relax_jac=lambda w: -th * np.eye(2),
-        equilibria=lambda w: True, relax=lambda w: np.zeros(2),
+        n=2, d=1, flux_jac=per_state(lambda w: A[None]),
+        relax_jac=per_state(lambda w: -th * np.eye(2)),
+        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
         name="normal")
     S = symm.constant_symmetrizer(sys, [0.0, 0.0], [3.0])
     assert np.allclose(S.S[0], np.eye(2), atol=1e-12)
@@ -185,9 +186,9 @@ def test_constant_symmetrizer_perturbed_state_continuity():
 def test_constant_symmetrizer_defective_raises():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     sys = systems.SystemSpec(
-        n=2, d=1, flux_jac=lambda w: A[None],
-        relax_jac=lambda w: np.zeros((2, 2)),
-        equilibria=lambda w: True, relax=lambda w: np.zeros(2),
+        n=2, d=1, flux_jac=per_state(lambda w: A[None]),
+        relax_jac=per_state(lambda w: np.zeros((2, 2))),
+        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
         name="nilpotent")
     with pytest.raises(FrameConditioningError):
         symm.constant_symmetrizer(sys, [0.0, 0.0], [1.0])

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from relaxstab import profile as prof
 from relaxstab import systems
+from relaxstab.model import per_state
 from relaxstab import timedomain as td
 from relaxstab.errors import (CertificateError, EvaluationError,
                               InstabilityError, StepError)
@@ -41,9 +42,9 @@ def test_blowup_raises(front):
     # relaxation Jacobian with the wrong sign makes the zero state repelling
     bad = systems.SystemSpec(
         n=2, d=1,
-        flux_jac=lambda w: np.array([[[0.0, 1.0], [4.0, 0.0]]]),
-        relax_jac=lambda w: 6.0 * np.eye(2),
-        equilibria=lambda w: True, relax=lambda w: np.zeros(2),
+        flux_jac=per_state(lambda w: np.array([[[0.0, 1.0], [4.0, 0.0]]])),
+        relax_jac=per_state(lambda w: 6.0 * np.eye(2)),
+        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
         name="antidamped")
     v0 = td.gaussian_initial_data([1.0, 0.0], amplitude=1.0, width=3.0)
     with pytest.raises(InstabilityError):
@@ -52,8 +53,8 @@ def test_blowup_raises(front):
 
 
 @pytest.mark.parametrize("relax, match", [
-    (lambda w: np.zeros(3), "shape"),
-    (lambda w: np.full(2, np.nan), "non-finite"),
+    (per_state(lambda w: np.zeros(3)), "shape"),
+    (per_state(lambda w: np.full(2, np.nan)), "non-finite"),
 ])
 def test_bad_relax_in_nonlinear_run_is_evaluation_error(jx, front, relax,
                                                         match):
@@ -114,6 +115,21 @@ def test_biased_derivatives_match_the_nodewise_stencil():
             fwd[i], (-3.0 * at(i) + 4.0 * at(i + 1) - at(i + 2)) / (2.0 * dx))
 
 
+def test_frozen_stencil_matches_the_characteristic_split(jx, front):
+    # the linearized stencil against the per-stage split it replaces:
+    # -(A - sI) v_x by characteristics, then -E v
+    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-3, width=3.0)
+    sim = td.make_sim(jx, front, v0, L_sim=40.0, n_points=321)
+    v = np.random.default_rng(6).standard_normal(sim.v.shape)
+    f = np.random.default_rng(7).standard_normal(sim.v.shape)
+    A1 = td._comoving_A1(jx, front.speed, sim.wbar)
+    conv, speed = td._split_convection(sim, v, td._char_decomposition(A1))
+    want = conv - np.einsum("xij,xj->xi", sim.E_nodes, v) + f
+    got, got_speed = td._rhs(sim, v, f)
+    assert got_speed == speed == sim.speed
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ----------------------------------------------------------------- energy ----
 
 def test_energy_zero_state():
@@ -147,6 +163,33 @@ def test_energy_stack_matches_single_fields():
         E, L2 = td.measure_energy(grid, frames, s=s, alpha=0.3)
         single = [td.measure_energy(grid, f, s=s, alpha=0.3) for f in frames]
         assert np.array_equal(np.column_stack([E, L2]), np.array(single))
+
+
+def _dense_difference(m, dx):
+    """The difference matrix of the energy, formed densely."""
+    D = np.zeros((m, m))
+    i = np.arange(1, m - 1)
+    D[i, i + 1] = 0.5
+    D[i, i - 1] = -0.5
+    D[0, :3] = (-1.5, 2.0, -0.5)
+    D[-1, -3:] = (0.5, -2.0, 1.5)
+    return D / dx
+
+
+def test_energy_matches_the_dense_difference_matrix():
+    rng = np.random.default_rng(9)
+    grid = np.linspace(-7.0, 7.0, 143)
+    frames = rng.standard_normal((5, 143, 2))
+    D = _dense_difference(grid.size, grid[1] - grid[0])
+    wgt = np.exp(0.2 * grid)[:, None]
+    for s in (0, 1, 2, 3):
+        total, dv = 0.0, frames
+        for k in range(s + 1):
+            total = total + np.sum((wgt * dv) ** 2, axis=(-2, -1)) * (
+                grid[1] - grid[0])
+            dv = D @ dv
+        E, _ = td.measure_energy(grid, frames, s=s, alpha=0.2)
+        assert np.max(np.abs(E - total) / total) <= 1e-13
 
 
 def test_trace_is_energy_of_stored_frames(front_run):
