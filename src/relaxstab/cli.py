@@ -75,7 +75,6 @@ OPTIONS = {
     "simulation.t_final": ("positive", 12.0),
     "simulation.L_sim": ("positive", 50.0),
     "simulation.n_points": ("integer", 601, 8),
-    "simulation.mode": (("linearized", "nonlinear"), "linearized"),
     "simulation.sample_every": ("integer", 5, 1),
     "simulation.theta": ("number", 0.3),      # used without a symmetrizer
     "simulation.tau_c": ("positive", 2.0),
@@ -416,9 +415,8 @@ class _Runner:
             width=mc["width"])
         sim, trace, hist = td.run_simulation(
             self.system, p, v0, t_final=mc["t_final"], L_sim=mc["L_sim"],
-            n_points=mc["n_points"], mode=mc["mode"], s=nc["s"],
-            alpha=nc["alpha"], sample_every=mc["sample_every"],
-            store_history=True)
+            n_points=mc["n_points"], s=nc["s"], alpha=nc["alpha"],
+            sample_every=mc["sample_every"], store_history=True)
         td.trace_to_csv(trace, os.path.join(self.out, "trace.csv"),
                         config=self.cfg.raw)
         fit = td.verify_classical_damping(trace)

@@ -1,19 +1,18 @@
 """One-dimensional semidiscrete simulator for perturbations about a wave.
 
-Integrates (in the co-moving frame, phase modulation set to zero)
+Integrates the linearized equation (in the co-moving frame, phase
+modulation set to zero)
 
-    v_t = -(A_1(wbar [+ v]) - s*I) v_x - E(x) v + f,
+    v_t = -(A_1(wbar) - s*I) v_x - E(x) v + f,
 
 with characteristic-wise second-order upwind-biased differences in space and
 classical fourth-order Runge-Kutta in time.  Perturbations are assumed to
 vanish at the domain ends (zero ghost values); the domain must be sized so
 outgoing signals decay before reaching the boundary.
 
-The linearized operator is frozen: :func:`make_sim` builds it once as a
-5-point stencil per node (the upwind split of ``A_1 - sI`` with ``-E``
-folded in), and every stage applies it in one contraction over a sliding
-window.  The nonlinear mode splits ``A_1(wbar + v) - sI`` into
-characteristics at every stage.
+The operator is frozen: :func:`make_sim` builds it once as a 5-point
+stencil per node (the upwind split of ``A_1 - sI`` with ``-E`` folded in),
+and every stage applies it in one contraction over a sliding window.
 
 Energy functionals are discrete weighted Sobolev sums
 
@@ -67,20 +66,14 @@ TRUNCATION_CAP = 1e8      # cap on every truncation_pipeline constant
 
 @dataclass(eq=False)
 class SimState:
-    """Perturbation state plus the frozen spatial-operator data."""
+    """Perturbation state plus the frozen linearized operator."""
 
     grid: np.ndarray
     dx: float
     v: np.ndarray                # (m, n)
     t: float
-    mode: str                    # "linearized" | "nonlinear"
-    sys: object
-    profile: object
-    wbar: np.ndarray             # (m, n) wave samples
-    wbar_p: np.ndarray           # (m, n) wave derivative samples
-    E_nodes: np.ndarray          # (m, n, n)
-    stencil: np.ndarray = None   # (m, n, 5n) linearized operator, see _rhs
-    speed: float = 0.0           # its largest characteristic speed
+    stencil: np.ndarray          # (m, n, 5n) linearized operator, see _rhs
+    speed: float                 # its largest characteristic speed
 
     def boundary_ok(self):
         peak = max(float(np.max(np.abs(self.v))), 1e-300)
@@ -91,11 +84,6 @@ class SimState:
     def replace(self, **kw):
         from dataclasses import replace as _replace
         return _replace(self, **kw)
-
-
-def _comoving_A1(sys, speed, states):
-    """Co-moving ``A_1 - s*I`` at a stack of states."""
-    return sys.flux_jacs(states)[:, 0] - speed * np.eye(sys.n)
 
 
 def _char_decomposition(A):
@@ -109,11 +97,9 @@ def _char_decomposition(A):
     return mu.real, R.real, np.linalg.inv(R.real)
 
 
-def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized"):
+def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001):
     """Set up a simulation on a uniform grid with initial data ``v0``,
     a callable ``x -> (n,)``."""
-    if mode not in ("linearized", "nonlinear"):
-        raise ValueError("mode must be 'linearized' or 'nonlinear'")
     grid = np.linspace(-L_sim, L_sim, n_points)
     dx = grid[1] - grid[0]
     wbar, wbar_p = profile.sample_many(grid)
@@ -121,15 +107,11 @@ def make_sim(sys, profile, v0, L_sim=50.0, n_points=1001, mode="linearized"):
     v = np.array([np.atleast_1d(v0(x)) for x in grid], dtype=float)
     if v.shape != (n_points, sys.n):
         raise ValueError(f"v0 must have shape {(n_points, sys.n)}")
-    stencil, speed = None, 0.0
-    if mode == "linearized":
-        mu, R, Rinv = _char_decomposition(
-            _comoving_A1(sys, profile.speed, wbar))
-        stencil = _upwind_stencil(mu, R, Rinv, E, dx)
-        speed = float(np.max(np.abs(mu)))
-    return SimState(grid=grid, dx=dx, v=v, t=0.0, mode=mode, sys=sys,
-                    profile=profile, wbar=wbar, wbar_p=wbar_p, E_nodes=E,
-                    stencil=stencil, speed=speed)
+    mu, R, Rinv = _char_decomposition(
+        sys.flux_jacs(wbar)[:, 0] - profile.speed * np.eye(sys.n))
+    return SimState(grid=grid, dx=dx, v=v, t=0.0,
+                    stencil=_upwind_stencil(mu, R, Rinv, E, dx),
+                    speed=float(np.max(np.abs(mu))))
 
 
 def gaussian_initial_data(direction, amplitude=1e-3, center=0.0, width=3.0):
@@ -141,37 +123,15 @@ def gaussian_initial_data(direction, amplitude=1e-3, center=0.0, width=3.0):
     return v0
 
 
-def _biased_derivatives(v, dx):
-    """Second-order one-sided stacks with zero ghost values."""
-    vp = np.zeros((v.shape[0] + 4, v.shape[1]))
-    vp[2:-2] = v
-    bwd = (3.0 * vp[2:-2] - 4.0 * vp[1:-3] + vp[:-4]) / (2.0 * dx)
-    fwd = (-3.0 * vp[2:-2] + 4.0 * vp[3:-1] - vp[4:]) / (2.0 * dx)
-    return bwd, fwd
-
-
-def _split_convection(sim, v, decomposition):
-    """Characteristic-split upwind transport term ``-(A - sI) v_x`` from the
-    eigendecomposition ``(mu, R, Rinv)`` of ``A - sI``."""
-    mu, R, Rinv = decomposition
-    bwd, fwd = _biased_derivatives(v, sim.dx)
-    # characteristic variables, upwinded per sign
-    cb = np.einsum("xij,xj->xi", Rinv, bwd)
-    cf = np.einsum("xij,xj->xi", Rinv, fwd)
-    dchar = np.where(mu > 0, cb, cf) * mu
-    conv = np.einsum("xij,xj->xi", R, dchar)
-    return -conv, float(np.max(np.abs(mu)))
-
-
 def _upwind_stencil(mu, R, Rinv, E, dx):
     """The linearized right-hand side ``-(A - sI) v_x - E v`` as a 5-point
-    stencil per node, ``(m, n, 5n)``.
+    stencil per node, ``(m, n, 5n)``, from the eigendecomposition
+    ``A - sI = R diag(mu) Rinv`` at each node.
 
-    Block ``k`` of node ``x`` multiplies ``v[x + k - 2]``.  It is the
-    characteristic split of :func:`_split_convection` with the one-sided
-    differences of :func:`_biased_derivatives` folded in: characteristics
-    with ``mu > 0`` take the backward difference, the others the forward
-    one.
+    Block ``k`` of node ``x`` multiplies ``v[x + k - 2]``.  Characteristics
+    with ``mu > 0`` take the second-order backward difference
+    ``(3v_x - 4v_{x-1} + v_{x-2}) / 2dx``, the others the forward one
+    ``(-3v_x + 4v_{x+1} - v_{x+2}) / 2dx``.
     """
     up = mu > 0
     scale = -1.0 / (2.0 * dx)
@@ -194,26 +154,13 @@ def _apply_stencil(stencil, v):
 
 
 def _rhs(sim, v, forcing):
-    """Semidiscrete right-hand side with a fixed ``(m, n)`` forcing.
-
-    Linearized: ``-(A(wbar)-sI) v_x - E v``, from the stencil frozen by
-    :func:`make_sim`.  Nonlinear: the exact quadratic source is kept,
-    ``-(A(wbar+v)-sI) (v_x + wbar') + r(wbar+v)``, which vanishes at
-    ``v = 0`` by the profile equation and linearizes to the linearized
-    operator.
-    """
-    if sim.mode == "nonlinear":
-        states = sim.wbar + v
-        A1 = _comoving_A1(sim.sys, sim.profile.speed, states)
-        conv, speed = _split_convection(sim, v, _char_decomposition(A1))
-        source = sim.sys.relaxation(states)
-        rhs = conv + (-np.matmul(A1, sim.wbar_p[:, :, None])[:, :, 0]
-                      + source)
-    else:
-        rhs, speed = _apply_stencil(sim.stencil, v), sim.speed
+    """Semidiscrete right-hand side ``-(A(wbar)-sI) v_x - E v + f`` with a
+    fixed ``(m, n)`` forcing ``f``, from the stencil frozen by
+    :func:`make_sim`."""
+    rhs = _apply_stencil(sim.stencil, v)
     if forcing is not None:
         rhs = rhs + forcing
-    return rhs, speed
+    return rhs
 
 
 def step(sim, dt, forcing=None):
@@ -222,13 +169,14 @@ def step(sim, dt, forcing=None):
     Raises :class:`StepError` when ``dt`` exceeds the ``CFL`` limit and
     :class:`InstabilityError` on blowup.
     """
-    k1, speed = _rhs(sim, sim.v, forcing)
-    if dt > CFL * sim.dx / max(speed, 1e-300):
+    if dt > CFL * sim.dx / max(sim.speed, 1e-300):
         raise StepError(f"CFL violation: dt = {dt:.3g} > "
-                        f"{CFL * sim.dx / speed:.3g} (max speed {speed:.3g})")
-    k2, _ = _rhs(sim, sim.v + 0.5 * dt * k1, forcing)
-    k3, _ = _rhs(sim, sim.v + 0.5 * dt * k2, forcing)
-    k4, _ = _rhs(sim, sim.v + dt * k3, forcing)
+                        f"{CFL * sim.dx / sim.speed:.3g} "
+                        f"(max speed {sim.speed:.3g})")
+    k1 = _rhs(sim, sim.v, forcing)
+    k2 = _rhs(sim, sim.v + 0.5 * dt * k1, forcing)
+    k3 = _rhs(sim, sim.v + 0.5 * dt * k2, forcing)
+    k4 = _rhs(sim, sim.v + dt * k3, forcing)
     v_new = sim.v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(v_new)) or np.max(np.abs(v_new)) > BLOWUP_CAP:
         raise InstabilityError(f"solution blew up at t = {sim.t + dt:.4g}")
@@ -287,22 +235,20 @@ class SimHistory:
     frames: np.ndarray           # (K, m, n)
     f_frames: np.ndarray         # (K, m, n) (zeros when unforced)
     grid: np.ndarray
-    mode: str
 
 
 def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
-                   mode="linearized", s=1, alpha=0.0, forcing=None,
-                   sample_every=5, store_history=False):
+                   s=1, alpha=0.0, forcing=None, sample_every=5,
+                   store_history=False):
     """March to ``t_final`` recording an energy trace (and optional history).
 
-    The time step is 0.9 of the ``CFL`` limit at the initial state, shortened
+    The time step is 0.9 of the ``CFL`` limit, shortened
     to divide ``t_final`` evenly.  ``forcing`` is a fixed ``(m, n)`` array.
     """
-    sim = make_sim(sys, profile, v0, L_sim=L_sim, n_points=n_points, mode=mode)
+    sim = make_sim(sys, profile, v0, L_sim=L_sim, n_points=n_points)
     if forcing is not None and np.shape(forcing) != sim.v.shape:
         raise ValueError(f"forcing must have shape {sim.v.shape}")
-    _, speed = _rhs(sim, sim.v, None)
-    dt = CFL * sim.dx / speed * 0.9
+    dt = CFL * sim.dx / sim.speed * 0.9
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
 
@@ -320,7 +266,7 @@ def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
 
     trace = EnergyTrace(times=times, E_values=E, L2_values=L2, f_values=F,
                         meta={"s": s, "alpha": alpha, "dt": dt,
-                              "dx": sim.dx, "mode": mode,
+                              "dx": sim.dx, "mode": "linearized",
                               "L_sim": L_sim, "n_points": n_points})
     history = None
     if store_history:
@@ -328,7 +274,7 @@ def run_simulation(sys, profile, v0, t_final, L_sim=50.0, n_points=1001,
         if forcing is not None:
             f_frames[:] = forcing
         history = SimHistory(times=times, frames=frames, f_frames=f_frames,
-                             grid=sim.grid, mode=mode)
+                             grid=sim.grid)
     return sim, trace, history
 
 
@@ -482,8 +428,8 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     """Verify the time-weighted inequalities for a cutoff trajectory.
 
     Forms ``vt = chi1(t) chiT(t) v`` and its forcing
-    ``ft = (chi1 chiT)' v + chi1 chiT f`` (valid for linearized histories,
-    where the spatial operator commutes with scalar time cutoffs), then
+    ``ft = (chi1 chiT)' v + chi1 chiT f`` (valid because the linearized
+    spatial operator commutes with scalar time cutoffs), then
     measures the constants in:
 
     * the weighted space-time bound
@@ -494,12 +440,7 @@ def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):
     * the assembled integrated damping estimate with ``eta = -2 gamma``.
 
     It passes when every constant is finite and at most ``TRUNCATION_CAP``.
-
-    A nonlinear history raises :class:`CertificateError`.
     """
-    if history.mode != "linearized":
-        raise CertificateError(
-            "truncation pipeline requires a linearized history")
     t = history.times
     if t.size < 5:
         raise ValueError("history too short")

@@ -31,6 +31,18 @@ def front(jx):
 
 
 @pytest.fixture(scope="session")
+def sv_front():
+    # Saint-Venant hydraulic front between two equilibria: a nonlinear flux
+    sv = systems.saint_venant(1.5)
+    h1, h2 = 1.2, 1.0
+    speed = (h1 ** 1.5 - h2 ** 1.5) / (h1 - h2)     # jump condition
+    p = prof.solve_profile_shooting(sv, np.array([h1, h1 ** 1.5]),
+                                    np.array([h2, h2 ** 1.5]), speed,
+                                    L=30.0, n_points=801)
+    return sv, p
+
+
+@pytest.fixture(scope="session")
 def geom():
     return res.CollocationGrid(n_nodes=161, length=50.0)
 

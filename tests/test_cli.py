@@ -146,22 +146,21 @@ def test_spelled_out_defaults_give_the_minimal_results(tmp_path):
     assert results[0] == results[1]
 
 
-def test_bad_relax_in_nonlinear_simulate_is_numeric_failure(tmp_path,
-                                                           monkeypatch,
-                                                           capsys):
+def test_bad_relax_in_shooting_profile_is_numeric_failure(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
     # a wrongly shaped r(w) is a typed failure (exit 3), not a traceback
     monkeypatch.setitem(
-        systems.SYSTEM_REGISTRY, "jin_xin_bad_relax",
-        lambda a=2.0: dataclasses.replace(systems.jin_xin(a),
-                                          relax=lambda w: np.zeros(3)))
-    cfg = small_config()
-    cfg["system"]["name"] = "jin_xin_bad_relax"
-    cfg["simulation"].update(mode="nonlinear", t_final=1.0, L_sim=30.0,
-                             n_points=121)
-    code = cli.run(cli.RunConfig.from_dict(cfg), pipeline="simulate",
-                   out_dir=str(tmp_path / "o"))
+        systems.SYSTEM_REGISTRY, "saint_venant",
+        lambda froude=1.5: dataclasses.replace(
+            systems.saint_venant(froude), relax=lambda w: np.zeros(3)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(saint_venant_config()))
+    code = cli.main(["run", "--config", str(path), "--pipeline", "profile",
+                     "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "relax returned shape (3,)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "relax returned shape (3,)" in err and "Traceback" not in err
 
 
 def test_full_run_calls_each_evaluator_a_few_dozen_times(tmp_path,
@@ -348,17 +347,14 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.run(cfg, pipeline="dichotomy", out_dir=str(tmp_path / "o")) == 3
 
 
-def test_nonlinear_simulate_is_typed_failure(tmp_path, capsys):
-    # the truncation certificate needs a linearized history: a nonlinear run
-    # must end with exit code 3 and a message, not a traceback
-    data = small_config()
-    data["profile"]["n_points"] = 201
-    data["simulation"] = {"mode": "nonlinear", "t_final": 1.0, "L_sim": 10.0,
-                          "n_points": 41, "sample_every": 1, "tau_c": 0.2}
-    cfg = cli.RunConfig.from_dict(data)
-    assert cli.run(cfg, pipeline="simulate", out_dir=str(tmp_path / "o")) == 3
+@pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
+def test_retired_simulation_mode_is_usage_error(tmp_path, capsys, mode):
+    # the simulation is linearized only; a config naming the old key, with
+    # either of its values, is told so before any stage runs
+    argv = _run_argv(lambda c: c["simulation"].update(mode=mode))(tmp_path)
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "numeric failure in simulate" in err and "linearized" in err
+    assert err.startswith("usage error") and "simulation.mode" in err
     assert "Traceback" not in err
 
 
@@ -397,7 +393,7 @@ def _run_python(args, env_update, cwd):
 
 TRACED_RUN = """
 import json, sys
-perfbench, out = sys.argv[1:]
+perfbench, out, small = sys.argv[1:]
 sys.path.insert(0, perfbench)
 import relaxstab
 import tracing, workloads
@@ -407,33 +403,56 @@ tracing.install(tracer)
 with open(out + "/config.json", "w") as fh:
     json.dump(workloads.make_config("full_small", 0), fh)
 result = {}
-for pipeline in ("symmetrizer", "resolvent-sweep"):
-    code = cli.main(["run", "--config", out + "/config.json",
-                     "--pipeline", pipeline, "--out", out + "/" + pipeline])
-    spans, _ = tracer.drain()
-    result[pipeline] = {"code": code,
+for pipeline, cfg in (("symmetrizer", out + "/config.json"),
+                      ("resolvent-sweep", out + "/config.json"),
+                      ("full", small)):
+    code = cli.main(["run", "--config", cfg, "--pipeline", pipeline,
+                     "--out", out + "/" + pipeline])
+    spans, counts = tracer.drain()
+    result[pipeline] = {"code": code, "counts": counts,
                         "names": sorted({s[1] for s in spans})}
 print(json.dumps(result))
 """
 
 
-def test_traced_run_records_G_at_spans(tmp_path):
-    # the benchmark's tracer patches G_at and reads the field's _interp slot;
-    # a traced run must still work, time the stacked G evaluations, and
-    # record no dichotomy span in a sweep, which shares only the limit split
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """Span names and counters of CLI runs under the benchmark's tracer,
+    which ``perfbench/tracing.py`` installs from outside the package."""
+    tmp = tmp_path_factory.mktemp("traced")
+    small = tmp / "small_config.json"
+    small.write_text(json.dumps(small_config()))
     perfbench = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "perfbench")
-    proc = _run_python(["-c", TRACED_RUN, perfbench, str(tmp_path)], {},
-                       tmp_path)
+    proc = _run_python(["-c", TRACED_RUN, perfbench, str(tmp), str(small)],
+                       {}, tmp)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    symm, sweep = result["symmetrizer"], result["resolvent-sweep"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_run_records_G_at_spans(traced_runs):
+    # the benchmark's tracer patches G_at and reads the field's _interp slot;
+    # a traced run must still work, time the stacked G evaluations, and
+    # record no dichotomy span in a sweep, which shares only the limit split
+    symm, sweep = traced_runs["symmetrizer"], traced_runs["resolvent-sweep"]
     assert symm["code"] == sweep["code"] == 0
     assert "resolvent.G_at_build" in symm["names"]
     assert "dichotomy.propagate_subspaces" in symm["names"]
     assert "resolvent.assemble_G" in sweep["names"]
     assert not [n for n in sweep["names"] if n.startswith("dichotomy.")]
+
+
+def test_traced_full_run_reaches_the_tracer_patch_points(traced_runs):
+    # the tracer wraps package names by attribute (each module's __all__,
+    # the scipy bindings of resolvent, SystemSpec.flux_jacs); a renamed one
+    # fails the install or silently loses its spans and counts
+    full = traced_runs["full"]
+    assert full["code"] == 0
+    for name in ("timedomain.step", "resolvent.lu_factor",
+                 "dichotomy.propagate_subspaces"):
+        assert name in full["names"], name
+    assert full["counts"]["model.flux_jacs_calls"] > 0
 
 
 # scipy packages that the certificate path does not need; the tests import

@@ -82,6 +82,12 @@ def test_shooting_nonfinite_relax_is_evaluation_error(jx):
         prof.solve_profile_shooting(bad, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
 
 
+def test_shooting_misshaped_relax_is_evaluation_error(jx):
+    bad = dataclasses.replace(jx, relax=lambda w: np.zeros(3))
+    with pytest.raises(EvaluationError, match=r"relax returned shape \(3,\)"):
+        prof.solve_profile_shooting(bad, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
+
+
 def test_shooting_wrong_speed_no_connection(jx):
     # s = 0.3 violates the jump condition; the trajectory on the invariant
     # line converges to the other root of the scalar reduction

@@ -433,18 +433,6 @@ def test_differentiated_system_coefficient(jx, front, geom, sv_front):
     assert np.allclose(d1.G_nodes[mid] - b.G_nodes[mid], expect, atol=1e-4)
 
 
-@pytest.fixture(scope="module")
-def sv_front():
-    # Saint-Venant hydraulic front between two equilibria: a nonlinear flux
-    sv = systems.saint_venant(1.5)
-    h1, h2 = 1.2, 1.0
-    speed = (h1 ** 1.5 - h2 ** 1.5) / (h1 - h2)     # jump condition
-    p = prof.solve_profile_shooting(sv, np.array([h1, h1 ** 1.5]),
-                                    np.array([h2, h2 ** 1.5]), speed,
-                                    L=30.0, n_points=801)
-    return sv, p
-
-
 # ------------------------------------------------- wave coefficient memo ----
 
 @pytest.mark.parametrize("threads", ["1", "2"])

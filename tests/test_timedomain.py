@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import numpy.fft as fft
 import pytest
@@ -7,10 +5,9 @@ from scipy.linalg import expm
 
 from relaxstab import profile as prof
 from relaxstab import systems
-from relaxstab.model import per_state
+from relaxstab.model import per_state, zero_order_matrix
 from relaxstab import timedomain as td
-from relaxstab.errors import (CertificateError, EvaluationError,
-                              InstabilityError, StepError)
+from relaxstab.errors import CertificateError, InstabilityError, StepError
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +49,6 @@ def test_blowup_raises(front):
                           n_points=201)
 
 
-@pytest.mark.parametrize("relax, match", [
-    (per_state(lambda w: np.zeros(3)), "shape"),
-    (per_state(lambda w: np.full(2, np.nan)), "non-finite"),
-])
-def test_bad_relax_in_nonlinear_run_is_evaluation_error(jx, front, relax,
-                                                        match):
-    bad = dataclasses.replace(jx, relax=relax)
-    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-2, width=3.0)
-    with pytest.raises(EvaluationError, match=match):
-        td.run_simulation(bad, front, v0, t_final=1.0, L_sim=30.0,
-                          n_points=121, mode="nonlinear")
-
-
 def test_front_run_decays_and_respects_boundary(front_run):
     sim, trace, _ = front_run
     assert trace.E_values[-1] < 0.5 * trace.E_values[0]
@@ -99,35 +83,38 @@ def test_scheme_order_against_fourier_oracle(jx):
     assert order > 1.9
 
 
-def test_biased_derivatives_match_the_nodewise_stencil():
-    # second-order one-sided differences, zero beyond the ends, node by node
-    v = np.random.default_rng(4).standard_normal((37, 2))
-    dx = 0.37
+@pytest.mark.parametrize("wave", ["jin_xin", "saint_venant"])
+def test_stencil_matches_the_nodewise_reference(jx, front, sv_front, wave):
+    # -(A - sI) v_x - E v + f built one node at a time: the eigenvectors of
+    # A - sI at that node, the second-order backward difference for the
+    # characteristics with mu > 0 and the forward one for the others, zero
+    # beyond the ends.  On the Saint-Venant front A varies along x and one
+    # mu changes sign.
+    sys, p = (jx, front) if wave == "jin_xin" else sv_front
+    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-3, width=3.0)
+    sim = td.make_sim(sys, p, v0, L_sim=25.0, n_points=201)
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(sim.v.shape)
+    f = rng.standard_normal(sim.v.shape)
+    dx = sim.dx
 
     def at(i):
-        return v[i] if 0 <= i < len(v) else np.zeros(2)
+        return v[i] if 0 <= i < len(v) else np.zeros(sys.n)
 
-    bwd, fwd = td._biased_derivatives(v, dx)
-    for i in range(len(v)):
-        assert np.array_equal(
-            bwd[i], (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * dx))
-        assert np.array_equal(
-            fwd[i], (-3.0 * at(i) + 4.0 * at(i + 1) - at(i + 2)) / (2.0 * dx))
-
-
-def test_frozen_stencil_matches_the_characteristic_split(jx, front):
-    # the linearized stencil against the per-stage split it replaces:
-    # -(A - sI) v_x by characteristics, then -E v
-    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-3, width=3.0)
-    sim = td.make_sim(jx, front, v0, L_sim=40.0, n_points=321)
-    v = np.random.default_rng(6).standard_normal(sim.v.shape)
-    f = np.random.default_rng(7).standard_normal(sim.v.shape)
-    A1 = td._comoving_A1(jx, front.speed, sim.wbar)
-    conv, speed = td._split_convection(sim, v, td._char_decomposition(A1))
-    want = conv - np.einsum("xij,xj->xi", sim.E_nodes, v) + f
-    got, got_speed = td._rhs(sim, v, f)
-    assert got_speed == speed == sim.speed
+    want, speeds = np.empty_like(v), []
+    for i, x in enumerate(sim.grid):
+        w, wp = p.sample(x)
+        mu, R = np.linalg.eig(sys.flux_jacs(w)[0] - p.speed * np.eye(sys.n))
+        assert np.all(mu.imag == 0.0)
+        mu, R = mu.real, R.real
+        bwd = (3.0 * at(i) - 4.0 * at(i - 1) + at(i - 2)) / (2.0 * dx)
+        fwd = (-3.0 * at(i) + 4.0 * at(i + 1) - at(i + 2)) / (2.0 * dx)
+        c = np.where(mu > 0, np.linalg.solve(R, bwd), np.linalg.solve(R, fwd))
+        want[i] = -R @ (mu * c) - zero_order_matrix(sys, w, wp) @ v[i] + f[i]
+        speeds.append(np.max(np.abs(mu)))
+    got = td._rhs(sim, v, f)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert sim.speed == pytest.approx(max(speeds), rel=1e-14)
 
 
 # ----------------------------------------------------------------- energy ----
@@ -347,8 +334,7 @@ def test_truncation_zero_history(jx, front):
     K = 40
     hist = td.SimHistory(times=np.linspace(0, 8, K),
                          frames=np.zeros((K, 101, 2)),
-                         f_frames=np.zeros((K, 101, 2)), grid=sim.grid,
-                         mode="linearized")
+                         f_frames=np.zeros((K, 101, 2)), grid=sim.grid)
     rep = td.truncation_pipeline(hist, td.CutoffPair(2.0, 8.0), gamma=-0.2)
     assert rep.passed
     assert rep.C2_weighted == 0.0 and rep.C_assembled == 0.0
@@ -370,34 +356,6 @@ def test_truncation_plateau_identity(front_run):
     chi = cuts.product(hist.times)
     plateau = (hist.times >= 2.0) & (hist.times <= cuts.T - 2.0)
     assert np.all(chi[plateau] == 1.0)
-
-
-def test_nonlinear_step_evaluates_flux_jacs_once_per_stage(jx, front,
-                                                          monkeypatch):
-    # A_1 - sI at wbar + v serves both the convection split and the source
-    # term, so each of the four RK stages needs one stacked evaluation
-    v0 = td.gaussian_initial_data([1.0, 0.5], amplitude=1e-2, width=3.0)
-    sim = td.make_sim(jx, front, v0, L_sim=30.0, n_points=121,
-                      mode="nonlinear")
-    shapes = []
-    flux_jacs = type(jx).flux_jacs
-
-    def counted(self, w):
-        shapes.append(np.shape(w))
-        return flux_jacs(self, w)
-
-    monkeypatch.setattr(type(jx), "flux_jacs", counted)
-    td.step(sim, 0.05)
-    assert shapes == [(121, 2)] * 4
-
-
-def test_truncation_rejects_nonlinear(jx, front):
-    hist = td.SimHistory(times=np.linspace(0, 5, 30),
-                         frames=np.zeros((30, 11, 2)),
-                         f_frames=np.zeros((30, 11, 2)),
-                         grid=np.linspace(-1, 1, 11), mode="nonlinear")
-    with pytest.raises(CertificateError, match="linearized"):
-        td.truncation_pipeline(hist, td.CutoffPair(1.0, 5.0), gamma=-0.1)
 
 
 def test_gronwall_consistency_on_corpus(front_run):
