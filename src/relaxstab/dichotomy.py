@@ -40,8 +40,8 @@ The decay fit and the verifier share that chain and their random node pairs
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar
 
+from ._lapack import polar_unitary
 from .errors import (CertificateError, FrameConditioningError,
                      TurningPointSuspectedError, WindowOverflowError)
 from .resolvent import SpectralSplit, limit_spectral_split
@@ -168,7 +168,7 @@ def _discrete_frame(Y0, steps):
     frames = [Y0.astype(complex)]
     for step in steps:
         Y = _orthonormalize(step @ frames[-1])
-        frames.append(Y @ polar(Y.conj().T @ frames[-1])[0])
+        frames.append(Y @ polar_unitary(Y.conj().T @ frames[-1]))
     return np.stack(frames)
 
 

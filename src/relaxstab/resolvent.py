@@ -35,6 +35,13 @@ with the hat-Gram matrix.  Every collocation solve goes through
 power iteration's 21 per point) through a row permutation and two
 ``trsv`` calls.  At one BLAS thread a one-column ``getrs`` packs the whole
 factor for ``trsm`` on every call and takes about three times as long.
+These routines are bound directly from scipy's LAPACK and BLAS extension
+modules (``relaxstab._lapack``, which does not import the ``scipy.linalg``
+package): ``zgetrf`` factors the collocation matrix as ``lu_factor``
+would, and an exactly zero pivot raises :class:`NumericError`;
+``zgetrs`` and ``ztrsv`` solve with it; ``dpotrf`` factors the real
+hat-Gram matrix as ``cho_factor`` would, and ``zpotrs`` solves with its
+complex copy.
 Around the LAPACK calls a point does little numpy work, which holds the
 GIL while LAPACK does not: the collocation matrix is filled in Fortran
 order and factored in place, real operands are cast to complex once per
@@ -55,9 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.linalg import (cho_factor, get_blas_funcs, get_lapack_funcs,
-                          lu_factor)
 
+from ._lapack import cho_factor, lu_factor, zgetrs, zpotrs, ztrsv
 from .errors import (CenterSpectrumError, ConfigError, ModelError,
                      NumericError)
 from .grids import cheb_grid
@@ -438,11 +444,6 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
                                   perturbation=v, deriv_order=deriv_order)
 
 
-# the collocation matrix is complex: its solvers are looked up once
-_trsv, = get_blas_funcs(("trsv",), dtype=complex)
-_getrs, = get_lapack_funcs(("getrs",), dtype=complex)
-
-
 def _row_permutation(piv):
     """Rows ``perm`` with ``A[perm] = L @ U`` for the pivots ``piv`` of
     ``lu_factor(A)``: its row swaps applied in order to ``0 .. N-1``."""
@@ -467,14 +468,14 @@ def lu_solve(factors, b, trans):
     lu, piv, perm = factors
     if b.ndim == 1:
         if trans == 0:
-            x = _trsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
-            return _trsv(lu, x, overwrite_x=1)
-        x = _trsv(lu, b, trans=trans)
-        x = _trsv(lu, x, lower=1, trans=trans, diag=1, overwrite_x=1)
+            x = ztrsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
+            return ztrsv(lu, x, overwrite_x=1)
+        x = ztrsv(lu, b, trans=trans)
+        x = ztrsv(lu, x, lower=1, trans=trans, diag=1, overwrite_x=1)
         out = np.empty_like(x)
         out[perm] = x
         return out
-    x, info = _getrs(lu, piv.copy(), b, trans=trans, overwrite_b=1)
+    x, info = zgetrs(lu, piv.copy(), b, trans=trans, overwrite_b=1)
     if info:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
@@ -538,11 +539,7 @@ class _BvpOperator:
 
         # G is finite by construction, and every solution is checked by the
         # residual cap, so no finiteness scan of M
-        try:
-            lu, piv = lu_factor(M, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("LU factorization of the collocation operator "
-                               "failed") from exc
+        lu, piv = lu_factor(M)
         self.lu = (lu, piv, _row_permutation(piv))
 
     def solve(self, f_nodes, apply_a1inv=True):
@@ -711,9 +708,8 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
         # that matmul and LAPACK would otherwise cast them to on every step;
         # potrs is the call cho_solve makes, without its per-call checks
         Gm = _hat_gram(geom, s, rho)
-        c, lower = cho_factor(Gm, check_finite=False)
+        c = cho_factor(Gm)
         Gm, c = Gm.astype(complex), c.astype(complex)
-        potrs, = get_lapack_funcs(("potrs",), (c,))
         # interior envelope: keeps the iteration inside the class of
         # localized resolved forcings (boundary-node spikes are artifacts of
         # the clustered grid, not modes of the whole-line operator)
@@ -727,7 +723,7 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
             v = op.solve(f)
             u = op.solve_adjoint(Gm @ v)
             u = np.einsum("ijk,ij->ik", A1inv_h, u)
-            w, info = potrs(c, u, lower=lower)
+            w, info = zpotrs(c, u, lower=0)
             if info:
                 raise NumericError(f"Cholesky solve failed (info = {info})")
             f = envelope * w

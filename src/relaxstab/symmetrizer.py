@@ -26,8 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_continuous_lyapunov
 
+from ._lapack import eigvalsh, solve_continuous_lyapunov
 from .errors import CertificateError, FrameConditioningError, StabilityError
 from .tables import write_matrix_field
 
@@ -207,7 +207,7 @@ def constant_symmetrizer(sys, w0, eta, v0=None):
     S = Rinv.conj().T @ Rinv
     S = 0.5 * (S + S.conj().T)
     Ham = 0.5 * (S @ (-N) + (-N).conj().T @ S)
-    theta = float(eigh(Ham, S, eigvals_only=True)[0])
+    theta = float(eigvalsh(Ham, S)[0])
     return SymmetrizerField(grid=np.zeros(1), S=S[None, :, :],
                             C0=float(np.linalg.norm(S, 2)), theta=theta,
                             provenance="constant-frame")

@@ -2,6 +2,7 @@ import collections
 import ctypes
 import dataclasses
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,15 +21,27 @@ from relaxstab.errors import CompatibilityError, ConfigError
 THREAD_VARS = ("RELAXSTAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def blas_threads():
-    """Threads of the OpenBLAS that numpy loaded, asked through its API."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
-                                  "libscipy_openblas*.so"))
+def _openblas_threads(package, symbol):
+    """Threads of the scipy-openblas that ``package`` bundles, asked through
+    its API; skips where the package has none."""
+    root = importlib.util.find_spec(package).submodule_search_locations[0]
+    libs = glob.glob(os.path.join(root + ".libs", "libscipy_openblas*.so"))
     if not libs:
-        pytest.skip("numpy is not linked against scipy-openblas")
-    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        pytest.skip(f"{package} is not linked against scipy-openblas")
+    get = getattr(ctypes.CDLL(libs[0]), symbol)
     get.argtypes, get.restype = [], ctypes.c_int
     return get()
+
+
+def blas_threads():
+    """Threads of the OpenBLAS that numpy loaded."""
+    return _openblas_threads("numpy", "scipy_openblas_get_num_threads64_")
+
+
+def scipy_blas_threads():
+    """Threads of scipy's OpenBLAS, which runs the LU and triangular solves
+    of the sweep."""
+    return _openblas_threads("scipy", "scipy_openblas_get_num_threads")
 
 
 def small_config(seed=11, a=2.0, endstates=None):
@@ -461,16 +474,20 @@ UNUSED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
                 "scipy.special")
 
 PIPELINES_RUN = """
-import json, sys
+import importlib.util, json, os, sys
 cfg, out = sys.argv[1:]
 from relaxstab import cli, dichotomy, symmetrizer
 codes = [cli.main(["run", "--config", cfg, "--pipeline", pipeline,
                    "--out", out + "/" + pipeline])
          for pipeline in ("full", "resolvent-sweep")]
+scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
 print(json.dumps({
     "codes": codes,
     "loaded": sorted({".".join(m.split(".")[:2]) for m in sys.modules
                       if m.startswith("scipy.")}),
+    "scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "flapack_file": sys.modules["scipy.linalg._flapack"].__file__,
+    "scipy_dir": scipy_dir,
     "tracer_names": [hasattr(dichotomy, "solve_ivp"),
                      hasattr(symmetrizer, "solve_ivp")],
     "jsonschema": "jsonschema" in sys.modules}))
@@ -486,19 +503,32 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     assert not set(UNUSED_SCIPY) & set(result["loaded"])
+    # not even the scipy.linalg package: only its two extension modules,
+    # loaded from scipy's own files (the fast path of relaxstab._lapack)
+    assert result["scipy_modules"] == ["scipy.linalg._fblas",
+                                       "scipy.linalg._flapack"]
+    linalg_dir, name = os.path.split(result["flapack_file"])
+    assert linalg_dir == os.path.join(result["scipy_dir"], "linalg")
+    assert name.startswith("_flapack.")
     # perfbench/tracing.py binds and wraps these names
     assert result["tracer_names"] == [True, True]
     assert result["jsonschema"] is False
 
 
 LAZY_PATHS_RUN = """
-import json, sys
+import importlib, json, sys
 import numpy as np
-from relaxstab import dichotomy, model, profile, systems
+from relaxstab import _lapack, dichotomy, model, profile, systems
 before = [m for m in %r if m in sys.modules]
 
 jx = systems.jin_xin(2.0)
 p = profile.solve_profile_shooting(jx, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
+# shooting imported the scipy.linalg package, which took the modules the
+# package had already loaded
+import scipy.linalg
+shared = (importlib.import_module("scipy.linalg._flapack") is _lapack._flapack
+          and scipy.linalg.lapack._flapack is _lapack._flapack
+          and scipy.linalg.blas._fblas is _lapack._fblas)
 u = 1.0 / (1.0 + np.exp(p.grid / 7.5))
 shoot_err = float(np.max(np.abs(p.values - np.column_stack([u, 0.5 * u]))))
 
@@ -522,7 +552,8 @@ wave = profile.WaveProfile(
     decay_rate=2.0, tol_end=1e-8)
 rep = dichotomy.detect_turning_points(sys2, wave, ray=[1.0, 0.3],
                                       x_grid=np.linspace(-8, 8, 161))
-print(json.dumps({"before": before, "shoot_err": shoot_err,
+print(json.dumps({"before": before, "shared": shared,
+                  "shoot_err": shoot_err,
                   "regular": bool(reg.passed),
                   "turning": list(rep.locations)}))
 """ % (UNUSED_SCIPY,)
@@ -535,6 +566,7 @@ def test_lazy_scipy_paths_run_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["before"] == []
+    assert result["shared"]
     assert result["shoot_err"] <= 1e-8
     assert result["regular"]
     assert len(result["turning"]) == 1
@@ -572,14 +604,18 @@ def test_outputs_do_not_depend_on_thread_settings(tmp_path):
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(tmp_path, given, expected):
-    blas_threads()      # skips where numpy has no scipy-openblas
+    # numpy's OpenBLAS and scipy's, which does the LU and triangular solves;
+    # skips where either is not a scipy-openblas
+    blas_threads()
+    scipy_blas_threads()
     env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
     tests = os.path.dirname(os.path.abspath(__file__))
     proc = _run_python(["-c", f"import sys; sys.path.insert(0, {tests!r}); "
                         "import relaxstab, test_cli; "
-                        "print(test_cli.blas_threads())"], env, tmp_path)
+                        "print(test_cli.blas_threads(), "
+                        "test_cli.scipy_blas_threads())"], env, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == expected
+    assert proc.stdout.split() == [expected, expected]
 
 
 def test_suite_blas_threads_match_the_environment():
