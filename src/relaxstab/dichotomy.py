@@ -30,11 +30,11 @@ The seeds come from the same limit splits as the boundary rows of the
 resolvent operator (:meth:`ResolventOperatorField.limit_splits`).
 
 A propagator over a long distance is the ordered product of cached steps,
-one interval at a time, with the projector applied at every node.  Each
-product is rescaled by its largest entry against overflow and its 2-norm is
-taken once, at the end, so a log-norm is exact wherever the rescalings fall.
-The decay fit and the verifier share that chain and their random node pairs
-(:func:`_pair_lognorms`).
+with the projector applied at every node.  All node pairs walk in one stack
+(:func:`_pair_propagators`), one chain per start node and direction, each
+rescaled by its largest entry at every step; 2-norms are taken once, at the
+end, so a log-norm is exact wherever the rescalings fall.  The fit and the
+verifier share their random node pairs (:func:`_pair_lognorms`).
 """
 
 from dataclasses import dataclass
@@ -293,37 +293,56 @@ def _interval_products(E, k, later_left):
     return np.ascontiguousarray(np.moveaxis(P[..., 0], -1, 0))
 
 
-def _chained_propagator(field, data, iy, ix, project=None):
-    """Propagator from node ``iy`` to node ``ix``, scaled to norm 1, and
-    the log of its norm.
+def _pair_propagators(field, starts, ends, project):
+    """Propagators from nodes ``starts`` to nodes ``ends``, scaled to norm 1,
+    and the logs of their norms, stacked over the pairs.
 
-    Returns ``(M, log_norm)`` with ``|M|_2 = 1``.  The cached steps are
-    multiplied one interval at a time; ``project`` (``P_plus`` or
-    ``P_minus``) is applied at every node, start and end included, giving
-    ``P(x) S(x, y) P(y)``.  Each product is divided by its largest entry and
-    the 2-norm is taken once, at the end.  Raises
-    :class:`WindowOverflowError` when a product is not finite or vanishes.
+    ``project`` (``P_plus``, ``P_minus`` or None) is applied at every node,
+    start and end included, giving ``P(x) S(x, y) P(y)``.  All chains advance
+    in lockstep, longest first, and a pair is read out as its chain passes
+    its end node.  Raises :class:`WindowOverflowError` when a product is not
+    finite or vanishes.
     """
-    Phi, Phi_inv = _interval_propagators(field)
-    if iy <= ix:
-        steps, nodes = Phi[iy:ix], range(iy + 1, ix + 1)
-    else:
-        steps, nodes = Phi_inv[ix:iy][::-1], range(iy - 1, ix - 1, -1)
-    M = np.eye(field.n, dtype=complex) if project is None else project[iy]
-    lognorm = 0.0
-    for i, step in zip(nodes, steps):
-        M = step @ M
-        if project is not None:
-            M = project[i] @ M
-        scale = np.max(np.abs(M))
-        if not np.isfinite(scale) or scale == 0.0:
-            raise WindowOverflowError(
-                f"propagator from x = {data.grid[iy]:.3g} to "
-                f"x = {data.grid[i]:.3g} has entries of size {scale}")
-        M = M / scale
-        lognorm += np.log(scale)
-    nrm = np.linalg.norm(M, 2)
-    return M / nrm, float(lognorm + np.log(nrm))
+    grid = field.geom.x
+    m, n = grid.size, field.n
+    dist = np.abs(ends - starts)
+    key = (ends < starts) * m + starts        # chain: direction, start node
+    reach = np.full(2 * m, -1)
+    np.maximum.at(reach, key, dist)
+    order = np.argsort(-reach, kind="stable")    # longest chain first
+    keys, at = order[:np.count_nonzero(reach >= 0)], np.argsort(order)[key]
+    back, start = np.divmod(keys, m)
+    # step t of a chain enters node[t], by Phi[node - 1] forward and by
+    # Phi_inv[node] back; the first running[t] chains take it
+    steps = np.concatenate(_interval_propagators(field))
+    ts = np.arange(dist.max(initial=0) + 1)[:, None]
+    node = start + (1 - 2 * back) * ts
+    step, running = node - 1 + back * m, (reach[keys] >= ts).sum(axis=1)
+    # ends_at[t]: the pairs t steps apart
+    ends_at = np.split(np.argsort(dist, kind="stable"),
+                       np.cumsum(np.bincount(dist, minlength=1))[:-1])
+    M = (np.tile(np.eye(n, dtype=complex), (keys.size, 1, 1))
+         if project is None else project[start].astype(complex))
+    logs, log_out = np.zeros(keys.size), np.empty(dist.size)
+    M_out = np.empty((dist.size, n, n), dtype=complex)
+    for t, (k, done) in enumerate(zip(running, ends_at)):
+        if t:
+            M[:k] = steps[step[t, :k]] @ M[:k]
+            if project is not None:
+                M[:k] = project[node[t, :k]] @ M[:k]
+            scale = np.abs(M[:k]).max(axis=(1, 2))
+            ok = (scale > 0.0) & (scale < np.inf)
+            if not ok.all():
+                b = np.argmin(ok)
+                raise WindowOverflowError(
+                    f"propagator from x = {grid[start[b]]:.3g} to x = "
+                    f"{grid[node[t, b]]:.3g} has entries of size {scale[b]}")
+            M[:k] /= scale[:, None, None]
+            logs[:k] += np.log(scale)
+        if done.size:
+            M_out[done], log_out[done] = M[at[done]], logs[at[done]]
+    nrm = np.linalg.norm(M_out, 2, axis=(1, 2))
+    return M_out / nrm[:, None, None], log_out + np.log(nrm)
 
 
 def _pair_lognorms(data, field, n_pairs, seed):
@@ -331,17 +350,18 @@ def _pair_lognorms(data, field, n_pairs, seed):
     of the projected propagators, forward with ``P_plus`` and backward with
     ``P_minus``.
 
-    Yields ``(iy, ix, sep, log_plus, log_minus)``; the decay fit and the
-    verifier draw their pairs here, so the same seed gives the same pairs.
+    Returns arrays ``(iy, ix, sep, log_plus, log_minus)``; the decay fit and
+    the verifier draw their pairs here, so the same seed gives the same pairs.
     """
     rng = np.random.default_rng(seed)
     m = data.grid.size
-    for _ in range(n_pairs):
-        iy = int(rng.integers(0, m - 2))
-        ix = int(rng.integers(iy + 1, m))
-        _, lp = _chained_propagator(field, data, iy, ix, project=data.P_plus)
-        _, lm = _chained_propagator(field, data, ix, iy, project=data.P_minus)
-        yield iy, ix, float(data.grid[ix] - data.grid[iy]), lp, lm
+    iy, ix = np.zeros((2, n_pairs), dtype=int)
+    for p in range(n_pairs):            # the generator draws iy, then ix
+        iy[p] = rng.integers(0, m - 2)
+        ix[p] = rng.integers(iy[p] + 1, m)
+    _, log_plus = _pair_propagators(field, iy, ix, data.P_plus)
+    _, log_minus = _pair_propagators(field, ix, iy, data.P_minus)
+    return iy, ix, data.grid[ix] - data.grid[iy], log_plus, log_minus
 
 
 def _fit_decay(data, field, n_pairs=24, seed=0):
@@ -350,11 +370,8 @@ def _fit_decay(data, field, n_pairs=24, seed=0):
     Raises :class:`CertificateError` when the pairs give fewer than 2
     distinct separations, where a line through the samples is not defined.
     """
-    pairs = list(_pair_lognorms(data, field, n_pairs, seed))
-    seps = np.array([p[2] for p in pairs])
-    logs_p = np.array([p[3] for p in pairs])
-    logs_m = np.array([p[4] for p in pairs])
-    n_seps = np.unique(seps).size
+    _, _, seps, logs_p, logs_m = _pair_lognorms(data, field, n_pairs, seed)
+    n_seps = seps.size and 1 + np.count_nonzero(np.diff(np.sort(seps)))
     if n_seps < 2:
         raise CertificateError(
             f"decay fit needs at least 2 distinct separations, got {n_seps} "
@@ -388,14 +405,13 @@ def verify_dichotomy(data, field, sample_pairs=50, tol=1e-6, seed=0):
     """
     theta = data.constants["theta"]
     C = data.constants["C"] * DECAY_SLACK
-    worst_comm = 0.0
-    worst_decay = -np.inf
-    for iy, ix, sep, lp, lm in _pair_lognorms(data, field, sample_pairs, seed):
-        S, _ = _chained_propagator(field, data, iy, ix)
-        comm = np.linalg.norm(data.P_plus[ix] @ S - S @ data.P_plus[iy], 2)
-        worst_comm = max(worst_comm, comm)
-        bound = np.log(C) - theta * sep
-        worst_decay = max(worst_decay, lp - bound, lm - bound)
+    iy, ix, sep, lp, lm = _pair_lognorms(data, field, sample_pairs, seed)
+    S, _ = _pair_propagators(field, iy, ix, None)
+    P = data.P_plus
+    comm = np.linalg.norm(P[ix] @ S - S @ P[iy], 2, axis=(1, 2))
+    worst_comm = np.max(comm, initial=0.0)
+    bound = np.log(C) - theta * sep
+    worst_decay = np.max(np.maximum(lp - bound, lm - bound), initial=-np.inf)
     return DichotomyCheck(passed=(worst_comm <= tol and worst_decay <= 0.0),
                           worst_commute=worst_comm, worst_decay=worst_decay,
                           n_pairs=sample_pairs)

@@ -450,7 +450,8 @@ def check_chf(sys, w0, eta_min, theta_req):
     worst = np.max(np.linalg.eigvals(-1j * T - E).real, axis=-1)
 
     # tail maxima over increasing threshold candidates
-    uniq = np.unique(np.round(radii, 12))
+    uniq = np.sort(np.round(radii, 12))
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     keep = max(3, int(np.ceil(CHF_KEEP_FRACTION * uniq.size)))
     best = None
     for k, thr in enumerate(uniq):

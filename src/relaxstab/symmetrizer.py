@@ -115,12 +115,14 @@ def _lyapunov_collocation(grid, blocks, end, sign):
     seed = 0.5 * (seed + seed.conj().T)
     lam_h = blocks.conj().transpose(0, 2, 1)
     rhs = sign * eye - lam_h @ seed - seed @ blocks
-    # row-major vec: vec(L* E) = kron(L*, I) e, vec(E L) = kron(I, L^T) e
+    # row-major vec: vec(L* E) = kron(L*, I) e, vec(E L) = kron(I, L^T) e,
+    # one block per node on the diagonal of A's (m, q, m, q) view
     q = p * p
     A = np.kron(_barycentric_D(grid), np.eye(q)).astype(complex)
-    for i in range(m):
-        A[i * q:(i + 1) * q, i * q:(i + 1) * q] += (
-            np.kron(lam_h[i], eye) + np.kron(eye, blocks[i].T))
+    lam_t, node = blocks.transpose(0, 2, 1), np.arange(m)
+    A.reshape(m, q, m, q)[node, :, node, :] += (
+        (lam_h[:, :, None, :, None] * eye[:, None, :]).reshape(m, q, q)
+        + (eye[:, None, :, None] * lam_t[:, None, :, None, :]).reshape(m, q, q))
     keep = np.delete(np.arange(m * q).reshape(m, q), end, axis=0).ravel()
     dev = np.zeros(m * q, dtype=complex)
     dev[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1)[keep])

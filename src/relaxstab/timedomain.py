@@ -312,22 +312,21 @@ def verify_classical_damping(trace):
     g = trace.L2_values[idx] + trace.f_values[idx]
     scale = max(float(np.max(E)), 1e-300)
 
-    best = None
-    for eta in np.geomspace(1e-4, ETA_MAX, N_ETA):
-        need = Edot + eta * E
-        hard = g <= 1e-14 * scale
-        if np.any(need[hard] > DAMPING_SLACK * scale):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Creq = np.where(~hard & (need > 0), need / np.maximum(g, 1e-300), 0.0)
-        C = float(np.max(Creq))
-        if C <= C_CAP:
-            best = (float(eta), C)
-    if best is None:
+    # one row per candidate rate; the largest feasible rate wins
+    etas = np.geomspace(1e-4, ETA_MAX, N_ETA)
+    need = Edot + etas[:, None] * E
+    hard = g <= 1e-14 * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Creq = np.where(~hard & (need > 0), need / np.maximum(g, 1e-300), 0.0)
+    C = np.max(Creq, axis=1)
+    ok = np.flatnonzero(~np.any(need[:, hard] > DAMPING_SLACK * scale, axis=1)
+                        & (C <= C_CAP))
+    if not ok.size:
         witness = int(idx[int(np.argmax(Edot + 1e-4 * E))])
         return DampingFit(feasible=False, eta=0.0, C=np.inf,
                           refuted_at=witness)
-    return DampingFit(feasible=True, eta=best[0], C=best[1])
+    best = ok[-1]
+    return DampingFit(feasible=True, eta=float(etas[best]), C=float(C[best]))
 
 
 def verify_integrated_damping(trace, eta, C):

@@ -490,7 +490,8 @@ print(json.dumps({
     "scipy_dir": scipy_dir,
     "tracer_names": [hasattr(dichotomy, "solve_ivp"),
                      hasattr(symmetrizer, "solve_ivp")],
-    "jsonschema": "jsonschema" in sys.modules}))
+    "jsonschema": "jsonschema" in sys.modules,
+    "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -513,6 +514,8 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
     # perfbench/tracing.py binds and wraps these names
     assert result["tracer_names"] == [True, True]
     assert result["jsonschema"] is False
+    # np.unique imports numpy.ma (13 ms, 1.3 MiB) on its first call
+    assert result["numpy_ma"] is False
 
 
 LAZY_PATHS_RUN = """

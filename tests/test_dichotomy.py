@@ -186,6 +186,13 @@ def _windowed_reference(window_step, data, iy, ix, project=None):
     return M, lognorm
 
 
+def _one_pair(field, iy, ix, project):
+    """``(M, log_norm)`` of the single pair ``iy -> ix``."""
+    M, lognorm = dich._pair_propagators(field, np.array([iy]), np.array([ix]),
+                                        project)
+    return M[0], lognorm[0]
+
+
 @pytest.mark.parametrize("iy, ix", [(30, 130), (130, 30)])
 @pytest.mark.parametrize("projected", [False, True])
 def test_cached_propagator_matches_windowed_integration(
@@ -194,8 +201,7 @@ def test_cached_propagator_matches_windowed_integration(
     project = None
     if projected:
         project = data.P_plus if iy < ix else data.P_minus
-    M, lognorm = dich._chained_propagator(front_field, data, iy, ix,
-                                          project=project)
+    M, lognorm = _one_pair(front_field, iy, ix, project)
     M_ref, lognorm_ref = _windowed_reference(window_step, data, iy, ix,
                                              project=project)
     assert abs(lognorm - lognorm_ref) <= 1e-8
@@ -218,8 +224,7 @@ def test_short_chain_lognorm_is_log_of_plain_product(
         ref = (Phi[i] if forward else Phi_inv[i]) @ ref
         if project is not None:
             ref = project[i + 1 if forward else i] @ ref
-    M, lognorm = dich._chained_propagator(front_field, data, iy, ix,
-                                          project=project)
+    M, lognorm = _one_pair(front_field, iy, ix, project)
     nrm = np.linalg.norm(ref, 2)
     assert abs(lognorm - np.log(nrm)) <= 1e-12
     assert np.max(np.abs(M - ref / nrm)) <= 1e-12
@@ -234,10 +239,72 @@ def test_nonfinite_cached_step_raises_overflow():
     Phi[12, 0, 0] = np.nan
     field._propagators = (Phi, Phi_inv)
     with pytest.raises(WindowOverflowError, match=f"{geom.x[13]:.3g}"):
-        dich._chained_propagator(field, data, 5, 20)
-    dich._chained_propagator(field, data, 20, 5)     # backward steps intact
+        _one_pair(field, 5, 20, None)
+    _one_pair(field, 20, 5, None)                   # backward steps intact
     with pytest.raises(WindowOverflowError):
         dich.verify_dichotomy(data, field, sample_pairs=50, seed=1)
+
+
+def _pair_loop(field, starts, ends, project):
+    """Reference for ``_pair_propagators``: one chain per pair, one cached
+    step at a time, with the kernel's arithmetic."""
+    Phi, Phi_inv = dich._interval_propagators(field)
+    Ms, logs = [], []
+    for iy, ix in zip(starts, ends):
+        if iy <= ix:
+            steps, nodes = Phi[iy:ix], range(iy + 1, ix + 1)
+        else:
+            steps, nodes = Phi_inv[ix:iy][::-1], range(iy - 1, ix - 1, -1)
+        M = np.eye(field.n, dtype=complex) if project is None else project[iy]
+        lognorm = 0.0
+        for i, step in zip(nodes, steps):
+            M = step @ M
+            if project is not None:
+                M = project[i] @ M
+            scale = np.max(np.abs(M))
+            M = M / scale
+            lognorm += np.log(scale)
+        nrm = np.linalg.norm(M, 2)
+        Ms.append(M / nrm)
+        logs.append(lognorm + np.log(nrm))
+    return np.array(Ms), np.array(logs)
+
+
+@pytest.fixture(scope="module")
+def small_dichotomy():
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    field = res.constant_field(np.array([[-1.0, 0.3], [0.2, 2.0]]), geom)
+    return field, dich.propagate_subspaces(field, fit_pairs=4)
+
+
+@pytest.mark.parametrize("project", [None, "P_plus", "P_minus"])
+def test_pair_kernel_equals_pair_loop(front_field, front_dichotomy, project):
+    # forward and backward pairs, repeated start nodes, a zero-length pair
+    starts = np.array([30, 30, 130, 5, 130, 77, 30, 60, 60, 12])
+    ends = np.array([130, 37, 30, 140, 37, 77, 31, 2, 59, 141])
+    P = None if project is None else getattr(front_dichotomy, project)
+    M, lognorm = dich._pair_propagators(front_field, starts, ends, P)
+    M_ref, lognorm_ref = _pair_loop(front_field, starts, ends, P)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(lognorm, lognorm_ref)
+
+
+@pytest.mark.parametrize("project", [None, "P_plus", "P_minus"])
+def test_pair_kernel_equals_pair_loop_on_all_pairs(small_dichotomy, project):
+    field, data = small_dichotomy
+    starts, ends = np.indices((33, 33)).reshape(2, -1)
+    P = None if project is None else getattr(data, project)
+    M, lognorm = dich._pair_propagators(field, starts, ends, P)
+    M_ref, lognorm_ref = _pair_loop(field, starts, ends, P)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(lognorm, lognorm_ref)
+
+
+def test_pair_kernel_without_pairs(small_dichotomy):
+    field, data = small_dichotomy
+    none = np.zeros(0, dtype=int)
+    M, lognorm = dich._pair_propagators(field, none, none, data.P_plus)
+    assert M.shape == (0, 2, 2) and lognorm.shape == (0,)
 
 
 def test_propagator_cache_integrates_each_interval_once(jx, front):

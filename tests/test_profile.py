@@ -6,6 +6,7 @@ from scipy.interpolate import PchipInterpolator
 
 from relaxstab import profile as prof
 from relaxstab import systems
+from relaxstab.tables import write_csv
 from relaxstab.errors import (CompatibilityError, ConvergenceError,
                               EvaluationError, ModelError)
 
@@ -228,6 +229,19 @@ def test_csv_json_round_trip(front, tmp_path):
     assert np.array_equal(back.derivs, front.derivs)
     assert back.speed == front.speed
     assert back.decay_rate == front.decay_rate
+
+
+def test_float_table_fast_path_writes_generic_text(tmp_path):
+    table = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                      [5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0],
+                      [2.0, -7.5, 1e16, 123456789.125, np.pi]])
+    header = ["a", "b", "c", "d", "e"]
+    write_csv(tmp_path / "fast.csv", header, table)
+    # a generator of rows takes the generic path, cell by cell
+    write_csv(tmp_path / "generic.csv", header, (row for row in table))
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "generic.csv").read_bytes()
+    assert fast.count(b"\r\n") == 4 and b"-0.0,inf,-inf,nan" in fast
 
 
 def test_load_rejects_version_mismatch(front, tmp_path):

@@ -102,6 +102,40 @@ def test_collocated_forms_match_tight_integration(small_geom):
         assert np.max(np.abs(Q - Q_ref)) <= 1e-8 * np.max(np.abs(Q_ref))
 
 
+def _collocation_loop(grid, blocks, end, sign):
+    """Reference for ``_lyapunov_collocation``: the diagonal blocks of the
+    collocation matrix filled one node at a time."""
+    m, p, _ = blocks.shape
+    eye = np.eye(p)
+    seed = symm.solve_continuous_lyapunov(blocks[end].conj().T, sign * eye)
+    seed = 0.5 * (seed + seed.conj().T)
+    lam_h = blocks.conj().transpose(0, 2, 1)
+    rhs = sign * eye - lam_h @ seed - seed @ blocks
+    q = p * p
+    A = np.kron(symm._barycentric_D(grid), np.eye(q)).astype(complex)
+    for i in range(m):
+        A[i * q:(i + 1) * q, i * q:(i + 1) * q] += (
+            np.kron(lam_h[i], eye) + np.kron(eye, blocks[i].T))
+    keep = np.delete(np.arange(m * q).reshape(m, q), end, axis=0).ravel()
+    dev = np.zeros(m * q, dtype=complex)
+    dev[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1)[keep])
+    Q = seed + dev.reshape(m, p, p)
+    return 0.5 * (Q + Q.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("end, sign", [(-1, -1), (0, 1)])
+def test_stacked_collocation_fill_equals_node_loop(small_geom, p, end, sign):
+    grid = small_geom.x
+    rng = np.random.default_rng(p)
+    base = -np.eye(p) if sign < 0 else np.eye(p)
+    wobble = (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+    blocks = (base + 0.2 * np.tanh(grid)[:, None, None] * wobble
+              + 0.1j * np.eye(p))
+    Q = symm._lyapunov_collocation(grid, blocks, end, sign)
+    assert np.array_equal(Q, _collocation_loop(grid, blocks, end, sign))
+
+
 def test_nonstable_block_rejected(small_geom):
     grid = small_geom.x
     with pytest.raises(StabilityError):

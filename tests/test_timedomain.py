@@ -254,6 +254,62 @@ def test_damping_short_trace_rejected():
         td.verify_classical_damping(trace)
 
 
+def _damping_loop(trace):
+    """Reference for the eta scan: one candidate rate at a time."""
+    t, idx = trace.times, np.arange(1, trace.times.size - 1)
+    Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
+        t[idx + 1] - t[idx - 1])
+    E = trace.E_values[idx]
+    g = trace.L2_values[idx] + trace.f_values[idx]
+    scale = max(float(np.max(E)), 1e-300)
+    best = None
+    for eta in np.geomspace(1e-4, td.ETA_MAX, td.N_ETA):
+        need = Edot + eta * E
+        hard = g <= 1e-14 * scale
+        if np.any(need[hard] > td.DAMPING_SLACK * scale):
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Creq = np.where(~hard & (need > 0),
+                            need / np.maximum(g, 1e-300), 0.0)
+        C = float(np.max(Creq))
+        if C <= td.C_CAP:
+            best = (float(eta), C)
+    if best is None:
+        witness = int(idx[int(np.argmax(Edot + 1e-4 * E))])
+        return td.DampingFit(feasible=False, eta=0.0, C=np.inf,
+                             refuted_at=witness)
+    return td.DampingFit(feasible=True, eta=best[0], C=best[1])
+
+
+def _forced_trace(amplitude, nan_at=None, n=120):
+    """Decaying energy, wobbling and forced for ``t < pi``; pure decay on
+    the hard (unforced) samples after."""
+    t = np.linspace(0.0, 6.0, n)
+    forced = t < np.pi
+    E = np.exp(-0.7 * t) * (1.0 + 0.3 * np.sin(3.0 * t) * forced)
+    if nan_at is not None:
+        E[nan_at] = np.nan
+    g = np.where(forced, amplitude * np.exp(-t), 0.0)
+    return td.EnergyTrace(times=t, E_values=E, L2_values=0.5 * g,
+                          f_values=0.5 * g)
+
+
+@pytest.mark.parametrize("trace", [
+    _exponential_trace(eta=1.0),
+    _forced_trace(0.02),                # C_CAP limits eta
+    _forced_trace(0.2),                 # the hard samples limit eta
+    _forced_trace(0.2, nan_at=20),      # NaN energy where forced
+    _forced_trace(0.2, nan_at=100),     # NaN energy at a hard sample
+    td.EnergyTrace(times=np.linspace(0.0, 5.0, 100),
+                   E_values=np.exp(np.linspace(0.0, 5.0, 100)),
+                   L2_values=np.zeros(100), f_values=np.zeros(100)),
+], ids=["hard", "capped", "forced", "nan-forced", "nan-hard", "refuted"])
+def test_damping_scan_equals_loop(trace):
+    fit, ref = td.verify_classical_damping(trace), _damping_loop(trace)
+    assert (fit.feasible, fit.refuted_at) == (ref.feasible, ref.refuted_at)
+    assert np.array_equal([fit.eta, fit.C], [ref.eta, ref.C])
+
+
 # ------------------------------------------------------ integrated damping ----
 
 def test_integrated_exact_exponential_tight():
