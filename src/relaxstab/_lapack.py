@@ -1,71 +1,117 @@
-"""The LAPACK and BLAS calls of the package, without the ``scipy.linalg``
-package.
+"""The LAPACK and BLAS calls of the package, through the OpenBLAS that numpy
+loaded.
 
-The package needs a handful of routines, and they live in two f2py extension
-modules of scipy, ``scipy/linalg/_flapack`` and ``_fblas``.  Importing them
-through ``scipy.linalg`` runs its Python layer, whose array-API support loads
-``numpy.f2py`` and ``numpy.testing`` and takes most of a run's start-up.  So
-the two files are loaded here by location (scipy's directory comes from
-``importlib.util.find_spec``, which runs no package ``__init__``), and
-registered in ``sys.modules`` under their own names: a later
-``import scipy.linalg`` (shooting, ``d >= 2`` regularity, the turning-point
-scan) gets the same module objects.  Where the files are not where scipy
-1.17 puts them, the modules are taken from an imported ``scipy.linalg``; the
-calls below are the same either way.
+numpy links one OpenBLAS (the ``scipy-openblas`` build, 64-bit integers),
+and its LAPACK and BLAS routines are exported as ``scipy_<name>_64_``.  They
+are found here by ``dlsym`` on numpy's ``_multiarray_umath`` extension,
+which links that library, and called through ctypes with pointer arguments.
+So a run maps one BLAS, not numpy's and scipy's, and imports nothing of
+scipy.  Where numpy's library lacks a routine (a numpy built against another
+BLAS), every routine is taken instead from the public
+``scipy.linalg.cython_lapack`` and ``cython_blas`` capsules, which take
+32-bit integers: the wrappers below are the same for both sources, only the
+integer type differs.  A routine that neither source has raises
+:class:`CompatibilityError` when the package is imported.
 
 Each wrapper makes the call that the named scipy function makes, with the
 same driver, arguments and work size (checked bit for bit against scipy
 1.17.1 in ``tests/test_lapack.py``), and takes only what the package
-passes.  A LAPACK failure code raises :class:`NumericError`.  Nothing is
-scanned for finiteness: the inputs are finite by construction or have
-passed a ``numpy.linalg`` call that scans them.
+passes.  A LAPACK failure code raises :class:`NumericError`.  Shapes and
+dtypes are checked before a pointer is passed; nothing is scanned for
+finiteness: the inputs are finite by construction or have passed a
+``numpy.linalg`` call that scans them.  ctypes releases the GIL for the
+length of each call, so the LAPACK work of the sweep threads can overlap.
+Every call writes into buffers of its own, and the inputs it shares with
+other threads (an LU factor and its pivots) are only read, so concurrent
+solves with one factor are safe.
 """
 
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 import warnings
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import CompatibilityError, NumericError
 
-_NAMES = ("_flapack", "_fblas")
+# routine -> number of arguments; every argument is a pointer
+_ROUTINES = {
+    "zgetrf": 6, "zgetrs": 9, "ztrsv": 8, "dpotrf": 5, "zpotrs": 8,
+    "zhegvd": 16, "zgees": 15, "dgees": 15, "ztrsyl": 13, "dtrsyl": 13,
+}
 
-
-def _load(linalg_dir):
-    """scipy's ``_flapack`` and ``_fblas`` modules: loaded from their
-    extension files in ``linalg_dir``, or, if either is missing there,
-    imported through the ``scipy.linalg`` package.  A module already in
-    ``sys.modules`` is reused."""
-    files = {}
-    for name in _NAMES:
-        paths = (os.path.join(linalg_dir, name + suffix)
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-        files[name] = next((p for p in paths if os.path.isfile(p)), None)
-    if None in files.values():
-        return tuple(importlib.import_module("scipy.linalg." + name)
-                     for name in _NAMES)
-    for name in _NAMES:
-        full = "scipy.linalg." + name
-        if full not in sys.modules:
-            spec = importlib.util.spec_from_file_location(full, files[name])
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            sys.modules[full] = mod
-    return tuple(sys.modules["scipy.linalg." + name] for name in _NAMES)
+# the character arguments, at fixed addresses
+_CHARS = ctypes.create_string_buffer(b"NTCULV")
+_CHAR = {c: ctypes.addressof(_CHARS) + i for i, c in enumerate("NTCULV")}
+_TRANS = (_CHAR["N"], _CHAR["T"], _CHAR["C"])
 
 
-_flapack, _fblas = _load(os.path.join(
-    importlib.util.find_spec("scipy").submodule_search_locations[0],
-    "linalg"))
+def _numpy_symbols():
+    """``(integer type, name -> address or None, source)`` of the OpenBLAS
+    that numpy links."""
+    core = getattr(np, "_core", None)
+    lib = ctypes.CDLL(core._multiarray_umath.__file__) if core else None
 
-# the solves take the routines as they are
-ztrsv = _fblas.ztrsv
-zgetrs = _flapack.zgetrs
-zpotrs = _flapack.zpotrs
+    def address(name):
+        fn = getattr(lib, f"scipy_{name}_64_", None)
+        return ctypes.cast(fn, ctypes.c_void_p).value if fn else None
+
+    return ctypes.c_int64, address, "numpy's OpenBLAS"
+
+
+def _scipy_symbols():
+    """``(integer type, name -> address or None, source)`` of scipy's
+    public Cython LAPACK and BLAS capsules."""
+    from scipy.linalg import cython_blas, cython_lapack
+    capsules = {**cython_blas.__pyx_capi__, **cython_lapack.__pyx_capi__}
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+
+    def address(name):
+        cap = capsules.get(name)
+        return get_pointer(cap, get_name(cap)) if cap is not None else None
+
+    return ctypes.c_int, address, "scipy.linalg.cython_lapack"
+
+
+class _Binding:
+    """The routines of one symbol source as ctypes functions, and its
+    integer type; integer constants live at fixed addresses (:meth:`int`)."""
+
+    def __init__(self, c_int, address, source):
+        self.c_int, self.source = c_int, source
+        self.dtype = np.dtype(c_int)
+        for name, nargs in _ROUTINES.items():
+            ptr = address(name)
+            if not ptr:
+                raise CompatibilityError(
+                    f"LAPACK/BLAS routine {name} not found in {source}")
+            proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
+            setattr(self, name, proto(ptr))
+        self._ints = {}
+        self.one = self.int(1)
+
+    def int(self, value):
+        """Address of an integer holding ``value``, kept for the process."""
+        held = self._ints.get(value)
+        if held is None:
+            buf = self.c_int(value)
+            # setdefault keeps the first of two racing threads' buffers
+            held = self._ints.setdefault(value, (buf, ctypes.addressof(buf)))
+        return held[1]
+
+
+def _bind():
+    try:
+        return _Binding(*_numpy_symbols())
+    except CompatibilityError:
+        return _Binding(*_scipy_symbols())
+
+
+_L = _bind()
 
 
 def _check(info, failure):
@@ -77,70 +123,231 @@ def _check(info, failure):
         raise NumericError(failure.format(info=info))
 
 
+def _ptr(a):
+    return a.ctypes.data
+
+
+def _square(a, dtype, copy):
+    """``a`` as a Fortran-ordered square matrix of ``dtype``: a copy when
+    ``copy``, else ``a`` itself where it already is one."""
+    a = (np.array(a, dtype=dtype, order="F") if copy
+         else np.asfortranarray(a, dtype=dtype))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _rows(b, n, dtype):
+    """A Fortran-ordered copy of ``b`` ``(n, k)`` in ``dtype``, which LAPACK
+    solves in place."""
+    b = np.array(b, dtype=dtype, order="F")
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"expected {n} rows, got shape {b.shape}")
+    return b
+
+
+def row_permutation(piv):
+    """Rows ``perm`` with ``A[perm] = L @ U`` for the 0-based pivots ``piv``
+    of an LU factorization of ``A``: its row swaps applied in order to
+    ``0 .. N-1``."""
+    perm = list(range(len(piv)))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    return np.array(perm)
+
+
+class LU(tuple):
+    """``(lu, piv, perm)`` of :func:`lu_factor`: the Fortran-ordered LU
+    matrix, the 0-based pivots (as scipy returns them) and their
+    :func:`row_permutation`.
+
+    It also keeps what every solve (:func:`lu_solve`) passes LAPACK: the
+    binding that factored it, the order and the address of ``lu`` and the
+    1-based pivots, so that a solve allocates only its output.
+    """
+
+    def __new__(cls, lu, ipiv, binding):
+        piv = ipiv - 1
+        self = super().__new__(cls, (lu, piv, row_permutation(piv)))
+        self.binding, self.ipiv = binding, ipiv
+        self.args = (binding.int(len(lu)), _ptr(lu), _ptr(ipiv))
+        return self
+
+
 def lu_factor(a):
     """``scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)``
-    of a complex matrix: ``(lu, piv)``, factored in place where ``a`` is
-    Fortran-ordered.  An exactly zero pivot raises (scipy only warns)."""
-    lu, piv, info = _flapack.zgetrf(a, overwrite_a=1)
-    _check(info, "LU factorization: pivot {info} is exactly zero "
-                 "(singular matrix)")
-    return lu, piv
+    of a complex square matrix, as an :class:`LU`; factored in place where
+    ``a`` is Fortran-ordered.  An exactly zero pivot raises (scipy only
+    warns)."""
+    a = _square(a, complex, copy=False)
+    n = len(a)
+    ipiv = np.empty(n, _L.dtype)
+    info = _L.c_int()
+    _L.zgetrf(_L.int(n), _L.int(n), _ptr(a), _L.int(max(1, n)), _ptr(ipiv),
+              ctypes.byref(info))
+    _check(info.value, "LU factorization: pivot {info} is exactly zero "
+                       "(singular matrix)")
+    return LU(a, ipiv, _L)
+
+
+def lu_solve(factors, b, trans):
+    """Solve ``A x = b`` (``trans=0``) or ``A^H x = b`` (``trans=2``) for
+    the complex ``A`` of ``factors`` (:func:`lu_factor`) and a complex
+    ``b``.
+
+    A single column ``(N,)`` is solved by the row permutation and two
+    ``trsv`` calls; at one BLAS thread a one-column ``getrs`` packs the
+    whole factor for ``trsm`` on every call and takes about three times as
+    long.  A stack ``(N, T)`` is solved by one ``getrs`` call, in place
+    where ``b`` is Fortran-ordered.
+    """
+    _, _, perm = factors
+    lib = factors.binding
+    n, lu, ipiv = factors.args
+    L, U, N = _CHAR["L"], _CHAR["U"], _CHAR["N"]
+    b = np.asarray(b, dtype=complex)
+    if len(b) != len(perm) or b.ndim > 2:
+        raise ValueError(f"expected {len(perm)} rows, got shape {b.shape}")
+    if b.ndim == 1:
+        if trans == 0:
+            x = b[perm]
+            p = _ptr(x)
+            lib.ztrsv(L, N, U, n, lu, n, p, lib.one)
+            lib.ztrsv(U, N, N, n, lu, n, p, lib.one)
+            return x
+        x = b.copy()
+        p = _ptr(x)
+        lib.ztrsv(U, _TRANS[trans], N, n, lu, n, p, lib.one)
+        lib.ztrsv(L, _TRANS[trans], U, n, lu, n, p, lib.one)
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+    x = np.asfortranarray(b, dtype=complex)
+    info = lib.c_int()
+    lib.zgetrs(_TRANS[trans], n, lib.int(x.shape[1]), lu, n, ipiv, _ptr(x), n,
+               ctypes.byref(info))
+    _check(info.value, "getrs failed (info = {info})")
+    return x
 
 
 def cho_factor(a):
     """``scipy.linalg.cho_factor(a, check_finite=False)[0]`` of a real
-    symmetric matrix: its upper Cholesky factor, the lower triangle left as
-    it was."""
-    c, info = _flapack.dpotrf(a, lower=0, clean=0)
-    _check(info, "Cholesky factorization: leading minor {info} is not "
-                 "positive definite")
+    symmetric matrix: its upper Cholesky factor, Fortran-ordered, the lower
+    triangle left as it was."""
+    c = _square(a, float, copy=True)
+    n = len(c)
+    info = _L.c_int()
+    _L.dpotrf(_CHAR["U"], _L.int(n), _ptr(c), _L.int(max(1, n)),
+              ctypes.byref(info))
+    _check(info.value, "Cholesky factorization: leading minor {info} is not "
+                       "positive definite")
     return c
+
+
+def zpotrs(c, b):
+    """scipy's ``zpotrs(c, b)``: ``(x, info)`` for the upper complex
+    Cholesky factor ``c`` and a copy ``x`` of ``b`` ``(n, nrhs)`` solved in
+    place."""
+    c = _square(c, complex, copy=False)
+    n = len(c)
+    x = _rows(b, n, complex)
+    ld = _L.int(max(1, n))
+    info = _L.c_int()
+    _L.zpotrs(_CHAR["U"], _L.int(n), _L.int(x.shape[1]), _ptr(c), ld,
+              _ptr(x), ld, ctypes.byref(info))
+    return x, info.value
 
 
 def polar_unitary(a):
     """``scipy.linalg.polar(a)[0]`` of a complex matrix: the unitary
-    factor ``u @ vh`` of its thin SVD."""
-    m, n = a.shape
-    work, info = _flapack.zgesdd_lwork(m, n, compute_uv=1, full_matrices=0)
-    _check(info, "SVD work-size query failed (info = {info})")
-    u, _, vh, info = _flapack.zgesdd(a, compute_uv=1, full_matrices=0,
-                                     lwork=int(work.real))
-    _check(info, "SVD did not converge (info = {info})")
+    factor ``u @ vh`` of its thin SVD (``zgesdd`` through numpy, which
+    queries the same work size as scipy)."""
+    try:
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
     return u.dot(vh)
 
 
 def eigvalsh(a, b):
     """``scipy.linalg.eigh(a, b, eigvals_only=True)`` of a complex
     Hermitian pencil, ``b`` positive definite: its eigenvalues, ascending."""
-    w, _, info = _flapack.zhegvd(a, b, itype=1, jobz="N", uplo="L")
-    _check(info, "generalized Hermitian eigensolver failed (info = {info}; "
-                 "above the order, b is not positive definite)")
+    a = _square(a, complex, copy=True)
+    n = len(a)
+    b = _rows(b, n, complex)
+    w = np.empty(n)
+    # scipy's work sizes for eigenvalues only
+    work = np.empty(n + 1, dtype=complex)
+    rwork = np.empty(max(n, 1))
+    iwork = np.empty(1, _L.dtype)
+    info = _L.c_int()
+    lda = _L.int(max(1, n))
+    _L.zhegvd(_L.one, _CHAR["N"], _CHAR["L"], _L.int(n), _ptr(a), lda,
+              _ptr(b), lda, _ptr(w), _ptr(work), _L.int(len(work)),
+              _ptr(rwork), _L.int(len(rwork)), _ptr(iwork), _L.one,
+              ctypes.byref(info))
+    _check(info.value, "generalized Hermitian eigensolver failed (info = "
+                       "{info}; above the order, b is not positive definite)")
     return w
 
 
-def _no_sort(*_):
-    return None
+def _schur(a):
+    """``scipy.linalg.schur(a)``: ``(t, z)`` by ``zgees`` for a complex
+    matrix, ``dgees`` (real Schur form) for a real one; work size queried
+    first, as scipy does."""
+    cplx = np.iscomplexobj(a)
+    t = _square(a, complex if cplx else float, copy=True)
+    n = len(t)
+    z = np.empty((n, n), dtype=t.dtype, order="F")
+    ld = _L.int(max(1, n))
+    sdim, info = _L.c_int(), _L.c_int()
+    bwork = np.empty(n, _L.dtype)
+    if cplx:
+        w = np.empty(n, dtype=complex)
+        rwork = np.empty(n)
+        eig = (_ptr(w),)
+        tail = (_ptr(rwork), _ptr(bwork))
+    else:
+        wr, wi = np.empty(n), np.empty(n)
+        eig = (_ptr(wr), _ptr(wi))
+        tail = (_ptr(bwork),)
+    gees = _L.zgees if cplx else _L.dgees
+
+    def call(work, lwork):
+        gees(_CHAR["V"], _CHAR["N"], None, _L.int(n), _ptr(t), ld,
+             ctypes.byref(sdim), *eig, _ptr(z), ld, _ptr(work),
+             _L.int(lwork), *tail, ctypes.byref(info))
+        _check(info.value, "Schur form not found (info = {info})")
+
+    query = np.empty(1, dtype=t.dtype)
+    call(query, -1)
+    lwork = int(query[0].real)
+    call(np.empty(max(lwork, 1), dtype=t.dtype), lwork)
+    return t, z
 
 
 def solve_continuous_lyapunov(a, q):
     """``scipy.linalg.solve_continuous_lyapunov(a, q)``: ``X`` with
     ``a X + X a^H = q``, by the Schur form of ``a`` (Bartels-Stewart)."""
-    gees = _flapack.zgees if np.iscomplexobj(a) else _flapack.dgees
-    work = gees(_no_sort, a, lwork=-1)[-2]
-    result = gees(_no_sort, a, lwork=int(work[0].real))
-    _check(result[-1], "Schur form not found (info = {info})")
-    r, u = result[0], result[-3]
+    r, u = _schur(a)
     f = u.conj().T.dot(q.dot(u))
-    if np.iscomplexobj(f):
-        y, scale, info = _flapack.ztrsyl(r, r, f, tranb="C")
-    else:
-        y, scale, info = _flapack.dtrsyl(r, r, f, tranb="T")
-    if info < 0:
-        raise ValueError(f"illegal value in LAPACK argument {-info}")
-    if info == 1:
+    cplx = np.iscomplexobj(f)
+    dtype = complex if cplx else float
+    r = np.asfortranarray(r, dtype=dtype)
+    m = len(r)
+    y = _rows(f, m, dtype)
+    ld = _L.int(max(1, m))
+    scale, info = ctypes.c_double(), _L.c_int()
+    trsyl = _L.ztrsyl if cplx else _L.dtrsyl
+    trsyl(_CHAR["N"], _CHAR["C" if cplx else "T"], _L.one, _L.int(m),
+          _L.int(m), _ptr(r), ld, _ptr(r), ld, _ptr(y), ld,
+          ctypes.byref(scale), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"illegal value in LAPACK argument {-info.value}")
+    if info.value == 1:
         warnings.warn('Input "a" has an eigenvalue pair whose sum is very '
                       'close to or exactly zero. The solution is obtained '
                       'via perturbing the coefficients.', RuntimeWarning,
                       stacklevel=2)
-    y *= scale
+    y *= scale.value
     return u.dot(y).dot(u.conj().T)

@@ -97,7 +97,8 @@ class ConfigError(RelaxstabError):
 
 
 class CompatibilityError(RelaxstabError):
-    """Output files were produced by an incompatible schema version."""
+    """Output files were produced by an incompatible schema version, or
+    neither numpy nor scipy provides a LAPACK routine the package calls."""
 
 
 class CertificateError(RelaxstabError):

@@ -26,28 +26,30 @@ What a frequency point costs: the coefficients that do not depend on
 :class:`CollocationGrid`, so :func:`assemble_G` at a new point only forms
 ``G``, a batched ``n x n`` product per node.  Most of a point's time is
 then the LU factorization of the ``mn x mn`` collocation matrix and the
-solves with it.  The trial forcings are drawn and solved in one batch
-(``_trial_solutions``), a stack ``(T, m, n)``, and their hat, L2 and H^1
-norms are taken in one pass over the stack; each power-iteration step
-adds a forward and an adjoint single-column solve and one Cholesky solve
-with the hat-Gram matrix.  Every collocation solve goes through
-:func:`lu_solve`: a stack through one ``getrs`` call, a single column (the
-power iteration's 21 per point) through a row permutation and two
-``trsv`` calls.  At one BLAS thread a one-column ``getrs`` packs the whole
-factor for ``trsm`` on every call and takes about three times as long.
-These routines are bound directly from scipy's LAPACK and BLAS extension
-modules (``relaxstab._lapack``, which does not import the ``scipy.linalg``
-package): ``zgetrf`` factors the collocation matrix as ``lu_factor``
-would, and an exactly zero pivot raises :class:`NumericError`;
-``zgetrs`` and ``ztrsv`` solve with it; ``dpotrf`` factors the real
-hat-Gram matrix as ``cho_factor`` would, and ``zpotrs`` solves with its
-complex copy.
+solves with it.  A point draws three sets of forcings, each from its own
+seed: the trials of its gains, the forcings that start the power iteration
+and, at bounded frequencies, the hat/L2 probe.  They are solved in one
+batch (``_ensemble``), a stack ``(T, m, n)``, and the hat, L2 and H^1 norms
+of the solutions and the forcings are taken in one pass over both stacks;
+each power-iteration step adds a forward and an adjoint single-column solve
+and one Cholesky solve with the hat-Gram matrix.  Every collocation solve
+goes through :func:`lu_solve`: a stack through one ``getrs`` call, a single
+column (the power iteration's 21 per point) through a row permutation and
+two ``trsv`` calls.  At one BLAS thread a one-column ``getrs`` packs the
+whole factor for ``trsm`` on every call and takes about three times as
+long.  These routines are called through ctypes in the OpenBLAS that numpy
+loaded (``relaxstab._lapack``, which imports nothing of scipy):
+``zgetrf`` factors the collocation matrix as scipy's ``lu_factor`` would,
+and an exactly zero pivot raises :class:`NumericError`; ``zgetrs`` and
+``ztrsv`` solve with it; ``dpotrf`` factors the real hat-Gram matrix as
+``cho_factor`` would, and ``zpotrs`` solves with its complex copy.  ctypes
+releases the GIL for each LAPACK call, so the LAPACK work of the sweep
+threads can overlap.
 Around the LAPACK calls a point does little numpy work, which holds the
-GIL while LAPACK does not: the collocation matrix is filled in Fortran
-order and factored in place, real operands are cast to complex once per
-point or grid instead of on every call, the residual check reads only the
-interior rows, and the bumps of a batch of forcings are evaluated in one
-pass.
+GIL: the collocation matrix is filled in Fortran order and factored in
+place, real operands are cast to complex once per point or grid instead of
+on every call, the residual check reads only the interior rows, and the
+bumps of a batch of forcings are evaluated in one pass.
 
 The frequency points of a sweep run on a thread pool, the program's only
 source of parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from ._lapack import cho_factor, lu_factor, zgetrs, zpotrs, ztrsv
+from ._lapack import cho_factor, lu_factor, lu_solve, zpotrs
 from .errors import (CenterSpectrumError, ConfigError, ModelError,
                      NumericError)
 from .grids import cheb_grid
@@ -93,6 +95,7 @@ SPLIT_GAP_TOL = 1e-9
 RESIDUAL_CAP = 1e-8
 N_BUMPS = 6               # Gaussian bumps per random forcing
 BOUNDED_CUT = 5.0         # |lambda| up to which hat/L2 ratios are probed
+POWER_ITERS = 10          # power-iteration steps of a gain estimate
 
 
 def worker_count(requested=None):
@@ -444,43 +447,6 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
                                   perturbation=v, deriv_order=deriv_order)
 
 
-def _row_permutation(piv):
-    """Rows ``perm`` with ``A[perm] = L @ U`` for the pivots ``piv`` of
-    ``lu_factor(A)``: its row swaps applied in order to ``0 .. N-1``."""
-    perm = list(range(len(piv)))
-    for i, p in enumerate(piv.tolist()):
-        perm[i], perm[p] = perm[p], perm[i]
-    return np.array(perm)
-
-
-def lu_solve(factors, b, trans):
-    """Solve ``A x = b`` (``trans=0``) or ``A^H x = b`` (``trans=2``) for
-    a complex ``A`` with ``factors = (lu, piv, perm)``: the Fortran-ordered
-    LU matrix and the pivots of ``lu_factor``, and their
-    :func:`_row_permutation`.
-
-    A single column ``(N,)`` is solved by the permutation and two ``trsv``
-    calls, a stack ``(N, T)`` by one ``getrs`` call that may overwrite
-    ``b``.  ``getrs`` shifts the pivots it is given to 1-based indices
-    while it runs, so it gets a private copy, and threads may share the
-    factors.  Nothing is checked for finiteness.
-    """
-    lu, piv, perm = factors
-    if b.ndim == 1:
-        if trans == 0:
-            x = ztrsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
-            return ztrsv(lu, x, overwrite_x=1)
-        x = ztrsv(lu, b, trans=trans)
-        x = ztrsv(lu, x, lower=1, trans=trans, diag=1, overwrite_x=1)
-        out = np.empty_like(x)
-        out[perm] = x
-        return out
-    x, info = zgetrs(lu, piv.copy(), b, trans=trans, overwrite_b=1)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
 class _BvpOperator:
     """LU-factored collocation operator with boundary-projection rows.
 
@@ -493,8 +459,8 @@ class _BvpOperator:
     the field (which holds the operator) is freed by reference counting.
     The arrays that every solve applies are prepared here, once: ``A_1^{-1}``
     cast to complex, ``D`` and ``G`` cut to the interior rows of the
-    residual check, and the row permutation of the LU pivots
-    (:func:`lu_solve`).
+    residual check, and the LU factors with what their solves pass LAPACK
+    (:class:`relaxstab._lapack.LU`).
     """
 
     def __init__(self, field):
@@ -539,8 +505,7 @@ class _BvpOperator:
 
         # G is finite by construction, and every solution is checked by the
         # residual cap, so no finiteness scan of M
-        lu, piv = lu_factor(M)
-        self.lu = (lu, piv, _row_permutation(piv))
+        self.lu = lu_factor(M)
 
     def solve(self, f_nodes, apply_a1inv=True):
         """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
@@ -661,12 +626,24 @@ def _trial_solutions(field, trials, seed, apply_a1inv=True):
     return F, field.bvp().solve(F, apply_a1inv)
 
 
-def _trial_norms(field, s, trials, seed):
-    """Hat, L2 and H^1 norms of the solutions and of the forcings of
-    :func:`_trial_solutions`: two tuples of arrays ``(trials,)``."""
-    F, V = _trial_solutions(field, trials, seed)
-    hat, rho = HatNorm(s), field.fp.magnitude
-    return hat.norms(V, field.geom, rho), hat.norms(F, field.geom, rho)
+def _ensemble(field, s, sets):
+    """Forcings and the norms of their solutions, for ``sets`` of
+    ``(count, seed)``: each set drawn by :func:`_random_forcings` from its
+    own seed, all of them solved in one batched call.
+
+    Returns ``F`` ``(T, m, n)`` and two tuples of arrays ``(T,)``: the hat,
+    L2 and H^1 norms of the solutions and those of the forcings, taken in
+    one pass over the stack ``[V; F]``.
+    """
+    geom = field.geom
+    F = np.concatenate([
+        _random_forcings(geom, field.n, np.random.default_rng(seed), count)
+        for count, seed in sets])
+    V = field.bvp().solve(F)
+    norms = HatNorm(s).norms(np.concatenate([V, F]), geom,
+                             field.fp.magnitude)
+    T = len(F)
+    return F, tuple(a[:T] for a in norms), tuple(a[T:] for a in norms)
 
 
 def _worst(ratios):
@@ -683,7 +660,8 @@ def _hat_gram(geom, s, freq_mag):
     return 0.5 * (Gm + Gm.T)
 
 
-def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
+def estimate_resolvent_gain(field, s, trials=32, seed=0,
+                            power_iters=POWER_ITERS):
     """Lower bound of the hat-norm resolvent gain at this frequency point.
 
     Maximizes ``|v|_hat / |f|_hat`` over ``trials`` randomized unit forcings,
@@ -691,12 +669,18 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
     (equivalent within sqrt(2)); the reported number is the best true ratio
     found.  The estimation method ships with every reported value.
     """
+    F, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
+    return _refined_gain(field, s, F, hv / hf, power_iters)
+
+
+def _refined_gain(field, s, F, ratios, power_iters):
+    """The largest of the hat-norm gains ``ratios`` of the forcings ``F``
+    and of the gain that ``power_iters`` power-iteration steps reach from
+    the best of them."""
     geom = field.geom
     hat = HatNorm(s)
     rho = field.fp.magnitude
     op = field.bvp()
-    F, V = _trial_solutions(field, trials, seed)
-    ratios = hat.norms(V, geom, rho)[0] / hat.norms(F, geom, rho)[0]
     best = 0.0
     best_f = None
     for f, ratio in zip(F, ratios.tolist()):
@@ -715,7 +699,7 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
         # the clustered grid, not modes of the whole-line operator)
         envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
         A1inv_h = field.A1inv_nodes.conj()
-        # V holds the solution of best_f, but not to the bit: the batch
+        # the batch holds the solution of best_f, but not to the bit: it
         # went through getrs and a single column goes through trsv, which
         # round differently, so the first step solves best_f alone
         f = best_f
@@ -723,7 +707,7 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0, power_iters=10):
             v = op.solve(f)
             u = op.solve_adjoint(Gm @ v)
             u = np.einsum("ijk,ij->ik", A1inv_h, u)
-            w, info = zpotrs(c, u, lower=0)
+            w, info = zpotrs(c, u)
             if info:
                 raise NumericError(f"Cholesky solve failed (info = {info})")
             f = envelope * w
@@ -742,7 +726,7 @@ def verify_hfres(field, s, C, gamma_star, trials=16, seed=0):
     """Worst ratio of |v|_hat (Re lambda - gamma*) / (C |f|_hat)."""
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
-    (hv, _, _), (hf, _, _) = _trial_norms(field, s, trials, seed)
+    _, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
     lhs = hv * (field.fp.lam.real - gamma_star)
     return _worst(lhs / (C * hf))
 
@@ -755,7 +739,7 @@ def verify_pdamp(field, s, C, gamma_star, trials=16, seed=0):
     """
     if field.fp.lam.real <= gamma_star:
         raise ValueError("requires Re lambda > gamma_star")
-    (hv, l2v, _), (hf, _, _) = _trial_norms(field, s, trials, seed)
+    _, (hv, l2v, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
     lhs = hv * (field.fp.lam.real - gamma_star)
     return _worst(lhs / (C * (hf + l2v)))
 
@@ -789,20 +773,28 @@ class SweepResult:
 
 def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     """Gains of one grid point; with ``probe_seed``, also the hat/L2 ratio
-    of the solution for one more forcing drawn from that seed (else 0.0)."""
+    of the solution for one more forcing drawn from that seed (else 0.0).
+
+    The ``trials`` forcings of the gains (from ``seed``), the
+    ``max(4, trials // 4)`` that start the power iteration (from
+    ``seed + 1``) and the probe are solved and normed as one ensemble
+    (:func:`_ensemble`).
+    """
     field = field_family(fp)
-    (hv, l2v, h1v), (hf, l2f, _) = _trial_norms(field, s, trials, seed)
-    g_hf = _worst(hv / hf)
-    g_pd = _worst(hv / (hf + l2v))
-    absorb = _worst(l2v / (h1v + l2f))
-    gain = estimate_resolvent_gain(field, s, trials=max(4, trials // 4),
-                                   seed=seed + 1)
+    a = trials
+    b = a + max(4, trials // 4)
+    sets = [(trials, seed), (b - a, seed + 1)]
+    if probe_seed is not None:
+        sets.append((1, probe_seed))
+    F, (hv, l2v, h1v), (hf, l2f, _) = _ensemble(field, s, sets)
+    g_hf = _worst(hv[:a] / hf[:a])
+    g_pd = _worst(hv[:a] / (hf[:a] + l2v[:a]))
+    absorb = _worst(l2v[:a] / (h1v[:a] + l2f[:a]))
+    gain = _refined_gain(field, s, F[a:b], hv[a:b] / hf[a:b], POWER_ITERS)
     g_hf = max(g_hf, gain)
     ratio = 0.0
-    if probe_seed is not None:
-        hv, l2, _ = _trial_norms(field, s, 1, probe_seed)[0]
-        if l2[0] > 0:
-            ratio = float(hv[0] / l2[0])
+    if probe_seed is not None and l2v[b] > 0:
+        ratio = float(hv[b] / l2v[b])
     return (g_hf, g_pd, absorb), ratio
 
 

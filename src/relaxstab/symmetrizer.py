@@ -143,19 +143,22 @@ def lyapunov_Q(grid, lambda_plus, lambda_minus):
     ``Lam_plus`` uniformly forward-stable and ``Lam_minus`` backward-stable.
     """
     grid = np.asarray(grid, dtype=float)
-    worst_p = max(float(np.max(np.linalg.eigvals(b).real)) for b in lambda_plus)
+    lambda_plus = np.asarray(lambda_plus)
+    lambda_minus = np.asarray(lambda_minus)
+    # one stacked call per check: the same routine runs on every node
+    worst_p = float(np.max(np.linalg.eigvals(lambda_plus).real))
     if worst_p >= 0:
         raise StabilityError("lambda_plus block is not uniformly "
                              f"forward-stable (worst Re = {worst_p:.3g})")
-    worst_m = min(float(np.min(np.linalg.eigvals(b).real)) for b in lambda_minus)
+    worst_m = float(np.min(np.linalg.eigvals(lambda_minus).real))
     if worst_m <= 0:
         raise StabilityError("lambda_minus block is not uniformly "
                              f"backward-stable (worst Re = {worst_m:.3g})")
-    Q_plus = _lyapunov_collocation(grid, np.asarray(lambda_plus), -1, -1)
-    Q_minus = _lyapunov_collocation(grid, np.asarray(lambda_minus), 0, 1)
+    Q_plus = _lyapunov_collocation(grid, lambda_plus, -1, -1)
+    Q_minus = _lyapunov_collocation(grid, lambda_minus, 0, 1)
     for tag, Q in (("Q_plus", Q_plus), ("Q_minus", Q_minus)):
-        worst = min(float(np.min(np.linalg.eigvalsh(Qi))) for Qi in Q)
-        if worst <= 0:
+        worst = float(np.min(np.linalg.eigvalsh(Q)))
+        if not worst > 0:  # a NaN fails too
             raise StabilityError(f"{tag} lost positivity (min eig {worst:.3g})")
     return LyapunovForms(grid=grid, Q_plus=Q_plus, Q_minus=Q_minus)
 

@@ -298,13 +298,19 @@ def verify_classical_damping(trace):
     rates up to ``ETA_MAX`` the minimal verifying ``C`` is computed and
     capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
     refutation carrying the witness sample.  A trace of fewer than 5
-    samples raises :class:`CertificateError`: it cannot be differenced.
+    samples raises :class:`CertificateError`: it cannot be differenced; so
+    does a non-finite energy sample, which no comparison would reject.
     """
     t = trace.times
     if t.size < 5:
         raise CertificateError(
             f"trace too short to difference ({t.size} samples, need 5); "
             "sample more densely")
+    bad = np.flatnonzero(~np.isfinite(trace.E_values))
+    if bad.size:
+        raise CertificateError(
+            f"energy sample {int(bad[0])} (t = {t[bad[0]]:.6g}) is not "
+            "finite")
     idx = np.arange(1, t.size - 1)
     Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
         t[idx + 1] - t[idx - 1])

@@ -34,14 +34,9 @@ def _openblas_threads(package, symbol):
 
 
 def blas_threads():
-    """Threads of the OpenBLAS that numpy loaded."""
+    """Threads of the OpenBLAS that numpy loaded, which also runs every
+    LAPACK call of the package."""
     return _openblas_threads("numpy", "scipy_openblas_get_num_threads64_")
-
-
-def scipy_blas_threads():
-    """Threads of scipy's OpenBLAS, which runs the LU and triangular solves
-    of the sweep."""
-    return _openblas_threads("scipy", "scipy_openblas_get_num_threads")
 
 
 def small_config(seed=11, a=2.0, endstates=None):
@@ -468,26 +463,21 @@ def test_traced_full_run_reaches_the_tracer_patch_points(traced_runs):
     assert full["counts"]["model.flux_jacs_calls"] > 0
 
 
-# scipy packages that the certificate path does not need; the tests import
-# some of them, so the check runs in a fresh interpreter
+# scipy packages that only the lazy paths load; the tests import some of
+# them, so the check runs in a fresh interpreter
 UNUSED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
                 "scipy.special")
 
 PIPELINES_RUN = """
-import importlib.util, json, os, sys
+import json, sys
 cfg, out = sys.argv[1:]
 from relaxstab import cli, dichotomy, symmetrizer
 codes = [cli.main(["run", "--config", cfg, "--pipeline", pipeline,
                    "--out", out + "/" + pipeline])
          for pipeline in ("full", "resolvent-sweep")]
-scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
 print(json.dumps({
     "codes": codes,
-    "loaded": sorted({".".join(m.split(".")[:2]) for m in sys.modules
-                      if m.startswith("scipy.")}),
     "scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy")),
-    "flapack_file": sys.modules["scipy.linalg._flapack"].__file__,
-    "scipy_dir": scipy_dir,
     "tracer_names": [hasattr(dichotomy, "solve_ivp"),
                      hasattr(symmetrizer, "solve_ivp")],
     "jsonschema": "jsonschema" in sys.modules,
@@ -503,14 +493,9 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
-    assert not set(UNUSED_SCIPY) & set(result["loaded"])
-    # not even the scipy.linalg package: only its two extension modules,
-    # loaded from scipy's own files (the fast path of relaxstab._lapack)
-    assert result["scipy_modules"] == ["scipy.linalg._fblas",
-                                       "scipy.linalg._flapack"]
-    linalg_dir, name = os.path.split(result["flapack_file"])
-    assert linalg_dir == os.path.join(result["scipy_dir"], "linalg")
-    assert name.startswith("_flapack.")
+    # no part of scipy: LAPACK comes from numpy's OpenBLAS
+    # (relaxstab._lapack)
+    assert result["scipy_modules"] == []
     # perfbench/tracing.py binds and wraps these names
     assert result["tracer_names"] == [True, True]
     assert result["jsonschema"] is False
@@ -519,19 +504,16 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
 
 
 LAZY_PATHS_RUN = """
-import importlib, json, sys
+import json, sys
 import numpy as np
-from relaxstab import _lapack, dichotomy, model, profile, systems
+from relaxstab import dichotomy, model, profile, systems
 before = [m for m in %r if m in sys.modules]
 
 jx = systems.jin_xin(2.0)
 p = profile.solve_profile_shooting(jx, [1.0, 0.5], [0.0, 0.0], 0.5, L=40.0)
-# shooting imported the scipy.linalg package, which took the modules the
-# package had already loaded
+# shooting imported the scipy.linalg package, which loaded its own modules
 import scipy.linalg
-shared = (importlib.import_module("scipy.linalg._flapack") is _lapack._flapack
-          and scipy.linalg.lapack._flapack is _lapack._flapack
-          and scipy.linalg.blas._fblas is _lapack._fblas)
+complete = hasattr(scipy.linalg, "_flapack")
 u = 1.0 / (1.0 + np.exp(p.grid / 7.5))
 shoot_err = float(np.max(np.abs(p.values - np.column_stack([u, 0.5 * u]))))
 
@@ -555,7 +537,7 @@ wave = profile.WaveProfile(
     decay_rate=2.0, tol_end=1e-8)
 rep = dichotomy.detect_turning_points(sys2, wave, ray=[1.0, 0.3],
                                       x_grid=np.linspace(-8, 8, 161))
-print(json.dumps({"before": before, "shared": shared,
+print(json.dumps({"before": before, "complete": complete,
                   "shoot_err": shoot_err,
                   "regular": bool(reg.passed),
                   "turning": list(rep.locations)}))
@@ -569,7 +551,7 @@ def test_lazy_scipy_paths_run_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["before"] == []
-    assert result["shared"]
+    assert result["complete"]
     assert result["shoot_err"] <= 1e-8
     assert result["regular"]
     assert len(result["turning"]) == 1
@@ -607,18 +589,15 @@ def test_outputs_do_not_depend_on_thread_settings(tmp_path):
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(tmp_path, given, expected):
-    # numpy's OpenBLAS and scipy's, which does the LU and triangular solves;
-    # skips where either is not a scipy-openblas
+    # skips where numpy's BLAS is not a scipy-openblas
     blas_threads()
-    scipy_blas_threads()
     env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
     tests = os.path.dirname(os.path.abspath(__file__))
     proc = _run_python(["-c", f"import sys; sys.path.insert(0, {tests!r}); "
                         "import relaxstab, test_cli; "
-                        "print(test_cli.blas_threads(), "
-                        "test_cli.scipy_blas_threads())"], env, tmp_path)
+                        "print(test_cli.blas_threads())"], env, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [expected, expected]
+    assert proc.stdout.split() == [expected]
 
 
 def test_suite_blas_threads_match_the_environment():

@@ -1,4 +1,4 @@
-import sys
+import ctypes
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from relaxstab import _lapack
 from relaxstab import dichotomy as dich
 from relaxstab import resolvent as res
 from relaxstab import symmetrizer as symm
-from relaxstab.errors import NumericError
+from relaxstab.errors import CompatibilityError, NumericError
 
 
 def _recorded(monkeypatch, module, name):
@@ -111,20 +111,74 @@ def test_non_positive_definite_gram_is_numeric_error():
         _lapack.eigvalsh(np.eye(2, dtype=complex), gram.astype(complex))
 
 
-# ------------------------------------------------------- loading ----
+def test_wrong_shapes_are_rejected_before_lapack():
+    # a pointer to a too-small buffer would let LAPACK write past it
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="square"):
+        _lapack.lu_factor(_complex(rng, 3, 4))
+    factors = _lapack.lu_factor(_complex(rng, 4, 4))
+    for b in (_complex(rng, 3), _complex(rng, 5, 2)):
+        with pytest.raises(ValueError, match="rows"):
+            _lapack.lu_solve(factors, b, trans=0)
+    # a real right-hand side is solved as complex
+    b = rng.standard_normal(4)
+    assert np.array_equal(_lapack.lu_solve(factors, b, trans=0),
+                          _lapack.lu_solve(factors, b + 0j, trans=0))
+    with pytest.raises(ValueError, match="rows"):
+        _lapack.zpotrs(np.eye(3, dtype=complex), np.ones((2, 1)))
 
-def test_loader_falls_back_to_scipy_linalg(tmp_path):
-    # a directory without the extension files; the fast path itself is
-    # checked in a fresh interpreter (test_cli.py)
-    flapack, fblas = _lapack._load(str(tmp_path))
-    assert "scipy.linalg" in sys.modules
-    assert flapack is sl.lapack._flapack and fblas is sl.blas._fblas
-    rng = np.random.default_rng(4)
-    A, b = _complex(rng, 40, 40), _complex(rng, 40, 3)
-    lu, piv, info = flapack.zgetrf(A.copy(order="F"))
-    assert info == 0
-    x, info = flapack.zgetrs(lu, piv, b.copy())
-    assert info == 0
-    lu2, piv2 = _lapack.lu_factor(A.copy(order="F"))
-    factors = (lu2, piv2, res._row_permutation(piv2))
-    assert np.array_equal(x, res.lu_solve(factors, b.copy(), trans=0))
+
+# ------------------------------------------------------- binding ----
+
+def test_every_routine_binds_at_import():
+    # from numpy's OpenBLAS wherever numpy exports all of them
+    for name in _lapack._ROUTINES:
+        assert ctypes.cast(getattr(_lapack._L, name), ctypes.c_void_p).value
+    try:
+        _lapack._Binding(*_lapack._numpy_symbols())
+    except CompatibilityError:
+        assert _lapack._L.source == "scipy.linalg.cython_lapack"
+    else:
+        assert _lapack._L.source == "numpy's OpenBLAS"
+        assert _lapack._L.dtype == np.int64
+
+
+def _every_wrapper(rng):
+    """An LU factorization and the outputs of every wrapper on fixed random
+    inputs."""
+    A, B = _complex(rng, 40, 40), _complex(rng, 40, 3)
+    factors = _lapack.lu_factor(A.copy(order="F"))
+    out = list(factors)
+    out += [_lapack.lu_solve(factors, B[:, 0].copy(), trans=t) for t in (0, 2)]
+    out += [_lapack.lu_solve(factors, B.copy(order="F"), trans=t)
+            for t in (0, 2)]
+    r = rng.standard_normal((6, 6))
+    gram = r.T @ r + 6 * np.eye(6)
+    c = _lapack.cho_factor(gram)
+    out += [c, _lapack.zpotrs(c.astype(complex), _complex(rng, 6, 2))[0]]
+    h = _complex(rng, 5, 5)
+    out.append(_lapack.eigvalsh(h + h.conj().T, gram[:5, :5] + 0j))
+    out += [_lapack.solve_continuous_lyapunov(a, np.eye(4))
+            for a in (_complex(rng, 4, 4) - 3 * np.eye(4),
+                      rng.standard_normal((4, 4)) - 3 * np.eye(4))]
+    return factors, out
+
+
+def test_fallback_source_gives_the_same_numbers(monkeypatch):
+    # scipy's Cython capsules, 32-bit integers, scipy's own OpenBLAS
+    _, primary = _every_wrapper(np.random.default_rng(4))
+    fallback = _lapack._Binding(*_lapack._scipy_symbols())
+    monkeypatch.setattr(_lapack, "_L", fallback)
+    factors, again = _every_wrapper(np.random.default_rng(4))
+    assert factors.binding is fallback and factors.ipiv.dtype == np.int32
+    assert len(primary) == len(again)
+    for a, b in zip(primary, again):
+        assert np.array_equal(a, b)
+
+
+def test_missing_routine_is_compatibility_error():
+    c_int, address, source = _lapack._numpy_symbols()
+    with pytest.raises(CompatibilityError, match="zhegvd"):
+        _lapack._Binding(
+            c_int, lambda name: None if name == "zhegvd" else address(name),
+            source)

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import (cho_factor, cho_solve, lu_factor, lu_solve,
                           solve_triangular)
 
+from relaxstab import _lapack
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
@@ -776,7 +777,7 @@ def test_row_permutation_reproduces_lu(front_field):
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     lu, piv = lu_factor(A)
     lu_M, _, perm_M = front_field.bvp().lu
-    for A, lu, perm in ((A, lu, res._row_permutation(piv)),
+    for A, lu, perm in ((A, lu, _lapack.row_permutation(piv)),
                         (_ReferenceOperator(front_field).M, lu_M, perm_M)):
         assert sorted(perm.tolist()) == list(range(len(A)))
         LU = (np.tril(lu, -1) + np.eye(len(lu))) @ np.triu(lu)
