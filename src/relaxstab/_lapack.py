@@ -1,5 +1,14 @@
-"""The LAPACK and BLAS calls of the package, through the OpenBLAS that numpy
-loaded.
+"""LAPACK and BLAS, through the OpenBLAS that numpy loaded, for the factors
+the package reuses.
+
+The rule: ctypes where a factor is reused across solves, ``numpy.linalg``
+at the caller for a one-shot small problem.  So five routines are bound,
+the keys of ``_ROUTINES``: ``zgetrf``, ``zgetrs`` and ``ztrsv`` for the LU
+of the collocation matrix, which every forcing of a sweep point solves
+with, and ``dpotrf`` and ``zpotrs`` for the Cholesky factor of the hat
+Gram matrix, which every gain estimate on a grid solves with.
+``tests/test_lapack.py`` parses this file to check that these are exactly
+the routines the wrappers call.
 
 numpy links one OpenBLAS (the ``scipy-openblas`` build, 64-bit integers),
 and its LAPACK and BLAS routines are exported as ``scipy_<name>_64_``.  They
@@ -27,21 +36,17 @@ solves with one factor are safe.
 """
 
 import ctypes
-import warnings
 
 import numpy as np
 
 from .errors import CompatibilityError, NumericError
 
 # routine -> number of arguments; every argument is a pointer
-_ROUTINES = {
-    "zgetrf": 6, "zgetrs": 9, "ztrsv": 8, "dpotrf": 5, "zpotrs": 8,
-    "zhegvd": 16, "zgees": 15, "dgees": 15, "ztrsyl": 13, "dtrsyl": 13,
-}
+_ROUTINES = {"zgetrf": 6, "zgetrs": 9, "ztrsv": 8, "dpotrf": 5, "zpotrs": 8}
 
 # the character arguments, at fixed addresses
-_CHARS = ctypes.create_string_buffer(b"NTCULV")
-_CHAR = {c: ctypes.addressof(_CHARS) + i for i, c in enumerate("NTCULV")}
+_CHARS = ctypes.create_string_buffer(b"NTCUL")
+_CHAR = {c: ctypes.addressof(_CHARS) + i for i, c in enumerate("NTCUL")}
 _TRANS = (_CHAR["N"], _CHAR["T"], _CHAR["C"])
 
 
@@ -135,15 +140,6 @@ def _square(a, dtype, copy):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def _rows(b, n, dtype):
-    """A Fortran-ordered copy of ``b`` ``(n, k)`` in ``dtype``, which LAPACK
-    solves in place."""
-    b = np.array(b, dtype=dtype, order="F")
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"expected {n} rows, got shape {b.shape}")
-    return b
 
 
 def row_permutation(piv):
@@ -250,104 +246,11 @@ def zpotrs(c, b):
     place."""
     c = _square(c, complex, copy=False)
     n = len(c)
-    x = _rows(b, n, complex)
+    x = np.array(b, dtype=complex, order="F")
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"expected {n} rows, got shape {x.shape}")
     ld = _L.int(max(1, n))
     info = _L.c_int()
     _L.zpotrs(_CHAR["U"], _L.int(n), _L.int(x.shape[1]), _ptr(c), ld,
               _ptr(x), ld, ctypes.byref(info))
     return x, info.value
-
-
-def polar_unitary(a):
-    """``scipy.linalg.polar(a)[0]`` of a complex matrix: the unitary
-    factor ``u @ vh`` of its thin SVD (``zgesdd`` through numpy, which
-    queries the same work size as scipy)."""
-    try:
-        u, _, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-    return u.dot(vh)
-
-
-def eigvalsh(a, b):
-    """``scipy.linalg.eigh(a, b, eigvals_only=True)`` of a complex
-    Hermitian pencil, ``b`` positive definite: its eigenvalues, ascending."""
-    a = _square(a, complex, copy=True)
-    n = len(a)
-    b = _rows(b, n, complex)
-    w = np.empty(n)
-    # scipy's work sizes for eigenvalues only
-    work = np.empty(n + 1, dtype=complex)
-    rwork = np.empty(max(n, 1))
-    iwork = np.empty(1, _L.dtype)
-    info = _L.c_int()
-    lda = _L.int(max(1, n))
-    _L.zhegvd(_L.one, _CHAR["N"], _CHAR["L"], _L.int(n), _ptr(a), lda,
-              _ptr(b), lda, _ptr(w), _ptr(work), _L.int(len(work)),
-              _ptr(rwork), _L.int(len(rwork)), _ptr(iwork), _L.one,
-              ctypes.byref(info))
-    _check(info.value, "generalized Hermitian eigensolver failed (info = "
-                       "{info}; above the order, b is not positive definite)")
-    return w
-
-
-def _schur(a):
-    """``scipy.linalg.schur(a)``: ``(t, z)`` by ``zgees`` for a complex
-    matrix, ``dgees`` (real Schur form) for a real one; work size queried
-    first, as scipy does."""
-    cplx = np.iscomplexobj(a)
-    t = _square(a, complex if cplx else float, copy=True)
-    n = len(t)
-    z = np.empty((n, n), dtype=t.dtype, order="F")
-    ld = _L.int(max(1, n))
-    sdim, info = _L.c_int(), _L.c_int()
-    bwork = np.empty(n, _L.dtype)
-    if cplx:
-        w = np.empty(n, dtype=complex)
-        rwork = np.empty(n)
-        eig = (_ptr(w),)
-        tail = (_ptr(rwork), _ptr(bwork))
-    else:
-        wr, wi = np.empty(n), np.empty(n)
-        eig = (_ptr(wr), _ptr(wi))
-        tail = (_ptr(bwork),)
-    gees = _L.zgees if cplx else _L.dgees
-
-    def call(work, lwork):
-        gees(_CHAR["V"], _CHAR["N"], None, _L.int(n), _ptr(t), ld,
-             ctypes.byref(sdim), *eig, _ptr(z), ld, _ptr(work),
-             _L.int(lwork), *tail, ctypes.byref(info))
-        _check(info.value, "Schur form not found (info = {info})")
-
-    query = np.empty(1, dtype=t.dtype)
-    call(query, -1)
-    lwork = int(query[0].real)
-    call(np.empty(max(lwork, 1), dtype=t.dtype), lwork)
-    return t, z
-
-
-def solve_continuous_lyapunov(a, q):
-    """``scipy.linalg.solve_continuous_lyapunov(a, q)``: ``X`` with
-    ``a X + X a^H = q``, by the Schur form of ``a`` (Bartels-Stewart)."""
-    r, u = _schur(a)
-    f = u.conj().T.dot(q.dot(u))
-    cplx = np.iscomplexobj(f)
-    dtype = complex if cplx else float
-    r = np.asfortranarray(r, dtype=dtype)
-    m = len(r)
-    y = _rows(f, m, dtype)
-    ld = _L.int(max(1, m))
-    scale, info = ctypes.c_double(), _L.c_int()
-    trsyl = _L.ztrsyl if cplx else _L.dtrsyl
-    trsyl(_CHAR["N"], _CHAR["C" if cplx else "T"], _L.one, _L.int(m),
-          _L.int(m), _ptr(r), ld, _ptr(r), ld, _ptr(y), ld,
-          ctypes.byref(scale), ctypes.byref(info))
-    if info.value < 0:
-        raise ValueError(f"illegal value in LAPACK argument {-info.value}")
-    if info.value == 1:
-        warnings.warn('Input "a" has an eigenvalue pair whose sum is very '
-                      'close to or exactly zero. The solution is obtained '
-                      'via perturbing the coefficients.', RuntimeWarning,
-                      stacklevel=2)
-    y *= scale.value
-    return u.dot(y).dot(u.conj().T)

@@ -34,15 +34,14 @@ with the projector applied at every node.  All node pairs walk in one stack
 (:func:`_pair_propagators`), one chain per start node and direction, each
 rescaled by its largest entry at every step; 2-norms are taken once, at the
 end, so a log-norm is exact wherever the rescalings fall.  The fit and the
-verifier share their random node pairs (:func:`_pair_lognorms`).
+verifier draw their node pairs in one function (:func:`_pair_lognorms`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import polar_unitary
-from .errors import (CertificateError, FrameConditioningError,
+from .errors import (CertificateError, FrameConditioningError, NumericError,
                      TurningPointSuspectedError, WindowOverflowError)
 from .resolvent import SpectralSplit, limit_spectral_split
 from .tables import write_matrix_field
@@ -157,6 +156,16 @@ def _orthonormalize(Y):
     vals, vecs = np.linalg.eigh(H)
     vals = np.maximum(vals, 1e-300)
     return Y @ (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+
+
+def polar_unitary(a):
+    """``scipy.linalg.polar(a)[0]``: ``u @ vh`` of the thin SVD of ``a``
+    (``zgesdd`` through numpy, with scipy's work size)."""
+    try:
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+    return u.dot(vh)
 
 
 def _discrete_frame(Y0, steps):

@@ -98,8 +98,9 @@ BOUNDED_CUT = 5.0         # |lambda| up to which hat/L2 ratios are probed
 POWER_ITERS = 10          # power-iteration steps of a gain estimate
 
 
-def worker_count(requested=None):
-    """Thread count of the sweep pool; ``RELAXSTAB_THREADS`` overrides.
+def worker_count():
+    """Thread count of the sweep pool: ``RELAXSTAB_THREADS`` where it is set,
+    else the core count, at most 8.
 
     The pool is the program's only source of parallelism: importing
     ``relaxstab`` pins OpenBLAS to one thread (unless the caller set
@@ -114,8 +115,6 @@ def worker_count(requested=None):
         except ValueError:
             raise ConfigError(f"RELAXSTAB_THREADS must be an integer, "
                               f"got {env!r}") from None
-    if requested:
-        return max(1, int(requested))
     return min(8, os.cpu_count() or 1)
 
 
@@ -799,7 +798,7 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
 
 
 def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
-              seed=0, threads=None):
+              seed=0):
     """Evaluate gains over a frequency grid and fit/check (C, gamma_star).
 
     ``field_family`` maps a :class:`FrequencyPoint` to an assembled field.
@@ -810,10 +809,10 @@ def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
     :class:`CenterSpectrumError` is raised.
     """
     return _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
-                      threads, bounded_cut=-np.inf)[0]
+                      bounded_cut=-np.inf)[0]
 
 
-def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed, threads,
+def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
                bounded_cut):
     """:func:`run_sweep` plus the largest hat/L2 probe ratio over the points
     with ``|lambda| <= bounded_cut`` (0.0 when there are none)."""
@@ -834,7 +833,7 @@ def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed, threads,
         except CenterSpectrumError as exc:
             return i, None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         for i, res, err in pool.map(work, range(nP)):
             if err is not None:
                 flagged.append((i, err))
@@ -899,7 +898,7 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ``sweep.flagged``.
     """
     sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, None,
-                                      trials, seed, None, BOUNDED_CUT)
+                                      trials, seed, BOUNDED_CUT)
     ok = ~np.isnan(sweep.hfres_gain)
     agree = sweep.hfres_pass[ok] == sweep.pdamp_pass[ok]
     agreement = float(np.mean(agree)) if np.any(ok) else 0.0

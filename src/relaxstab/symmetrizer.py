@@ -17,6 +17,10 @@ decaying solutions.  Two constructions are provided:
   eigenbasis ``R`` of the frozen symbol, certified in the ``S``-weighted
   norm.
 
+The dense problems here are small and solved once, so they call
+``numpy.linalg``; ``relaxstab._lapack`` binds through ctypes only the
+factorizations that the resolvent sweep reuses.
+
 Certificates report the measured coercivity ``theta`` (half the worst
 eigenvalue of the certified form), the sup bound ``C0`` and the worst
 energy-inequality ratio over randomized forcings.
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigvalsh, solve_continuous_lyapunov
-from .errors import CertificateError, FrameConditioningError, StabilityError
+from .errors import (CertificateError, FrameConditioningError, NumericError,
+                     StabilityError)
 from .tables import write_matrix_field
 
 solve_ivp = None  # read by perfbench/tracing.py, which wraps this name
@@ -105,24 +109,28 @@ def _barycentric_D(x):
 def _lyapunov_collocation(grid, blocks, end, sign):
     """Collocated ``Q' = sign*I - Lam* Q - Q Lam`` with ``Q[end]`` the seed.
 
-    The seed is the algebraic Lyapunov solution at the endstate block
-    ``blocks[end]``.  The unknown is the deviation ``Q - seed``, zero at the
-    end node, so constant blocks return the seed exactly on any grid.
+    The seed solves ``Lam* X + X Lam = sign*I`` at the endstate block
+    ``blocks[end]``, by ``numpy.linalg`` on that node's Kronecker block.  The
+    unknown is the deviation ``Q - seed``, zero at the end node, so constant
+    blocks return the seed exactly on any grid.
     """
     m, p, _ = blocks.shape
     eye = np.eye(p)
-    seed = solve_continuous_lyapunov(blocks[end].conj().T, sign * eye)
-    seed = 0.5 * (seed + seed.conj().T)
-    lam_h = blocks.conj().transpose(0, 2, 1)
-    rhs = sign * eye - lam_h @ seed - seed @ blocks
-    # row-major vec: vec(L* E) = kron(L*, I) e, vec(E L) = kron(I, L^T) e,
-    # one block per node on the diagonal of A's (m, q, m, q) view
+    # row-major vec: vec(L* E) = kron(L*, I) e, vec(E L) = kron(I, L^T) e;
+    # K[i] is the diagonal block of node i in A's (m, q, m, q) view
     q = p * p
+    lam_h, lam_t = blocks.conj().transpose(0, 2, 1), blocks.transpose(0, 2, 1)
+    K = (lam_h[:, :, None, :, None] * eye[:, None, :]
+         + eye[:, None, :, None] * lam_t[:, None, :, None, :]).reshape(m, q, q)
+    try:
+        seed = np.linalg.solve(K[end], sign * eye.reshape(q)).reshape(p, p)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular endstate Lyapunov block: {exc}") from exc
+    seed = 0.5 * (seed + seed.conj().T)
+    rhs = sign * eye - lam_h @ seed - seed @ blocks
     A = np.kron(_barycentric_D(grid), np.eye(q)).astype(complex)
-    lam_t, node = blocks.transpose(0, 2, 1), np.arange(m)
-    A.reshape(m, q, m, q)[node, :, node, :] += (
-        (lam_h[:, :, None, :, None] * eye[:, None, :]).reshape(m, q, q)
-        + (eye[:, None, :, None] * lam_t[:, None, :, None, :]).reshape(m, q, q))
+    node = np.arange(m)
+    A.reshape(m, q, m, q)[node, :, node, :] += K
     keep = np.delete(np.arange(m * q).reshape(m, q), end, axis=0).ravel()
     dev = np.zeros(m * q, dtype=complex)
     dev[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1)[keep])
@@ -193,8 +201,10 @@ def constant_symmetrizer(sys, w0, eta, v0=None):
     eigenbasis ``R`` and returns ``S = R^{-*} R^{-1}`` together with the
     decay rate certified in the ``S``-norm: the smallest eigenvalue of the
     pencil ``(Re(S (-N)), S)``, which equals ``min(-Re sigma(N))`` up to
-    roundoff.  Near eigenvector coalescence (eigenbasis condition number
-    above ``COND_CAP``) the construction fails with a conditioning error.
+    roundoff.  The congruence with ``R`` (``R^* S R = I``) reduces the
+    pencil to the Hermitian part of ``M = R^* Re(S (-N)) R``.  Near
+    eigenvector coalescence (eigenbasis condition number above
+    ``COND_CAP``) the construction fails with a conditioning error.
     """
     w0 = np.asarray(w0, dtype=float)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -212,7 +222,8 @@ def constant_symmetrizer(sys, w0, eta, v0=None):
     S = Rinv.conj().T @ Rinv
     S = 0.5 * (S + S.conj().T)
     Ham = 0.5 * (S @ (-N) + (-N).conj().T @ S)
-    theta = float(eigvalsh(Ham, S)[0])
+    M = R.conj().T @ Ham @ R
+    theta = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
     return SymmetrizerField(grid=np.zeros(1), S=S[None, :, :],
                             C0=float(np.linalg.norm(S, 2)), theta=theta,
                             provenance="constant-frame")

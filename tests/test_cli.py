@@ -13,6 +13,7 @@ import pytest
 
 import relaxstab
 from relaxstab import cli
+from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
 from relaxstab import resolvent as res
 from relaxstab import systems
@@ -355,6 +356,28 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.run(cfg, pipeline="dichotomy", out_dir=str(tmp_path / "o")) == 3
 
 
+def test_dichotomy_verifier_draws_pairs_of_its_own(tmp_path, monkeypatch):
+    # with the fit's pairs the verifier's decay check could not fail: every
+    # pair it checked would lie under the fitted bound by construction
+    drawn = []
+    pair_lognorms = dich._pair_lognorms
+
+    def record(data, field, n_pairs, seed):
+        out = pair_lognorms(data, field, n_pairs, seed)
+        drawn.append(out[:2])
+        return out
+
+    monkeypatch.setattr(dich, "_pair_lognorms", record)
+    data = small_config()
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="dichotomy", out_dir=str(tmp_path / "o")) == 0
+    (fit_iy, fit_ix), (iy, ix) = drawn
+    assert len(fit_iy) > len(iy) == 8
+    assert not (np.array_equal(iy, fit_iy[:8])
+                and np.array_equal(ix, fit_ix[:8]))
+
+
 @pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
 def test_retired_simulation_mode_is_usage_error(tmp_path, capsys, mode):
     # the simulation is linearized only; a config naming the old key, with
@@ -384,7 +407,7 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("RELAXSTAB_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.delenv("RELAXSTAB_THREADS")
-    assert worker_count(5) == 5
+    assert worker_count() == min(8, os.cpu_count() or 1)
 
 
 def _run_python(args, env_update, cwd):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, polar
 
 from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
@@ -427,6 +427,26 @@ def test_discrete_frames_match_continuous_frames(jx, front):
     j = data.ranks[0]
     P_ref = frame[:, :, :j] @ np.linalg.inv(frame)[:, :j, :]
     assert np.max(np.abs(data.P_plus - P_ref)) <= 1e-8
+
+
+def test_polar_matches_scipy(front_field, monkeypatch):
+    # bit for bit, on the overlaps the frame stepping passes it
+    calls = []
+    fn = dich.polar_unitary
+
+    def record(a):
+        calls.append(np.array(a))
+        return fn(a)
+
+    monkeypatch.setattr(dich, "polar_unitary", record)
+    dich.propagate_subspaces(front_field, seed=0)
+    rng = np.random.default_rng(3)
+    assert len(calls) > 0
+    for k in (2, 3):
+        calls.append(rng.standard_normal((k, k))
+                     + 1j * rng.standard_normal((k, k)))
+    for a in calls:
+        assert np.array_equal(fn(a), polar(a)[0])
 
 
 def test_engineered_subspace_collision_raises():

@@ -1,13 +1,13 @@
+import ast
 import ctypes
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sl
 
 from relaxstab import _lapack
-from relaxstab import dichotomy as dich
 from relaxstab import resolvent as res
-from relaxstab import symmetrizer as symm
 from relaxstab.errors import CompatibilityError, NumericError
 
 
@@ -54,46 +54,6 @@ def test_cho_factor_matches_scipy_on_the_hat_gram(geom):
         assert np.array_equal(c, sl.cho_factor(Gm, check_finite=False)[0])
 
 
-def test_polar_matches_scipy(front_field, monkeypatch):
-    calls = _recorded(monkeypatch, dich, "polar_unitary")
-    dich.propagate_subspaces(front_field, seed=0)
-    rng = np.random.default_rng(3)
-    args = [a for a, in calls] + [_complex(rng, k, k) for k in (2, 3)]
-    assert len(calls) > 0
-    for a in args:
-        assert np.array_equal(_lapack.polar_unitary(a), sl.polar(a)[0])
-
-
-def test_pencil_eigenvalues_match_scipy(jx, monkeypatch):
-    calls = _recorded(monkeypatch, symm, "eigvalsh")
-    for eta in (0.5, 10.0):
-        symm.constant_symmetrizer(jx, np.array([0.5, 0.25]), [eta])
-    assert len(calls) == 2
-    # only the lower triangles are read: a general a shows which
-    rng = np.random.default_rng(5)
-    r = _complex(rng, 3, 3)
-    for a, b in calls + [(_complex(rng, 3, 3), r.conj().T @ r)]:
-        assert a.dtype == complex and b.dtype == complex
-        assert np.array_equal(_lapack.eigvalsh(a, b),
-                              sl.eigh(a, b, eigvals_only=True))
-
-
-def test_lyapunov_matches_scipy(front_dichotomy, monkeypatch):
-    calls = _recorded(monkeypatch, symm, "solve_continuous_lyapunov")
-    data = front_dichotomy
-    symm.lyapunov_Q(data.grid, data.lambda_plus, data.lambda_minus)
-    # a real block takes scipy's real Schur path
-    real = np.array([[-1.0, 0.4], [0.0, -2.0]])
-    rng = np.random.default_rng(6)
-    stable = _complex(rng, 4, 4) - 3 * np.eye(4)
-    args = [tuple(c) for c in calls] + [(real.T, -np.eye(2)),
-                                        (stable, np.eye(4))]
-    assert len(calls) == 2
-    for a, q in args:
-        assert np.array_equal(_lapack.solve_continuous_lyapunov(a, q),
-                              sl.solve_continuous_lyapunov(a, q))
-
-
 # ------------------------------------------------- typed failures ----
 
 def test_singular_matrix_is_numeric_error():
@@ -107,8 +67,6 @@ def test_non_positive_definite_gram_is_numeric_error():
     gram = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericError, match="not positive definite"):
         _lapack.cho_factor(gram)
-    with pytest.raises(NumericError):
-        _lapack.eigvalsh(np.eye(2, dtype=complex), gram.astype(complex))
 
 
 def test_wrong_shapes_are_rejected_before_lapack():
@@ -156,11 +114,6 @@ def _every_wrapper(rng):
     gram = r.T @ r + 6 * np.eye(6)
     c = _lapack.cho_factor(gram)
     out += [c, _lapack.zpotrs(c.astype(complex), _complex(rng, 6, 2))[0]]
-    h = _complex(rng, 5, 5)
-    out.append(_lapack.eigvalsh(h + h.conj().T, gram[:5, :5] + 0j))
-    out += [_lapack.solve_continuous_lyapunov(a, np.eye(4))
-            for a in (_complex(rng, 4, 4) - 3 * np.eye(4),
-                      rng.standard_normal((4, 4)) - 3 * np.eye(4))]
     return factors, out
 
 
@@ -178,7 +131,36 @@ def test_fallback_source_gives_the_same_numbers(monkeypatch):
 
 def test_missing_routine_is_compatibility_error():
     c_int, address, source = _lapack._numpy_symbols()
-    with pytest.raises(CompatibilityError, match="zhegvd"):
+    with pytest.raises(CompatibilityError, match="zpotrs"):
         _lapack._Binding(
-            c_int, lambda name: None if name == "zhegvd" else address(name),
+            c_int, lambda name: None if name == "zpotrs" else address(name),
             source)
+
+
+def test_bound_routines_are_the_called_ones():
+    # every routine a wrapper uses is bound, with as many arguments as its
+    # prototype, and every bound one is used: a dead binding would otherwise
+    # only fail at import on a platform that lacks it, and an unbound or
+    # miscounted call only when it runs
+    tree = ast.parse(Path(_lapack.__file__).read_text())
+    binding, = (node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "_Binding")
+    own = {node.name for node in binding.body
+           if isinstance(node, ast.FunctionDef)}
+    own |= {node.attr for node in ast.walk(binding)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)}
+
+    def routine(node):
+        return (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("_L", "lib") and node.attr not in own)
+
+    used = {node.attr for node in ast.walk(tree) if routine(node)}
+    assert used == set(_lapack._ROUTINES)
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and routine(node.func)]
+    assert {call.func.attr for call in calls} == used
+    for call in calls:
+        assert len(call.args) == _lapack._ROUTINES[call.func.attr], \
+            call.func.attr

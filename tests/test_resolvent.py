@@ -378,8 +378,13 @@ def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
             for tau in np.linspace(0.0, 12.0, 4)]
     grid += [res.FrequencyPoint(np.zeros(0), complex(lam, 0.0))
              for lam in (0.3, 10.0, 300.0)]
-    one, two = (res.run_sweep(family, grid, s=1, gamma_star=-0.25, trials=4,
-                              seed=2, threads=t) for t in (1, 2))
+
+    def sweep(threads):
+        monkeypatch.setenv("RELAXSTAB_THREADS", threads)
+        return res.run_sweep(family, grid, s=1, gamma_star=-0.25, trials=4,
+                             seed=2)
+
+    one, two = sweep("1"), sweep("2")
     for key in ("hfres_gain", "pdamp_gain", "absorption", "hfres_pass",
                 "pdamp_pass"):
         assert np.array_equal(getattr(one, key), getattr(two, key)), key

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import eigh, expm, solve_continuous_lyapunov
 
 from relaxstab import dichotomy as dich
 from relaxstab import profile as prof
@@ -104,18 +104,19 @@ def test_collocated_forms_match_tight_integration(small_geom):
 
 def _collocation_loop(grid, blocks, end, sign):
     """Reference for ``_lyapunov_collocation``: the diagonal blocks of the
-    collocation matrix filled one node at a time."""
+    collocation matrix filled one node at a time, and the seed solved on the
+    end node's block."""
     m, p, _ = blocks.shape
     eye = np.eye(p)
-    seed = symm.solve_continuous_lyapunov(blocks[end].conj().T, sign * eye)
-    seed = 0.5 * (seed + seed.conj().T)
     lam_h = blocks.conj().transpose(0, 2, 1)
+    K = [np.kron(lam_h[i], eye) + np.kron(eye, blocks[i].T) for i in range(m)]
+    seed = np.linalg.solve(K[end], sign * eye.ravel()).reshape(p, p)
+    seed = 0.5 * (seed + seed.conj().T)
     rhs = sign * eye - lam_h @ seed - seed @ blocks
     q = p * p
     A = np.kron(symm._barycentric_D(grid), np.eye(q)).astype(complex)
     for i in range(m):
-        A[i * q:(i + 1) * q, i * q:(i + 1) * q] += (
-            np.kron(lam_h[i], eye) + np.kron(eye, blocks[i].T))
+        A[i * q:(i + 1) * q, i * q:(i + 1) * q] += K[i]
     keep = np.delete(np.arange(m * q).reshape(m, q), end, axis=0).ravel()
     dev = np.zeros(m * q, dtype=complex)
     dev[keep] = np.linalg.solve(A[np.ix_(keep, keep)], rhs.reshape(-1)[keep])
@@ -134,6 +135,30 @@ def test_stacked_collocation_fill_equals_node_loop(small_geom, p, end, sign):
               + 0.1j * np.eye(p))
     Q = symm._lyapunov_collocation(grid, blocks, end, sign)
     assert np.array_equal(Q, _collocation_loop(grid, blocks, end, sign))
+
+
+def test_lyapunov_seed_matches_scipy():
+    # the endstate seed Q[end]: Lam* X + X Lam = sign*I, against scipy's
+    # Bartels-Stewart solver, on real and complex blocks
+    rng = np.random.default_rng(11)
+    grid = np.linspace(-1.0, 1.0, 5)
+    for p in (1, 2, 3):
+        for cplx in (False, True):
+            for end, sign in ((-1, -1), (0, 1)):
+                blocks = rng.standard_normal((grid.size, p, p))
+                if cplx:
+                    blocks = blocks + 1j * rng.standard_normal(blocks.shape)
+                # shift every node stable in the direction of ``sign``
+                worst = np.max(np.abs(np.linalg.eigvals(blocks).real))
+                blocks = blocks + sign * (worst + 0.5) * np.eye(p)
+                X = symm._lyapunov_collocation(grid, blocks, end, sign)[end]
+                lam = blocks[end]
+                ref = solve_continuous_lyapunov(lam.conj().T, sign * np.eye(p))
+                scale = np.linalg.norm(ref)
+                assert np.linalg.norm(X - ref) <= 1e-13 * scale, (p, cplx)
+                resid = lam.conj().T @ X + X @ lam - sign * np.eye(p)
+                assert np.linalg.norm(resid) <= 1e-13 * max(
+                    1.0, np.linalg.norm(lam) * scale), (p, cplx)
 
 
 def test_nonstable_block_rejected(small_geom):
@@ -205,6 +230,29 @@ def test_constant_symmetrizer_jinxin(jx):
     # hand eigendecomposition: |mu| = 20, Gram overlap 0.6003
     assert evals[0] == pytest.approx(0.625, abs=5e-3)
     assert evals[1] == pytest.approx(2.5, abs=2e-2)
+
+
+@pytest.mark.parametrize("name, w0, direction", [
+    ("jin_xin", [0.5, 0.125], [1.0]),
+    ("jin_xin_2d", [0.5, 0.125, 0.125], [0.6, 0.8]),
+    ("saint_venant", [1.0, 1.0], [1.0]),
+], ids=["jin_xin", "jin_xin_2d", "saint_venant"])
+def test_constant_symmetrizer_theta_is_the_pencil_minimum(name, w0, direction):
+    # theta from the congruence-reduced pencil: scipy's generalized
+    # eigensolver on (Re(S(-N)), S) and the spectral gap min(-Re sigma(N))
+    sys = systems.make_system(name)
+    for k in (0.5, 2.0, 10.0, 40.0):
+        eta = k * np.array(direction)
+        S = symm.constant_symmetrizer(sys, w0, eta)
+        N = (-1j * np.tensordot(eta, sys.flux_jacs(np.array(w0)), axes=(0, 0))
+             + sys.relax_jacobian(np.array(w0)))
+        Sm = S.S[0]
+        Ham = 0.5 * (Sm @ (-N) + (-N).conj().T @ Sm)
+        pencil = eigh(Ham, Sm, eigvals_only=True)[0]
+        gap = np.min(-np.linalg.eigvals(N).real)
+        tol = 1e-13 * max(1.0, abs(pencil))
+        assert abs(S.theta - pencil) <= tol, (name, k)
+        assert abs(S.theta - gap) <= tol, (name, k)
 
 
 def test_constant_symmetrizer_perturbed_state_continuity():
