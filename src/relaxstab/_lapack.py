@@ -5,8 +5,9 @@ The rule: ctypes where a factor is reused across solves, ``numpy.linalg``
 at the caller for a one-shot small problem.  So five routines are bound,
 the keys of ``_ROUTINES``: ``zgetrf``, ``zgetrs`` and ``ztrsv`` for the LU
 of the collocation matrix, which every forcing of a sweep point solves
-with, and ``dpotrf`` and ``zpotrs`` for the Cholesky factor of the hat
-Gram matrix, which every gain estimate on a grid solves with.
+with, and ``dpotrf`` and ``dpotrs`` for the real Cholesky factor of the
+hat Gram matrix, which every power-iteration step of a gain estimate solves
+with (the real and imaginary parts of a complex field as one real stack).
 ``tests/test_lapack.py`` parses this file to check that these are exactly
 the routines the wrappers call.
 
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import CompatibilityError, NumericError
 
 # routine -> number of arguments; every argument is a pointer
-_ROUTINES = {"zgetrf": 6, "zgetrs": 9, "ztrsv": 8, "dpotrf": 5, "zpotrs": 8}
+_ROUTINES = {"zgetrf": 6, "zgetrs": 9, "ztrsv": 8, "dpotrf": 5, "dpotrs": 8}
 
 # the character arguments, at fixed addresses
 _CHARS = ctypes.create_string_buffer(b"NTCUL")
@@ -240,17 +241,22 @@ def cho_factor(a):
     return c
 
 
-def zpotrs(c, b):
-    """scipy's ``zpotrs(c, b)``: ``(x, info)`` for the upper complex
-    Cholesky factor ``c`` and a copy ``x`` of ``b`` ``(n, nrhs)`` solved in
-    place."""
-    c = _square(c, complex, copy=False)
+def dpotrs(c, b):
+    """scipy's ``dpotrs(c, b)[0]``: a Fortran-ordered copy of the real ``b``
+    ``(n, nrhs)`` solved in place with the upper real Cholesky factor ``c``
+    of :func:`cho_factor`."""
+    c, b = np.asarray(c), np.asarray(b)
+    if c.dtype != float or b.dtype != float:
+        raise ValueError(f"expected real operands, got {c.dtype} and "
+                         f"{b.dtype}")
+    c = _square(c, float, copy=False)
     n = len(c)
-    x = np.array(b, dtype=complex, order="F")
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ValueError(f"expected {n} rows, got shape {x.shape}")
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"expected {n} rows, got shape {b.shape}")
+    x = np.array(b, order="F")
     ld = _L.int(max(1, n))
     info = _L.c_int()
-    _L.zpotrs(_CHAR["U"], _L.int(n), _L.int(x.shape[1]), _ptr(c), ld,
+    _L.dpotrs(_CHAR["U"], _L.int(n), _L.int(x.shape[1]), _ptr(c), ld,
               _ptr(x), ld, ctypes.byref(info))
-    return x, info.value
+    _check(info.value, "Cholesky solve failed (info = {info})")
+    return x

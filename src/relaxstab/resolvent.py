@@ -30,26 +30,31 @@ solves with it.  A point draws three sets of forcings, each from its own
 seed: the trials of its gains, the forcings that start the power iteration
 and, at bounded frequencies, the hat/L2 probe.  They are solved in one
 batch (``_ensemble``), a stack ``(T, m, n)``, and the hat, L2 and H^1 norms
-of the solutions and the forcings are taken in one pass over both stacks;
-each power-iteration step adds a forward and an adjoint single-column solve
-and one Cholesky solve with the hat-Gram matrix.  Every collocation solve
-goes through :func:`lu_solve`: a stack through one ``getrs`` call, a single
-column (the power iteration's 21 per point) through a row permutation and
-two ``trsv`` calls.  At one BLAS thread a one-column ``getrs`` packs the
-whole factor for ``trsm`` on every call and takes about three times as
-long.  These routines are called through ctypes in the OpenBLAS that numpy
-loaded (``relaxstab._lapack``, which imports nothing of scipy):
-``zgetrf`` factors the collocation matrix as scipy's ``lu_factor`` would,
-and an exactly zero pivot raises :class:`NumericError`; ``zgetrs`` and
-``ztrsv`` solve with it; ``dpotrf`` factors the real hat-Gram matrix as
-``cho_factor`` would, and ``zpotrs`` solves with its complex copy.  ctypes
-releases the GIL for each LAPACK call, so the LAPACK work of the sweep
-threads can overlap.
+of the solutions and the forcings are taken in one pass over both stacks.
+The power iteration starts from the batch's solution of its best forcing:
+the end rows of a forcing are projected by elementwise products, so its
+solution has the same bits in a stack of any size.  Each of its steps adds
+an adjoint and a forward single-column solve and one Cholesky solve with
+the hat-Gram matrix.  Every collocation solve goes through
+:func:`lu_solve`: a stack through one ``getrs`` call, a single column (the
+power iteration's 20 per point) through a row permutation and two ``trsv``
+calls.  At one BLAS thread a one-column ``getrs`` packs the whole factor
+for ``trsm`` on every call and takes about three times as long.  These
+routines are called through ctypes in the OpenBLAS that numpy loaded
+(``relaxstab._lapack``, which imports nothing of scipy): ``zgetrf`` factors
+the collocation matrix as scipy's ``lu_factor`` would, and an exactly zero
+pivot raises :class:`NumericError`; ``zgetrs`` and ``ztrsv`` solve with it;
+``dpotrf`` factors the real hat-Gram matrix as ``cho_factor`` would, and
+``dpotrs`` solves with that real factor.  ctypes releases the GIL for each
+LAPACK call, so the LAPACK work of the sweep threads can overlap.
 Around the LAPACK calls a point does little numpy work, which holds the
 GIL: the collocation matrix is filled in Fortran order and factored in
-place, real operands are cast to complex once per point or grid instead of
-on every call, the residual check reads only the interior rows, and the
-bumps of a batch of forcings are evaluated in one pass.
+place; the real matrices ``D^k``, the hat-Gram matrix and its Cholesky
+factor act on the real view of a complex field (its real and imaginary
+parts as ``2n`` real columns) instead of being cast to complex; a single
+column skips the stack's tiling and reshapes; the residual check reads
+only the interior rows; and the bumps of a batch of forcings are evaluated
+in one pass.
 
 The frequency points of a sweep run on a thread pool, the program's only
 source of parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never
@@ -65,7 +70,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from ._lapack import cho_factor, lu_factor, lu_solve, zpotrs
+from ._lapack import cho_factor, dpotrs, lu_factor, lu_solve
 from .errors import (CenterSpectrumError, ConfigError, ModelError,
                      NumericError)
 from .grids import cheb_grid
@@ -168,13 +173,6 @@ class CollocationGrid:
     def dpow(self, k):
         return self._cached(("dpow", k), lambda: self.D @ self.dpow(k - 1))
 
-    def dpow_as(self, k, dtype):
-        """``dpow(k)`` cast to ``dtype``, once per grid: the operand that
-        ``matmul`` would otherwise cast on every call with such a field."""
-        dtype = np.result_type(float, dtype)
-        return self._cached(("dpow", k, dtype.char),
-                            lambda: self.dpow(k).astype(dtype))
-
     def stiffness(self, k):
         """``D^k^T W D^k`` with ``W`` the quadrature weights."""
         def build():
@@ -186,24 +184,20 @@ class CollocationGrid:
         return np.sqrt(np.sum(self.wq[:, None] * np.abs(V) ** 2,
                               axis=(-2, -1)))
 
-    def l2_norm(self, v):
-        v = np.atleast_2d(np.asarray(v))
-        if v.shape[0] != self.n_nodes:
-            v = v.T
-        return float(self._l2(v))
-
     def sobolev_norms(self, V, s):
         """``[L2, H^1, ..., H^s]`` norms of every field of a stack
         ``(T, m, n)``, each an array ``(T,)``, in one pass.
 
         The squares are taken on Python floats, so they round as libm
         ``pow`` does (not always as ``x*x``): the rounding every reported
-        gain has been computed with.
+        gain has been computed with.  ``D^k`` is real, so it acts on the
+        real view of a complex stack (:func:`_real_view`).
         """
         l2 = self._l2(V)
         norms, total = [l2], [a ** 2 for a in l2.tolist()]
+        X = _real_view(V)
         for k in range(1, s + 1):
-            dk = self._l2(np.matmul(self.dpow_as(k, V.dtype), V)).tolist()
+            dk = self._l2(np.matmul(self.dpow(k), X)).tolist()
             total = [t + a ** 2 for t, a in zip(total, dk)]
             norms.append(np.sqrt(total))
         return norms
@@ -227,10 +221,6 @@ class HatNorm:
         sob = geom.sobolev_norms(V, max(self.s, 1))
         hat = sob[self.s] + (1.0 + freq_mag) ** self.s * sob[0]
         return hat, sob[0], sob[1]
-
-    def value(self, v, geom, freq_mag):
-        """Hat norm of one field ``(m, n)``."""
-        return float(self.norms(np.asarray(v)[None], geom, freq_mag)[0][0])
 
 
 def bump_perturbation(direction, amplitude, center=0.0, width=4.0):
@@ -510,26 +500,28 @@ class _BvpOperator:
         """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
         ``(T, m, n)``; returns node values of the same shape.
 
-        A stack goes through one multi-column LU solve and one forcing
-        through two triangular solves (:func:`lu_solve`); the residual cap
-        is checked for each of them.
+        A stack goes through one multi-column LU solve, and one forcing
+        through two triangular solves (:func:`lu_solve`) without the
+        stack's tiling and reshapes; the residual cap is checked for each
+        solution.
         """
         f = np.asarray(f_nodes, dtype=complex)
-        rhs = f.reshape(-1, self.m, self.n)
-        if apply_a1inv:
-            rhs = _nodewise(self.A1inv, rhs)
+        if f.ndim < 3:
+            f = f.reshape(self.m, self.n)
+        rhs = _nodewise(self.A1inv, f) if apply_a1inv else f
+        # projected by _project, the end rows of a forcing, and so its
+        # solution, are the same bits alone and in a stack of any size
         j, k = self.ranks
         b = rhs.copy()
-        b[:, [0, -1]] = 0.0
-        b[:, 0, self.n - k:] = rhs[:, 0] @ self.keep_minus.T
-        b[:, -1, :j] = rhs[:, -1] @ self.keep_plus.T
+        b[..., [0, -1], :] = 0.0
+        b[..., 0, self.n - k:] = _project(self.keep_minus, rhs[..., 0, :])
+        b[..., -1, :j] = _project(self.keep_plus, rhs[..., -1, :])
         # b is a scratch copy, and every solution is checked by the residual
         # cap, so LAPACK may overwrite it and need not scan it
-        single = f.ndim < 3
-        cols = b.reshape(-1) if single else b.reshape(len(b), -1).T
-        v = lu_solve(self.lu, cols, trans=0).T.reshape(rhs.shape)
+        cols = b.reshape(-1) if b.ndim == 2 else b.reshape(len(b), -1).T
+        v = lu_solve(self.lu, cols, trans=0).T.reshape(b.shape)
         self._check_residual(v, rhs)
-        return v[0] if single else v
+        return v
 
     def solve_adjoint(self, y_nodes):
         """Apply the conjugate-transposed solution operator (no A1inv)."""
@@ -541,13 +533,15 @@ class _BvpOperator:
         return u
 
     def _check_residual(self, v, rhs):
-        """Check each solution of the stack ``v`` against ``RESIDUAL_CAP``:
-        the collocation residual ``D v - G v - rhs`` at the interior nodes,
-        in the quadrature norm, relative to ``max(1, |rhs|)``."""
+        """Check one solution ``v`` ``(m, n)``, or each of a stack
+        ``(T, m, n)``, against ``RESIDUAL_CAP``: the collocation residual
+        ``D v - G v - rhs`` at the interior nodes, in the quadrature norm,
+        relative to ``max(1, |rhs|)``."""
         wq = self.geom.wq
         # D is real: one real product takes the real and imaginary parts
-        Dv = (self.D_inner @ v.view(float)).view(complex)
-        res = Dv - _nodewise(self.G_inner, v[:, 1:-1]) - rhs[:, 1:-1]
+        Dv = (self.D_inner @ _real_view(v)).view(complex)
+        res = (Dv - _nodewise(self.G_inner, v[..., 1:-1, :])
+               - rhs[..., 1:-1, :])
         r2 = _squared_norms(wq[1:-1], res)
         for r, f in zip(r2, _squared_norms(wq, rhs)):
             scale = max(1.0, f) ** 0.5
@@ -560,24 +554,42 @@ class _BvpOperator:
 
 
 def _nodewise(A, X):
-    """``A[i] @ X[t, i]`` for node matrices ``A`` ``(m, n, n)`` and every
-    field of a stack ``X`` ``(T, m, n)``.
+    """``A[i] @ X[..., i, :]`` for node matrices ``A`` ``(m, n, n)`` and one
+    field ``X`` ``(m, n)`` or every field of a stack ``(T, m, n)``.
 
-    One einsum over the ``T * m`` node rows, with ``A`` tiled to match: an
-    einsum that also runs over ``t`` took five times as long at ``T = 4``
-    (0.10 against 0.02 ms at m = 161, n = 2).  Each entry is the same sum
-    of products either way.
+    A stack takes one einsum over the ``T * m`` node rows, with ``A`` tiled
+    to match: an einsum that also runs over ``t`` took five times as long at
+    ``T = 4`` (0.10 against 0.02 ms at m = 161, n = 2).  Each entry is the
+    same sum of products either way.
     """
+    if X.ndim == 2:
+        return np.einsum("ijk,ik->ij", A, X)
     T, m, n = X.shape
     A = np.repeat(A[None], T, axis=0).reshape(T * m, n, n)
     return np.einsum("ijk,ik->ij", A, X.reshape(T * m, n)).reshape(T, m, n)
 
 
 def _squared_norms(w, X):
-    """``sum_i w_i |X[t, i, :]|^2`` for each field of a complex stack ``X``
-    ``(T, r, n)``, with ``w`` the ``r`` quadrature weights; a list."""
-    Xr = np.ascontiguousarray(X).view(float)
-    return np.einsum("i,tik,tik->t", w, Xr, Xr).tolist()
+    """``sum_i w_i |X[..., i, :]|^2`` for a complex field ``X`` ``(r, n)`` or
+    each field of a stack ``(T, r, n)``, with ``w`` the ``r`` quadrature
+    weights; a list."""
+    Xr = _real_view(X)
+    return np.atleast_1d(np.einsum("i,...ik,...ik->...", w, Xr, Xr)).tolist()
+
+
+def _real_view(X):
+    """A complex array as a real one, the real and imaginary parts of each
+    entry side by side along its last axis; a real array as it is."""
+    X = np.ascontiguousarray(X)
+    return X.view(float) if np.iscomplexobj(X) else X
+
+
+def _project(P, x):
+    """``x @ P.T`` for a matrix ``P`` ``(k, n)`` and a row ``x`` ``(n,)`` or
+    a stack of rows ``(T, n)``, by elementwise products summed over ``n``:
+    a row gets the same bits alone and in any stack, where a matrix product
+    goes to a different BLAS call for one row than for several."""
+    return (P * x[..., None, :]).sum(-1)
 
 
 def solve_resolvent_bvp(field, f):
@@ -626,13 +638,13 @@ def _trial_solutions(field, trials, seed, apply_a1inv=True):
 
 
 def _ensemble(field, s, sets):
-    """Forcings and the norms of their solutions, for ``sets`` of
+    """Solutions of random forcings and the norms of both, for ``sets`` of
     ``(count, seed)``: each set drawn by :func:`_random_forcings` from its
     own seed, all of them solved in one batched call.
 
-    Returns ``F`` ``(T, m, n)`` and two tuples of arrays ``(T,)``: the hat,
-    L2 and H^1 norms of the solutions and those of the forcings, taken in
-    one pass over the stack ``[V; F]``.
+    Returns the solutions ``V`` ``(T, m, n)`` and two tuples of arrays
+    ``(T,)``: the hat, L2 and H^1 norms of the solutions and those of the
+    forcings, taken in one pass over the stack ``[V; F]``.
     """
     geom = field.geom
     F = np.concatenate([
@@ -642,7 +654,7 @@ def _ensemble(field, s, sets):
     norms = HatNorm(s).norms(np.concatenate([V, F]), geom,
                              field.fp.magnitude)
     T = len(F)
-    return F, tuple(a[:T] for a in norms), tuple(a[T:] for a in norms)
+    return V, tuple(a[:T] for a in norms), tuple(a[T:] for a in norms)
 
 
 def _worst(ratios):
@@ -651,12 +663,14 @@ def _worst(ratios):
 
 
 def _hat_gram(geom, s, freq_mag):
-    """SPD matrix of the Hilbertian surrogate of the hat norm (per component)."""
-    W = np.diag(geom.wq)
-    Gm = W * (1.0 + freq_mag) ** (2 * s) + W
+    """SPD matrix of the Hilbertian surrogate of the hat norm (per component),
+    real; the stiffness terms are added in place to the diagonal weights."""
+    Gm = np.diag(geom.wq * (1.0 + freq_mag) ** (2 * s) + geom.wq)
     for k in range(1, s + 1):
-        Gm = Gm + geom.stiffness(k)
-    return 0.5 * (Gm + Gm.T)
+        Gm += geom.stiffness(k)
+    sym = Gm + Gm.T
+    sym *= 0.5
+    return sym
 
 
 def estimate_resolvent_gain(field, s, trials=32, seed=0,
@@ -668,57 +682,49 @@ def estimate_resolvent_gain(field, s, trials=32, seed=0,
     (equivalent within sqrt(2)); the reported number is the best true ratio
     found.  The estimation method ships with every reported value.
     """
-    F, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
-    return _refined_gain(field, s, F, hv / hf, power_iters)
+    V, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
+    return _refined_gain(field, s, V, hv / hf, power_iters)
 
 
-def _refined_gain(field, s, F, ratios, power_iters):
-    """The largest of the hat-norm gains ``ratios`` of the forcings ``F``
+def _refined_gain(field, s, V, ratios, power_iters):
+    """The largest of the hat-norm gains ``ratios`` of a stack of forcings
     and of the gain that ``power_iters`` power-iteration steps reach from
-    the best of them."""
-    geom = field.geom
-    hat = HatNorm(s)
-    rho = field.fp.magnitude
-    op = field.bvp()
-    best = 0.0
-    best_f = None
-    for f, ratio in zip(F, ratios.tolist()):
-        if ratio > best:
-            best, best_f = ratio, f
+    the best of them, starting from its solution in ``V``.
 
-    if power_iters > 0 and best_f is not None:
-        # the real Gram matrix and its Cholesky factor in the complex form
-        # that matmul and LAPACK would otherwise cast them to on every step;
-        # potrs is the call cho_solve makes, without its per-call checks
-        Gm = _hat_gram(geom, s, rho)
-        c = cho_factor(Gm)
-        Gm, c = Gm.astype(complex), c.astype(complex)
-        # interior envelope: keeps the iteration inside the class of
-        # localized resolved forcings (boundary-node spikes are artifacts of
-        # the clustered grid, not modes of the whole-line operator)
-        envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
-        A1inv_h = field.A1inv_nodes.conj()
-        # the batch holds the solution of best_f, but not to the bit: it
-        # went through getrs and a single column goes through trsv, which
-        # round differently, so the first step solves best_f alone
-        f = best_f
-        for _ in range(power_iters):
-            v = op.solve(f)
-            u = op.solve_adjoint(Gm @ v)
-            u = np.einsum("ijk,ij->ik", A1inv_h, u)
-            w, info = zpotrs(c, u)
-            if info:
-                raise NumericError(f"Cholesky solve failed (info = {info})")
-            f = envelope * w
-            nrm = geom.l2_norm(f)
-            if nrm == 0:
-                break
-            f = f / nrm
+    The hat-Gram matrix and its Cholesky factor stay real: they act on the
+    real view of a field (:func:`_real_view`), its real and imaginary parts
+    as ``2n`` real columns.
+    """
+    best, start = 0.0, None
+    for i, ratio in enumerate(ratios.tolist()):
+        if ratio > best:
+            best, start = ratio, i
+    if power_iters <= 0 or start is None:
+        return best
+
+    geom, rho = field.geom, field.fp.magnitude
+    op = field.bvp()
+    Gm = _hat_gram(geom, s, rho)
+    c = cho_factor(Gm)
+    # interior envelope: keeps the iteration inside the class of localized
+    # resolved forcings (boundary-node spikes are artifacts of the clustered
+    # grid, not modes of the whole-line operator)
+    envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
+    A1inv_h = field.A1inv_nodes.conj()
+    v = V[start]
+    for _ in range(power_iters):
+        u = op.solve_adjoint((Gm @ _real_view(v)).view(complex))
+        u = np.einsum("ijk,ij->ik", A1inv_h, u)
+        # dpotrs returns Fortran order; the complex view needs C order
+        f = np.multiply(envelope, dpotrs(c, _real_view(u)),
+                        order="C").view(complex)
+        nrm = float(geom._l2(f))
+        if nrm == 0:
+            return best
+        f = f / nrm
         v = op.solve(f)
-        denom = hat.value(f, geom, rho)
-        if denom > 0:
-            best = max(best, hat.value(v, geom, rho) / denom)
-    return best
+    hv, hf = HatNorm(s).norms(np.stack([v, f]), geom, rho)[0].tolist()
+    return max(best, hv / hf) if hf > 0 else best
 
 
 def verify_hfres(field, s, C, gamma_star, trials=16, seed=0):
@@ -785,11 +791,11 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     sets = [(trials, seed), (b - a, seed + 1)]
     if probe_seed is not None:
         sets.append((1, probe_seed))
-    F, (hv, l2v, h1v), (hf, l2f, _) = _ensemble(field, s, sets)
+    V, (hv, l2v, h1v), (hf, l2f, _) = _ensemble(field, s, sets)
     g_hf = _worst(hv[:a] / hf[:a])
     g_pd = _worst(hv[:a] / (hf[:a] + l2v[:a]))
     absorb = _worst(l2v[:a] / (h1v[:a] + l2f[:a]))
-    gain = _refined_gain(field, s, F[a:b], hv[a:b] / hf[a:b], POWER_ITERS)
+    gain = _refined_gain(field, s, V[a:b], hv[a:b] / hf[a:b], POWER_ITERS)
     g_hf = max(g_hf, gain)
     ratio = 0.0
     if probe_seed is not None and l2v[b] > 0:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sl
+from scipy.linalg import lapack as scipy_lapack
 
 from relaxstab import _lapack
 from relaxstab import resolvent as res
@@ -54,6 +55,19 @@ def test_cho_factor_matches_scipy_on_the_hat_gram(geom):
         assert np.array_equal(c, sl.cho_factor(Gm, check_finite=False)[0])
 
 
+def test_dpotrs_matches_scipy_on_the_hat_gram(geom):
+    # the power iteration's Cholesky solve: the real and imaginary parts of
+    # a field (m, n) as 2n real right-hand sides
+    rng = np.random.default_rng(3)
+    for s, rho in ((1, 2.0), (2, 60.0)):
+        c = _lapack.cho_factor(res._hat_gram(geom, s, rho))
+        b = _complex(rng, geom.n_nodes, 2).view(float)
+        x = _lapack.dpotrs(c, b)
+        ref, info = scipy_lapack.dpotrs(c, b)
+        assert info == 0 and np.array_equal(x, ref)
+        assert x.flags.f_contiguous
+
+
 # ------------------------------------------------- typed failures ----
 
 def test_singular_matrix_is_numeric_error():
@@ -83,7 +97,14 @@ def test_wrong_shapes_are_rejected_before_lapack():
     assert np.array_equal(_lapack.lu_solve(factors, b, trans=0),
                           _lapack.lu_solve(factors, b + 0j, trans=0))
     with pytest.raises(ValueError, match="rows"):
-        _lapack.zpotrs(np.eye(3, dtype=complex), np.ones((2, 1)))
+        _lapack.dpotrs(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="square"):
+        _lapack.dpotrs(np.eye(3)[:2], np.ones((2, 1)))
+    # a complex operand is not solved as its real part
+    for c, b in ((np.eye(3), np.ones((3, 1), dtype=complex)),
+                 (np.eye(3, dtype=complex), np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="real"):
+            _lapack.dpotrs(c, b)
 
 
 # ------------------------------------------------------- binding ----
@@ -113,7 +134,7 @@ def _every_wrapper(rng):
     r = rng.standard_normal((6, 6))
     gram = r.T @ r + 6 * np.eye(6)
     c = _lapack.cho_factor(gram)
-    out += [c, _lapack.zpotrs(c.astype(complex), _complex(rng, 6, 2))[0]]
+    out += [c, _lapack.dpotrs(c, rng.standard_normal((6, 4)))]
     return factors, out
 
 
@@ -131,9 +152,9 @@ def test_fallback_source_gives_the_same_numbers(monkeypatch):
 
 def test_missing_routine_is_compatibility_error():
     c_int, address, source = _lapack._numpy_symbols()
-    with pytest.raises(CompatibilityError, match="zpotrs"):
+    with pytest.raises(CompatibilityError, match="dpotrs"):
         _lapack._Binding(
-            c_int, lambda name: None if name == "zpotrs" else address(name),
+            c_int, lambda name: None if name == "dpotrs" else address(name),
             source)
 
 
