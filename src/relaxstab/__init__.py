@@ -16,17 +16,15 @@ from .dichotomy import (DichotomyData, TurningPointReport, block_diagonalize,
                         frames_to_csv, limit_spectral_split,
                         propagate_subspaces, verify_dichotomy)
 from .model import (HypothesisReport, SymbolMatrix, SystemSpec,
-                    ZeroOrderCoefficient, assemble_symbol, check_chf,
-                    check_geometric_regularity, check_hyperbolicity,
-                    check_kawashima, check_noncharacteristic, per_state,
-                    run_hypotheses, zero_order_matrix)
+                    assemble_symbol, check_chf, check_geometric_regularity,
+                    check_hyperbolicity, check_kawashima,
+                    check_noncharacteristic, per_state, run_hypotheses,
+                    zero_order_matrix)
 from .profile import (WaveProfile, load_profile, save_profile,
                       solve_profile_jinxin, solve_profile_shooting)
 from .resolvent import (CollocationGrid, FrequencyPoint, HatNorm,
                         ResolventOperatorField, SweepResult, assemble_G,
-                        bump_perturbation, estimate_resolvent_gain, run_sweep,
-                        solve_resolvent_bvp, verify_equivalence, verify_hfres,
-                        verify_pdamp)
+                        bump_perturbation, verify_equivalence)
 from .symmetrizer import (Certificate, LyapunovForms, SymmetrizerField,
                           assemble_symmetrizer, constant_symmetrizer,
                           energy_estimate_check, field_to_csv, lyapunov_Q,

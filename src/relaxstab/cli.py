@@ -319,37 +319,47 @@ class _Runner:
     def resolvent_sweep(self):
         rc = self.cfg.section("resolvent")
         nc = self.cfg.section("norms")
+        gc = rc["grid"]
+        if gc["re_lambda"] < res.GAMMA_FLOOR:
+            raise ConfigError(f"config invalid at resolvent.grid.re_lambda: "
+                              f"must be at least gamma_floor = "
+                              f"{res.GAMMA_FLOOR}, got {gc['re_lambda']}")
+        lowest = min(gc["re_lambda"], gc["real_ray"]["min"])
+        if rc["gamma_star"] >= lowest:
+            raise ConfigError(f"config invalid at resolvent.gamma_star: must "
+                              f"lie below every Re lambda of the grid, "
+                              f"{lowest}, got {rc['gamma_star']}")
         geom = self._geom()
         p = self.get_profile()
 
         def family(fp):
             return res.assemble_G(self.system, p, fp, geom=geom)
 
-        repq = res.verify_equivalence(
+        sweep = res.verify_equivalence(
             family, nc["s"], self._frequency_grid(),
             gamma_star=rc["gamma_star"], trials=rc["trials"],
             seed=self.cfg.seed)
-        sweep = repq.sweep
-        rows = ([r["re_lambda"], r["im_lambda"],
-                 ";".join(repr(float(v)) for v in r["eta"]), r["hfres_gain"],
-                 r["pdamp_gain"], r["absorption"], int(r["hfres_pass"]),
-                 int(r["pdamp_pass"])] for r in sweep.rows())
+        pts = sweep.points
+        rows = zip([fp.lam.real for fp in pts], [fp.lam.imag for fp in pts],
+                   [";".join(repr(float(v)) for v in fp.eta) for fp in pts],
+                   sweep.hfres_gain, sweep.pdamp_gain, sweep.absorption,
+                   sweep.hfres_pass.astype(int).tolist(),
+                   sweep.pdamp_pass.astype(int).tolist())
         write_csv(os.path.join(self.out, "sweep.csv"),
                   ["re_lambda", "im_lambda", "eta", "hfres_gain",
                    "pdamp_gain", "absorption", "hfres_pass", "pdamp_pass"],
                   rows)
         # a flagged (singular-set) point has no gain and fails hfres_pass
-        passed = repq.agreement == 1.0 and bool(np.all(sweep.hfres_pass))
-        flagged = [{"re_lambda": sweep.points[i].lam.real,
-                    "im_lambda": sweep.points[i].lam.imag,
-                    "eta": sweep.points[i].eta, "message": msg}
+        passed = sweep.agreement == 1.0 and bool(np.all(sweep.hfres_pass))
+        flagged = [{"re_lambda": pts[i].lam.real, "im_lambda": pts[i].lam.imag,
+                    "eta": pts[i].eta, "message": msg}
                    for i, msg in sweep.flagged]
         payload = {
             "constants": sweep.constants, "method": sweep.method,
-            "agreement": repq.agreement, "n_flagged": repq.n_flagged,
+            "agreement": sweep.agreement, "n_flagged": sweep.n_flagged,
             "flagged": flagged,
-            "bounded_ratio": repq.bounded_ratio,
-            "absorption_exponent": repq.absorption_exponent,
+            "bounded_ratio": sweep.bounded_ratio,
+            "absorption_exponent": sweep.absorption_exponent,
             "passed": passed,
         }
         _write_json(os.path.join(self.out, "sweep.json"), payload)

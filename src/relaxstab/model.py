@@ -36,7 +36,6 @@ __all__ = [
     "SystemSpec",
     "per_state",
     "SymbolMatrix",
-    "ZeroOrderCoefficient",
     "HypothesisReport",
     "HyperbolicityResult",
     "RegularityResult",
@@ -165,28 +164,6 @@ class SymbolMatrix:
     base_state: np.ndarray
     eta: np.ndarray
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class ZeroOrderCoefficient:
-    """Zero-order coefficient ``E`` of the perturbation equations on a grid.
-
-    ``E(x) v = -dr/dw(wbar(x)) v + d2f1/dw2(wbar(x))[v, wbar'(x)]``; at a
-    constant equilibrium state the gradient summand vanishes and
-    ``E = -dr/dw``.
-    """
-
-    grid: np.ndarray
-    matrices: np.ndarray            # (m, n, n)
-    constant_limits: tuple          # (E at w_minus, E at w_plus)
-
-    @classmethod
-    def from_profile(cls, sys, profile, grid):
-        grid = np.asarray(grid, dtype=float)
-        mats = zero_order_matrix(sys, *profile.sample_many(grid))
-        ends = np.array(profile.endstates)
-        limits = zero_order_matrix(sys, ends, np.zeros_like(ends))
-        return cls(grid=grid, matrices=mats, constant_limits=tuple(limits))
 
 
 def zero_order_matrix(sys, w, wprime):

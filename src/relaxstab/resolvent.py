@@ -82,19 +82,13 @@ __all__ = [
     "HatNorm",
     "ResolventOperatorField",
     "SweepResult",
-    "EquivalenceReport",
     "assemble_G",
-    "solve_resolvent_bvp",
-    "estimate_resolvent_gain",
-    "verify_pdamp",
-    "verify_hfres",
     "verify_equivalence",
-    "run_sweep",
     "bump_perturbation",
     "worker_count",
 ]
 
-GAMMA_FLOOR_DEFAULT = -10.0
+GAMMA_FLOOR = -10.0       # smallest Re lambda of a frequency point
 # smallest |Re mu| of a limit matrix with a usable stable/unstable split
 SPLIT_GAP_TOL = 1e-9
 RESIDUAL_CAP = 1e-8
@@ -129,7 +123,6 @@ class FrequencyPoint:
 
     eta: np.ndarray
     lam: complex
-    gamma_floor: float = GAMMA_FLOOR_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "eta",
@@ -137,9 +130,9 @@ class FrequencyPoint:
         object.__setattr__(self, "lam", complex(self.lam))
         if not (np.all(np.isfinite(self.eta)) and np.isfinite(self.lam)):
             raise ValueError("frequency components must be finite")
-        if self.lam.real < self.gamma_floor:
-            raise ValueError(
-                f"Re lambda = {self.lam.real} below gamma_floor = {self.gamma_floor}")
+        if self.lam.real < GAMMA_FLOOR:
+            raise ValueError(f"Re lambda = {self.lam.real} below "
+                             f"gamma_floor = {GAMMA_FLOOR}")
 
     @property
     def magnitude(self):
@@ -592,15 +585,6 @@ def _project(P, x):
     return (P * x[..., None, :]).sum(-1)
 
 
-def solve_resolvent_bvp(field, f):
-    """Solve the resolvent equation for forcing ``f`` given on the grid.
-
-    Returns the solution node values; the collocation residual is checked
-    against the hard cap and reported on the operator as ``last_residual``.
-    """
-    return field.bvp().solve(f, apply_a1inv=True)
-
-
 def _random_forcings(geom, n, rng, count):
     """``count`` smooth exponentially-localized complex forcings with unit
     L2 norm, a stack ``(count, m, n)``; each a sum of ``N_BUMPS`` Gaussian
@@ -624,17 +608,6 @@ def _random_forcings(geom, n, rng, count):
     F = (bumps[..., None] * amp[:, :, None, :]).sum(1)
     nrm = geom._l2(F)
     return F / np.where(nrm > 0, nrm, 1.0)[:, None, None]
-
-
-def _trial_solutions(field, trials, seed, apply_a1inv=True):
-    """``trials`` random unit forcings drawn from ``seed`` and their solutions.
-
-    Returns ``(F, V)``, both ``(trials, m, n)``; all forcings are solved in
-    one batched call.
-    """
-    F = _random_forcings(field.geom, field.n, np.random.default_rng(seed),
-                         trials)
-    return F, field.bvp().solve(F, apply_a1inv)
 
 
 def _ensemble(field, s, sets):
@@ -671,19 +644,6 @@ def _hat_gram(geom, s, freq_mag):
     sym = Gm + Gm.T
     sym *= 0.5
     return sym
-
-
-def estimate_resolvent_gain(field, s, trials=32, seed=0,
-                            power_iters=POWER_ITERS):
-    """Lower bound of the hat-norm resolvent gain at this frequency point.
-
-    Maximizes ``|v|_hat / |f|_hat`` over ``trials`` randomized unit forcings,
-    then refines with power iteration on the Hilbertian surrogate norm
-    (equivalent within sqrt(2)); the reported number is the best true ratio
-    found.  The estimation method ships with every reported value.
-    """
-    V, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
-    return _refined_gain(field, s, V, hv / hf, power_iters)
 
 
 def _refined_gain(field, s, V, ratios, power_iters):
@@ -727,55 +687,6 @@ def _refined_gain(field, s, V, ratios, power_iters):
     return max(best, hv / hf) if hf > 0 else best
 
 
-def verify_hfres(field, s, C, gamma_star, trials=16, seed=0):
-    """Worst ratio of |v|_hat (Re lambda - gamma*) / (C |f|_hat)."""
-    if field.fp.lam.real <= gamma_star:
-        raise ValueError("requires Re lambda > gamma_star")
-    _, (hv, _, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
-    lhs = hv * (field.fp.lam.real - gamma_star)
-    return _worst(lhs / (C * hf))
-
-
-def verify_pdamp(field, s, C, gamma_star, trials=16, seed=0):
-    """Worst ratio in the frequency-wise damping bound.
-
-    Checks ``|v|_hat <= C (|f|_hat + |v|_L2) / (Re lambda - gamma*)`` over
-    randomized forcings; the returned worst ratio passes at ``<= 1``.
-    """
-    if field.fp.lam.real <= gamma_star:
-        raise ValueError("requires Re lambda > gamma_star")
-    _, (hv, l2v, _), (hf, _, _) = _ensemble(field, s, [(trials, seed)])
-    lhs = hv * (field.fp.lam.real - gamma_star)
-    return _worst(lhs / (C * (hf + l2v)))
-
-
-@dataclass
-class SweepResult:
-    """Per-frequency gains and verdicts over a grid, plus fitted constants."""
-
-    points: list
-    hfres_gain: np.ndarray        # gain * (Re lam - gamma*) per point
-    pdamp_gain: np.ndarray
-    absorption: np.ndarray        # |v|_L2 / (|v|_H1 + |f|_L2)
-    hfres_pass: np.ndarray
-    pdamp_pass: np.ndarray
-    flagged: list                 # (index, message) for singular-set points
-    constants: dict
-    method: str = "randomized+power"
-
-    def rows(self):
-        for i, fp in enumerate(self.points):
-            yield {
-                "re_lambda": fp.lam.real, "im_lambda": fp.lam.imag,
-                "eta": list(fp.eta),
-                "hfres_gain": float(self.hfres_gain[i]),
-                "pdamp_gain": float(self.pdamp_gain[i]),
-                "absorption": float(self.absorption[i]),
-                "hfres_pass": bool(self.hfres_pass[i]),
-                "pdamp_pass": bool(self.pdamp_pass[i]),
-            }
-
-
 def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     """Gains of one grid point; with ``probe_seed``, also the hat/L2 ratio
     of the solution for one more forcing drawn from that seed (else 0.0).
@@ -803,27 +714,53 @@ def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
     return (g_hf, g_pd, absorb), ratio
 
 
-def run_sweep(field_family, grid, s=1, gamma_star=-0.25, C=None, trials=8,
-              seed=0):
-    """Evaluate gains over a frequency grid and fit/check (C, gamma_star).
+@dataclass
+class SweepResult:
+    """Per-frequency gains and verdicts of a sweep, its fitted constants and
+    the agreement of the two frequency-wise bounds."""
+
+    points: list
+    hfres_gain: np.ndarray        # gain * (Re lam - gamma*) per point
+    pdamp_gain: np.ndarray
+    absorption: np.ndarray        # |v|_L2 / (|v|_H1 + |f|_L2)
+    hfres_pass: np.ndarray
+    pdamp_pass: np.ndarray
+    flagged: list                 # (index, message) for singular-set points
+    constants: dict
+    agreement: float              # fraction of non-flagged points agreeing
+    bounded_ratio: float          # max |v|_hat / |v|_L2 at bounded frequencies
+    absorption_exponent: float    # fitted decay exponent of the L2 absorption
+    method = "randomized+power"
+
+    @property
+    def n_flagged(self):
+        return len(self.flagged)
+
+
+def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
+                       seed=0):
+    """Gains over a frequency grid, the fitted constants of both
+    frequency-wise bounds, and the numerical version of both absorption
+    arguments.
 
     ``field_family`` maps a :class:`FrequencyPoint` to an assembled field.
-    When ``C`` is None it is fitted as 1.25x the worst calibration gain over
-    every other grid point; pass flags are then deterministic functions of
-    the per-point gains and the constants.  Singular-set points are excluded
-    and reported in ``flagged``; when every point is on the singular set,
+    Each bound gets its own constant, 1.25x the worst calibration gain over
+    every other grid point; the pass flags are deterministic functions of
+    the per-point gains and the constants, and the pass sets of the two
+    bounds are compared pointwise.  (i) at bounded frequencies
+    ``|lambda| <= BOUNDED_CUT`` the hat norm is controlled by L2 (the
+    ratio is reported); (ii) along growing ``|lambda|`` the ratio
+    ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
+    exponent).  Raises ``ValueError``, before any point is solved, when a
+    point has ``Re lambda <= gamma_star``.  Singular-set points are left out
+    and listed in ``flagged``; when every point is on the singular set,
     :class:`CenterSpectrumError` is raised.
     """
-    return _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
-                      bounded_cut=-np.inf)[0]
-
-
-def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
-               bounded_cut):
-    """:func:`run_sweep` plus the largest hat/L2 probe ratio over the points
-    with ``|lambda| <= bounded_cut`` (0.0 when there are none)."""
     grid = list(grid)
     nP = len(grid)
+    weights = np.array([fp.lam.real - gamma_star for fp in grid])
+    if np.any(weights <= 0):
+        raise ValueError("grid contains Re lambda <= gamma_star")
     g_hf = np.full(nP, np.nan)
     g_pd = np.full(nP, np.nan)
     absorb = np.full(nP, np.nan)
@@ -832,7 +769,7 @@ def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
 
     def work(i):
         fp = grid[i]
-        probe_seed = seed + 7 * i if abs(fp.lam) <= bounded_cut else None
+        probe_seed = seed + 7 * i if abs(fp.lam) <= BOUNDED_CUT else None
         try:
             return i, _sweep_point(field_family, fp, s, trials,
                                    seed + 1000 * i, probe_seed), None
@@ -851,74 +788,33 @@ def _run_sweep(field_family, grid, s, gamma_star, C, trials, seed,
     if not np.any(ok):
         raise CenterSpectrumError(
             f"no grid point of {nP} is off the singular set")
-    weights = np.array([grid[i].lam.real - gamma_star for i in range(nP)])
-    if np.any(weights[ok] <= 0):
-        raise ValueError("grid contains Re lambda <= gamma_star")
     hf_scaled = g_hf * weights
     pd_scaled = g_pd * weights
-    if C is None:
-        # each bound gets its own constant (the two conditions are
-        # equivalent with possibly different constants): 1.25x the worst
-        # calibration gain over every other grid point
-        calib = np.where(ok)[0][::2]
-        C_hf = 1.25 * float(np.nanmax(hf_scaled[calib]))
-        C_pd = 1.25 * float(np.nanmax(pd_scaled[calib]))
-    else:
-        C_hf = C_pd = float(C)
+    # each bound gets its own constant (the two conditions are equivalent
+    # with possibly different constants)
+    calib = np.where(ok)[0][::2]
+    C_hf = 1.25 * float(np.max(hf_scaled[calib]))
+    C_pd = 1.25 * float(np.max(pd_scaled[calib]))
+    # a flagged point's gain is NaN, so it fails both bounds
     hf_pass = hf_scaled <= C_hf
     pd_pass = pd_scaled <= C_pd
-    hf_pass[~ok] = False
-    pd_pass[~ok] = False
-    sweep = SweepResult(points=grid, hfres_gain=hf_scaled,
-                        pdamp_gain=pd_scaled, absorption=absorb,
-                        hfres_pass=hf_pass, pdamp_pass=pd_pass,
-                        flagged=flagged,
-                        constants={"C": float(C_hf), "C_pdamp": float(C_pd),
-                                   "gamma_star": float(gamma_star),
-                                   "s": int(s), "trials": int(trials)})
-    return sweep, bounded_ratio
+    agreement = float(np.mean(hf_pass[ok] == pd_pass[ok]))
 
-
-@dataclass
-class EquivalenceReport:
-    """Agreement of the two frequency-wise bounds over a sweep."""
-
-    agreement: float              # fraction of non-flagged points agreeing
-    n_points: int
-    n_flagged: int
-    bounded_ratio: float          # max |v|_hat / |v|_L2 at bounded frequencies
-    absorption_exponent: float    # fitted decay exponent of the L2 absorption
-    sweep: SweepResult
-
-
-def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
-                       seed=0):
-    """Numerical version of both absorption arguments over a grid.
-
-    The constants are fitted as in :func:`run_sweep`.  (i) at bounded
-    frequencies ``|lambda| <= BOUNDED_CUT`` the hat norm is controlled by L2
-    (the ratio is reported); (ii) along growing ``|lambda|`` the ratio
-    ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
-    exponent); the pass sets of the two bounds are compared pointwise.
-    Singular-set points are left out of the comparison and listed in
-    ``sweep.flagged``.
-    """
-    sweep, bounded_ratio = _run_sweep(field_family, grid, s, gamma_star, None,
-                                      trials, seed, BOUNDED_CUT)
-    ok = ~np.isnan(sweep.hfres_gain)
-    agree = sweep.hfres_pass[ok] == sweep.pdamp_pass[ok]
-    agreement = float(np.mean(agree)) if np.any(ok) else 0.0
-
-    mags = np.array([abs(p.lam) for p in sweep.points])
-    big = ok & (mags >= BOUNDED_CUT) & (np.abs(sweep.absorption) > 0)
+    mags = np.array([abs(p.lam) for p in grid])
+    big = ok & (mags >= BOUNDED_CUT) & (np.abs(absorb) > 0)
     exponent = np.nan
     if np.count_nonzero(big) >= 3:
         exponent = float(np.polyfit(np.log(mags[big]),
-                                    np.log(sweep.absorption[big]), 1)[0])
-    return EquivalenceReport(agreement=agreement, n_points=len(sweep.points),
-                             n_flagged=len(sweep.flagged),
-                             bounded_ratio=bounded_ratio,
-                             absorption_exponent=exponent, sweep=sweep)
+                                    np.log(absorb[big]), 1)[0])
+    return SweepResult(points=grid, hfres_gain=hf_scaled,
+                       pdamp_gain=pd_scaled, absorption=absorb,
+                       hfres_pass=hf_pass, pdamp_pass=pd_pass,
+                       flagged=flagged,
+                       constants={"C": C_hf, "C_pdamp": C_pd,
+                                  "gamma_star": float(gamma_star),
+                                  "s": int(s), "trials": int(trials)},
+                       agreement=agreement, bounded_ratio=bounded_ratio,
+                       absorption_exponent=exponent)
 
 
 def constant_field(G, geom):

@@ -116,6 +116,12 @@ BAD_INPUTS = {
         "profile.speed"),
     "unknown-system-param": (
         _run_argv(lambda c: c["system"].update(params={"b": 1})), "'b'"),
+    "gamma-star-above-grid": (
+        _run_argv(lambda c: c["resolvent"].update(gamma_star=1.0)),
+        "resolvent.gamma_star"),
+    "re-lambda-below-floor": (
+        _run_argv(lambda c: c["resolvent"]["grid"].update(re_lambda=-20)),
+        "resolvent.grid.re_lambda"),
     "three-part-lambda": (
         _run_argv(lambda c: c["dichotomy"].update({"lambda": [1, 2, 3]})),
         "dichotomy.lambda"),

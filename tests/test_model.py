@@ -289,11 +289,14 @@ def test_reports_are_deterministic(jx, front):
 
 
 def test_zero_order_coefficient_constant_limit(jx, front):
-    zoc = model.ZeroOrderCoefficient.from_profile(jx, front,
-                                                  np.linspace(-5, 5, 11))
+    ends = np.array(front.endstates)
+    limits = model.zero_order_matrix(jx, ends, np.zeros_like(ends))
     expect = -jx.relax_jacobian(front.endstates[1])
-    assert np.allclose(zoc.constant_limits[1], expect, atol=1e-14)
+    assert np.allclose(limits[1], expect, atol=1e-14)
     # flux is linear, so the gradient summand vanishes identically
     mid = model.zero_order_matrix(jx, *front.sample(0.0))
     u0 = front.sample(0.0)[0][0]
     assert np.allclose(mid, np.array([[0.0, 0.0], [-u0, 1.0]]), atol=1e-14)
+    # a stack of states gives each state's coefficient
+    E = model.zero_order_matrix(jx, *front.sample_many(np.linspace(-5, 5, 11)))
+    assert np.allclose(E[5], mid, atol=1e-14)

@@ -124,14 +124,14 @@ def test_assemble_rejects_wrong_eta_length(jx, front, geom):
 # ------------------------------------------------------------- BVP solve ----
 
 def test_zero_forcing_zero_solution(front_field):
-    v = res.solve_resolvent_bvp(front_field, np.zeros((161, 2)))
+    v = front_field.bvp().solve(np.zeros((161, 2)))
     assert np.max(np.abs(v)) == 0.0
 
 
 def test_bvp_matches_fourier_oracle(jx, eq_field, geom):
     width, direction = 5.0, np.array([1.0, 0.5])
     f = np.exp(-(geom.x / width) ** 2)[:, None] * direction[None, :]
-    v = res.solve_resolvent_bvp(eq_field, f)
+    v = eq_field.bvp().solve(f)
     A1 = np.array([[0.0, 1.0], [4.0, 0.0]]) - 0.3 * np.eye(2)
     oracle = _fourier_oracle(eq_field.limits[0], np.linalg.inv(A1), None,
                              geom, lambda x: np.exp(-(x / width) ** 2),
@@ -141,14 +141,14 @@ def test_bvp_matches_fourier_oracle(jx, eq_field, geom):
 
 def test_bvp_residual_cap(front_field, geom):
     f = np.exp(-(geom.x / 4.0) ** 2)[:, None] * np.ones(2)[None, :]
-    res.solve_resolvent_bvp(front_field, f)
+    front_field.bvp().solve(f)
     assert front_field.bvp().last_residual <= 1e-8
 
 
 def test_phase_equivariance(front_field, geom):
     f = np.exp(-(geom.x / 4.0) ** 2)[:, None] * np.array([1.0, -0.5])[None, :]
-    v = res.solve_resolvent_bvp(front_field, f)
-    vth = res.solve_resolvent_bvp(front_field, np.exp(0.7j) * f)
+    v = front_field.bvp().solve(f)
+    vth = front_field.bvp().solve(np.exp(0.7j) * f)
     assert np.max(np.abs(vth - np.exp(0.7j) * v)) < 1e-10
 
 
@@ -218,9 +218,11 @@ def test_batched_solve_matches_single_solves(front_field):
     rng = np.random.default_rng(4)
     F = np.array([res._random_forcings(field.geom, field.n, rng, 1)[0]
                   for _ in range(5)])
-    F2, V = res._trial_solutions(field, 5, seed=4)
+    F2 = res._random_forcings(field.geom, field.n, np.random.default_rng(4),
+                              5)
     assert np.array_equal(F2, F)          # same draws, same order
     op = field.bvp()
+    V = op.solve(F2)
     assert V.shape == F.shape
     scale = np.max(np.abs(V))
     for f, v in zip(F, V):
@@ -280,7 +282,7 @@ def test_center_spectrum_flagged():
     field = res.assemble_G(sys, p, res.FrequencyPoint(np.zeros(0), 0.0 + 0j),
                            geom=geom)
     with pytest.raises(CenterSpectrumError):
-        res.solve_resolvent_bvp(field, np.zeros((33, 2)))
+        field.bvp().solve(np.zeros((33, 2)))
 
 
 def test_nonfinite_forcing_is_numeric_error(front_field):
@@ -288,10 +290,17 @@ def test_nonfinite_forcing_is_numeric_error(front_field):
     f = np.zeros((front_field.geom.n_nodes, 2))
     f[80, 1] = np.nan
     with pytest.raises(NumericError, match="residual"):
-        res.solve_resolvent_bvp(front_field, f)
+        front_field.bvp().solve(f)
 
 
 # ------------------------------------------------------------------ gains ----
+
+def _gain(field, s, trials, seed, power_iters=res.POWER_ITERS):
+    """The gain estimate of a sweep point: the best hat-norm ratio of
+    ``trials`` random forcings from ``seed``, refined by power iteration."""
+    V, (hv, _, _), (hf, _, _) = res._ensemble(field, s, [(trials, seed)])
+    return res._refined_gain(field, s, V, hv / hf, power_iters)
+
 
 def test_gain_matches_symbol_oracle(jx, eq_field):
     # constant coefficients: L2 operator norm equals the symbol-norm sup
@@ -301,8 +310,7 @@ def test_gain_matches_symbol_oracle(jx, eq_field):
     xis = np.linspace(-80.0, 80.0, 32001)
     oracle = max(1.0 / np.linalg.svd(lam * np.eye(2) + 1j * xi * A1 + E,
                                      compute_uv=False)[-1] for xi in xis)
-    gain = res.estimate_resolvent_gain(eq_field, s=0, trials=16, seed=1,
-                                       power_iters=15)
+    gain = _gain(eq_field, 0, trials=16, seed=1, power_iters=15)
     assert gain <= oracle * 1.05
     assert gain >= oracle / 2.0
 
@@ -312,16 +320,27 @@ def test_gain_scaled_bounded_at_large_real_lambda(jx, eq_profile, geom):
     for lam in (10.0, 100.0, 1000.0):
         fp = res.FrequencyPoint(np.zeros(0), complex(lam, 0.0))
         field = res.assemble_G(jx, eq_profile, fp, geom=geom)
-        g = res.estimate_resolvent_gain(field, s=1, trials=8, seed=0)
+        g = _gain(field, 1, trials=8, seed=0)
         gains.append(g * (lam - (-0.25)))
     assert max(gains) <= 3.0 * min(gains)
 
 
 # ---------------------------------------------------------- pdamp / hfres ----
 
-def test_pdamp_requires_re_lambda_above_gamma_star(front_field):
-    with pytest.raises(ValueError):
-        res.verify_pdamp(front_field, 1, C=10.0, gamma_star=3.0)
+def test_pdamp_requires_re_lambda_above_gamma_star():
+    # checked for every point before the pool starts: no field is assembled
+    calls = []
+
+    def family(fp):
+        calls.append(fp)
+        raise AssertionError("a point was solved")
+
+    grid = [res.FrequencyPoint(np.zeros(0), lam)
+            for lam in (5.0 + 1.0j, 1.0 + 0j, 4.0 + 0j)]
+    with pytest.raises(ValueError, match="gamma_star"):
+        res.verify_equivalence(family, 1, grid, gamma_star=3.0, trials=2,
+                               seed=0)
+    assert calls == []
 
 
 def test_bounded_frequency_a_priori(jx, front, geom):
@@ -338,10 +357,14 @@ def test_bounded_frequency_a_priori(jx, front, geom):
 
 def test_pdamp_and_hfres_agree_at_large_lambda(jx, front, geom):
     fp = res.FrequencyPoint(np.zeros(0), 50.0 + 0j)
-    field = res.assemble_G(jx, front, fp, geom=geom)
-    pd = res.verify_pdamp(field, 1, C=3.0, gamma_star=-0.25, trials=8)
-    hf = res.verify_hfres(field, 1, C=3.0, gamma_star=-0.25, trials=8)
-    assert (pd <= 1.0) == (hf <= 1.0)
+    sweep = res.verify_equivalence(
+        lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, [fp],
+        gamma_star=-0.25, trials=8, seed=0)
+    pd, hf = sweep.pdamp_gain[0], sweep.hfres_gain[0]
+    assert sweep.hfres_pass[0] == (hf <= sweep.constants["C"])
+    assert sweep.pdamp_pass[0] == (pd <= sweep.constants["C_pdamp"])
+    assert sweep.agreement == 1.0
+    assert (pd <= 3.0) == (hf <= 3.0)
     assert pd <= hf  # the damping bound has the extra L2 term
 
 
@@ -366,9 +389,9 @@ def test_equivalence_agreement(small_sweep):
 
 
 def test_absorption_decay(small_sweep):
-    pts = small_sweep.sweep.points
+    pts = small_sweep.points
     mags = np.array([abs(p.lam) for p in pts])
-    absorb = small_sweep.sweep.absorption
+    absorb = small_sweep.absorption
     i10 = int(np.argmin(np.abs(mags - 10.0)))
     i100 = int(np.argmin(np.abs(mags - 100.0)))
     assert absorb[i100] <= 10.0 * absorb[i10]
@@ -381,10 +404,16 @@ def test_sweep_pass_flags_deterministic(small_sweep, jx, front, geom):
 
     grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
             for tau in np.linspace(0.0, 12.0, 5)]
-    again = res.run_sweep(family, grid, s=1, gamma_star=-0.25,
-                          C=small_sweep.sweep.constants["C"], trials=4, seed=0)
+    again = res.verify_equivalence(family, 1, grid, gamma_star=-0.25,
+                                   trials=4, seed=0)
+    # the gains of a point do not depend on the rest of the grid, and the
+    # flags are the gains checked against the fitted constant
+    assert np.array_equal(again.hfres_gain, small_sweep.hfres_gain[:5])
     assert np.array_equal(again.hfres_pass,
-                          small_sweep.sweep.hfres_pass[:5])
+                          again.hfres_gain <= again.constants["C"])
+    assert np.array_equal(small_sweep.hfres_pass,
+                          small_sweep.hfres_gain
+                          <= small_sweep.constants["C"])
 
 
 def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
@@ -401,14 +430,16 @@ def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
 
     def sweep(threads):
         monkeypatch.setenv("RELAXSTAB_THREADS", threads)
-        return res.run_sweep(family, grid, s=1, gamma_star=-0.25, trials=4,
-                             seed=2)
+        return res.verify_equivalence(family, 1, grid, gamma_star=-0.25,
+                                      trials=4, seed=2)
 
     one, two = sweep("1"), sweep("2")
     for key in ("hfres_gain", "pdamp_gain", "absorption", "hfres_pass",
                 "pdamp_pass"):
         assert np.array_equal(getattr(one, key), getattr(two, key)), key
     assert one.constants == two.constants
+    assert one.bounded_ratio == two.bounded_ratio
+    assert one.absorption_exponent == two.absorption_exponent
 
 
 # ----------------------------------------------- frozen perturbation family ----
@@ -481,8 +512,9 @@ def test_sweep_evaluates_the_wave_once(jx, front, monkeypatch, threads):
         grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
                 for tau in np.linspace(0.0, 4.0, n_points)]
         calls.clear()
-        res.run_sweep(lambda fp: res.assemble_G(jx, front, fp, geom=geom),
-                      grid, s=1, gamma_star=-0.25, trials=2, seed=0)
+        res.verify_equivalence(
+            lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+            gamma_star=-0.25, trials=2, seed=0)
         counts.append(len(calls))
     # nodes: the states and the two flux-Hessian differences; limits: states
     assert counts == [4, 4]
@@ -537,11 +569,14 @@ def test_sweep_flags_singular_points_and_both_fail():
 
     grid = [res.FrequencyPoint(np.zeros(0), complex(0.0, 2.0)),
             res.FrequencyPoint(np.zeros(0), complex(1.0, 0.0))]
-    sweep = res.run_sweep(family, grid, s=0, gamma_star=-0.25, C=100.0,
-                          trials=2, seed=0)
+    sweep = res.verify_equivalence(family, 0, grid, gamma_star=-0.25,
+                                   trials=2, seed=0)
     assert len(sweep.flagged) == 1 and sweep.flagged[0][0] == 0
+    assert sweep.n_flagged == 1
     assert not sweep.hfres_pass[0] and not sweep.pdamp_pass[0]
     assert sweep.hfres_pass[1] and sweep.pdamp_pass[1]
+    assert np.array_equal(sweep.hfres_pass,
+                          sweep.hfres_gain <= sweep.constants["C"])
 
 
 def test_sweep_with_every_point_flagged_raises():
@@ -550,10 +585,9 @@ def test_sweep_with_every_point_flagged_raises():
 
     grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
             for tau in (0.0, 1.0, 2.0)]
-    for C in (None, 1.0):
-        with pytest.raises(CenterSpectrumError, match="no grid point"):
-            res.run_sweep(family, grid, s=1, gamma_star=-0.25, C=C,
-                          trials=2, seed=0)
+    with pytest.raises(CenterSpectrumError, match="no grid point"):
+        res.verify_equivalence(family, 1, grid, gamma_star=-0.25, trials=2,
+                               seed=0)
 
 
 def test_transverse_frequency_path_against_fourier_oracle():
@@ -577,7 +611,7 @@ def test_transverse_frequency_path_against_fourier_oracle():
 
     direction = np.array([1.0, 0.3, -0.2])
     f = np.exp(-(geom.x / 5.0) ** 2)[:, None] * direction[None, :]
-    v = res.solve_resolvent_bvp(field, f)
+    v = field.bvp().solve(f)
     assert field.bvp().last_residual <= 1e-8
     oracle = _fourier_oracle(field.limits[0], np.linalg.inv(A1), None, geom,
                              lambda x: np.exp(-(x / 5.0) ** 2), direction)
@@ -755,7 +789,7 @@ def test_sweep_point_gains_match_reference_kernel(jx, front, geom, lam):
         assert np.array_equal(a, b)
     s, trials, seed = 1, 4, KERNEL_SEED
 
-    gain = res.estimate_resolvent_gain(field, s, trials=trials, seed=seed + 1)
+    gain = _gain(field, s, trials=trials, seed=seed + 1)
     assert np.array_equal(gain, _reference_gain(field, ref, s, trials,
                                                 seed + 1))
 
@@ -812,8 +846,9 @@ def test_sweep_point_lapack_work(jx, front, geom, monkeypatch, threads):
     monkeypatch.setattr(res, "lu_solve", counted_solve)
     grid = [res.FrequencyPoint(np.zeros(0), lam)
             for lam in (0.5 + 15.65j, 0.5 + 60j)]
-    res.run_sweep(lambda fp: res.assemble_G(jx, front, fp, geom=geom), grid,
-                  s=1, gamma_star=-0.25, trials=4, seed=0)
+    res.verify_equivalence(
+        lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+        gamma_star=-0.25, trials=4, seed=0)
     # per point: 4 trial columns, 4 more for the gain estimate, then 10
     # power steps of an adjoint and a forward solve (the first step starts
     # from the batch's solution of the best forcing)
@@ -872,8 +907,9 @@ def test_power_iteration_solves_single_columns(jx, front, geom, monkeypatch):
     monkeypatch.setattr(res, "lu_solve", counted_solve)
     grid = [res.FrequencyPoint(np.zeros(0), lam)
             for lam in (0.5 + 15.65j, 0.5 + 60j)]
-    res.run_sweep(lambda fp: res.assemble_G(jx, front, fp, geom=geom), grid,
-                  s=1, gamma_star=-0.25, trials=4, seed=0)
+    res.verify_equivalence(
+        lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+        gamma_star=-0.25, trials=4, seed=0)
     assert counts == {"single": 2 * 20, "stacked": 2 * 8}
 
 
@@ -887,11 +923,11 @@ field = res.assemble_G(systems.jin_xin(2.0),
                        geom=res.CollocationGrid(n_nodes=161, length=50.0))
 rng = np.random.default_rng(0)
 F = rng.standard_normal((2, 161, 2)) + 1j * rng.standard_normal((2, 161, 2))
-serial = res.solve_resolvent_bvp(field, F)
+serial = field.bvp().solve(F)
 same = []
 
 def work():
-    same.append(all(np.array_equal(res.solve_resolvent_bvp(field, F), serial)
+    same.append(all(np.array_equal(field.bvp().solve(F), serial)
                     for _ in range(1500)))
 
 threads = [threading.Thread(target=work) for _ in range(2)]
