@@ -13,8 +13,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import errors
 from .dichotomy import (DichotomyData, TurningPointReport, block_diagonalize,
                         coalescence_scan, detect_turning_points,
-                        frames_to_csv, limit_spectral_split,
-                        propagate_subspaces, verify_dichotomy)
+                        limit_spectral_split, propagate_subspaces,
+                        verify_dichotomy)
 from .model import (HypothesisReport, SymbolMatrix, SystemSpec,
                     assemble_symbol, check_chf, check_geometric_regularity,
                     check_hyperbolicity, check_kawashima,
@@ -27,7 +27,7 @@ from .resolvent import (CollocationGrid, FrequencyPoint, HatNorm,
                         bump_perturbation, verify_equivalence)
 from .symmetrizer import (Certificate, LyapunovForms, SymmetrizerField,
                           assemble_symmetrizer, constant_symmetrizer,
-                          energy_estimate_check, field_to_csv, lyapunov_Q,
+                          energy_estimate_check, lyapunov_Q,
                           verify_symmetrizer)
 from .systems import (jin_xin, jin_xin_2d, make_system, partially_damped,
                       register_system, saint_venant)

@@ -26,15 +26,18 @@ from . import symmetrizer as symm
 from . import timedomain as td
 from .errors import CompatibilityError, ConfigError, RelaxstabError
 from .systems import make_system
-from .tables import write_csv
+from .tables import write_csv, write_matrix_field
 
 __all__ = ["RunConfig", "run", "report", "main", "PIPELINES"]
 
 SCHEMA_VERSION = 1
+# each names the _Runner method that runs it, with "-" for "_"
 PIPELINES = ("hypotheses", "profile", "resolvent-sweep", "dichotomy",
              "symmetrizer", "simulate", "full")
 
 REQUIRED = object()      # default of a key every config must give
+# decay rate theta of the truncation check when no symmetrizer certified one
+SIMULATION_THETA = 0.3
 
 # Every config key the CLI reads: dotted path -> (type, default), plus the
 # smallest allowed value of a count.  A type is a name in _TYPES, with "?"
@@ -48,12 +51,11 @@ OPTIONS = {
     "profile.speed": ("number?", None),       # required for a shooting profile
     "profile.L": ("positive?", None),         # null: chosen by the solver
     "profile.n_points": ("integer", 2001, 8),
-    "profile.tol_end": ("positive", 1e-8),
     "domain.length": ("positive", 50.0),
     "domain.n_nodes": ("integer", 161, 8),
     "norms.s": ("integer", 1, 0),
     "norms.alpha": ("number", 0.0),
-    "hypotheses.eta_min": ("number", 10.0),
+    "hypotheses.eta_min": ("positive", 10.0),
     "hypotheses.theta_req": ("number", 0.0),
     "resolvent.gamma_star": ("number", -0.25),
     "resolvent.trials": ("integer", 6, 1),
@@ -65,7 +67,6 @@ OPTIONS = {
     "resolvent.grid.real_ray.n": ("integer", 12, 1),
     "dichotomy.lambda": ("complex", (2.0, 0.0)),
     "dichotomy.pairs": ("integer", 50, 1),
-    "dichotomy.tol": ("positive", 1e-6),
     "dichotomy.dump_frames": ("boolean", False),
     "symmetrizer.theta_req": ("number", 0.0),
     "symmetrizer.energy_trials": ("integer", 50, 1),
@@ -75,8 +76,6 @@ OPTIONS = {
     "simulation.t_final": ("positive", 12.0),
     "simulation.L_sim": ("positive", 50.0),
     "simulation.n_points": ("integer", 601, 8),
-    "simulation.sample_every": ("integer", 5, 1),
-    "simulation.theta": ("number", 0.3),      # used without a symmetrizer
     "simulation.tau_c": ("positive", 2.0),
 }
 
@@ -268,14 +267,14 @@ class _Runner:
         if self.system.name == "jin_xin":
             p = prof.solve_profile_jinxin(
                 self.system.params["a"], w_minus[0], w_plus[0],
-                L=pc["L"], n_points=pc["n_points"], tol_end=pc["tol_end"])
+                L=pc["L"], n_points=pc["n_points"])
         elif pc["speed"] is None:
             raise ConfigError("config invalid at profile.speed: a shooting "
                               "profile needs the wave speed")
         else:
             p = prof.solve_profile_shooting(
                 self.system, w_minus, w_plus, pc["speed"], L=pc["L"],
-                n_points=pc["n_points"], tol=pc["tol_end"])
+                n_points=pc["n_points"])
         self._profile = p
         prof.save_profile(p, os.path.join(self.out, "profile.csv"))
         self.summary["results"]["profile"] = {
@@ -379,8 +378,7 @@ class _Runner:
         data = dich.propagate_subspaces(field, seed=self.cfg.seed)
         # pairs of their own: with the fit's seed the verifier would check
         # the fit's first pairs, and its decay check could not fail
-        chk = dich.verify_dichotomy(data, field,
-                                    sample_pairs=dc["pairs"], tol=dc["tol"],
+        chk = dich.verify_dichotomy(data, field, sample_pairs=dc["pairs"],
                                     seed=self.cfg.seed + 1)
         payload = {
             "ranks": list(data.ranks), "constants": data.constants,
@@ -391,7 +389,8 @@ class _Runner:
         }
         _write_json(os.path.join(self.out, "dichotomy.json"), payload)
         if dc["dump_frames"]:
-            dich.frames_to_csv(data, os.path.join(self.out, "frames.csv"))
+            write_matrix_field(os.path.join(self.out, "frames.csv"), "T",
+                               data.grid, data.frame)
         self.summary["results"]["dichotomy"] = payload
         self._dichotomy = (field, data)
         return chk.passed
@@ -411,8 +410,9 @@ class _Runner:
         payload = cert.to_dict()
         _write_json(os.path.join(self.out, "symmetrizer.json"), payload)
         if sc["dump_field"]:
-            symm.field_to_csv(S, os.path.join(self.out,
-                                              "symmetrizer_field.csv"))
+            write_matrix_field(os.path.join(self.out,
+                                            "symmetrizer_field.csv"), "S",
+                               S.grid, S.S)
         self.summary["results"]["symmetrizer"] = payload
         self._theta_cert = cert.theta_measured
         return cert.passed
@@ -428,14 +428,14 @@ class _Runner:
         sim, trace, hist = td.run_simulation(
             self.system, p, v0, t_final=mc["t_final"], L_sim=mc["L_sim"],
             n_points=mc["n_points"], s=nc["s"], alpha=nc["alpha"],
-            sample_every=mc["sample_every"], store_history=True)
+            store_history=True)
         td.trace_to_csv(trace, os.path.join(self.out, "trace.csv"),
                         config=self.cfg.raw)
         fit = td.verify_classical_damping(trace)
         slack = (td.verify_integrated_damping(trace, fit.eta, max(1.0, fit.C))
                  if fit.feasible else -np.inf)
         short = td.verify_short_time(trace)
-        theta = self._theta_cert if self._theta_cert else mc["theta"]
+        theta = self._theta_cert if self._theta_cert else SIMULATION_THETA
         cuts = td.CutoffPair(tau_c=mc["tau_c"],
                              T=float(trace.times[-1]))
         trunc = td.truncation_pipeline(hist, cuts, gamma=-abs(theta) / 2.0,
@@ -475,21 +475,12 @@ def run(config, pipeline="full", out_dir="out", verbose=False):
     except RelaxstabError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return 2
-    name_map = {
-        "hypotheses": runner.hypotheses,
-        "profile": runner.profile,
-        "resolvent-sweep": runner.resolvent_sweep,
-        "dichotomy": runner.dichotomy,
-        "symmetrizer": runner.symmetrizer,
-        "simulate": runner.simulate,
-        "full": runner.full,
-    }
-    if pipeline not in name_map:
+    if pipeline not in PIPELINES:
         print(f"usage error: unknown pipeline {pipeline!r}; "
               f"choose from {PIPELINES}", file=_sys.stderr)
         return 2
     try:
-        passed = name_map[pipeline]()
+        passed = getattr(runner, pipeline.replace("-", "_"))()
         runner.finish()
     except ConfigError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)

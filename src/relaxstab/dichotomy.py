@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (CertificateError, FrameConditioningError, NumericError,
                      TurningPointSuspectedError, WindowOverflowError)
 from .resolvent import SpectralSplit, limit_spectral_split
-from .tables import write_matrix_field
 
 solve_ivp = None  # read by perfbench/tracing.py, which wraps this name
 
@@ -61,6 +60,9 @@ __all__ = [
     "coalescence_scan",
 ]
 
+# least singular value of the decaying/growing frame before
+# propagate_subspaces suspects a turning point
+ANGLE_TOL = 1e-8
 # Magnus substeps on the longest grid interval; interval i gets
 # ceil(MAGNUS_SUBSTEPS * h_i / max h), so substeps shrink with the grid
 MAGNUS_SUBSTEPS = 32
@@ -197,7 +199,7 @@ class DichotomyData:
     block_residual: float = 0.0
 
 
-def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
+def propagate_subspaces(field, fit_pairs=24, seed=0):
     """Compute an exponential dichotomy for a coefficient field.
 
     Seeds the two invariant families from the endstate eigenbases of
@@ -221,7 +223,7 @@ def propagate_subspaces(field, angle_tol=1e-8, fit_pairs=24, seed=0):
 
     frame = np.concatenate([Ts, Tu], axis=2)      # (m, n, n)
     smin = np.linalg.svd(frame, compute_uv=False)[:, -1]
-    if np.min(smin) < angle_tol:
+    if np.min(smin) < ANGLE_TOL:
         xworst = nodes[int(np.argmin(smin))]
         raise TurningPointSuspectedError(
             f"decaying/growing subspaces nearly collide at x = {xworst:.4g} "
@@ -504,11 +506,6 @@ def coalescence_scan(symbol, x_grid, gap_tol=1e-4, ray=()):
             severity.append((g_star, c_star))
     return TurningPointReport(ray=tuple(ray), locations=tuple(locations),
                               severity=tuple(severity))
-
-
-def frames_to_csv(data, path):
-    """Dump the conjugating frame samples as CSV (for plotting)."""
-    write_matrix_field(path, "T", data.grid, data.frame)
 
 
 def detect_turning_points(sys, profile, ray, x_grid):

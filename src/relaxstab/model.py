@@ -17,6 +17,9 @@ frequency-domain machinery rests on:
   for all sufficiently large ``|eta|``, with ``E(w0) = -dr/dw(w0)``;
 * genuine coupling: no convection eigenvector annihilated by ``dr/dw``.
 
+The last two hold at equilibrium states ``w0``, where ``r(w0) = 0``; a
+system's ``relax`` decides that through :meth:`SystemSpec.is_equilibrium`.
+
 Sign convention for the dissipativity test: the Fourier-side evolution of a
 perturbation about the constant state ``w0`` is ``v_t = M(eta) v`` with
 ``M(eta) = -i T(w0, eta) - E(w0)``, so decay means ``Re sigma(M) < 0``.
@@ -66,6 +69,7 @@ CHF_N_RADII = 40
 CHF_N_DIRECTIONS = 16
 CHF_KEEP_FRACTION = 0.2   # fraction of radii kept above the threshold
 KAWASHIMA_N_DIRECTIONS = 17
+EQUILIBRIUM_TOL = 1e-10   # max|r(w)| at which w counts as an equilibrium
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ class SystemSpec:
     ``(n,)`` or a stack of states ``(..., n)`` and evaluate all of it in one
     call: ``flux_jac(w)`` returns the stacked flux Jacobians ``(..., d, n,
     n)``, ``relax_jac(w)`` returns ``dr/dw(w)`` ``(..., n, n)`` and
-    ``relax(w)`` returns ``r(w)`` itself ``(..., n)`` (needed by profile
-    solvers).  ``equilibria(w)`` decides ``r(w) = 0`` at one state.  An
+    ``relax(w)`` returns ``r(w)`` itself ``(..., n)``, which also decides
+    whether a state is an equilibrium (:meth:`is_equilibrium`).  An
     evaluator written for one state goes through :func:`per_state`.
 
     :meth:`flux_jacs`, :meth:`relax_jacobian` and :meth:`relaxation` call an
@@ -89,9 +93,7 @@ class SystemSpec:
     d: int
     flux_jac: Callable[[np.ndarray], np.ndarray]
     relax_jac: Callable[[np.ndarray], np.ndarray]
-    equilibria: Callable[[np.ndarray], bool]
     relax: Callable[[np.ndarray], np.ndarray]
-    smoothness_order: int = 3
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -129,6 +131,11 @@ class SystemSpec:
         if not np.all(np.isfinite(r)):
             raise EvaluationError("relax returned non-finite entries")
         return r
+
+    def is_equilibrium(self, w):
+        """Whether ``r(w) = 0`` at one state ``w`` ``(n,)``, that is
+        ``max|r(w)| <= EQUILIBRIUM_TOL``."""
+        return bool(np.max(np.abs(self.relaxation(w))) <= EQUILIBRIUM_TOL)
 
 
 def per_state(evaluator):
@@ -410,10 +417,12 @@ def check_chf(sys, w0, eta_min, theta_req):
     ``CHF_N_DIRECTIONS`` directions (two in one dimension) and reports the
     largest ``theta`` such that ``max Re sigma(M(eta)) <= -theta`` for all
     grid points with ``|eta| >= eta_threshold``.  Pass iff
-    ``theta >= theta_req``.
+    ``theta >= theta_req``.  ``eta_min`` must be positive.
     """
+    if not eta_min > 0:
+        raise ValueError(f"eta_min must be positive, got {eta_min}")
     w0 = np.asarray(w0, dtype=float)
-    if not sys.equilibria(w0):
+    if not sys.is_equilibrium(w0):
         raise ValueError("w0 is not an equilibrium state (r(w0) != 0)")
     E = -sys.relax_jacobian(w0)
 
@@ -460,7 +469,7 @@ def check_kawashima(sys, w0):
     above ``COUPLING_TOL``).
     """
     w0 = np.asarray(w0, dtype=float)
-    if not sys.equilibria(w0):
+    if not sys.is_equilibrium(w0):
         raise ValueError("w0 is not an equilibrium state (r(w0) != 0)")
     B = sys.relax_jacobian(w0)
     A = sys.flux_jacs(w0)

@@ -37,6 +37,9 @@ PROFILE_SCHEMA_VERSION = 1
 SEED_OFFSET = 1e-10
 # half-length of a shooting profile's grid when the caller gives none
 SHOOTING_HALF_LENGTH = 50.0
+# endstate approach a profile must reach at its ends: it picks the Jin-Xin
+# length L and bounds the shooting trajectory's closest approach to w_plus
+TOL_END = 1e-8
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -173,15 +176,14 @@ def _fit_decay_rate(grid, values, endstates):
     return float(min(rates)) if rates else 0.0
 
 
-def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001,
-                         tol_end=1e-8):
+def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001):
     """Closed-form Jin-Xin front from the scalar reduction.
 
     Speed is the Rankine-Hugoniot value ``s = (u_- + u_+)/2``; the profile of
     the first component is the logistic solution of
     ``(a^2 - s^2) u' = (u - u_-)(u - u_+)/2`` and the second component is
     slaved, ``v = s u - u_- u_+ / 2``.  If ``L`` is omitted it is chosen so
-    the endstate approach at ``+-L`` is below ``tol_end``.
+    the endstate approach at ``+-L`` is below ``TOL_END``.
     """
     u_minus, u_plus = float(u_minus), float(u_plus)
     s = 0.5 * (u_minus + u_plus)
@@ -195,7 +197,7 @@ def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001,
         values = np.tile(w0, (n_points, 1))
         derivs = np.zeros_like(values)
         return WaveProfile(grid=grid, values=values, derivs=derivs, speed=s,
-                           endstates=(w0, w0), decay_rate=0.0, tol_end=tol_end,
+                           endstates=(w0, w0), decay_rate=0.0, tol_end=TOL_END,
                            meta={"system": sys.name, "params": sys.params})
     if a <= max(abs(u_minus), abs(u_plus), abs(s)):
         raise ModelError(
@@ -207,7 +209,7 @@ def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001,
     delta = u_minus - u_plus
     kappa = delta / (2.0 * (a * a - s * s))    # tail decay rate
     if L is None:
-        L = float(np.log(delta / tol_end) / kappa)
+        L = float(np.log(delta / TOL_END) / kappa)
     grid = np.linspace(-L, L, n_points)
     u = u_plus + delta / (1.0 + np.exp(kappa * grid))
     up = (u - u_minus) * (u - u_plus) / (2.0 * (a * a - s * s))
@@ -218,13 +220,13 @@ def solve_profile_jinxin(a, u_minus, u_plus, L=None, n_points=2001,
     prof = WaveProfile(grid=grid, values=values, derivs=derivs, speed=s,
                        endstates=(w_minus, w_plus),
                        decay_rate=kappa,
-                       tol_end=max(tol_end, delta * np.exp(-kappa * L) * 1.01),
+                       tol_end=max(TOL_END, delta * np.exp(-kappa * L) * 1.01),
                        meta={"system": sys.name, "params": sys.params})
     return prof
 
 
-def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
-                           n_points=2001, anchor_value=None):
+def solve_profile_shooting(sys, w_minus, w_plus, s, L, n_points=2001,
+                           anchor_value=None):
     """Shooting solution of ``(A_1(w) - s I) w' = r(w)`` between endstates.
 
     Integrates along the unstable manifold of ``w_-`` (required
@@ -244,9 +246,9 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
     w_minus = np.asarray(w_minus, dtype=float)
     w_plus = np.asarray(w_plus, dtype=float)
     for tag, w in (("w_minus", w_minus), ("w_plus", w_plus)):
-        res = np.linalg.norm(sys.relaxation(w))
-        if res > 1e-10:
-            raise ModelError(f"{tag} is not an equilibrium: |r| = {res:.3g}")
+        if not sys.is_equilibrium(w):
+            raise ModelError(f"{tag} is not an equilibrium: max|r| = "
+                             f"{np.max(np.abs(sys.relaxation(w))):.3g}")
     scale = float(np.max(np.abs(np.concatenate([w_minus, w_plus])))) + 1.0
     eye = np.eye(sys.n)
 
@@ -259,7 +261,7 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
         values = np.tile(w_minus, (n_points, 1))
         return WaveProfile(grid=grid, values=values, derivs=np.zeros_like(values),
                            speed=float(s), endstates=(w_minus, w_minus),
-                           decay_rate=0.0, tol_end=tol,
+                           decay_rate=0.0, tol_end=TOL_END,
                            meta={"system": sys.name, "params": sys.params})
 
     # unstable direction at w_-
@@ -307,7 +309,7 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
     samples = sol.sol(np.linspace(0.0, t_end, 2000))
     dist = np.linalg.norm(samples - w_plus[:, None], axis=0)
     min_dist = float(dist.min())
-    if min_dist > tol * max(1.0, jump):
+    if min_dist > TOL_END * max(1.0, jump):
         raise ConvergenceError(
             "no connection to w_plus found (closest approach "
             f"{min_dist:.3g})", residual=min_dist)
@@ -342,8 +344,8 @@ def solve_profile_shooting(sys, w_minus, w_plus, s, L, tol=1e-8,
                        endstates=(w_minus, w_plus),
                        decay_rate=_fit_decay_rate(grid, values,
                                                   (w_minus, w_plus)),
-                       tol_end=tol, meta={"system": sys.name,
-                                          "params": sys.params})
+                       tol_end=TOL_END, meta={"system": sys.name,
+                                              "params": sys.params})
     return prof
 
 

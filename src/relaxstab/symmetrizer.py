@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (CertificateError, FrameConditioningError, NumericError,
                      StabilityError)
-from .tables import write_matrix_field
 
 solve_ivp = None  # read by perfbench/tracing.py, which wraps this name
 
@@ -288,11 +287,6 @@ def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0):
                        energy_check=energy, passed=passed,
                        theta_req=theta_req, worst_node=float(geom.x[i]),
                        hermitian_defect=defect, provenance=S.provenance)
-
-
-def field_to_csv(S, path):
-    """Dump the symmetrizer samples as CSV (for plotting)."""
-    write_matrix_field(path, "S", S.grid, S.S)
 
 
 def energy_estimate_check(S, field, trials, theta, C0, seed=0):

@@ -17,7 +17,8 @@ Provided systems:
                         construction.
 
 Every evaluator takes one state ``(n,)`` or a stack ``(..., n)`` (see
-:class:`~relaxstab.model.SystemSpec`).  Custom systems register through
+:class:`~relaxstab.model.SystemSpec`), and a state is an equilibrium of a
+system where its ``relax`` vanishes.  Custom systems register through
 :func:`register_system`.
 """
 
@@ -70,12 +71,8 @@ def jin_xin(a=2.0):
         u = w[..., 0]
         return _entries(w, (2,), [0.0, 0.5 * (u * u) - w[..., 1]])
 
-    def equilibria(w):
-        return abs(0.5 * w[0] ** 2 - w[1]) < 1e-10
-
     return SystemSpec(n=2, d=1, flux_jac=flux_jac, relax_jac=relax_jac,
-                      equilibria=equilibria, relax=relax,
-                      name="jin_xin", params={"a": float(a)})
+                      relax=relax, name="jin_xin", params={"a": float(a)})
 
 
 def jin_xin_2d(a=2.0):
@@ -99,13 +96,8 @@ def jin_xin_2d(a=2.0):
         f = 0.5 * (u * u)
         return _entries(w, (3,), [0.0, f - w[..., 1], f - w[..., 2]])
 
-    def equilibria(w):
-        f = 0.5 * w[0] ** 2
-        return abs(f - w[1]) < 1e-10 and abs(f - w[2]) < 1e-10
-
     return SystemSpec(n=3, d=2, flux_jac=flux_jac, relax_jac=relax_jac,
-                      equilibria=equilibria, relax=relax,
-                      name="jin_xin_2d", params={"a": float(a)})
+                      relax=relax, name="jin_xin_2d", params={"a": float(a)})
 
 
 def saint_venant(froude=1.5):
@@ -137,13 +129,9 @@ def saint_venant(froude=1.5):
         h, q = w[..., 0], w[..., 1]
         return _entries(w, (2,), [0.0, h - (q * q) / (h * h)])
 
-    def equilibria(w):
-        h, q = w
-        return abs(h - q ** 2 / h ** 2) < 1e-10
-
     return SystemSpec(n=2, d=1, flux_jac=flux_jac, relax_jac=relax_jac,
-                      equilibria=equilibria, relax=relax,
-                      name="saint_venant", params={"froude": float(froude)})
+                      relax=relax, name="saint_venant",
+                      params={"froude": float(froude)})
 
 
 def partially_damped(a=2.0, c=1.0):
@@ -162,12 +150,9 @@ def partially_damped(a=2.0, c=1.0):
         u = w[..., 0]
         return _entries(w, (3,), [0.0, 0.5 * (u * u) - w[..., 1], 0.0])
 
-    def equilibria(w):
-        return abs(0.5 * w[0] ** 2 - w[1]) < 1e-10
-
     return SystemSpec(n=3, d=1, flux_jac=flux_jac, relax_jac=relax_jac,
-                      equilibria=equilibria, relax=relax,
-                      name="partially_damped", params={"a": float(a), "c": float(c)})
+                      relax=relax, name="partially_damped",
+                      params={"a": float(a), "c": float(c)})
 
 
 SYSTEM_REGISTRY = {

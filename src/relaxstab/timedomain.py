@@ -62,6 +62,7 @@ N_ETA = 200
 C_CAP = 50.0              # cap on the damping constant C
 DAMPING_SLACK = 1e-9      # allowed violation where L2 + f vanishes, relative
 TRUNCATION_CAP = 1e8      # cap on every truncation_pipeline constant
+SHORT_TIME_CAP = 1e8      # verify_short_time refutes a larger C
 
 
 @dataclass(eq=False)
@@ -299,7 +300,8 @@ def verify_classical_damping(trace):
     capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
     refutation carrying the witness sample.  A trace of fewer than 5
     samples raises :class:`CertificateError`: it cannot be differenced; so
-    does a non-finite energy sample, which no comparison would reject.
+    does a non-finite energy sample, which no comparison would reject, and
+    an energy that is zero at every sample, which every rate would fit.
     """
     t = trace.times
     if t.size < 5:
@@ -311,6 +313,10 @@ def verify_classical_damping(trace):
         raise CertificateError(
             f"energy sample {int(bad[0])} (t = {t[bad[0]]:.6g}) is not "
             "finite")
+    if not np.any(trace.E_values):
+        raise CertificateError(
+            "energy is zero at every sample; a zero perturbation shows no "
+            "decay to fit")
     idx = np.arange(1, t.size - 1)
     Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
         t[idx + 1] - t[idx - 1])
@@ -361,8 +367,9 @@ class ShortTimeFit:
     refuted: bool
 
 
-def verify_short_time(trace, cap=1e8):
-    """Smallest ``C`` with ``E(t) <= C (E(0) + int_0^t f)`` along the trace."""
+def verify_short_time(trace):
+    """Smallest ``C`` with ``E(t) <= C (E(0) + int_0^t f)`` along the trace;
+    refuted when it is not finite or exceeds ``SHORT_TIME_CAP``."""
     t = trace.times
     acc = np.concatenate([[0.0], np.cumsum(
         0.5 * (trace.f_values[1:] + trace.f_values[:-1]) * np.diff(t))])
@@ -371,7 +378,8 @@ def verify_short_time(trace, cap=1e8):
         ratios = np.where(denom > 0, trace.E_values / np.maximum(denom, 1e-300),
                           np.where(trace.E_values > 0, np.inf, 0.0))
     C = float(np.max(ratios))
-    return ShortTimeFit(C_short=C, refuted=not np.isfinite(C) or C > cap)
+    return ShortTimeFit(C_short=C,
+                        refuted=not np.isfinite(C) or C > SHORT_TIME_CAP)
 
 
 def _smootherstep(u):

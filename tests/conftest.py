@@ -72,6 +72,5 @@ def transport_system(A_stack, n, d=1):
         n=n, d=d,
         flux_jac=per_state(lambda w: A),
         relax_jac=per_state(lambda w: np.zeros((n, n))),
-        equilibria=lambda w: True,
         relax=per_state(lambda w: np.zeros(n)),
         name="transport")

@@ -102,6 +102,19 @@ BAD_INPUTS = {
     "retired-threads-key": (
         _run_argv(lambda c: c["resolvent"].update(threads=2)),
         "resolvent.threads"),
+    # keys that every config left at one value, now constants
+    "retired-tol-end-key": (
+        _run_argv(lambda c: c["profile"].update(tol_end=1e-8)),
+        "profile.tol_end"),
+    "retired-dichotomy-tol-key": (
+        _run_argv(lambda c: c["dichotomy"].update(tol=1e-6)),
+        "dichotomy.tol"),
+    "retired-sample-every-key": (
+        _run_argv(lambda c: c["simulation"].update(sample_every=5)),
+        "simulation.sample_every"),
+    "retired-theta-key": (
+        _run_argv(lambda c: c["simulation"].update(theta=0.3)),
+        "simulation.theta"),
     "negative-length": (_run_argv(lambda c: c["domain"].update(length=-20)),
                         "domain.length"),
     "bool-for-number": (_run_argv(lambda c: c["norms"].update(alpha=True)),
@@ -122,6 +135,12 @@ BAD_INPUTS = {
     "re-lambda-below-floor": (
         _run_argv(lambda c: c["resolvent"]["grid"].update(re_lambda=-20)),
         "resolvent.grid.re_lambda"),
+    "zero-eta-min": (
+        _run_argv(lambda c: c["hypotheses"].update(eta_min=0)),
+        "hypotheses.eta_min"),
+    "negative-eta-min": (
+        _run_argv(lambda c: c["hypotheses"].update(eta_min=-10.0)),
+        "hypotheses.eta_min"),
     "three-part-lambda": (
         _run_argv(lambda c: c["dichotomy"].update({"lambda": [1, 2, 3]})),
         "dichotomy.lambda"),
@@ -395,6 +414,19 @@ def test_retired_simulation_mode_is_usage_error(tmp_path, capsys, mode):
     assert "Traceback" not in err
 
 
+def test_zero_amplitude_simulation_is_typed_failure(tmp_path, capsys):
+    # a zero perturbation has zero energy at every sample: no damping to
+    # certify, so exit code 3 and one message line, not a passing verdict
+    data = small_config()
+    data["simulation"]["amplitude"] = 0
+    cfg = cli.RunConfig.from_dict(data)
+    assert cli.run(cfg, pipeline="simulate", out_dir=str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure in simulate: energy is zero")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o" / "simulate.json").exists()
+
+
 def test_short_simulation_is_typed_failure(tmp_path, capsys):
     # a run too short to difference its energy trace ends with exit code 3
     # and one message line, not a traceback
@@ -555,7 +587,6 @@ sys2 = systems.SystemSpec(
     flux_jac=model.per_state(
         lambda w: np.stack([np.eye(2), [[0.0, 1.0], [w[0], 0.0]]])),
     relax_jac=model.per_state(lambda w: np.zeros((2, 2))),
-    equilibria=lambda w: True,
     relax=model.per_state(lambda w: np.zeros(2)), name="synthetic")
 grid = np.linspace(-10.0, 10.0, 201)
 th = np.tanh(grid - 1.2345)

@@ -155,7 +155,6 @@ def test_per_state_wrong_shape_is_evaluation_error():
     # a one-state evaluator without the wrapper fails on a stack
     bare = model.SystemSpec(n=2, d=1, flux_jac=lambda w: A,
                             relax_jac=lambda w: np.zeros((2, 2)),
-                            equilibria=lambda w: True,
                             relax=lambda w: np.zeros(2))
     assert np.array_equal(bare.flux_jacs(w[0]), A)
     with pytest.raises(EvaluationError, match="flux_jac returned shape"):
@@ -216,7 +215,6 @@ def _system(flux_jac, relax_jac):
     """A system from one-state evaluators."""
     return model.SystemSpec(n=2, d=1, flux_jac=model.per_state(flux_jac),
                             relax_jac=model.per_state(relax_jac),
-                            equilibria=lambda w: True,
                             relax=model.per_state(lambda w: np.zeros(2)))
 
 
@@ -255,7 +253,6 @@ def test_nonfinite_flux_names_the_component():
     sys = model.SystemSpec(
         n=2, d=2, flux_jac=model.per_state(lambda w: _bad_at(w, A, bad)),
         relax_jac=model.per_state(lambda w: np.zeros((2, 2))),
-        equilibria=lambda w: True,
         relax=model.per_state(lambda w: np.zeros(2)))
     with pytest.raises(EvaluationError, match="A_2"):
         sys.flux_jacs(np.array([[0.1, 0.0], [0.5, 0.0]]))
@@ -285,7 +282,6 @@ def test_registered_per_point_factory_round_trip(jx, front):
         return model.SystemSpec(
             n=2, d=1, flux_jac=model.per_state(flux_jac),
             relax_jac=model.per_state(relax_jac),
-            equilibria=lambda w: abs(0.5 * w[0] ** 2 - w[1]) < 1e-10,
             relax=model.per_state(
                 lambda w: np.array([0.0, 0.5 * w[0] ** 2 - w[1]])),
             name="per_point_jin_xin")

@@ -449,7 +449,7 @@ def test_polar_matches_scipy(front_field, monkeypatch):
         assert np.array_equal(fn(a), polar(a)[0])
 
 
-def test_engineered_subspace_collision_raises():
+def test_engineered_subspace_collision_raises(monkeypatch):
     # frame with angle dipping to ~1e-9 at x = 0; Lambda = diag(-1, 1)
     eps = 1e-9
 
@@ -474,8 +474,9 @@ def test_engineered_subspace_collision_raises():
     field.G_at = G_at
     field.G_nodes = np.stack([G_at(float(x)) for x in geom.x])
     field.limits = (G_at(-geom.length), G_at(geom.length))
+    monkeypatch.setattr(dich, "ANGLE_TOL", 1e-6)
     with pytest.raises(TurningPointSuspectedError):
-        dich.propagate_subspaces(field, fit_pairs=4, angle_tol=1e-6)
+        dich.propagate_subspaces(field, fit_pairs=4)
 
 
 # ------------------------------------------------------- block diagonals ----
@@ -558,7 +559,7 @@ def test_detect_turning_points_variable_symbol():
     sys = systems.SystemSpec(
         n=2, d=2, flux_jac=per_state(flux_jac),
         relax_jac=per_state(lambda w: np.zeros((2, 2))),
-        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
+        relax=per_state(lambda w: np.zeros(2)),
         name="synthetic")
     grid = np.linspace(-10.0, 10.0, 201)
     u = np.tanh(grid - 1.2345)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,7 +51,6 @@ def test_symbol_nonfinite_jacobian_names_component():
         n=2, d=1,
         flux_jac=per_state(lambda w: np.array([[[np.nan, 0.0], [0.0, 0.0]]])),
         relax_jac=per_state(lambda w: np.zeros((2, 2))),
-        equilibria=lambda w: True,
         relax=per_state(lambda w: np.zeros(2)))
     with pytest.raises(EvaluationError, match="A_1"):
         model.assemble_symbol(bad, [0.0, 0.0], [1.0])
@@ -203,6 +205,40 @@ def test_chf_requires_equilibrium(jx):
         model.check_chf(jx, [1.0, 0.0], eta_min=10.0, theta_req=0.1)
 
 
+@pytest.mark.parametrize("sys, w0", [
+    (systems.jin_xin(2.0), [1.0, 0.0]),
+    (systems.jin_xin_2d(2.0), [1.0, 0.5, 0.0]),     # only r_3 is nonzero
+    (systems.saint_venant(1.5), [1.0, 1.5]),
+    (systems.partially_damped(2.0, 1.0), [1.0, 0.0, 0.0]),
+], ids=["jin_xin", "jin_xin_2d", "saint_venant", "partially_damped"])
+def test_endstate_checks_reject_nonzero_relax(sys, w0):
+    # relax alone decides r(w0) = 0
+    assert np.max(np.abs(sys.relaxation(w0))) > model.EQUILIBRIUM_TOL
+    assert not sys.is_equilibrium(w0)
+    with pytest.raises(ValueError, match="equilibrium"):
+        model.check_chf(sys, w0, eta_min=10.0, theta_req=0.1)
+    with pytest.raises(ValueError, match="equilibrium"):
+        model.check_kawashima(sys, w0)
+
+
+def test_equilibrium_test_is_max_norm_at_tolerance():
+    # r = (0, 9e-11, 9e-11): 2-norm 1.27e-10, max-norm 9e-11
+    jx2 = systems.jin_xin_2d(2.0)
+    assert jx2.is_equilibrium([0.0, -9e-11, -9e-11])
+    assert not jx2.is_equilibrium([0.0, -2e-10, 0.0])
+    jx = systems.jin_xin(2.0)
+    assert jx.is_equilibrium([1.0, 0.5 - 5e-11])
+    assert not jx.is_equilibrium([1.0, 0.5 - 5e-10])
+
+
+@pytest.mark.parametrize("eta_min", [0.0, -10.0])
+def test_chf_rejects_nonpositive_eta_min(jx, eta_min):
+    # zero would end in geomspace's error, a negative value would run as
+    # |eta_min|
+    with pytest.raises(ValueError, match="eta_min must be positive"):
+        model.check_chf(jx, [0.0, 0.0], eta_min=eta_min, theta_req=0.1)
+
+
 def test_chf_iff_subcharacteristic_sweep():
     # pass exactly when |f'(u0)| = |u0| < a, swept over equilibria
     a = 2.0
@@ -280,6 +316,24 @@ def test_run_hypotheses_front(jx, front):
     assert rep.chf_pass and rep.kawashima_pass
     assert rep.passed
     assert 0.2 < rep.chf_theta <= 0.25 + 1e-9
+
+
+def test_readme_custom_system_runs_hypotheses(jx, front, monkeypatch):
+    # the README's custom-system example as written there: relax alone
+    # decides which states are equilibria
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = next(block for block in re.findall(r"```python\n(.*?)```",
+                                                 readme, re.S)
+                   if "register_system(" in block)
+    assert "equilibria" not in example
+    monkeypatch.setattr(systems, "SYSTEM_REGISTRY",
+                        dict(systems.SYSTEM_REGISTRY))
+    exec(example, {})
+    custom = systems.make_system("my_system", {"a": 2.0})
+    rep = model.run_hypotheses(custom, front, eta_min=10.0, theta_req=0.2)
+    assert rep.passed and rep.kawashima_pass
+    assert rep == model.run_hypotheses(jx, front, eta_min=10.0,
+                                       theta_req=0.2)
 
 
 def test_reports_are_deterministic(jx, front):

@@ -214,7 +214,7 @@ def test_constant_symmetrizer_normal_case():
     sys = systems.SystemSpec(
         n=2, d=1, flux_jac=per_state(lambda w: A[None]),
         relax_jac=per_state(lambda w: -th * np.eye(2)),
-        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
+        relax=per_state(lambda w: np.zeros(2)),
         name="normal")
     S = symm.constant_symmetrizer(sys, [0.0, 0.0], [3.0])
     assert np.allclose(S.S[0], np.eye(2), atol=1e-12)
@@ -270,7 +270,7 @@ def test_constant_symmetrizer_defective_raises():
     sys = systems.SystemSpec(
         n=2, d=1, flux_jac=per_state(lambda w: A[None]),
         relax_jac=per_state(lambda w: np.zeros((2, 2))),
-        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
+        relax=per_state(lambda w: np.zeros(2)),
         name="nilpotent")
     with pytest.raises(FrameConditioningError):
         symm.constant_symmetrizer(sys, [0.0, 0.0], [1.0])

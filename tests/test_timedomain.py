@@ -41,7 +41,7 @@ def test_blowup_raises(front):
         n=2, d=1,
         flux_jac=per_state(lambda w: np.array([[[0.0, 1.0], [4.0, 0.0]]])),
         relax_jac=per_state(lambda w: 6.0 * np.eye(2)),
-        equilibria=lambda w: True, relax=per_state(lambda w: np.zeros(2)),
+        relax=per_state(lambda w: np.zeros(2)),
         name="antidamped")
     v0 = td.gaussian_initial_data([1.0, 0.0], amplitude=1.0, width=3.0)
     with pytest.raises(InstabilityError):
@@ -246,6 +246,16 @@ def test_damping_growing_trace_refuted():
     assert fit.refuted_at >= 0
 
 
+def test_damping_zero_trace_rejected():
+    # every rate fits an energy that is zero throughout; no verdict on it
+    t = np.linspace(0.0, 5.0, 100)
+    zero = np.zeros(100)
+    trace = td.EnergyTrace(times=t, E_values=zero, L2_values=zero,
+                           f_values=zero)
+    with pytest.raises(CertificateError, match="zero at every sample"):
+        td.verify_classical_damping(trace)
+
+
 def test_damping_short_trace_rejected():
     t = np.linspace(0.0, 1.0, 3)
     trace = td.EnergyTrace(times=t, E_values=np.ones(3),
@@ -365,7 +375,7 @@ def test_short_time_blowup_refuted():
     t = np.linspace(0.0, 5.0, 100)
     trace = td.EnergyTrace(times=t, E_values=np.exp(20 * t),
                            L2_values=np.zeros(100), f_values=np.zeros(100))
-    fit = td.verify_short_time(trace, cap=1e8)
+    fit = td.verify_short_time(trace)
     assert fit.refuted
 
 
