@@ -14,7 +14,7 @@ import math
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -407,7 +407,7 @@ class _Runner:
                                        theta_req=sc["theta_req"],
                                        energy_trials=sc["energy_trials"],
                                        seed=self.cfg.seed)
-        payload = cert.to_dict()
+        payload = asdict(cert)
         _write_json(os.path.join(self.out, "symmetrizer.json"), payload)
         if sc["dump_field"]:
             write_matrix_field(os.path.join(self.out,
@@ -446,7 +446,7 @@ class _Runner:
             "damping": {"eta": fit.eta, "C": fit.C, "feasible": fit.feasible},
             "integrated_slack": slack,
             "short_time_C": short.C_short,
-            "truncation": trunc.to_dict(),
+            "truncation": asdict(trunc),
             "boundary_ok": sim.boundary_ok(),
             "passed": passed,
         }

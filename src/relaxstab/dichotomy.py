@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (CertificateError, FrameConditioningError, NumericError,
                      TurningPointSuspectedError, WindowOverflowError)
+from .model import _coalescences
 from .resolvent import SpectralSplit, limit_spectral_split
 
 solve_ivp = None  # read by perfbench/tracing.py, which wraps this name
@@ -70,9 +71,8 @@ MAGNUS_SUBSTEPS = 32
 DECAY_SLACK = 2.0
 # condition-number cap of the conjugating frame in block_diagonalize
 FRAME_COND_CAP = 1e10
-# coalescence_scan: eigenvector condition cap and sub-grid refinement tolerance
+# eigenvector condition cap of coalescence_scan and detect_turning_points
 COALESCENCE_COND_CAP = 1e4
-REFINE_TOL = 1e-10
 # eigenvalue-gap tolerance of detect_turning_points
 TURNING_GAP_TOL = 1e-3
 
@@ -463,49 +463,26 @@ class TurningPointReport:
     severity: tuple              # (eigenvalue gap, eigenvector condition) per hit
 
 
+def _turning_report(T, family, x_grid, gap_tol, ray):
+    flags = _coalescences(T, family, x_grid, gap_tol, COALESCENCE_COND_CAP)[3]
+    return TurningPointReport(ray=tuple(ray),
+                              locations=tuple(f[1] for f in flags),
+                              severity=tuple(f[2:] for f in flags))
+
+
 def coalescence_scan(symbol, x_grid, gap_tol=1e-4, ray=()):
     """Scan a matrix-valued map for eigenvalue coalescence with degeneration.
 
-    A location is reported when, after sub-grid refinement (to
-    ``REFINE_TOL``) of a local gap minimum, the eigenvalue separation falls
-    below ``gap_tol`` *and* the eigenvector matrix condition number exceeds
-    ``COALESCENCE_COND_CAP``.  Crossings with
+    A location is reported where the eigenvalue separation falls below
+    ``gap_tol`` *and* the eigenvector matrix condition number exceeds
+    ``COALESCENCE_COND_CAP``, at a grid point or after sub-grid refinement
+    of a local gap minimum; the test is the regularity check's
+    (:func:`relaxstab.model._coalescences`).  Crossings with
     well-conditioned eigenvectors are ignored.
     """
-    from scipy.optimize import minimize_scalar
     x_grid = np.asarray(x_grid, dtype=float)
-
-    def gap_cond(x):
-        T = symbol(float(x))
-        mu, V = np.linalg.eig(T)
-        nsz = mu.size
-        if nsz < 2:
-            return np.inf, 1.0
-        diffs = np.abs(mu[None, :] - mu[:, None])
-        g = float(np.min(diffs[~np.eye(nsz, dtype=bool)]))
-        return g, float(np.linalg.cond(V))
-
-    gaps = np.array([gap_cond(x)[0] for x in x_grid])
-    locations, severity = [], []
-    for i in range(1, x_grid.size - 1):
-        is_min = gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1]
-        strict = gaps[i] < gaps[i - 1] or gaps[i] < gaps[i + 1]
-        # plateaus (constant fields) produce no strict dip and are skipped
-        if not (is_min and (strict or gaps[i] < gap_tol)):
-            continue
-        resu = minimize_scalar(lambda x: gap_cond(x)[0],
-                               bounds=(x_grid[i - 1], x_grid[i + 1]),
-                               method="bounded",
-                               options={"xatol": REFINE_TOL})
-        g_star, c_star = gap_cond(resu.x)
-        if g_star < gap_tol and c_star > COALESCENCE_COND_CAP:
-            if locations and abs(resu.x - locations[-1]) < 2 * (
-                    x_grid[i] - x_grid[i - 1]):
-                continue
-            locations.append(float(resu.x))
-            severity.append((g_star, c_star))
-    return TurningPointReport(ray=tuple(ray), locations=tuple(locations),
-                              severity=tuple(severity))
+    T = np.stack([symbol(float(x)) for x in x_grid])
+    return _turning_report(T, symbol, x_grid, gap_tol, ray)
 
 
 def detect_turning_points(sys, profile, ray, x_grid):
@@ -513,7 +490,8 @@ def detect_turning_points(sys, profile, ray, x_grid):
 
     ``ray = (eta_1, ..., eta_{d-1}, tau)`` is normalized internally; the
     principal part is ``-A_1^{-1} (sum_j i eta_j A_{j+1} + i tau I)`` with
-    ``A_1`` co-moving.  The scan uses the gap tolerance ``TURNING_GAP_TOL``.
+    ``A_1`` co-moving, evaluated on the whole grid in one stacked pass.  The
+    scan uses the gap tolerance ``TURNING_GAP_TOL``.
     """
     ray = np.asarray(ray, dtype=float)
     if ray.size != sys.d:
@@ -525,14 +503,11 @@ def detect_turning_points(sys, profile, ray, x_grid):
     eta, tau = ray[:-1], ray[-1]
     eye = np.eye(sys.n)
 
-    def symbol(x):
-        w, _ = profile.sample(x)
-        A = sys.flux_jacs(w)
-        A1 = A[0] - profile.speed * eye
-        core = 1j * tau * eye.astype(complex)
-        for jj, etaj in enumerate(eta):
-            core = core + 1j * etaj * A[jj + 1]
-        return -np.linalg.solve(A1, core)
+    def symbols(xs):
+        A = sys.flux_jacs(profile.sample_many(xs)[0])
+        core = 1j * (tau * eye + np.tensordot(eta, A[:, 1:], axes=(0, 1)))
+        return -np.linalg.solve(A[:, 0] - profile.speed * eye, core)
 
-    return coalescence_scan(symbol, x_grid, gap_tol=TURNING_GAP_TOL,
-                            ray=tuple(ray))
+    x_grid = np.asarray(x_grid, dtype=float)
+    return _turning_report(symbols(x_grid), lambda x: symbols([x])[0],
+                           x_grid, TURNING_GAP_TOL, ray)

@@ -12,7 +12,9 @@ frequency-domain machinery rests on:
 * noncharacteristicity: ``A_1 - s*I`` uniformly invertible along a wave;
 * hyperbolicity: real, semisimple convection spectrum;
 * geometric regularity: eigenvalues/eigenvectors vary smoothly with the
-  frequency direction (tested by continuation along a sphere loop);
+  frequency direction (no coalescence with a degenerating eigenbasis over
+  a loop of directions; the turning-point scan of
+  :mod:`relaxstab.dichotomy` shares the test);
 * high-frequency dissipativity: ``Re sigma(-i T(w0,eta) - E(w0)) <= -theta``
   for all sufficiently large ``|eta|``, with ``E(w0) = -dr/dw(w0)``;
 * genuine coupling: no convection eigenvector annihilated by ``dr/dw``.
@@ -60,7 +62,9 @@ A1_DELTA = 1e-8           # singular-value margin for noncharacteristicity
 IMAG_TOL = 1e-8           # |Im| cap on hyperbolic spectra
 COND_CAP = 1e8            # eigenvector condition cap (semisimplicity proxy)
 GAP_TOL = 1e-6            # eigenvalue-separation tolerance for regularity
-PROJECTOR_CAP = 1e6       # individual spectral-projector norm cap
+REGULARITY_COND_CAP = 1e6   # cond(V) cap for regularity; bounds each projector
+REGULARITY_N_DIRECTIONS = 181   # directions on the regularity half loop
+REFINE_TOL = 1e-12        # coalescence refinement, per unit bracket width
 COUPLING_TOL = 1e-8       # genuine-coupling norm threshold
 FD_STEP = 6e-6            # relative step of the flux-Hessian differences
 # dissipativity scan: radii eta_min .. CHF_ETA_MAX_FACTOR * eta_min
@@ -269,8 +273,8 @@ def check_hyperbolicity(sys, w, eta_samples):
                                failures=tuple(failures))
 
 
-def sphere_loop(d, n_points=181):
-    """Default direction path for the regularity check.
+def sphere_loop(d, n_points):
+    """Direction samples of the dissipativity and coupling scans.
 
     For ``d == 1`` the unit sphere is two points.  Otherwise the path is a
     half circle in the first two directions, which for ``d == 2`` suffices
@@ -285,120 +289,124 @@ def sphere_loop(d, n_points=181):
     return path
 
 
+def _gaps(mu):
+    """Smallest pairwise distance within each eigenvalue set ``(..., n)``;
+    ``inf`` for ``n == 1``."""
+    diffs = np.abs(mu[..., None, :] - mu[..., :, None])
+    k = np.arange(mu.shape[-1])
+    diffs[..., k, k] = np.inf
+    return np.min(diffs, axis=(-2, -1))
+
+
+def _coalescences(T, family, params, gap_tol, cap):
+    """Coalescence scan of a one-parameter matrix family.
+
+    ``T`` ``(K, n, n)`` holds ``family(p)`` at the ascending ``params``
+    ``(K,)``; one stacked eigensolve gives each sample's eigenvalue gap and
+    eigenvector condition number ``cond(V)``.  Every interior local minimum
+    of the gap that is strict, or below ``gap_tol``, is refined by a bounded
+    scalar search between its neighbours, to ``REFINE_TOL`` times the
+    bracket width.  A sample or refined point is flagged when its gap is
+    below ``gap_tol`` *and* ``cond(V)`` exceeds ``cap``, a multiplicity
+    change with a degenerating eigenbasis; crossings with well-conditioned
+    eigenvectors pass.  Flags within two samples of each other merge into
+    the one with the largest ``cond(V)``.
+
+    Returns the sampled eigenvalues ``(K, n)``, gaps and condition numbers
+    ``(K,)``, and the flags ``(sample index, parameter, gap, cond)``.
+    """
+    mu, V = np.linalg.eig(T)
+    gap, cond = _gaps(mu), np.linalg.cond(V)
+    flags = [(i, float(params[i]), float(gap[i]), float(cond[i]))
+             for i in range(len(params))]
+    for i in range(1, len(params) - 1):
+        near = gap[[i - 1, i + 1]]
+        if not (gap[i] <= near.min()
+                and (gap[i] < near.max() or gap[i] < gap_tol)):
+            continue
+        from scipy.optimize import minimize_scalar
+        lo, width = params[i - 1], params[i + 1] - params[i - 1]
+        best = minimize_scalar(
+            lambda t: _gaps(np.linalg.eigvals(family(lo + t * width))),
+            bounds=(0.0, 1.0), method="bounded",
+            options={"xatol": REFINE_TOL})
+        p = float(lo + best.x * width)
+        mu_p, V_p = np.linalg.eig(family(p))
+        flags.append((i, p, float(_gaps(mu_p)), float(np.linalg.cond(V_p))))
+    events = []
+    for f in sorted((f for f in flags if f[2] < gap_tol and f[3] > cap),
+                    key=lambda f: f[0]):
+        if events and f[0] <= events[-1][-1][0] + 2:
+            events[-1].append(f)
+        else:
+            events.append([f])
+    return mu, gap, cond, [max(ev, key=lambda f: f[3]) for ev in events]
+
+
 @dataclass(frozen=True)
 class RegularityResult:
     passed: bool
-    coalescence: tuple      # flagged (index, eta, gap, projector_norm)
+    coalescence: tuple      # flagged (index, eta, gap, cond)
     min_gap: float
-    max_projector: float
+    max_cond: float
 
 
-def _projector_norms(T):
-    """Individual spectral projector norms |v_i| |l_i| from one eigensolve."""
-    mu, V = np.linalg.eig(T)
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return mu, np.full(mu.shape, np.inf)
-    norms = np.linalg.norm(V, axis=0) * np.linalg.norm(W, axis=1)
-    return mu, norms
+def check_geometric_regularity(sys, w):
+    """Coalescence scan of ``T(w, eta)`` over the frequency directions.
 
+    For ``d >= 2`` the direction ``eta = (cos phi, sin phi, 0, ...)`` runs
+    over ``phi = pi k / N`` for ``k = -1 .. N``, ``N =
+    REGULARITY_N_DIRECTIONS``.  The half loop suffices since ``T(w, -eta)
+    = -T(w, eta)``, and its two end samples repeat the loop across the wrap
+    point ``phi = 0 = pi``, so every loop direction is an interior sample
+    and refinement is linear in ``phi``.  For ``d == 1`` the one direction
+    ``eta = 1`` is read: ``eta = -1`` negates the symbol, with the same
+    gaps and condition numbers.
 
-def _slerp(u, v, t):
-    """Great-circle interpolation between unit vectors."""
-    dot = float(np.clip(np.dot(u, v), -1.0, 1.0))
-    ang = np.arccos(dot)
-    if ang < 1e-14:
-        return u
-    return (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
-
-
-def _gap_proj(A, eta):
-    """Eigenvalue gap and largest projector norm of the symbol of ``A``."""
-    mu, proj = _projector_norms(_symbols(A, eta))
-    n = mu.size
-    if n < 2:
-        return np.inf, float(np.max(proj)), mu, proj
-    diffs = np.abs(mu[None, :] - mu[:, None])
-    gap = float(np.min(diffs[~np.eye(n, dtype=bool)]))
-    return gap, float(np.max(proj)), mu, proj
-
-
-def check_geometric_regularity(sys, w, sphere_path=None):
-    """Track eigenvalue branches of ``T(w, eta)`` along a direction loop.
-
-    Local minima of the eigenvalue separation along the path are refined on
-    the sphere; a refined direction is flagged when the separation collapses
-    below ``GAP_TOL`` *while* individual spectral projectors blow up past
-    ``PROJECTOR_CAP``, signalling a genuine multiplicity change.  Crossings
-    with bounded projectors (constant multiplicity) pass.
+    A direction is flagged (:func:`_coalescences`) when the eigenvalue gap
+    falls below ``GAP_TOL`` *while* ``cond(V)`` exceeds ``REGULARITY_COND_CAP``,
+    a genuine multiplicity change; ``cond(V)`` bounds every spectral
+    projector norm ``|v_i| |l_i|``.  Eigenvalue branches are continued from
+    sample to sample by nearest matching, and an ambiguous match raises
+    :class:`PathResolutionError`.
     """
-    if sphere_path is None:
-        sphere_path = sphere_loop(sys.d)
-    path = np.atleast_2d(np.asarray(sphere_path, dtype=float))
-    if path.shape[0] < 2:
-        raise ValueError("sphere_path needs at least two points")
-
     A = sys.flux_jacs(w)
-    gaps = np.empty(path.shape[0])
-    projs = np.empty(path.shape[0])
+    N = REGULARITY_N_DIRECTIONS
+    phi = np.zeros(1) if sys.d == 1 else np.pi * np.arange(-1, N + 1) / N
+
+    def direction(p):
+        eta = np.zeros(np.shape(p) + (sys.d,))
+        eta[..., 0] = np.cos(p)
+        if sys.d > 1:
+            eta[..., 1] = np.sin(p)
+        return eta
+
+    mu, gap, cond, flags = _coalescences(
+        _symbols(A, direction(phi)), lambda p: _symbols(A, direction(p)),
+        phi, GAP_TOL, REGULARITY_COND_CAP)
     prev = None
-    for idx, eta in enumerate(path):
-        gap, pnorm, mu, _ = _gap_proj(A, eta)
-        order = np.argsort(mu.real + 1e-9 * mu.imag)
-        mu = mu[order]
-        # no continuation in one space dimension: the direction set is
-        # discrete ({+1, -1}) and branches are unrelated across the flip
-        if prev is not None and sys.d >= 2:
+    for idx, m in enumerate(mu):
+        m = m[np.argsort(m.real + 1e-9 * m.imag)]
+        if prev is not None:
             # nearest-match continuation; ambiguity check against branch scale
             from scipy.optimize import linear_sum_assignment
-            cost = np.abs(mu[None, :] - prev[:, None])
+            cost = np.abs(m[None, :] - prev[:, None])
             rows, cols = linear_sum_assignment(cost)
             move = float(cost[rows, cols].max())
             diam = float(np.ptp(np.abs(prev)) + np.max(np.abs(prev)) + 1e-30)
             if move > 0.5 * diam:
                 raise PathResolutionError(
-                    f"eigenvalue matching ambiguous at path index {idx} "
-                    f"(branch moved {move:.3g}); refine the sphere path")
-            mu = mu[cols]
-        prev = mu
-        gaps[idx] = gap
-        projs[idx] = pnorm
-
-    coalescence = []
-    npts = path.shape[0]
-    for i in range(npts):
-        if sys.n < 2 or sys.d < 2:
-            if gaps[i] < GAP_TOL and projs[i] > PROJECTOR_CAP:
-                coalescence.append((i, tuple(path[i]), gaps[i], projs[i]))
-            continue
-        lo, hi = (i - 1) % npts, (i + 1) % npts
-        if not (gaps[i] <= gaps[lo] and gaps[i] <= gaps[hi]):
-            continue
-        from scipy.optimize import minimize_scalar
-        u, v = path[lo], path[hi]
-
-        def gap_at(t):
-            return _gap_proj(A, _slerp(u, v, t))[0]
-
-        best = minimize_scalar(gap_at, bounds=(0.0, 1.0), method="bounded",
-                               options={"xatol": 1e-12})
-        eta_star = _slerp(u, v, float(best.x))
-        g_star, p_star, _, _ = _gap_proj(A, eta_star)
-        if g_star < GAP_TOL and p_star > PROJECTOR_CAP:
-            coalescence.append((i, tuple(eta_star), g_star, p_star))
-
-    # merge flags at consecutive path indices into one coalescence event
-    events = []
-    for f in coalescence:
-        if events and f[0] <= events[-1][-1][0] + 2:
-            events[-1].append(f)
-        else:
-            events.append([f])
-    merged = tuple(max(ev, key=lambda f: f[3]) for ev in events)
-    return RegularityResult(passed=not merged, coalescence=merged,
-                            min_gap=float(np.min(gaps)),
-                            max_projector=float(np.max(projs)))
+                    f"eigenvalue matching ambiguous at path index {idx - 1} "
+                    f"(branch moved {move:.3g}); refine the direction loop")
+            m = m[cols]
+        prev = m
+    # the end samples repeat k = N - 1 and k = 0: their flags are duplicates
+    pad = int(sys.d > 1)
+    coalescence = tuple((i - pad, tuple(direction(p)), g, c)
+                        for i, p, g, c in flags if pad <= i < phi.size - pad)
+    return RegularityResult(passed=not coalescence, coalescence=coalescence,
+                            min_gap=float(np.min(gap)),
+                            max_cond=float(np.max(cond)))
 
 
 @dataclass(frozen=True)

@@ -241,18 +241,6 @@ class Certificate:
     hermitian_defect: float
     provenance: str = "user"
 
-    def to_dict(self):
-        return {
-            "theta_measured": self.theta_measured,
-            "c0_measured": self.c0_measured,
-            "energy_check": self.energy_check,
-            "passed": self.passed,
-            "theta_req": self.theta_req,
-            "worst_node": self.worst_node,
-            "hermitian_defect": self.hermitian_defect,
-            "provenance": self.provenance,
-        }
-
 
 def verify_symmetrizer(S, field, theta_req, energy_trials=0, seed=0):
     """Certify a symmetrizer against a coefficient field.

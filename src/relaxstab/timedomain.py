@@ -291,23 +291,11 @@ class DampingFit:
         return self.feasible and self.eta > 0
 
 
-def verify_classical_damping(trace):
-    """Largest feasible decay rate in ``dE/dt <= -eta E + C (L2 + f)``.
-
-    Central differences of the sampled energy are tested against the
-    inequality at every interior sample; for each of ``N_ETA`` candidate
-    rates up to ``ETA_MAX`` the minimal verifying ``C`` is computed and
-    capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
-    refutation carrying the witness sample.  A trace of fewer than 5
-    samples raises :class:`CertificateError`: it cannot be differenced; so
-    does a non-finite energy sample, which no comparison would reject, and
-    an energy that is zero at every sample, which every rate would fit.
-    """
+def _check_energy(trace):
+    """Raise :class:`CertificateError` for a trace no verifier can judge:
+    a non-finite energy sample, which no comparison would reject, or an
+    energy that is zero at every sample, which every bound would fit."""
     t = trace.times
-    if t.size < 5:
-        raise CertificateError(
-            f"trace too short to difference ({t.size} samples, need 5); "
-            "sample more densely")
     bad = np.flatnonzero(~np.isfinite(trace.E_values))
     if bad.size:
         raise CertificateError(
@@ -317,6 +305,25 @@ def verify_classical_damping(trace):
         raise CertificateError(
             "energy is zero at every sample; a zero perturbation shows no "
             "decay to fit")
+
+
+def verify_classical_damping(trace):
+    """Largest feasible decay rate in ``dE/dt <= -eta E + C (L2 + f)``.
+
+    Central differences of the sampled energy are tested against the
+    inequality at every interior sample; for each of ``N_ETA`` candidate
+    rates up to ``ETA_MAX`` the minimal verifying ``C`` is computed and
+    capped at ``C_CAP``.  Returns the maximal feasible ``eta`` or a
+    refutation carrying the witness sample.  A trace of fewer than 5
+    samples raises :class:`CertificateError`: it cannot be differenced; so
+    does a trace that :func:`_check_energy` rejects.
+    """
+    t = trace.times
+    if t.size < 5:
+        raise CertificateError(
+            f"trace too short to difference ({t.size} samples, need 5); "
+            "sample more densely")
+    _check_energy(trace)
     idx = np.arange(1, t.size - 1)
     Edot = (trace.E_values[idx + 1] - trace.E_values[idx - 1]) / (
         t[idx + 1] - t[idx - 1])
@@ -346,8 +353,10 @@ def verify_integrated_damping(trace, eta, C):
 
     Checks ``E(T) <= C e^{-eta T} E(0) + C int_0^T e^{-eta(T-t)} (L2 + f)``
     at every trace sample ``T`` and returns the worst (signed) slack,
-    normalized by the initial energy scale.
+    normalized by the initial energy scale.  A trace that
+    :func:`_check_energy` rejects raises :class:`CertificateError`.
     """
+    _check_energy(trace)
     t = trace.times
     g = trace.L2_values + trace.f_values
     scale = max(float(np.max(trace.E_values)), 1e-300)
@@ -369,7 +378,9 @@ class ShortTimeFit:
 
 def verify_short_time(trace):
     """Smallest ``C`` with ``E(t) <= C (E(0) + int_0^t f)`` along the trace;
-    refuted when it is not finite or exceeds ``SHORT_TIME_CAP``."""
+    refuted when it is not finite or exceeds ``SHORT_TIME_CAP``.  A trace
+    that :func:`_check_energy` rejects raises :class:`CertificateError`."""
+    _check_energy(trace)
     t = trace.times
     acc = np.concatenate([[0.0], np.cumsum(
         0.5 * (trace.f_values[1:] + trace.f_values[:-1]) * np.diff(t))])
@@ -430,11 +441,6 @@ class TruncationReport:
     gamma: float
     tau_c: float
     passed: bool
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in
-                ("C2_weighted", "C2_plateau", "C_front", "C_tail",
-                 "C_assembled", "gamma", "tau_c", "passed")}
 
 
 def truncation_pipeline(history, cutoffs, gamma, s=1, alpha=0.0):

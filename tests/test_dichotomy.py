@@ -550,7 +550,20 @@ def test_constant_hyperbolic_field_no_turning_points():
     assert rep.locations == ()
 
 
-def test_detect_turning_points_variable_symbol():
+def test_coalescence_scan_gap_tol_decides():
+    # no grid node at the turning point: the refined gap is positive, and a
+    # tolerance below it clears the scan
+    airy = lambda x: np.array([[0.0, 1.0], [x, 0.0]])
+    x_grid = np.linspace(-2.01, 2.0, 81)
+    rep = dich.coalescence_scan(airy, x_grid, gap_tol=1e-3, ray=(1.0, 0.0))
+    assert rep.ray == (1.0, 0.0) and len(rep.locations) == 1
+    gap, cond = rep.severity[0]
+    assert 0.0 < gap < 1e-3 and cond > dich.COALESCENCE_COND_CAP
+    assert dich.coalescence_scan(airy, x_grid, gap_tol=gap / 2,
+                                 ray=()).locations == ()
+
+
+def _synthetic_turning_wave():
     # A2(w) = [[0, 1], [u, 0]]: the transverse symbol degenerates where the
     # profile component u crosses zero (square-root branch collision)
     def flux_jac(w):
@@ -568,6 +581,11 @@ def test_detect_turning_points_variable_symbol():
                          speed=0.0, endstates=(np.array([-1.0, 0.0]),
                                                np.array([1.0, 0.0])),
                          decay_rate=2.0, tol_end=1e-8)
+    return sys, p
+
+
+def test_detect_turning_points_variable_symbol():
+    sys, p = _synthetic_turning_wave()
     rep = dich.detect_turning_points(sys, p, ray=[1.0, 0.3],
                                      x_grid=np.linspace(-8, 8, 161))
     assert len(rep.locations) == 1
@@ -579,6 +597,24 @@ def test_detect_turning_points_variable_symbol():
     rep2 = dich.detect_turning_points(jx, pjx, ray=[1.0],
                                       x_grid=np.linspace(-20, 20, 81))
     assert rep2.locations == ()
+
+
+def test_detect_turning_points_stacks_its_symbol():
+    # the grid is sampled in one call of the stack evaluator; only the
+    # refinement of the gap minimum evaluates single points
+    sys, p = _synthetic_turning_wave()
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return stacked(w)
+
+    stacked, sys = sys.flux_jac, replace(sys, flux_jac=counted)
+    x_grid = np.linspace(-8, 8, 161)
+    rep = dich.detect_turning_points(sys, p, ray=[1.0, 0.3], x_grid=x_grid)
+    assert abs(rep.locations[0] - 1.2345) < 0.1
+    assert calls[0] == (x_grid.size, 2)
+    assert len(calls) < x_grid.size
 
 
 def test_detect_turning_points_validates_ray(jx, front):

@@ -148,11 +148,10 @@ def test_regularity_constant_multiplicity_passes():
 
 def test_regularity_flags_jordan_crossing():
     sys = _crossing_system()
-    r = model.check_geometric_regularity(sys, np.zeros(3),
-                                         sphere_path=model.sphere_loop(2, 721))
+    r = model.check_geometric_regularity(sys, np.zeros(3))
     assert not r.passed
     assert len(r.coalescence) == 1
-    idx, eta, gap, pnorm = r.coalescence[0]
+    idx, eta, gap, cond = r.coalescence[0]
     # flagged direction is eta = (0, 1) where the nilpotent block appears
     assert abs(eta[0]) < 0.01 and abs(eta[1] - 1.0) < 1e-3
     # dense-sampling oracle: projector norms blow up like 1/|eta_1| nearby
@@ -165,11 +164,31 @@ def test_regularity_flags_jordan_crossing():
         assert pn > 0.3 / e1
 
 
-def test_regularity_coarse_path_raises():
+@pytest.mark.parametrize("phi_c", [0.0, 0.4 * np.pi / 181,
+                                   np.pi - 0.4 * np.pi / 181],
+                         ids=["zero", "above-zero", "below-pi"])
+def test_regularity_flags_crossing_at_loop_wrap(phi_c):
+    # the Jordan direction of _crossing_system rotated from (0, 1) to
+    # (cos phi_c, sin phi_c), next to the loop's wrap point phi = 0 = pi
+    a = np.pi / 2 - phi_c
+    R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    A = np.einsum("kj,kab->jab", R, _crossing_system().flux_jac(np.zeros(3)))
+    sys = transport_system(A, n=3, d=2)
+    r = model.check_geometric_regularity(sys, np.zeros(3))
+    assert not r.passed
+    assert len(r.coalescence) == 1
+    idx, eta, gap, cond = r.coalescence[0]
+    # within one loop spacing of +-(1, 0), on the line of the crossing
+    assert abs(eta[1]) < np.sin(np.pi / 181)
+    assert abs(eta[0] * np.sin(phi_c) - eta[1] * np.cos(phi_c)) < 1e-6
+    assert gap < model.GAP_TOL and cond > model.REGULARITY_COND_CAP
+
+
+def test_regularity_coarse_path_raises(monkeypatch):
+    monkeypatch.setattr(model, "REGULARITY_N_DIRECTIONS", 3)
     sys = _crossing_system()
-    path = model.sphere_loop(2, 3)
     with pytest.raises(PathResolutionError, match="refine"):
-        model.check_geometric_regularity(sys, np.zeros(3), sphere_path=path)
+        model.check_geometric_regularity(sys, np.zeros(3))
 
 
 # ------------------------------------------------------------------- chf ----

@@ -379,6 +379,30 @@ def test_short_time_blowup_refuted():
     assert fit.refuted
 
 
+def _degenerate_trace(case):
+    t = np.linspace(0.0, 5.0, 100)
+    E = np.zeros(100) if case == "zero" else np.exp(-t)
+    if case == "nan":
+        E[40] = np.nan
+    return td.EnergyTrace(times=t, E_values=E, L2_values=np.zeros(100),
+                          f_values=np.zeros(100))
+
+
+@pytest.mark.parametrize("verify", [
+    lambda trace: td.verify_integrated_damping(trace, eta=0.5, C=1.0),
+    td.verify_short_time,
+], ids=["integrated", "short-time"])
+@pytest.mark.parametrize("case, match", [
+    ("nan", "sample 40 .* is not finite"),
+    ("zero", "zero at every sample"),
+], ids=["nan", "zero"])
+def test_trace_verifiers_reject_degenerate_energy(verify, case, match):
+    # a NaN sample made the integrated slack +inf and an all-zero energy
+    # gave both verifiers a passing verdict
+    with pytest.raises(CertificateError, match=match):
+        verify(_degenerate_trace(case))
+
+
 # ----------------------------------------------------------------- cutoffs ----
 
 def test_cutoff_identities():
