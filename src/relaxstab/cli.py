@@ -298,7 +298,10 @@ class _Runner:
         self.summary["results"]["hypotheses"] = payload
         return rep.passed
 
+    @functools.cached_property
     def _geom(self):
+        """The run's collocation grid, built once: the sweep and the
+        dichotomy share it, and with it the wave coefficients it memoizes."""
         dc = self.cfg.section("domain")
         return res.CollocationGrid(n_nodes=dc["n_nodes"], length=dc["length"])
 
@@ -328,7 +331,7 @@ class _Runner:
             raise ConfigError(f"config invalid at resolvent.gamma_star: must "
                               f"lie below every Re lambda of the grid, "
                               f"{lowest}, got {rc['gamma_star']}")
-        geom = self._geom()
+        geom = self._geom
         p = self.get_profile()
 
         def family(fp):
@@ -366,7 +369,7 @@ class _Runner:
         return passed
 
     def _field_at(self, lam):
-        geom = self._geom()
+        geom = self._geom
         fp = res.FrequencyPoint(np.zeros(self.system.d - 1), lam)
         return res.assemble_G(self.system, self.get_profile(), fp, geom=geom)
 

@@ -24,43 +24,55 @@ What a frequency point costs: the coefficients that do not depend on
 ``lambda`` (``A_j``, ``E`` and ``(A_1 - s*I)^{-1}`` at the nodes and at
 ``-inf, +inf``) are built once per grid and wave and memoized on the
 :class:`CollocationGrid`, so :func:`assemble_G` at a new point only forms
-``G``, a batched ``n x n`` product per node.  Most of a point's time is
-then the LU factorization of the ``mn x mn`` collocation matrix and the
-solves with it.  A point draws three sets of forcings, each from its own
+``G``, a batched ``n x n`` product per node.  A point then makes its LAPACK
+calls: the LU factorization of the ``mn x mn`` collocation matrix, one
+multi-column solve of its random forcings, and per power-iteration step an
+adjoint and a forward single-column solve and one Cholesky solve with the
+hat-Gram matrix.  A point draws three sets of forcings, each from its own
 seed: the trials of its gains, the forcings that start the power iteration
-and, at bounded frequencies, the hat/L2 probe.  They are solved in one
-batch (``_ensemble``), a stack ``(T, m, n)``, and the hat, L2 and H^1 norms
-of the solutions and the forcings are taken in one pass over both stacks.
-The power iteration starts from the batch's solution of its best forcing:
-the end rows of a forcing are projected by elementwise products, so its
-solution has the same bits in a stack of any size.  Each of its steps adds
-an adjoint and a forward single-column solve and one Cholesky solve with
-the hat-Gram matrix.  Every collocation solve goes through
-:func:`lu_solve`: a stack through one ``getrs`` call, a single column (the
-power iteration's 20 per point) through a row permutation and two ``trsv``
-calls.  At one BLAS thread a one-column ``getrs`` packs the whole factor
-for ``trsm`` on every call and takes about three times as long.  These
-routines are called through ctypes in the OpenBLAS that numpy loaded
-(``relaxstab._lapack``, which imports nothing of scipy): ``zgetrf`` factors
-the collocation matrix as scipy's ``lu_factor`` would, and an exactly zero
-pivot raises :class:`NumericError`; ``zgetrs`` and ``ztrsv`` solve with it;
-``dpotrf`` factors the real hat-Gram matrix as ``cho_factor`` would, and
-``dpotrs`` solves with that real factor.  ctypes releases the GIL for each
-LAPACK call, so the LAPACK work of the sweep threads can overlap.
-Around the LAPACK calls a point does little numpy work, which holds the
-GIL: the collocation matrix is filled in Fortran order and factored in
-place; the real matrices ``D^k``, the hat-Gram matrix and its Cholesky
-factor act on the real view of a complex field (its real and imaginary
-parts as ``2n`` real columns) instead of being cast to complex; a single
-column skips the stack's tiling and reshapes; the residual check reads
-only the interior rows; and the bumps of a batch of forcings are evaluated
-in one pass.
+and, at bounded frequencies, the hat/L2 probe.  The power iteration starts
+from the solution of its best forcing: the end rows of a forcing are
+projected by elementwise products, so its solution has the same bits in a
+stack of any size.  Every collocation solve goes through :func:`lu_solve`:
+a stack through one ``getrs`` call, a single column (the power iteration's
+20 per point) through a row permutation and two ``trsv`` calls.  At one
+BLAS thread a one-column ``getrs`` packs the whole factor for ``trsm`` on
+every call and takes about three times as long.  These routines are called
+through ctypes in the OpenBLAS that numpy loaded (``relaxstab._lapack``,
+which imports nothing of scipy): ``zgetrf`` factors the collocation matrix
+as scipy's ``lu_factor`` would, and an exactly zero pivot raises
+:class:`NumericError`; ``zgetrs`` and ``ztrsv`` solve with it; ``dpotrf``
+factors the real hat-Gram matrix as ``cho_factor`` would, and ``dpotrs``
+solves with that real factor.  ctypes releases the GIL for each LAPACK
+call.
 
-The frequency points of a sweep run on a thread pool, the program's only
-source of parallelism (:func:`worker_count`): ``RELAXSTAB_THREADS`` never
-changes an output, and BLAS defaults to one thread.  A user-set
-``OPENBLAS_NUM_THREADS`` or numpy loaded before ``relaxstab`` keeps several
-BLAS threads, and then the last digit of a result can move (README.md).
+Everything else is numpy work, which holds the GIL, and on a small grid
+(43 nodes: a few microseconds per LAPACK call) it is nearly all of a
+point's time.  So consecutive points advance in lockstep as one chunk
+(:func:`_sweep_chunk`): the bumps of every forcing of the chunk are
+evaluated in one pass, its solutions normed in one pass, and each
+power-iteration step (the Gram products, the end-row fixes, the
+``A_1^{-1}`` node maps, the envelope, the normalization and the residual
+checks) is one numpy call over the chunk's stack; only the LAPACK calls are
+made point by point.  Each point gets the bits it gets alone.  A chunk holds
+as many points as fit ``CHUNK_BYTES`` (2 MiB) of collocation matrices, at
+least one: the 9 points of a sweep at 43 nodes (118 KB each) form one
+chunk, and at 161 nodes (1.66 MB) each point is a chunk of its own, which
+keeps about one factor per thread in memory.  Around the LAPACK calls the
+matrices stay small: the collocation matrix is filled in Fortran order and
+factored in place; the real matrices ``D^k``, the hat-Gram matrix and its
+Cholesky factor act on the real view of a complex field (its real and
+imaginary parts as ``2n`` real columns) instead of being cast to complex;
+and the residual check reads only the interior rows.
+
+The chunks of a sweep run on a thread pool, the program's only source of
+parallelism, with ``min(worker_count(), chunks)`` threads
+(:func:`worker_count`): the LAPACK work of one chunk's points overlaps that
+of another's, while their numpy work takes turns at the GIL.
+``RELAXSTAB_THREADS`` never changes an output, and BLAS defaults to one
+thread.  A user-set ``OPENBLAS_NUM_THREADS`` or numpy loaded before
+``relaxstab`` keeps several BLAS threads, and then the last digit of a
+result can move (README.md).
 """
 
 import os
@@ -95,26 +107,31 @@ RESIDUAL_CAP = 1e-8
 N_BUMPS = 6               # Gaussian bumps per random forcing
 BOUNDED_CUT = 5.0         # |lambda| up to which hat/L2 ratios are probed
 POWER_ITERS = 10          # power-iteration steps of a gain estimate
+CHUNK_BYTES = 2 ** 21     # collocation matrices of the points run in lockstep
 
 
 def worker_count():
-    """Thread count of the sweep pool: ``RELAXSTAB_THREADS`` where it is set,
-    else the core count, at most 8.
+    """Most threads of the sweep pool: ``RELAXSTAB_THREADS`` where it is
+    set, else the core count, at most 8; a sweep uses at most one thread per
+    chunk of points (:func:`verify_equivalence`).
 
     The pool is the program's only source of parallelism: importing
     ``relaxstab`` pins OpenBLAS to one thread (unless the caller set
     ``OPENBLAS_NUM_THREADS`` or loaded numpy first), and the pool's thread
     count never changes a result.  Raises :class:`ConfigError` when
-    ``RELAXSTAB_THREADS`` is not an integer.
+    ``RELAXSTAB_THREADS`` is not a positive integer.
     """
     env = os.environ.get("RELAXSTAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"RELAXSTAB_THREADS must be an integer, "
-                              f"got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"RELAXSTAB_THREADS must be a positive integer, "
+                          f"got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -174,8 +191,11 @@ class CollocationGrid:
         return self._cached(("stiffness", k), build)
 
     def _l2(self, V):
-        return np.sqrt(np.sum(self.wq[:, None] * np.abs(V) ** 2,
-                              axis=(-2, -1)))
+        # in place: one temporary as large as V
+        sq = np.abs(V)
+        sq **= 2
+        sq *= self.wq[:, None]
+        return np.sqrt(np.sum(sq, axis=(-2, -1)))
 
     def sobolev_norms(self, V, s):
         """``[L2, H^1, ..., H^s]`` norms of every field of a stack
@@ -210,9 +230,13 @@ class HatNorm:
             raise ValueError("hat norms are defined for integer s >= 0")
 
     def norms(self, V, geom, freq_mag):
-        """Hat, L2 and H^1 norms of every field of a stack ``(T, m, n)``."""
+        """Hat, L2 and H^1 norms of every field of a stack ``(T, m, n)``;
+        ``freq_mag`` is one frequency magnitude or a list of one per field.
+        """
         sob = geom.sobolev_norms(V, max(self.s, 1))
-        hat = sob[self.s] + (1.0 + freq_mag) ** self.s * sob[0]
+        mags = freq_mag if isinstance(freq_mag, list) else [freq_mag]
+        weight = np.array([(1.0 + r) ** self.s for r in mags])
+        hat = sob[self.s] + weight * sob[0]
         return hat, sob[0], sob[1]
 
 
@@ -439,10 +463,7 @@ class _BvpOperator:
     complementary left rows confine the end values to the admissible
     subspaces.  The operator keeps the node arrays, not the field, so that
     the field (which holds the operator) is freed by reference counting.
-    The arrays that every solve applies are prepared here, once: ``A_1^{-1}``
-    cast to complex, ``D`` and ``G`` cut to the interior rows of the
-    residual check, and the LU factors with what their solves pass LAPACK
-    (:class:`relaxstab._lapack.LU`).
+    Its solves are those of a :class:`_Chunk` of one point.
     """
 
     def __init__(self, field):
@@ -450,9 +471,9 @@ class _BvpOperator:
         m, n = geom.n_nodes, field.n
         self.m, self.n = m, n
         G = field.G_nodes
-        self.A1inv = field.A1inv_nodes.astype(complex)
-        # the residual is taken at the interior nodes
-        self.D_inner, self.G_inner = geom.D[1:-1], G[1:-1]
+        self.A1inv = field.A1inv_nodes
+        self.G_inner = G[1:-1]    # the residual is taken at the interior nodes
+        self.freq_mag = field.fp.magnitude
 
         # M[(i, a), (j, b)] = D[i, j] delta_ab - delta_ij G_i[a, b], filled
         # through its C-ordered transpose Mt[j, b, i, a]: M is then
@@ -467,8 +488,6 @@ class _BvpOperator:
         minus, plus = field.limit_splits()
         self.keep_minus = minus.left_unstable                    # (k, n)
         self.keep_plus = plus.left_stable                        # (j, n)
-        self.keep_minus_h = self.keep_minus.conj().T
-        self.keep_plus_h = self.keep_plus.conj().T
         k, j = len(self.keep_minus), len(self.keep_plus)
         self.ranks = (j, k)
 
@@ -491,50 +510,128 @@ class _BvpOperator:
 
     def solve(self, f_nodes, apply_a1inv=True):
         """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
-        ``(T, m, n)``; returns node values of the same shape.
-
-        A stack goes through one multi-column LU solve, and one forcing
-        through two triangular solves (:func:`lu_solve`) without the
-        stack's tiling and reshapes; the residual cap is checked for each
-        solution.
-        """
+        ``(T, m, n)``; returns node values of the same shape
+        (:meth:`_Chunk.solve`: a stack through one multi-column LU solve,
+        one forcing as a single column)."""
         f = np.asarray(f_nodes, dtype=complex)
-        if f.ndim < 3:
-            f = f.reshape(self.m, self.n)
-        rhs = _nodewise(self.A1inv, f) if apply_a1inv else f
+        chunk = _Chunk([self])
+        if f.ndim == 3:
+            return chunk.solve(f, [len(f)], apply_a1inv)
+        return chunk.solve(f.reshape(1, self.m, self.n), None, apply_a1inv)[0]
+
+
+class _Chunk:
+    """The collocation operators of consecutive frequency points on one grid,
+    solved in lockstep.
+
+    The node arrays that a solve applies (``A_1^{-1}``, ``G`` at the interior
+    nodes for the residual check, the kept left rows of the end projections)
+    are stacked over the points, so that each step of a solve is one numpy
+    call for every point of the chunk; only the LAPACK calls
+    (:func:`lu_solve`) are made point by point.  Points whose limit splits
+    have the same ranks ``(j, k)`` share a stack of kept rows.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.geom, self.m, self.n = ops[0].geom, ops[0].m, ops[0].n
+        grid = (self.geom.n_nodes, self.geom.length, self.n)
+        if any((op.geom.n_nodes, op.geom.length, op.n) != grid for op in ops):
+            raise ValueError("the points of a sweep must share one "
+                             "collocation grid")
+        self.freq_mags = [op.freq_mag for op in ops]
+        A1inv = np.stack([op.A1inv for op in ops])
+        self.A1inv_c, self.A1inv_h = A1inv.astype(complex), A1inv.conj()
+        self.G_inner = np.stack([op.G_inner for op in ops])
+        # per rank group: its points (all of them as a slice), each point's
+        # position in the group (-1 outside it) and its stacks of kept rows
+        ranks = [op.ranks for op in ops]
+        self.groups = []
+        for jk in dict.fromkeys(ranks):
+            pts = [p for p, r in enumerate(ranks) if r == jk]
+            pos = np.full(len(ops), -1)
+            pos[pts] = np.arange(len(pts))
+            km = np.array([ops[p].keep_minus for p in pts])
+            kp = np.array([ops[p].keep_plus for p in pts])
+            rows = slice(None) if len(pts) == len(ops) else np.array(pts)
+            self.groups.append((rows, pos, jk, km, kp))
+
+    def subset(self, keep):
+        """The chunk of the points ``keep`` (ascending positions)."""
+        if len(keep) == len(self.ops):
+            return self
+        return _Chunk([self.ops[p] for p in keep])
+
+    def solve(self, F, counts, apply_a1inv):
+        """Solve ``v' = G v + rhs`` for a stack of forcings ``F`` ``(R, m, n)``
+        whose rows run over the points in order; returns the solutions,
+        ``(R, m, n)``.
+
+        With ``counts``, point ``p`` owns ``counts[p]`` rows, solved as one
+        stack (one ``getrs`` call); without (None), every point owns one
+        row, solved as a single column (two ``trsv`` calls).  The residual
+        cap is checked for each solution.
+        """
+        m, n = self.m, self.n
+        if counts is None:
+            runs, owner = [1] * len(self.ops), slice(None)
+            kept = [(rows, jk, km, kp) for rows, _, jk, km, kp in self.groups]
+        else:
+            # the point of each row, and the rows of each rank group
+            runs, owner = counts, np.repeat(np.arange(len(self.ops)), counts)
+            kept = []
+            for _, pos, jk, km, kp in self.groups:
+                rows = np.flatnonzero(pos[owner] >= 0)
+                sel = pos[owner[rows]]
+                kept.append((rows, jk, km[sel], kp[sel]))
+        rhs = _nodewise(self.A1inv_c[owner], F) if apply_a1inv else F
         # projected by _project, the end rows of a forcing, and so its
         # solution, are the same bits alone and in a stack of any size
-        j, k = self.ranks
         b = rhs.copy()
-        b[..., [0, -1], :] = 0.0
-        b[..., 0, self.n - k:] = _project(self.keep_minus, rhs[..., 0, :])
-        b[..., -1, :j] = _project(self.keep_plus, rhs[..., -1, :])
+        b[:, [0, -1]] = 0.0
+        for rows, (j, k), km, kp in kept:
+            b[rows, 0, n - k:] = _project(km, rhs[rows, 0])
+            b[rows, -1, :j] = _project(kp, rhs[rows, -1])
         # b is a scratch copy, and every solution is checked by the residual
         # cap, so LAPACK may overwrite it and need not scan it
-        cols = b.reshape(-1) if b.ndim == 2 else b.reshape(len(b), -1).T
-        v = lu_solve(self.lu, cols, trans=0).T.reshape(b.shape)
-        self._check_residual(v, rhs)
-        return v
+        off = 0
+        for op, c in zip(self.ops, runs):
+            if counts is None:
+                b[off] = lu_solve(op.lu, b[off].reshape(-1),
+                                  trans=0).reshape(m, n)
+            else:
+                cols = b[off:off + c].reshape(c, -1).T
+                b[off:off + c] = lu_solve(op.lu, cols, trans=0).T.reshape(
+                    c, m, n)
+            off += c
+        self._check_residual(b, rhs, self.G_inner[owner], runs)
+        return b
 
-    def solve_adjoint(self, y_nodes):
-        """Apply the conjugate-transposed solution operator (no A1inv)."""
-        y = np.asarray(y_nodes, dtype=complex).reshape(-1)
-        u = lu_solve(self.lu, y, trans=2).reshape(self.m, self.n)
-        j, k = self.ranks
-        u[0] = self.keep_minus_h @ u[0, self.n - k:]
-        u[-1] = self.keep_plus_h @ u[-1, :j]
-        return u
+    def solve_adjoint(self, Y):
+        """Apply the conjugate-transposed solution operator (no
+        ``A_1^{-1}``) to one field per point, a stack ``(P, m, n)``."""
+        m, n = self.m, self.n
+        U = np.array([lu_solve(op.lu, y.reshape(-1), trans=2)
+                      for op, y in zip(self.ops, Y)]).reshape(len(Y), m, n)
+        for pts, _, (j, k), km, kp in self.groups:
+            # (n, k) and (n, j) transposed views, the layout that BLAS got
+            # for one point's keep_minus.conj().T
+            km_h, kp_h = (a.conj().transpose(0, 2, 1) for a in (km, kp))
+            U[pts, 0] = np.matmul(km_h, U[pts, 0, n - k:, None])[..., 0]
+            U[pts, -1] = np.matmul(kp_h, U[pts, -1, :j, None])[..., 0]
+        return U
 
-    def _check_residual(self, v, rhs):
-        """Check one solution ``v`` ``(m, n)``, or each of a stack
-        ``(T, m, n)``, against ``RESIDUAL_CAP``: the collocation residual
-        ``D v - G v - rhs`` at the interior nodes, in the quadrature norm,
-        relative to ``max(1, |rhs|)``."""
+    def _check_residual(self, V, rhs, G, runs):
+        """Check each solution of ``V`` ``(R, m, n)`` against
+        ``RESIDUAL_CAP``: the collocation residual ``D v - G v - rhs`` at
+        the interior nodes (``G`` holds each row's interior node matrices),
+        in the quadrature norm, relative to ``max(1, |rhs|)``.  Each
+        operator keeps the largest residual of its rows."""
         wq = self.geom.wq
         # D is real: one real product takes the real and imaginary parts
-        Dv = (self.D_inner @ _real_view(v)).view(complex)
-        res = (Dv - _nodewise(self.G_inner, v[..., 1:-1, :])
-               - rhs[..., 1:-1, :])
+        res = (self.geom.D[1:-1] @ _real_view(V)).view(complex)
+        res -= _nodewise(G, V[:, 1:-1])
+        res -= rhs[:, 1:-1]
         r2 = _squared_norms(wq[1:-1], res)
         for r, f in zip(r2, _squared_norms(wq, rhs)):
             scale = max(1.0, f) ** 0.5
@@ -543,23 +640,24 @@ class _BvpOperator:
                     f"collocation residual {r ** 0.5:.3e} exceeds cap "
                     f"{RESIDUAL_CAP:.0e} (relative to forcing scale "
                     f"{scale:.3g})")
-        self.last_residual = max(r2, default=0.0) ** 0.5
+        off = 0
+        for op, c in zip(self.ops, runs):
+            op.last_residual = max(r2[off:off + c], default=0.0) ** 0.5
+            off += c
 
 
 def _nodewise(A, X):
-    """``A[i] @ X[..., i, :]`` for node matrices ``A`` ``(m, n, n)`` and one
-    field ``X`` ``(m, n)`` or every field of a stack ``(T, m, n)``.
+    """``A[r, i] @ X[r, i, :]`` for a stack of fields ``X`` ``(R, m, n)``
+    and node matrices ``A`` ``(R, m, n, n)``, one set per field.
 
-    A stack takes one einsum over the ``T * m`` node rows, with ``A`` tiled
-    to match: an einsum that also runs over ``t`` took five times as long at
-    ``T = 4`` (0.10 against 0.02 ms at m = 161, n = 2).  Each entry is the
-    same sum of products either way.
+    One einsum runs over the ``R * m`` node rows: an einsum that also runs
+    over ``r`` took five times as long at ``R = 4`` (0.10 against 0.02 ms
+    at m = 161, n = 2).  Each entry is the same sum of products for any
+    ``R``.
     """
-    if X.ndim == 2:
-        return np.einsum("ijk,ik->ij", A, X)
-    T, m, n = X.shape
-    A = np.repeat(A[None], T, axis=0).reshape(T * m, n, n)
-    return np.einsum("ijk,ik->ij", A, X.reshape(T * m, n)).reshape(T, m, n)
+    n = X.shape[-1]
+    return np.einsum("ijk,ik->ij", A.reshape(-1, n, n),
+                     X.reshape(-1, n)).reshape(X.shape)
 
 
 def _squared_norms(w, X):
@@ -578,56 +676,60 @@ def _real_view(X):
 
 
 def _project(P, x):
-    """``x @ P.T`` for a matrix ``P`` ``(k, n)`` and a row ``x`` ``(n,)`` or
-    a stack of rows ``(T, n)``, by elementwise products summed over ``n``:
-    a row gets the same bits alone and in any stack, where a matrix product
-    goes to a different BLAS call for one row than for several."""
+    """``x @ P.T`` for a matrix ``P`` ``(k, n)`` and a row ``x`` ``(n,)``,
+    or row by row for stacks ``(T, k, n)`` and ``(T, n)``, by elementwise
+    products summed over ``n``: a row gets the same bits alone and in any
+    stack, where a matrix product goes to a different BLAS call for one row
+    than for several."""
     return (P * x[..., None, :]).sum(-1)
 
 
-def _random_forcings(geom, n, rng, count):
-    """``count`` smooth exponentially-localized complex forcings with unit
-    L2 norm, a stack ``(count, m, n)``; each a sum of ``N_BUMPS`` Gaussian
-    bumps.
+def _bump_draws(rng, n, length, count):
+    """The bump parameters of ``count`` forcings on ``[-length, length]``,
+    ``(count, N_BUMPS, 2 + 2n)``: per bump its centre, its width and the
+    real and imaginary parts of its ``n`` amplitudes.
 
-    The generator is drawn forcing by forcing and bump by bump (centre,
-    width, amplitude); the bumps are then evaluated in one pass and summed
-    from zero in that order (numpy starts an add reduction from its
-    identity, ``+0.0``), so every bit, signed zeros included, is that of
-    ``count`` bump-by-bump sums.
+    Each bump takes two generator calls, ``random(2)`` and
+    ``standard_normal(2n)``, and its uniforms are mapped as
+    ``low + (high - low) * u``: numpy's own ``uniform``, so the bits and the
+    generator stream are those of two ``uniform`` calls and one
+    ``standard_normal`` call per bump.
     """
-    L = geom.length
-    draws = []
-    for _ in range(count * N_BUMPS):
-        draws.append(rng.uniform(-0.6 * L, 0.6 * L))
-        draws.append(rng.uniform(L / 25.0, L / 8.0))
-        draws.extend(rng.standard_normal(2 * n).tolist())
-    d = np.array(draws).reshape(count, N_BUMPS, 2 + 2 * n)
-    amp = d[..., 2:2 + n] + 1j * d[..., 2 + n:]
-    bumps = np.exp(-((geom.x - d[..., :1]) / d[..., 1:2]) ** 2)
-    F = (bumps[..., None] * amp[:, :, None, :]).sum(1)
+    u = np.empty((count * N_BUMPS, 2))
+    z = np.empty((count * N_BUMPS, 2 * n))
+    for b in range(count * N_BUMPS):
+        rng.random(out=u[b])
+        rng.standard_normal(out=z[b])
+    low = np.array([-0.6 * length, length / 25.0])
+    high = np.array([0.6 * length, length / 8.0])
+    return np.concatenate([low + (high - low) * u, z], axis=1).reshape(
+        count, N_BUMPS, 2 + 2 * n)
+
+
+def _forcings(geom, draws):
+    """Smooth exponentially-localized complex forcings with unit L2 norm, a
+    stack ``(T, m, n)``, from the bump parameters of :func:`_bump_draws`
+    (any number of draws concatenated).
+
+    The bumps are evaluated in one pass, then added from zero in their
+    order, each for every forcing at once: every bit, signed zeros included,
+    is that of a bump-by-bump sum, and no complex array holds every bump of
+    every forcing.
+    """
+    n = (draws.shape[-1] - 2) // 2
+    amp = draws[..., 2:2 + n] + 1j * draws[..., 2 + n:]
+    bumps = np.exp(-((geom.x - draws[..., :1]) / draws[..., 1:2]) ** 2)
+    F = np.zeros((len(draws), geom.n_nodes, n), dtype=complex)
+    for b in range(N_BUMPS):
+        F += bumps[:, b, :, None] * amp[:, b, None, :]
     nrm = geom._l2(F)
     return F / np.where(nrm > 0, nrm, 1.0)[:, None, None]
 
 
-def _ensemble(field, s, sets):
-    """Solutions of random forcings and the norms of both, for ``sets`` of
-    ``(count, seed)``: each set drawn by :func:`_random_forcings` from its
-    own seed, all of them solved in one batched call.
-
-    Returns the solutions ``V`` ``(T, m, n)`` and two tuples of arrays
-    ``(T,)``: the hat, L2 and H^1 norms of the solutions and those of the
-    forcings, taken in one pass over the stack ``[V; F]``.
-    """
-    geom = field.geom
-    F = np.concatenate([
-        _random_forcings(geom, field.n, np.random.default_rng(seed), count)
-        for count, seed in sets])
-    V = field.bvp().solve(F)
-    norms = HatNorm(s).norms(np.concatenate([V, F]), geom,
-                             field.fp.magnitude)
-    T = len(F)
-    return V, tuple(a[:T] for a in norms), tuple(a[T:] for a in norms)
+def _random_forcings(geom, n, rng, count):
+    """``count`` random forcings drawn from ``rng``, a stack
+    ``(count, m, n)``; each a sum of ``N_BUMPS`` Gaussian bumps."""
+    return _forcings(geom, _bump_draws(rng, n, geom.length, count))
 
 
 def _worst(ratios):
@@ -635,83 +737,155 @@ def _worst(ratios):
     return max([0.0] + ratios.tolist())
 
 
-def _hat_gram(geom, s, freq_mag):
-    """SPD matrix of the Hilbertian surrogate of the hat norm (per component),
-    real; the stiffness terms are added in place to the diagonal weights."""
-    Gm = np.diag(geom.wq * (1.0 + freq_mag) ** (2 * s) + geom.wq)
+def _hat_gram(geom, s, freq_mags):
+    """SPD matrices of the Hilbertian surrogate of the hat norm (per
+    component), one per frequency magnitude: a real stack ``(P, m, m)``,
+    the stiffness terms added in place to the diagonal weights."""
+    scale = np.array([(1.0 + r) ** (2 * s) for r in freq_mags])
+    nodes = np.arange(geom.n_nodes)
+    Gm = np.zeros((len(scale), geom.n_nodes, geom.n_nodes))
+    Gm[:, nodes, nodes] = geom.wq * scale[:, None] + geom.wq
     for k in range(1, s + 1):
         Gm += geom.stiffness(k)
-    sym = Gm + Gm.T
+    sym = Gm + Gm.transpose(0, 2, 1)
     sym *= 0.5
     return sym
 
 
-def _refined_gain(field, s, V, ratios, power_iters):
-    """The largest of the hat-norm gains ``ratios`` of a stack of forcings
-    and of the gain that ``power_iters`` power-iteration steps reach from
-    the best of them, starting from its solution in ``V``.
+def _ensemble(chunk, seeds, s, trials, starts):
+    """The random forcings of every point of a chunk, solved and normed in
+    lockstep.
 
-    The hat-Gram matrix and its Cholesky factor stay real: they act on the
-    real view of a field (:func:`_real_view`), its real and imaginary parts
-    as ``2n`` real columns.
+    Point ``p`` with ``seeds[p] = (seed, probe_seed)`` draws ``trials``
+    forcings from ``seed`` (its gains), ``starts`` from ``seed + 1`` (the
+    starts of its power iteration) and, with a ``probe_seed``, one from that
+    seed (its hat/L2 probe).  The bumps of every forcing are evaluated in
+    one pass, each point's forcings are solved as one stack, and the hat,
+    L2 and H^1 norms of all solutions and forcings are taken in one pass.
+
+    Returns per point ``(g_hf, g_pd, absorb, ratio, best)`` (``ratio`` 0.0
+    without a probe; ``best`` the largest positive hat-norm gain of its
+    starts, else 0.0), the positions of the points with a positive start
+    ratio and, stacked, the solution of each one's best start.
     """
-    best, start = 0.0, None
-    for i, ratio in enumerate(ratios.tolist()):
-        if ratio > best:
-            best, start = ratio, i
-    if power_iters <= 0 or start is None:
-        return best
+    geom = chunk.geom
+    draws, counts = [], []
+    for seed, probe_seed in seeds:
+        sets = [(trials, seed), (starts, seed + 1)]
+        if probe_seed is not None:
+            sets.append((1, probe_seed))
+        draws += [_bump_draws(np.random.default_rng(sd), chunk.n,
+                              geom.length, count)
+                  for count, sd in sets if count]
+        counts.append(sum(count for count, _ in sets))
+    F = _forcings(geom, np.concatenate(draws))
+    V = chunk.solve(F, counts, True)
+    mags = np.repeat(chunk.freq_mags, counts).tolist()
+    hat, l2, h1 = HatNorm(s).norms(np.concatenate([V, F]), geom, mags * 2)
+    T = len(F)
+    hv, hf, l2v, l2f, h1v = hat[:T], hat[T:], l2[:T], l2[T:], h1[:T]
+    stats, go, rows = [], [], []
+    off = 0
+    for p, count in enumerate(counts):
+        a, b = off + trials, off + trials + starts
+        ratio = 0.0
+        if count > b - off and l2v[b] > 0:
+            ratio = float(hv[b] / l2v[b])
+        best, start = 0.0, None
+        for r, x in enumerate((hv[a:b] / hf[a:b]).tolist()):
+            if x > best:
+                best, start = x, a + r
+        stats.append((_worst(hv[off:a] / hf[off:a]),
+                      _worst(hv[off:a] / (hf[off:a] + l2v[off:a])),
+                      _worst(l2v[off:a] / (h1v[off:a] + l2f[off:a])),
+                      ratio, best))
+        if start is not None:
+            go.append(p)
+            rows.append(start)
+        off += count
+    return stats, go, V[rows]
 
-    geom, rho = field.geom, field.fp.magnitude
-    op = field.bvp()
-    Gm = _hat_gram(geom, s, rho)
-    c = cho_factor(Gm)
+
+def _power_gains(chunk, s, V, power_iters):
+    """The hat-norm gains that ``power_iters`` power-iteration steps reach
+    from the solutions ``V`` ``(P, m, n)``, one per point of ``chunk``, the
+    points in lockstep; a list with None for a point whose step forcing
+    vanished or whose last forcing has zero hat norm.
+
+    The hat-Gram matrices and their Cholesky factors stay real: they act on
+    the real view of a field (:func:`_real_view`), its real and imaginary
+    parts as ``2n`` real columns.
+    """
+    geom, n = chunk.geom, chunk.n
+    Gm = _hat_gram(geom, s, chunk.freq_mags)
+    factors = [cho_factor(g) for g in Gm]
     # interior envelope: keeps the iteration inside the class of localized
     # resolved forcings (boundary-node spikes are artifacts of the clustered
     # grid, not modes of the whole-line operator)
     envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
-    A1inv_h = field.A1inv_nodes.conj()
-    v = V[start]
+    points = list(range(len(V)))
+    gains = [None] * len(V)
     for _ in range(power_iters):
-        u = op.solve_adjoint((Gm @ _real_view(v)).view(complex))
-        u = np.einsum("ijk,ij->ik", A1inv_h, u)
-        # dpotrs returns Fortran order; the complex view needs C order
-        f = np.multiply(envelope, dpotrs(c, _real_view(u)),
-                        order="C").view(complex)
-        nrm = float(geom._l2(f))
-        if nrm == 0:
-            return best
-        f = f / nrm
-        v = op.solve(f)
-    hv, hf = HatNorm(s).norms(np.stack([v, f]), geom, rho)[0].tolist()
-    return max(best, hv / hf) if hf > 0 else best
+        U = chunk.solve_adjoint(np.matmul(Gm, _real_view(V)).view(complex))
+        U = np.einsum("ijk,ij->ik", chunk.A1inv_h.reshape(-1, n, n),
+                      U.reshape(-1, n)).reshape(U.shape)
+        X = np.array([dpotrs(c, u) for c, u in zip(factors, _real_view(U))])
+        F = np.multiply(envelope, X).view(complex)
+        nrm = geom._l2(F)
+        if 0.0 in nrm.tolist():
+            live = [p for p, r in enumerate(nrm.tolist()) if r != 0]
+            if not live:
+                return gains
+            points = [points[p] for p in live]
+            factors = [factors[p] for p in live]
+            chunk, Gm, F, nrm = chunk.subset(live), Gm[live], F[live], nrm[live]
+        F = F / nrm[:, None, None]
+        V = chunk.solve(F, None, True)
+    hat = HatNorm(s).norms(np.concatenate([V, F]), geom,
+                           chunk.freq_mags * 2)[0].tolist()
+    for p, hv, hf in zip(points, hat[:len(V)], hat[len(V):]):
+        if hf > 0:
+            gains[p] = hv / hf
+    return gains
 
 
-def _sweep_point(field_family, fp, s, trials, seed, probe_seed):
-    """Gains of one grid point; with ``probe_seed``, also the hat/L2 ratio
-    of the solution for one more forcing drawn from that seed (else 0.0).
+def _sweep_chunk(points, s, trials, starts, power_iters):
+    """Gains of a chunk of frequency points that advance in lockstep.
 
-    The ``trials`` forcings of the gains (from ``seed``), the
-    ``max(4, trials // 4)`` that start the power iteration (from
-    ``seed + 1``) and the probe are solved and normed as one ensemble
-    (:func:`_ensemble`).
+    ``points`` holds ``(field, seed, probe_seed)`` per point, ``field()``
+    returning its assembled field.  A point on the singular set (its
+    operator raises :class:`CenterSpectrumError`) gets that error's message;
+    every other point gets ``(g_hf, g_pd, absorb, ratio)``: its worst
+    hat-norm gain (the ``trials`` forcings from ``seed``, and the
+    ``power_iters`` power-iteration steps from the best of the ``starts``
+    forcings from ``seed + 1``), its worst damping-bound gain and
+    absorption ratio (the trials), and with a ``probe_seed`` the hat/L2
+    ratio of one forcing from that seed (else 0.0).  See
+    :func:`_ensemble` and :func:`_power_gains`.
     """
-    field = field_family(fp)
-    a = trials
-    b = a + max(4, trials // 4)
-    sets = [(trials, seed), (b - a, seed + 1)]
-    if probe_seed is not None:
-        sets.append((1, probe_seed))
-    V, (hv, l2v, h1v), (hf, l2f, _) = _ensemble(field, s, sets)
-    g_hf = _worst(hv[:a] / hf[:a])
-    g_pd = _worst(hv[:a] / (hf[:a] + l2v[:a]))
-    absorb = _worst(l2v[:a] / (h1v[:a] + l2f[:a]))
-    gain = _refined_gain(field, s, V[a:b], hv[a:b] / hf[a:b], POWER_ITERS)
-    g_hf = max(g_hf, gain)
-    ratio = 0.0
-    if probe_seed is not None and l2v[b] > 0:
-        ratio = float(hv[b] / l2v[b])
-    return (g_hf, g_pd, absorb), ratio
+    results, ops, live = [None] * len(points), [], []
+    for i, (field, _, _) in enumerate(points):
+        try:
+            ops.append(field().bvp())
+        except CenterSpectrumError as exc:
+            results[i] = str(exc)
+            continue
+        live.append(i)
+    if not ops:
+        return results
+    chunk = _Chunk(ops)
+    stats, go, V = _ensemble(chunk, [points[i][1:] for i in live], s,
+                             trials, starts)
+    refined = {}
+    if power_iters > 0 and go:
+        refined = dict(zip(go, _power_gains(chunk.subset(go), s, V,
+                                            power_iters)))
+    for p, i in enumerate(live):
+        g_hf, g_pd, absorb, ratio, best = stats[p]
+        gain = refined.get(p)
+        gain = best if gain is None else max(best, gain)
+        results[i] = (max(g_hf, gain), g_pd, absorb, ratio)
+    return results
 
 
 @dataclass
@@ -743,8 +917,12 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     frequency-wise bounds, and the numerical version of both absorption
     arguments.
 
-    ``field_family`` maps a :class:`FrequencyPoint` to an assembled field.
-    Each bound gets its own constant, 1.25x the worst calibration gain over
+    ``field_family`` maps a :class:`FrequencyPoint` to an assembled field,
+    every field on one collocation grid.  Consecutive points advance in
+    lockstep as chunks (:func:`_sweep_chunk`), each of as many points as
+    fit ``CHUNK_BYTES`` of collocation matrices (at least one), on
+    ``min(worker_count(), chunks)`` threads; a point gets the same bits in
+    any chunk.  Each bound gets its own constant, 1.25x the worst calibration gain over
     every other grid point; the pass flags are deterministic functions of
     the per-point gains and the constants, and the pass sets of the two
     bounds are compared pointwise.  (i) at bounded frequencies
@@ -767,22 +945,41 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     flagged = []
     bounded_ratio = 0.0
 
-    def work(i):
-        fp = grid[i]
-        probe_seed = seed + 7 * i if abs(fp.lam) <= BOUNDED_CUT else None
+    # the first point's field sizes the chunks (a collocation matrix has
+    # (mn)^2 complex entries), and its chunk then takes it over
+    pending = {}
+    size = 1
+    if grid:
         try:
-            return i, _sweep_point(field_family, fp, s, trials,
-                                   seed + 1000 * i, probe_seed), None
-        except CenterSpectrumError as exc:
-            return i, None, str(exc)
+            pending[0] = field_family(grid[0])
+        except CenterSpectrumError:
+            pass
+        else:
+            mn = pending[0].geom.n_nodes * pending[0].n
+            size = max(1, CHUNK_BYTES // (16 * mn ** 2))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for i, res, err in pool.map(work, range(nP)):
-            if err is not None:
-                flagged.append((i, err))
-                continue
-            (g_hf[i], g_pd[i], absorb[i]), ratio = res
-            bounded_ratio = max(bounded_ratio, ratio)
+    def field(i):
+        return lambda: pending.pop(i) if i in pending else field_family(
+            grid[i])
+
+    points = [(field(i), seed + 1000 * i,
+               seed + 7 * i if abs(fp.lam) <= BOUNDED_CUT else None)
+              for i, fp in enumerate(grid)]
+    chunks = [points[c:c + size] for c in range(0, nP, size)]
+
+    def work(chunk):
+        return _sweep_chunk(chunk, s, trials, max(4, trials // 4),
+                            POWER_ITERS)
+
+    threads = max(1, min(worker_count(), len(chunks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = [r for out in pool.map(work, chunks) for r in out]
+    for i, res in enumerate(results):
+        if isinstance(res, str):
+            flagged.append((i, res))
+            continue
+        g_hf[i], g_pd[i], absorb[i], ratio = res
+        bounded_ratio = max(bounded_ratio, ratio)
 
     ok = ~np.isnan(g_hf)
     if not np.any(ok):

@@ -373,6 +373,25 @@ def test_sweep_with_every_point_flagged_exits_3(tmp_path, monkeypatch,
         capsys.readouterr().err
 
 
+def test_full_run_builds_the_wave_coefficients_once(tmp_path, monkeypatch):
+    # the sweep and the dichotomy share the run's grid, and with it the wave
+    # coefficients memoized on it: the flux Jacobians at the grid's nodes
+    # (the states and the two flux-Hessian differences) are evaluated once
+    flux_jacs = systems.SystemSpec.flux_jacs
+    sizes = []
+
+    def counted(self, w):
+        sizes.append(len(w))
+        return flux_jacs(self, w)
+
+    monkeypatch.setattr(systems.SystemSpec, "flux_jacs", counted)
+    data = small_config()
+    data["domain"] = {"length": 20.0, "n_nodes": 43}
+    assert cli.run(cli.RunConfig.from_dict(data), pipeline="full",
+                   out_dir=str(tmp_path / "o")) == 0
+    assert sizes.count(43) == 3
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # lambda = 0 sits on the essential-spectrum boundary: center spectrum
     data = small_config()
@@ -618,15 +637,17 @@ def test_lazy_scipy_paths_run_in_a_fresh_interpreter(tmp_path):
     assert abs(result["turning"][0] - 1.2345) < 0.1
 
 
-def test_bad_thread_count_is_usage_error(tmp_path):
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_bad_thread_count_is_usage_error(tmp_path, threads):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(small_config()))
     proc = _run_python(["-m", "relaxstab.cli", "run", "--config",
                         str(cfg_path), "--pipeline", "full",
                         "--out", str(tmp_path / "o")],
-                       {"RELAXSTAB_THREADS": "abc"}, tmp_path)
+                       {"RELAXSTAB_THREADS": threads}, tmp_path)
     assert proc.returncode == 2
     assert "usage error" in proc.stderr and "RELAXSTAB_THREADS" in proc.stderr
+    assert "must be a positive integer" in proc.stderr
     assert "Traceback" not in proc.stderr
     # rejected before the profile stage writes anything
     assert not (tmp_path / "o").exists()

@@ -50,7 +50,7 @@ def test_lu_factor_matches_scipy_on_the_collocation_matrix(jx, front, geom,
 
 def test_cho_factor_matches_scipy_on_the_hat_gram(geom):
     for s, rho in ((1, 2.0), (2, 60.0)):
-        Gm = res._hat_gram(geom, s, rho)
+        Gm = res._hat_gram(geom, s, [rho])[0]
         c = _lapack.cho_factor(Gm)
         assert np.array_equal(c, sl.cho_factor(Gm, check_finite=False)[0])
 
@@ -60,7 +60,7 @@ def test_dpotrs_matches_scipy_on_the_hat_gram(geom):
     # a field (m, n) as 2n real right-hand sides
     rng = np.random.default_rng(3)
     for s, rho in ((1, 2.0), (2, 60.0)):
-        c = _lapack.cho_factor(res._hat_gram(geom, s, rho))
+        c = _lapack.cho_factor(res._hat_gram(geom, s, [rho])[0])
         b = _complex(rng, geom.n_nodes, 2).view(float)
         x = _lapack.dpotrs(c, b)
         ref, info = scipy_lapack.dpotrs(c, b)

@@ -265,7 +265,7 @@ def test_solve_and_adjoint_match_dense_operator(which, front_field):
     assert np.allclose(op.solve(f), op.solve(fa, apply_a1inv=False),
                        rtol=1e-12, atol=1e-12 * np.max(np.abs(v)))
 
-    u = op.solve_adjoint(y)
+    u = res._Chunk([op]).solve_adjoint(y[None])[0]
     ref = (P.conj().T @ np.linalg.solve(M.conj().T, y.ravel())).reshape(m, n)
     assert np.allclose(u, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
     lhs, rhs = np.vdot(y, v), np.vdot(u, f)
@@ -297,9 +297,11 @@ def test_nonfinite_forcing_is_numeric_error(front_field):
 
 def _gain(field, s, trials, seed, power_iters=res.POWER_ITERS):
     """The gain estimate of a sweep point: the best hat-norm ratio of
-    ``trials`` random forcings from ``seed``, refined by power iteration."""
-    V, (hv, _, _), (hf, _, _) = res._ensemble(field, s, [(trials, seed)])
-    return res._refined_gain(field, s, V, hv / hf, power_iters)
+    ``trials`` random forcings from ``seed``, refined by power iteration.
+    That is the chunk kernel on the point alone with no trials of its own:
+    its power iteration starts from forcings drawn from its seed + 1."""
+    return res._sweep_chunk([(lambda: field, seed - 1, None)], s, 0, trials,
+                            power_iters)[0][0]
 
 
 def test_gain_matches_symbol_oracle(jx, eq_field):
@@ -427,19 +429,25 @@ def test_sweep_independent_of_thread_count(jx, front, monkeypatch):
             for tau in np.linspace(0.0, 12.0, 4)]
     grid += [res.FrequencyPoint(np.zeros(0), complex(lam, 0.0))
              for lam in (0.3, 10.0, 300.0)]
+    # these 7 points fill one chunk; 3 more make a second chunk, so that two
+    # threads run at once
+    more = grid + [res.FrequencyPoint(np.zeros(0), complex(lam, 0.0))
+                   for lam in (1.0, 3.0, 30.0)]
+    assert len(grid) == res.CHUNK_BYTES // (16 * (65 * 2) ** 2) < len(more)
 
-    def sweep(threads):
+    def sweep(threads, points):
         monkeypatch.setenv("RELAXSTAB_THREADS", threads)
-        return res.verify_equivalence(family, 1, grid, gamma_star=-0.25,
+        return res.verify_equivalence(family, 1, points, gamma_star=-0.25,
                                       trials=4, seed=2)
 
-    one, two = sweep("1"), sweep("2")
-    for key in ("hfres_gain", "pdamp_gain", "absorption", "hfres_pass",
-                "pdamp_pass"):
-        assert np.array_equal(getattr(one, key), getattr(two, key)), key
-    assert one.constants == two.constants
-    assert one.bounded_ratio == two.bounded_ratio
-    assert one.absorption_exponent == two.absorption_exponent
+    for points in (grid, more):
+        one, two = sweep("1", points), sweep("2", points)
+        for key in ("hfres_gain", "pdamp_gain", "absorption", "hfres_pass",
+                    "pdamp_pass"):
+            assert np.array_equal(getattr(one, key), getattr(two, key)), key
+        assert one.constants == two.constants
+        assert one.bounded_ratio == two.bounded_ratio
+        assert one.absorption_exponent == two.absorption_exponent
 
 
 # ----------------------------------------------- frozen perturbation family ----
@@ -495,7 +503,8 @@ def test_differentiated_system_coefficient(jx, front, geom, sv_front):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_evaluates_the_wave_once(jx, front, monkeypatch, threads):
     # the lambda-independent coefficients are built once per grid, however
-    # many points the sweep has and however many threads ask at once
+    # many points the sweep has and however many threads run its chunks (at
+    # 161 nodes every point is a chunk of its own)
     monkeypatch.setenv("RELAXSTAB_THREADS", threads)
     flux_jacs = type(jx).flux_jacs
     calls = []
@@ -507,8 +516,8 @@ def test_sweep_evaluates_the_wave_once(jx, front, monkeypatch, threads):
 
     monkeypatch.setattr(type(jx), "flux_jacs", counted)
     counts = []
-    for n_points in (2, 5):
-        geom = res.CollocationGrid(n_nodes=33, length=20.0)
+    for n_nodes, n_points in ((33, 2), (33, 5), (161, 3)):
+        geom = res.CollocationGrid(n_nodes=n_nodes, length=20.0)
         grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
                 for tau in np.linspace(0.0, 4.0, n_points)]
         calls.clear()
@@ -517,7 +526,7 @@ def test_sweep_evaluates_the_wave_once(jx, front, monkeypatch, threads):
             gamma_star=-0.25, trials=2, seed=0)
         counts.append(len(calls))
     # nodes: the states and the two flux-Hessian differences; limits: states
-    assert counts == [4, 4]
+    assert counts == [4, 4, 4]
 
 
 def test_memo_on_a_shared_grid_matches_fresh_grids(jx, front, sv_front):
@@ -631,7 +640,7 @@ def test_transverse_frequency_path_against_fourier_oracle():
 # batch's solution of the best forcing; a single column is solved the plain
 # way: the pivots applied by row swaps, then two triangular solves.
 
-KERNEL_SEED = 125       # _sweep_point draws its gain estimate from seed + 1
+KERNEL_SEED = 125       # _sweep_chunk draws its gain estimate from seed + 1
 
 
 def _reference_forcing(geom, n, rng):
@@ -793,8 +802,9 @@ def test_sweep_point_gains_match_reference_kernel(jx, front, geom, lam):
     assert np.array_equal(gain, _reference_gain(field, ref, s, trials,
                                                 seed + 1))
 
-    (g_hf, g_pd, absorb), ratio = res._sweep_point(lambda _: field, fp, s,
-                                                   trials, seed, seed + 7)
+    g_hf, g_pd, absorb, ratio = res._sweep_chunk(
+        [(lambda: field, seed, seed + 7)], s, trials, max(4, trials // 4),
+        res.POWER_ITERS)[0]
     _, _, (hv, l2v, h1v), (hf, l2f, _) = _reference_trials(field, ref, s,
                                                            trials, seed)
     _, _, (hp, l2p, _), _ = _reference_trials(field, ref, s, 1, seed + 7)
@@ -809,12 +819,14 @@ def test_power_iteration_memory(jx, front, geom):
     # past four real m x m arrays
     fp = res.FrequencyPoint(np.zeros(0), 0.5 + 15.65j)
     field = res.assemble_G(jx, front, fp, geom=geom)
-    V, (hv, _, _), (hf, _, _) = res._ensemble(field, 1, [(4, 0)])
-    # the first call builds the grid's stiffness matrix, kept for later calls
-    res._refined_gain(field, 1, V, hv / hf, res.POWER_ITERS)
+    # one point, its power iteration started from 4 forcings of seed 0; the
+    # first call factors the operator and builds the grid's stiffness
+    # matrix, both kept for later calls
+    point = [(lambda: field, -1, None)]
+    res._sweep_chunk(point, 1, 0, 4, res.POWER_ITERS)
     tracemalloc.start()
     try:
-        res._refined_gain(field, 1, V, hv / hf, res.POWER_ITERS)
+        res._sweep_chunk(point, 1, 0, 4, res.POWER_ITERS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -844,6 +856,7 @@ def test_sweep_point_lapack_work(jx, front, geom, monkeypatch, threads):
 
     monkeypatch.setattr(res, "lu_factor", counted_factor)
     monkeypatch.setattr(res, "lu_solve", counted_solve)
+    # at 161 nodes each point is a chunk of its own
     grid = [res.FrequencyPoint(np.zeros(0), lam)
             for lam in (0.5 + 15.65j, 0.5 + 60j)]
     res.verify_equivalence(
@@ -905,12 +918,117 @@ def test_power_iteration_solves_single_columns(jx, front, geom, monkeypatch):
         return solve(factors, b, trans=trans)
 
     monkeypatch.setattr(res, "lu_solve", counted_solve)
+    # at 161 nodes each point is a chunk of its own
     grid = [res.FrequencyPoint(np.zeros(0), lam)
             for lam in (0.5 + 15.65j, 0.5 + 60j)]
     res.verify_equivalence(
         lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
         gamma_star=-0.25, trials=4, seed=0)
     assert counts == {"single": 2 * 20, "stacked": 2 * 8}
+
+
+
+# --------------------------------------------------- chunks in lockstep ----
+
+def test_sweep_chunk_layout(jx, front, monkeypatch):
+    # a chunk holds as many consecutive points as fit CHUNK_BYTES of
+    # collocation matrices, at least one, and the pool has one thread per
+    # chunk at most
+    monkeypatch.setenv("RELAXSTAB_THREADS", "2")
+    kernel, pool = res._sweep_chunk, res.ThreadPoolExecutor
+    chunks, threads = [], []
+
+    def recording_kernel(points, *args):
+        chunks.append(len(points))
+        return kernel(points, *args)
+
+    def recording_pool(max_workers):
+        threads.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
+    monkeypatch.setattr(res, "ThreadPoolExecutor", recording_pool)
+    for n_nodes, n_points, sizes in ((43, 9, [9]), (161, 3, [1, 1, 1])):
+        geom = res.CollocationGrid(n_nodes=n_nodes, length=20.0)
+        grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+                for tau in np.linspace(0.0, 10.0, n_points)]
+        chunks.clear()
+        threads.clear()
+        res.verify_equivalence(
+            lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+            gamma_star=-0.25, trials=2, seed=0)
+        assert chunks == sizes
+        assert threads == [min(2, len(sizes))]
+
+
+def _chunk_points(fields, lams):
+    """Kernel points of ``fields`` (by lambda) with the sweep's seeds."""
+    return [(lambda lam=lam: fields[lam], 1000 * i,
+             7 * i if abs(lam) <= res.BOUNDED_CUT else None)
+            for i, lam in enumerate(lams)]
+
+
+def test_chunk_matches_its_points_alone(jx, front):
+    # a singular-set point (lambda = 0), a bounded point with a probe and
+    # large-|lambda| points in one chunk: each gets the bits it gets alone
+    geom = res.CollocationGrid(n_nodes=65, length=30.0)
+    lams = (0.0, 1.0 + 1.0j, 0.5 + 15.65j, 300.0, 2.0)
+    fields = {lam: res.assemble_G(jx, front,
+                                  res.FrequencyPoint(np.zeros(0), lam),
+                                  geom=geom)
+              for lam in lams}
+    points = _chunk_points(fields, lams)
+    together = res._sweep_chunk(points, 1, 4, 4, res.POWER_ITERS)
+    alone = [res._sweep_chunk([p], 1, 4, 4, res.POWER_ITERS)[0]
+             for p in points]
+    assert isinstance(together[0], str) and together[0] == alone[0]
+    for a, b in zip(together[1:], alone[1:]):
+        assert np.array_equal(a, b)
+    assert together[1][3] > 0 and together[2][3] == 0.0   # probe, none
+
+
+def test_chunk_with_unequal_ranks_matches_its_points_alone():
+    # two supersonic transport modes: both limit eigenvalues are stable for
+    # Re lambda > 0 and unstable for Re lambda < 0, so the chunk's points
+    # split into rank groups (2, 0) and (0, 2)
+    sys = transport_system([[1.0, 0.0], [0.0, 2.0]], n=2)
+    p = prof.WaveProfile(grid=np.linspace(-20, 20, 11),
+                         values=np.zeros((11, 2)), derivs=np.zeros((11, 2)),
+                         speed=0.0, endstates=(np.zeros(2), np.zeros(2)),
+                         decay_rate=0.0, tol_end=1e-8)
+    geom = res.CollocationGrid(n_nodes=33, length=20.0)
+    lams = (1.0, -0.5 + 2.0j, 3.0 + 1.0j, -0.25)
+    fields = {lam: res.assemble_G(sys, p,
+                                  res.FrequencyPoint(np.zeros(0), lam),
+                                  geom=geom)
+              for lam in lams}
+    assert [fields[lam].bvp().ranks for lam in lams] == [(2, 0), (0, 2),
+                                                         (2, 0), (0, 2)]
+    points = _chunk_points(fields, lams)
+    together = res._sweep_chunk(points, 0, 4, 4, res.POWER_ITERS)
+    alone = [res._sweep_chunk([q], 0, 4, 4, res.POWER_ITERS)[0]
+             for q in points]
+    for a, b in zip(together, alone):
+        assert np.array_equal(a, b)
+
+
+
+def test_sweep_rejects_fields_on_different_grids(jx, front):
+    # a chunk stacks its points' node arrays: an equal grid built per point
+    # is fine, a grid of another size is a caller error
+    grid = [res.FrequencyPoint(np.zeros(0), lam) for lam in (0.5, 0.5 + 3j)]
+
+    def family(sizes):
+        nodes = dict(zip((fp.lam for fp in grid), sizes))
+        return lambda fp: res.assemble_G(
+            jx, front, fp,
+            geom=res.CollocationGrid(n_nodes=nodes[fp.lam], length=20.0))
+
+    sweep = res.verify_equivalence(family((33, 33)), 1, grid, trials=2,
+                                   seed=0)
+    assert np.all(np.isfinite(sweep.hfres_gain))
+    with pytest.raises(ValueError, match="one collocation grid"):
+        res.verify_equivalence(family((33, 43)), 1, grid, trials=2, seed=0)
 
 
 CONCURRENT_SOLVES = """
