@@ -377,6 +377,10 @@ class _Runner:
     def dichotomy(self):
         dc = self.cfg.section("dichotomy")
         lam = complex(*dc["lambda"])
+        if lam.real < res.GAMMA_FLOOR:
+            raise ConfigError(f"config invalid at dichotomy.lambda: Re lambda "
+                              f"must be at least gamma_floor = "
+                              f"{res.GAMMA_FLOOR}, got {lam.real}")
         field = self._field_at(lam)
         data = dich.propagate_subspaces(field, seed=self.cfg.seed)
         # pairs of their own: with the fit's seed the verifier would check
@@ -424,6 +428,10 @@ class _Runner:
     def simulate(self):
         mc = self.cfg.section("simulation")
         nc = self.cfg.section("norms")
+        if nc["s"] > td.MAX_ENERGY_ORDER:
+            raise ConfigError(f"config invalid at norms.s: the simulation's "
+                              f"discrete energies support s <= "
+                              f"{td.MAX_ENERGY_ORDER}, got {nc['s']}")
         p = self.get_profile()
         v0 = td.gaussian_initial_data(
             np.ones(self.system.n), amplitude=mc["amplitude"],
@@ -518,13 +526,18 @@ def report(paths):
         elif v != version:
             raise CompatibilityError(
                 f"summary {path} has schema_version {v}, expected {version}")
+        results = data.get("results", {})
+        if not (isinstance(results, dict)
+                and all(isinstance(r, dict) for r in results.values())):
+            raise ConfigError(f"summary {path}: results is not an object of "
+                              f"JSON objects")
         keep = ("passed", "theta_measured", "c0_measured", "chf_theta",
                 "constants", "eta", "agreement", "damping",
                 "integrated_slack", "absorption_exponent")
         merged[str(path)] = {
             "passed": data.get("passed"),
             "results": {k: {kk: vv for kk, vv in r.items() if kk in keep}
-                        for k, r in data.get("results", {}).items()},
+                        for k, r in results.items()},
         }
     return merged
 

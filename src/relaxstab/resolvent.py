@@ -58,7 +58,12 @@ made point by point.  Each point gets the bits it gets alone.  A chunk holds
 as many points as fit ``CHUNK_BYTES`` (2 MiB) of collocation matrices, at
 least one: the 9 points of a sweep at 43 nodes (118 KB each) form one
 chunk, and at 161 nodes (1.66 MB) each point is a chunk of its own, which
-keeps about one factor per thread in memory.  Around the LAPACK calls the
+keeps about one factor per thread in memory.  A stack holds one rank pair
+``(j, k)`` of the limit splits, so a chunk whose points have several pairs
+runs one stack per pair.  A degenerate point rides along as zero fields: a
+point with no positive start ratio starts its power iteration from zero,
+and a step forcing of zero norm stays zero, so the point ends with no
+refined gain.  Around the LAPACK calls the
 matrices stay small: the collocation matrix is filled in Fortran order and
 factored in place; the real matrices ``D^k``, the hat-Gram matrix and its
 Cholesky factor act on the real view of a complex field (its real and
@@ -197,24 +202,6 @@ class CollocationGrid:
         sq *= self.wq[:, None]
         return np.sqrt(np.sum(sq, axis=(-2, -1)))
 
-    def sobolev_norms(self, V, s):
-        """``[L2, H^1, ..., H^s]`` norms of every field of a stack
-        ``(T, m, n)``, each an array ``(T,)``, in one pass.
-
-        The squares are taken on Python floats, so they round as libm
-        ``pow`` does (not always as ``x*x``): the rounding every reported
-        gain has been computed with.  ``D^k`` is real, so it acts on the
-        real view of a complex stack (:func:`_real_view`).
-        """
-        l2 = self._l2(V)
-        norms, total = [l2], [a ** 2 for a in l2.tolist()]
-        X = _real_view(V)
-        for k in range(1, s + 1):
-            dk = self._l2(np.matmul(self.dpow(k), X)).tolist()
-            total = [t + a ** 2 for t, a in zip(total, dk)]
-            norms.append(np.sqrt(total))
-        return norms
-
 
 @dataclass(frozen=True)
 class HatNorm:
@@ -232,8 +219,20 @@ class HatNorm:
     def norms(self, V, geom, freq_mag):
         """Hat, L2 and H^1 norms of every field of a stack ``(T, m, n)``;
         ``freq_mag`` is one frequency magnitude or a list of one per field.
+
+        The ``[L2, H^1, ..., H^s]`` norms are taken in one pass.  Their
+        squares are taken on Python floats, so they round as libm ``pow``
+        does (not always as ``x*x``): the rounding every reported gain has
+        been computed with.  ``D^k`` is real, so it acts on the real view of
+        a complex stack (:func:`_real_view`).
         """
-        sob = geom.sobolev_norms(V, max(self.s, 1))
+        l2 = geom._l2(V)
+        sob, total = [l2], [a ** 2 for a in l2.tolist()]
+        X = _real_view(V)
+        for k in range(1, max(self.s, 1) + 1):
+            dk = geom._l2(np.matmul(geom.dpow(k), X)).tolist()
+            total = [t + a ** 2 for t, a in zip(total, dk)]
+            sob.append(np.sqrt(total))
         mags = freq_mag if isinstance(freq_mag, list) else [freq_mag]
         weight = np.array([(1.0 + r) ** self.s for r in mags])
         hat = sob[self.s] + weight * sob[0]
@@ -522,14 +521,13 @@ class _BvpOperator:
 
 class _Chunk:
     """The collocation operators of consecutive frequency points on one grid,
-    solved in lockstep.
+    whose limit splits have one rank pair ``(j, k)``, solved in lockstep.
 
     The node arrays that a solve applies (``A_1^{-1}``, ``G`` at the interior
     nodes for the residual check, the kept left rows of the end projections)
     are stacked over the points, so that each step of a solve is one numpy
     call for every point of the chunk; only the LAPACK calls
-    (:func:`lu_solve`) are made point by point.  Points whose limit splits
-    have the same ranks ``(j, k)`` share a stack of kept rows.
+    (:func:`lu_solve`) are made point by point.
     """
 
     def __init__(self, ops):
@@ -539,28 +537,17 @@ class _Chunk:
         if any((op.geom.n_nodes, op.geom.length, op.n) != grid for op in ops):
             raise ValueError("the points of a sweep must share one "
                              "collocation grid")
+        # the end rows of a stack are projected with one pair of ranks
+        self.ranks = ops[0].ranks
+        if any(op.ranks != self.ranks for op in ops):
+            raise ValueError("the points of a chunk must share the ranks "
+                             "(j, k) of their limit splits")
         self.freq_mags = [op.freq_mag for op in ops]
         A1inv = np.stack([op.A1inv for op in ops])
         self.A1inv_c, self.A1inv_h = A1inv.astype(complex), A1inv.conj()
         self.G_inner = np.stack([op.G_inner for op in ops])
-        # per rank group: its points (all of them as a slice), each point's
-        # position in the group (-1 outside it) and its stacks of kept rows
-        ranks = [op.ranks for op in ops]
-        self.groups = []
-        for jk in dict.fromkeys(ranks):
-            pts = [p for p, r in enumerate(ranks) if r == jk]
-            pos = np.full(len(ops), -1)
-            pos[pts] = np.arange(len(pts))
-            km = np.array([ops[p].keep_minus for p in pts])
-            kp = np.array([ops[p].keep_plus for p in pts])
-            rows = slice(None) if len(pts) == len(ops) else np.array(pts)
-            self.groups.append((rows, pos, jk, km, kp))
-
-    def subset(self, keep):
-        """The chunk of the points ``keep`` (ascending positions)."""
-        if len(keep) == len(self.ops):
-            return self
-        return _Chunk([self.ops[p] for p in keep])
+        self.keep_minus = np.array([op.keep_minus for op in ops])  # (P, k, n)
+        self.keep_plus = np.array([op.keep_plus for op in ops])    # (P, j, n)
 
     def solve(self, F, counts, apply_a1inv):
         """Solve ``v' = G v + rhs`` for a stack of forcings ``F`` ``(R, m, n)``
@@ -573,25 +560,18 @@ class _Chunk:
         cap is checked for each solution.
         """
         m, n = self.m, self.n
+        j, k = self.ranks
         if counts is None:
             runs, owner = [1] * len(self.ops), slice(None)
-            kept = [(rows, jk, km, kp) for rows, _, jk, km, kp in self.groups]
         else:
-            # the point of each row, and the rows of each rank group
             runs, owner = counts, np.repeat(np.arange(len(self.ops)), counts)
-            kept = []
-            for _, pos, jk, km, kp in self.groups:
-                rows = np.flatnonzero(pos[owner] >= 0)
-                sel = pos[owner[rows]]
-                kept.append((rows, jk, km[sel], kp[sel]))
         rhs = _nodewise(self.A1inv_c[owner], F) if apply_a1inv else F
         # projected by _project, the end rows of a forcing, and so its
         # solution, are the same bits alone and in a stack of any size
         b = rhs.copy()
         b[:, [0, -1]] = 0.0
-        for rows, (j, k), km, kp in kept:
-            b[rows, 0, n - k:] = _project(km, rhs[rows, 0])
-            b[rows, -1, :j] = _project(kp, rhs[rows, -1])
+        b[:, 0, n - k:] = _project(self.keep_minus[owner], rhs[:, 0])
+        b[:, -1, :j] = _project(self.keep_plus[owner], rhs[:, -1])
         # b is a scratch copy, and every solution is checked by the residual
         # cap, so LAPACK may overwrite it and need not scan it
         off = 0
@@ -611,14 +591,15 @@ class _Chunk:
         """Apply the conjugate-transposed solution operator (no
         ``A_1^{-1}``) to one field per point, a stack ``(P, m, n)``."""
         m, n = self.m, self.n
+        j, k = self.ranks
         U = np.array([lu_solve(op.lu, y.reshape(-1), trans=2)
                       for op, y in zip(self.ops, Y)]).reshape(len(Y), m, n)
-        for pts, _, (j, k), km, kp in self.groups:
-            # (n, k) and (n, j) transposed views, the layout that BLAS got
-            # for one point's keep_minus.conj().T
-            km_h, kp_h = (a.conj().transpose(0, 2, 1) for a in (km, kp))
-            U[pts, 0] = np.matmul(km_h, U[pts, 0, n - k:, None])[..., 0]
-            U[pts, -1] = np.matmul(kp_h, U[pts, -1, :j, None])[..., 0]
+        # (n, k) and (n, j) transposed views, the layout that BLAS got for
+        # one point's keep_minus.conj().T
+        km_h, kp_h = (a.conj().transpose(0, 2, 1)
+                      for a in (self.keep_minus, self.keep_plus))
+        U[:, 0] = np.matmul(km_h, U[:, 0, n - k:, None])[..., 0]
+        U[:, -1] = np.matmul(kp_h, U[:, -1, :j, None])[..., 0]
         return U
 
     def _check_residual(self, V, rhs, G, runs):
@@ -765,8 +746,9 @@ def _ensemble(chunk, seeds, s, trials, starts):
 
     Returns per point ``(g_hf, g_pd, absorb, ratio, best)`` (``ratio`` 0.0
     without a probe; ``best`` the largest positive hat-norm gain of its
-    starts, else 0.0), the positions of the points with a positive start
-    ratio and, stacked, the solution of each one's best start.
+    starts, else 0.0) and, stacked ``(P, m, n)``, the solution of each
+    point's best start: a zero field for a point with no positive start
+    ratio.
     """
     geom = chunk.geom
     draws, counts = [], []
@@ -784,33 +766,32 @@ def _ensemble(chunk, seeds, s, trials, starts):
     hat, l2, h1 = HatNorm(s).norms(np.concatenate([V, F]), geom, mags * 2)
     T = len(F)
     hv, hf, l2v, l2f, h1v = hat[:T], hat[T:], l2[:T], l2[T:], h1[:T]
-    stats, go, rows = [], [], []
+    stats = []
+    V_best = np.zeros((len(counts), chunk.m, chunk.n), dtype=complex)
     off = 0
     for p, count in enumerate(counts):
         a, b = off + trials, off + trials + starts
         ratio = 0.0
         if count > b - off and l2v[b] > 0:
             ratio = float(hv[b] / l2v[b])
-        best, start = 0.0, None
+        best = 0.0
         for r, x in enumerate((hv[a:b] / hf[a:b]).tolist()):
             if x > best:
-                best, start = x, a + r
+                best, V_best[p] = x, V[a + r]
         stats.append((_worst(hv[off:a] / hf[off:a]),
                       _worst(hv[off:a] / (hf[off:a] + l2v[off:a])),
                       _worst(l2v[off:a] / (h1v[off:a] + l2f[off:a])),
                       ratio, best))
-        if start is not None:
-            go.append(p)
-            rows.append(start)
         off += count
-    return stats, go, V[rows]
+    return stats, V_best
 
 
 def _power_gains(chunk, s, V, power_iters):
     """The hat-norm gains that ``power_iters`` power-iteration steps reach
     from the solutions ``V`` ``(P, m, n)``, one per point of ``chunk``, the
-    points in lockstep; a list with None for a point whose step forcing
-    vanished or whose last forcing has zero hat norm.
+    points in lockstep; a list with None for a point whose last forcing has
+    zero hat norm.  A step forcing of zero norm stays zero, so a point that
+    starts from a zero field, or whose step forcing vanishes, ends there.
 
     The hat-Gram matrices and their Cholesky factors stay real: they act on
     the real view of a field (:func:`_real_view`), its real and imaginary
@@ -823,8 +804,6 @@ def _power_gains(chunk, s, V, power_iters):
     # resolved forcings (boundary-node spikes are artifacts of the clustered
     # grid, not modes of the whole-line operator)
     envelope = np.exp(-((geom.x / (0.65 * geom.length)) ** 8))[:, None]
-    points = list(range(len(V)))
-    gains = [None] * len(V)
     for _ in range(power_iters):
         U = chunk.solve_adjoint(np.matmul(Gm, _real_view(V)).view(complex))
         U = np.einsum("ijk,ij->ik", chunk.A1inv_h.reshape(-1, n, n),
@@ -832,21 +811,12 @@ def _power_gains(chunk, s, V, power_iters):
         X = np.array([dpotrs(c, u) for c, u in zip(factors, _real_view(U))])
         F = np.multiply(envelope, X).view(complex)
         nrm = geom._l2(F)
-        if 0.0 in nrm.tolist():
-            live = [p for p, r in enumerate(nrm.tolist()) if r != 0]
-            if not live:
-                return gains
-            points = [points[p] for p in live]
-            factors = [factors[p] for p in live]
-            chunk, Gm, F, nrm = chunk.subset(live), Gm[live], F[live], nrm[live]
-        F = F / nrm[:, None, None]
+        F = F / np.where(nrm > 0, nrm, 1.0)[:, None, None]
         V = chunk.solve(F, None, True)
     hat = HatNorm(s).norms(np.concatenate([V, F]), geom,
                            chunk.freq_mags * 2)[0].tolist()
-    for p, hv, hf in zip(points, hat[:len(V)], hat[len(V):]):
-        if hf > 0:
-            gains[p] = hv / hf
-    return gains
+    return [hv / hf if hf > 0 else None
+            for hv, hf in zip(hat[:len(V)], hat[len(V):])]
 
 
 def _sweep_chunk(points, s, trials, starts, power_iters):
@@ -860,31 +830,31 @@ def _sweep_chunk(points, s, trials, starts, power_iters):
     ``power_iters`` power-iteration steps from the best of the ``starts``
     forcings from ``seed + 1``), its worst damping-bound gain and
     absorption ratio (the trials), and with a ``probe_seed`` the hat/L2
-    ratio of one forcing from that seed (else 0.0).  See
-    :func:`_ensemble` and :func:`_power_gains`.
+    ratio of one forcing from that seed (else 0.0).  The points whose limit
+    splits have the same ranks ``(j, k)`` run as one :class:`_Chunk`, the
+    groups in the order their first points come.  See :func:`_ensemble`
+    and :func:`_power_gains`.
     """
-    results, ops, live = [None] * len(points), [], []
+    results, groups = [None] * len(points), {}
     for i, (field, _, _) in enumerate(points):
         try:
-            ops.append(field().bvp())
+            op = field().bvp()
         except CenterSpectrumError as exc:
             results[i] = str(exc)
             continue
-        live.append(i)
-    if not ops:
-        return results
-    chunk = _Chunk(ops)
-    stats, go, V = _ensemble(chunk, [points[i][1:] for i in live], s,
+        groups.setdefault(op.ranks, []).append((i, op))
+    for members in groups.values():
+        live, ops = zip(*members)
+        chunk = _Chunk(list(ops))
+        stats, V = _ensemble(chunk, [points[i][1:] for i in live], s,
                              trials, starts)
-    refined = {}
-    if power_iters > 0 and go:
-        refined = dict(zip(go, _power_gains(chunk.subset(go), s, V,
-                                            power_iters)))
-    for p, i in enumerate(live):
-        g_hf, g_pd, absorb, ratio, best = stats[p]
-        gain = refined.get(p)
-        gain = best if gain is None else max(best, gain)
-        results[i] = (max(g_hf, gain), g_pd, absorb, ratio)
+        refined = [None] * len(live)
+        if power_iters > 0:
+            refined = _power_gains(chunk, s, V, power_iters)
+        for i, (g_hf, g_pd, absorb, ratio, best), gain in zip(live, stats,
+                                                              refined):
+            gain = best if gain is None else max(best, gain)
+            results[i] = (max(g_hf, gain), g_pd, absorb, ratio)
     return results
 
 

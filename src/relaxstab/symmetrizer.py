@@ -298,7 +298,7 @@ def energy_estimate_check(S, field, trials, theta, C0, seed=0):
         if edge > DECAY_TOL * max(np.max(np.abs(u)), 1e-300):
             warnings.warn("solution does not decay at the truncated ends; "
                           "enlarge the domain", stacklevel=2)
-    l2u, l2f = (field.geom.sobolev_norms(X, 0)[0].tolist() for X in (U, F))
+    l2u, l2f = (field.geom._l2(X).tolist() for X in (U, F))
     worst = 0.0
     for a, b in zip(l2u, l2f):
         worst = max(worst, (theta ** 2 * a ** 2) / (C0 ** 2 * b ** 2))

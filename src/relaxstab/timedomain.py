@@ -63,6 +63,7 @@ C_CAP = 50.0              # cap on the damping constant C
 DAMPING_SLACK = 1e-9      # allowed violation where L2 + f vanishes, relative
 TRUNCATION_CAP = 1e8      # cap on every truncation_pipeline constant
 SHORT_TIME_CAP = 1e8      # verify_short_time refutes a larger C
+MAX_ENERGY_ORDER = 3      # highest Sobolev order of measure_energy
 
 
 @dataclass(eq=False)
@@ -202,10 +203,10 @@ def measure_energy(grid, v, s=1, alpha=0.0):
     ``v`` is one field ``(m, n)`` or a stack ``(K, m, n)`` on ``grid``; the
     results are scalars or ``(K,)`` arrays.  ``alpha`` is the exponent of
     the weight ``exp(alpha*x)``.  Differences are centered with one-sided
-    closures and support ``s <= 3``.
+    closures and support ``s <= MAX_ENERGY_ORDER``.
     """
-    if s > 3:
-        raise ValueError("discrete energies support s <= 3")
+    if s > MAX_ENERGY_ORDER:
+        raise ValueError(f"discrete energies support s <= {MAX_ENERGY_ORDER}")
     dx = grid[1] - grid[0]
     wgt = np.exp(alpha * grid)[:, None]
     l2 = np.sum(np.abs(wgt * v) ** 2, axis=(-2, -1)) * dx

@@ -144,8 +144,17 @@ BAD_INPUTS = {
     "three-part-lambda": (
         _run_argv(lambda c: c["dichotomy"].update({"lambda": [1, 2, 3]})),
         "dichotomy.lambda"),
+    "dichotomy-lambda-below-floor": (
+        _run_argv(lambda c: c["dichotomy"].update({"lambda": [-20.0, 0.0]})),
+        "dichotomy.lambda"),
     "report-missing-file": (_report_argv("missing.json"), "missing.json"),
     "report-not-json": (_report_argv("broken.json", "{"), "broken.json"),
+    "report-results-not-an-object": (
+        _report_argv("list.json", '{"schema_version": 1, "results": [1]}'),
+        "list.json"),
+    "report-result-not-an-object": (
+        _report_argv("scalar.json", '{"results": {"sweep": 3}}'),
+        "scalar.json"),
 }
 
 
@@ -430,6 +439,16 @@ def test_retired_simulation_mode_is_usage_error(tmp_path, capsys, mode):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error") and "simulation.mode" in err
+    assert "Traceback" not in err
+
+
+def test_sobolev_order_beyond_the_energies_is_usage_error(tmp_path, capsys):
+    # the sweep takes any s, the simulation's discrete energies s <= 3: the
+    # simulate stage says so before it runs, not with a traceback
+    argv = _run_argv(lambda c: c["norms"].update(s=4))(tmp_path)
+    assert cli.main(argv + ["--pipeline", "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "norms.s" in err
     assert "Traceback" not in err
 
 

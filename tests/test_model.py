@@ -301,6 +301,61 @@ def test_kawashima_defective_basis_raises():
         model.check_kawashima(sys, [0.0, 0.0])
 
 
+def test_kawashima_clusters_a_double_eigenvalue():
+    # with c = a the undamped transport speed equals the sound speed: the
+    # eigenvalue a of T is double and its eigenspace holds the undamped
+    # mode, once per direction eta = 1, -1
+    sys = systems.partially_damped(2.0, 2.0)
+    r = model.check_kawashima(sys, np.zeros(3))
+    assert not r.passed and r.worst_norm == 0.0
+    assert [(eta, mu) for eta, mu, _ in r.failures] == [((1.0,), 2.0),
+                                                        ((-1.0,), -2.0)]
+    # the same system in a skewed basis: eig returns a mixed basis of the
+    # double eigenspace, each vector of which the damping couples; only the
+    # eigenspace as a whole holds the undamped mode
+    S = np.array([[1.0, 0.3, -0.7], [0.2, 1.0, 0.5], [-0.4, 0.6, 1.0]])
+    Si = np.linalg.inv(S)
+    A = S @ sys.flux_jacs(np.zeros(3))[0] @ Si
+    B = S @ sys.relax_jacobian(np.zeros(3)) @ Si
+    skewed = systems.SystemSpec(n=3, d=1,
+                                flux_jac=per_state(lambda w: A[None]),
+                                relax_jac=per_state(lambda w: B),
+                                relax=per_state(lambda w: B @ w),
+                                name="skewed")
+    r = model.check_kawashima(skewed, np.zeros(3))
+    assert len(r.failures) == 2 and r.worst_norm <= model.COUPLING_TOL
+
+
+def test_chf_and_kawashima_scan_half_the_plane_in_two_dimensions():
+    # for d = 2 the scans run over a half circle of directions, which
+    # suffices since T(w, -eta) = -T(w, eta): a full-circle scan of the same
+    # radii gives the same theta and the same smallest coupling norm
+    sys = systems.jin_xin_2d(2.0)
+    w0 = np.zeros(3)
+    dirs = model.sphere_loop(2, 4)
+    assert np.allclose(dirs, [[1, 0], [0.5 ** 0.5] * 2, [0, 1],
+                              [-0.5 ** 0.5, 0.5 ** 0.5]])
+    chf = model.check_chf(sys, w0, eta_min=10.0, theta_req=0.4)
+    kaw = model.check_kawashima(sys, w0)
+    assert chf.passed and kaw.passed and abs(chf.theta - 0.5) < 1e-9
+
+    A, E = sys.flux_jacs(w0), -sys.relax_jacobian(w0)
+    radii = np.geomspace(10.0, model.CHF_ETA_MAX_FACTOR * 10.0,
+                         model.CHF_N_RADII)
+    worst, coupling = -np.inf, np.inf
+    for phi in np.linspace(0.0, 2.0 * np.pi, 2 * model.CHF_N_DIRECTIONS,
+                           endpoint=False):
+        T = np.cos(phi) * A[0] + np.sin(phi) * A[1]
+        for r in radii:
+            worst = max(worst, np.max(np.linalg.eigvals(-1j * r * T - E).real))
+        # the three eigenvalues 0, a, -a are simple
+        _, V = np.linalg.eig(T)
+        coupling = min(coupling, np.min(np.linalg.norm(E @ V, axis=0)
+                                        / np.linalg.norm(V, axis=0)))
+    assert chf.theta == pytest.approx(-worst, abs=1e-12)
+    assert kaw.worst_norm == pytest.approx(coupling, abs=1e-12)
+
+
 def test_kawashima_implies_chf_on_corpus():
     # one-directional implication, asserted empirically on the corpus
     corpus = [

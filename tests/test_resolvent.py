@@ -987,10 +987,10 @@ def test_chunk_matches_its_points_alone(jx, front):
     assert together[1][3] > 0 and together[2][3] == 0.0   # probe, none
 
 
-def test_chunk_with_unequal_ranks_matches_its_points_alone():
-    # two supersonic transport modes: both limit eigenvalues are stable for
-    # Re lambda > 0 and unstable for Re lambda < 0, so the chunk's points
-    # split into rank groups (2, 0) and (0, 2)
+def _supersonic_fields():
+    """Fields of two supersonic transport modes: both limit eigenvalues are
+    stable for Re lambda > 0 and unstable for Re lambda < 0, so the points
+    split into rank groups (2, 0) and (0, 2)."""
     sys = transport_system([[1.0, 0.0], [0.0, 2.0]], n=2)
     p = prof.WaveProfile(grid=np.linspace(-20, 20, 11),
                          values=np.zeros((11, 2)), derivs=np.zeros((11, 2)),
@@ -1004,6 +1004,12 @@ def test_chunk_with_unequal_ranks_matches_its_points_alone():
               for lam in lams}
     assert [fields[lam].bvp().ranks for lam in lams] == [(2, 0), (0, 2),
                                                          (2, 0), (0, 2)]
+    return fields, lams
+
+
+def test_chunk_with_unequal_ranks_matches_its_points_alone():
+    # the kernel runs each rank group as a chunk of its own
+    fields, lams = _supersonic_fields()
     points = _chunk_points(fields, lams)
     together = res._sweep_chunk(points, 0, 4, 4, res.POWER_ITERS)
     alone = [res._sweep_chunk([q], 0, 4, 4, res.POWER_ITERS)[0]
@@ -1011,6 +1017,57 @@ def test_chunk_with_unequal_ranks_matches_its_points_alone():
     for a, b in zip(together, alone):
         assert np.array_equal(a, b)
 
+
+def test_chunk_rejects_points_of_other_ranks():
+    # a chunk projects the end rows of its stack with one pair of ranks
+    fields, lams = _supersonic_fields()
+    with pytest.raises(ValueError, match="ranks"):
+        res._Chunk([fields[lam].bvp() for lam in lams[:2]])
+
+
+def _shifted_grid(shift):
+    grid = res.CollocationGrid(n_nodes=33, length=20.0)
+    grid.x = grid.x + shift
+    return grid
+
+
+def test_chunk_of_vanishing_forcings_gives_zero_gains(jx, front):
+    # every bump underflows, as on the far grid of
+    # test_random_forcings_are_bump_by_bump_sums: every forcing, solution
+    # and power-iteration field is zero, and every point reports no gain
+    geom = _shifted_grid(1e3)
+    lams = (1.0 + 1.0j, 0.5 + 15.65j, 300.0)
+    fields = {lam: res.assemble_G(jx, front,
+                                  res.FrequencyPoint(np.zeros(0), lam),
+                                  geom=geom)
+              for lam in lams}
+    points = _chunk_points(fields, lams)
+    with np.errstate(invalid="ignore"):      # the gains of zero fields: 0/0
+        together = res._sweep_chunk(points, 1, 4, 4, res.POWER_ITERS)
+        alone = [res._sweep_chunk([p], 1, 4, 4, res.POWER_ITERS)[0]
+                 for p in points]
+    assert together == alone == [(0.0, 0.0, 0.0, 0.0)] * len(lams)
+
+
+def test_live_point_beside_a_vanishing_one_gets_its_bits_alone(jx, front):
+    # at this shift the forcings from seeds 121 and 122 underflow at every
+    # node, those from seeds 60 and 61 peak near 1e-120: the first point
+    # rides along as zero fields, the second gets its gains, and the
+    # envelope of the power iteration underflows too, so its step forcing
+    # vanishes at the first step
+    geom = _shifted_grid(72.5)
+    fields = [res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), lam),
+                             geom=geom)
+              for lam in (0.5 + 3.0j, 0.5 + 15.65j)]
+    points = [(lambda: fields[0], 121, None), (lambda: fields[1], 60, None)]
+    with np.errstate(invalid="ignore"):
+        together = res._sweep_chunk(points, 1, 1, 1, res.POWER_ITERS)
+        alone = [res._sweep_chunk([p], 1, 1, 1, res.POWER_ITERS)[0]
+                 for p in points]
+    assert together[0] == (0.0, 0.0, 0.0, 0.0)
+    assert min(together[1][:3]) > 0 and together[1][3] == 0.0   # no probe
+    for a, b in zip(together, alone):
+        assert np.array_equal(a, b)
 
 
 def test_sweep_rejects_fields_on_different_grids(jx, front):
