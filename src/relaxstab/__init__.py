@@ -6,8 +6,8 @@ detection, and time-domain confirmation of damping estimates.
 
 import os
 
-# The sweep pool is the only source of parallelism: BLAS threads inside its
-# workers oversubscribe the cores and make results depend on the thread count.
+# The sweep's threads are the only source of parallelism: BLAS threads inside
+# them oversubscribe the cores and make results depend on the thread count.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import errors

@@ -220,6 +220,41 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _check_stages(config, pipeline):
+    """Reject the values that the stages of ``pipeline`` cannot take, before
+    any stage runs: checks that need no computation, made only for the
+    stages that the pipeline reaches."""
+    if pipeline not in PIPELINES:
+        raise ConfigError(f"unknown pipeline {pipeline!r}; choose from "
+                          f"{PIPELINES}")
+    stages = {"full": PIPELINES,
+              "symmetrizer": ("dichotomy",)}.get(pipeline, (pipeline,))
+    if "resolvent-sweep" in stages:
+        rc = config.section("resolvent")
+        gc = rc["grid"]
+        if gc["re_lambda"] < res.GAMMA_FLOOR:
+            raise ConfigError(f"config invalid at resolvent.grid.re_lambda: "
+                              f"must be at least gamma_floor = "
+                              f"{res.GAMMA_FLOOR}, got {gc['re_lambda']}")
+        lowest = min(gc["re_lambda"], gc["real_ray"]["min"])
+        if rc["gamma_star"] >= lowest:
+            raise ConfigError(f"config invalid at resolvent.gamma_star: must "
+                              f"lie below every Re lambda of the grid, "
+                              f"{lowest}, got {rc['gamma_star']}")
+    if "dichotomy" in stages:
+        lam = complex(*config.section("dichotomy")["lambda"])
+        if lam.real < res.GAMMA_FLOOR:
+            raise ConfigError(f"config invalid at dichotomy.lambda: Re lambda "
+                              f"must be at least gamma_floor = "
+                              f"{res.GAMMA_FLOOR}, got {lam.real}")
+    if "simulate" in stages:
+        s = config.section("norms")["s"]
+        if s > td.MAX_ENERGY_ORDER:
+            raise ConfigError(f"config invalid at norms.s: the simulation's "
+                              f"discrete energies support s <= "
+                              f"{td.MAX_ENERGY_ORDER}, got {s}")
+
+
 def _stage(fn):
     """Mark a pipeline stage: with ``--verbose`` every run of it prints its
     name, wall time and verdict to stderr."""
@@ -241,9 +276,9 @@ class _Runner:
         self.cfg = config
         self.out = out_dir
         self.verbose = verbose
-        os.makedirs(out_dir, exist_ok=True)
         sys_cfg = config.section("system")
         self.system = make_system(sys_cfg["name"], sys_cfg["params"])
+        os.makedirs(out_dir, exist_ok=True)
         self.summary = {"schema_version": SCHEMA_VERSION,
                         "config": config.raw, "results": {}}
         self._profile = None
@@ -321,16 +356,6 @@ class _Runner:
     def resolvent_sweep(self):
         rc = self.cfg.section("resolvent")
         nc = self.cfg.section("norms")
-        gc = rc["grid"]
-        if gc["re_lambda"] < res.GAMMA_FLOOR:
-            raise ConfigError(f"config invalid at resolvent.grid.re_lambda: "
-                              f"must be at least gamma_floor = "
-                              f"{res.GAMMA_FLOOR}, got {gc['re_lambda']}")
-        lowest = min(gc["re_lambda"], gc["real_ray"]["min"])
-        if rc["gamma_star"] >= lowest:
-            raise ConfigError(f"config invalid at resolvent.gamma_star: must "
-                              f"lie below every Re lambda of the grid, "
-                              f"{lowest}, got {rc['gamma_star']}")
         geom = self._geom
         p = self.get_profile()
 
@@ -376,12 +401,7 @@ class _Runner:
     @_stage
     def dichotomy(self):
         dc = self.cfg.section("dichotomy")
-        lam = complex(*dc["lambda"])
-        if lam.real < res.GAMMA_FLOOR:
-            raise ConfigError(f"config invalid at dichotomy.lambda: Re lambda "
-                              f"must be at least gamma_floor = "
-                              f"{res.GAMMA_FLOOR}, got {lam.real}")
-        field = self._field_at(lam)
+        field = self._field_at(complex(*dc["lambda"]))
         data = dich.propagate_subspaces(field, seed=self.cfg.seed)
         # pairs of their own: with the fit's seed the verifier would check
         # the fit's first pairs, and its decay check could not fail
@@ -428,10 +448,6 @@ class _Runner:
     def simulate(self):
         mc = self.cfg.section("simulation")
         nc = self.cfg.section("norms")
-        if nc["s"] > td.MAX_ENERGY_ORDER:
-            raise ConfigError(f"config invalid at norms.s: the simulation's "
-                              f"discrete energies support s <= "
-                              f"{td.MAX_ENERGY_ORDER}, got {nc['s']}")
         p = self.get_profile()
         v0 = td.gaussian_initial_data(
             np.ones(self.system.n), amplitude=mc["amplitude"],
@@ -482,13 +498,10 @@ class _Runner:
 def run(config, pipeline="full", out_dir="out", verbose=False):
     """Execute a pipeline; returns the process exit code."""
     try:
+        _check_stages(config, pipeline)
         runner = _Runner(config, out_dir, verbose=verbose)
     except RelaxstabError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
-        return 2
-    if pipeline not in PIPELINES:
-        print(f"usage error: unknown pipeline {pipeline!r}; "
-              f"choose from {PIPELINES}", file=_sys.stderr)
         return 2
     try:
         passed = getattr(runner, pipeline.replace("-", "_"))()

@@ -70,10 +70,12 @@ Cholesky factor act on the real view of a complex field (its real and
 imaginary parts as ``2n`` real columns) instead of being cast to complex;
 and the residual check reads only the interior rows.
 
-The chunks of a sweep run on a thread pool, the program's only source of
-parallelism, with ``min(worker_count(), chunks)`` threads
-(:func:`worker_count`): the LAPACK work of one chunk's points overlaps that
-of another's, while their numpy work takes turns at the GIL.
+The chunks of a sweep run on the calling thread alongside
+``min(worker_count(), chunks) - 1`` helper threads (:func:`worker_count`),
+the program's only source of parallelism: each thread takes the next chunk
+until none is left, so a one-chunk sweep starts no thread.  The LAPACK work
+of one chunk's points overlaps that of another's, while their numpy work
+takes turns at the GIL.
 ``RELAXSTAB_THREADS`` never changes an output, and BLAS defaults to one
 thread.  A user-set ``OPENBLAS_NUM_THREADS`` or numpy loaded before
 ``relaxstab`` keeps several BLAS threads, and then the last digit of a
@@ -82,7 +84,6 @@ result can move (README.md).
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -116,14 +117,16 @@ CHUNK_BYTES = 2 ** 21     # collocation matrices of the points run in lockstep
 
 
 def worker_count():
-    """Most threads of the sweep pool: ``RELAXSTAB_THREADS`` where it is
-    set, else the core count, at most 8; a sweep uses at most one thread per
-    chunk of points (:func:`verify_equivalence`).
+    """Most threads of a sweep, the calling thread included:
+    ``RELAXSTAB_THREADS`` where it is set, else the core count, at most 8; a
+    sweep runs its chunks of points on the caller and ``threads - 1``
+    helpers, one thread per chunk at most, so a one-chunk sweep starts no
+    thread (:func:`verify_equivalence`).
 
-    The pool is the program's only source of parallelism: importing
+    These threads are the program's only source of parallelism: importing
     ``relaxstab`` pins OpenBLAS to one thread (unless the caller set
-    ``OPENBLAS_NUM_THREADS`` or loaded numpy first), and the pool's thread
-    count never changes a result.  Raises :class:`ConfigError` when
+    ``OPENBLAS_NUM_THREADS`` or loaded numpy first), and their count never
+    changes a result.  Raises :class:`ConfigError` when
     ``RELAXSTAB_THREADS`` is not a positive integer.
     """
     env = os.environ.get("RELAXSTAB_THREADS")
@@ -890,22 +893,28 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ``field_family`` maps a :class:`FrequencyPoint` to an assembled field,
     every field on one collocation grid.  Consecutive points advance in
     lockstep as chunks (:func:`_sweep_chunk`), each of as many points as
-    fit ``CHUNK_BYTES`` of collocation matrices (at least one), on
-    ``min(worker_count(), chunks)`` threads; a point gets the same bits in
-    any chunk.  Each bound gets its own constant, 1.25x the worst calibration gain over
+    fit ``CHUNK_BYTES`` of collocation matrices (at least one); a point
+    gets the same bits in any chunk.  The calling thread runs chunks
+    alongside ``min(worker_count(), chunks) - 1`` helper threads, each
+    taking the next chunk until none is left, so a one-chunk sweep starts
+    no thread.  A failing chunk stops the hand-out of chunks, and once the
+    helpers are joined the error of the earliest failing chunk is raised.
+    Each bound gets its own constant, 1.25x the worst calibration gain over
     every other grid point; the pass flags are deterministic functions of
     the per-point gains and the constants, and the pass sets of the two
     bounds are compared pointwise.  (i) at bounded frequencies
     ``|lambda| <= BOUNDED_CUT`` the hat norm is controlled by L2 (the
     ratio is reported); (ii) along growing ``|lambda|`` the ratio
     ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
-    exponent).  Raises ``ValueError``, before any point is solved, when a
-    point has ``Re lambda <= gamma_star``.  Singular-set points are left out
-    and listed in ``flagged``; when every point is on the singular set,
-    :class:`CenterSpectrumError` is raised.
+    exponent).  Raises ``ValueError``, before any point is solved, when the
+    grid is empty or a point has ``Re lambda <= gamma_star``.  Singular-set
+    points are left out and listed in ``flagged``; when every point is on
+    the singular set, :class:`CenterSpectrumError` is raised.
     """
     grid = list(grid)
     nP = len(grid)
+    if not nP:
+        raise ValueError("the frequency grid is empty")
     weights = np.array([fp.lam.real - gamma_star for fp in grid])
     if np.any(weights <= 0):
         raise ValueError("grid contains Re lambda <= gamma_star")
@@ -919,14 +928,13 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     # (mn)^2 complex entries), and its chunk then takes it over
     pending = {}
     size = 1
-    if grid:
-        try:
-            pending[0] = field_family(grid[0])
-        except CenterSpectrumError:
-            pass
-        else:
-            mn = pending[0].geom.n_nodes * pending[0].n
-            size = max(1, CHUNK_BYTES // (16 * mn ** 2))
+    try:
+        pending[0] = field_family(grid[0])
+    except CenterSpectrumError:
+        pass
+    else:
+        mn = pending[0].geom.n_nodes * pending[0].n
+        size = max(1, CHUNK_BYTES // (16 * mn ** 2))
 
     def field(i):
         return lambda: pending.pop(i) if i in pending else field_family(
@@ -937,13 +945,43 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
               for i, fp in enumerate(grid)]
     chunks = [points[c:c + size] for c in range(0, nP, size)]
 
-    def work(chunk):
-        return _sweep_chunk(chunk, s, trials, max(4, trials // 4),
-                            POWER_ITERS)
+    # the caller and its helpers each take the next chunk until none is
+    # left; a failing chunk, or the caller leaving early (a helper that
+    # could not start), marks every chunk taken, so no new chunk starts
+    outs, errors = [None] * len(chunks), {}
+    lock = threading.Lock()
+    taken = 0
 
-    threads = max(1, min(worker_count(), len(chunks)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = [r for out in pool.map(work, chunks) for r in out]
+    def take_chunks():
+        nonlocal taken
+        while True:
+            with lock:
+                if taken == len(chunks):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                outs[i] = _sweep_chunk(chunks[i], s, trials,
+                                       max(4, trials // 4), POWER_ITERS)
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                    taken = len(chunks)
+
+    helpers = []
+    try:
+        for _ in range(min(worker_count(), len(chunks)) - 1):
+            helper = threading.Thread(target=take_chunks)
+            helper.start()
+            helpers.append(helper)
+        take_chunks()
+    finally:
+        with lock:
+            taken = len(chunks)
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    results = [r for out in outs for r in out]
     for i, res in enumerate(results):
         if isinstance(res, str):
             flagged.append((i, res))

@@ -452,6 +452,49 @@ def test_sobolev_order_beyond_the_energies_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# values that a later stage rejects, found before the first stage writes a
+# file: (config edit, pipeline, the key the message names)
+EARLY_REJECTS = {
+    "sobolev-order-in-full": (lambda c: c["norms"].update(s=4), "full",
+                              "norms.s"),
+    "dichotomy-lambda-in-full": (
+        lambda c: c["dichotomy"].update({"lambda": [-20.0, 0.0]}), "full",
+        "dichotomy.lambda"),
+    "dichotomy-lambda-in-symmetrizer": (
+        lambda c: c["dichotomy"].update({"lambda": [-20.0, 0.0]}),
+        "symmetrizer", "dichotomy.lambda"),
+    "re-lambda-in-full": (
+        lambda c: c["resolvent"]["grid"].update(re_lambda=-20), "full",
+        "resolvent.grid.re_lambda"),
+    "gamma-star-in-full": (
+        lambda c: c["resolvent"].update(gamma_star=1.0), "full",
+        "resolvent.gamma_star"),
+    "unknown-pipeline": (lambda c: None, "bogus", "unknown pipeline 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("edit, pipeline, where", EARLY_REJECTS.values(),
+                         ids=EARLY_REJECTS)
+def test_config_error_is_found_before_any_file_is_written(
+        tmp_path, capsys, edit, pipeline, where):
+    argv = _run_argv(edit)(tmp_path)
+    assert cli.main(argv + ["--pipeline", pipeline]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and where in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pipeline_takes_values_that_only_skipped_stages_reject(tmp_path):
+    def edit(c):
+        c["norms"].update(s=4)
+        c["dichotomy"].update({"lambda": [-20.0, 0.0]})
+        c["resolvent"]["grid"].update(re_lambda=-20)
+
+    argv = _run_argv(edit)(tmp_path)
+    assert cli.main(argv + ["--pipeline", "profile"]) == 0
+    assert (tmp_path / "o" / "summary.json").exists()
+
+
 def test_zero_amplitude_simulation_is_typed_failure(tmp_path, capsys):
     # a zero perturbation has zero energy at every sample: no damping to
     # certify, so exit code 3 and one message line, not a passing verdict
@@ -580,7 +623,8 @@ print(json.dumps({
     "tracer_names": [hasattr(dichotomy, "solve_ivp"),
                      hasattr(symmetrizer, "solve_ivp")],
     "jsonschema": "jsonschema" in sys.modules,
-    "numpy_ma": "numpy.ma" in sys.modules}))
+    "numpy_ma": "numpy.ma" in sys.modules,
+    "concurrent_futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -600,6 +644,8 @@ def test_certificate_path_loads_only_numpy_and_scipy_linalg(tmp_path):
     assert result["jsonschema"] is False
     # np.unique imports numpy.ma (13 ms, 1.3 MiB) on its first call
     assert result["numpy_ma"] is False
+    # the sweep runs its chunks on plain threads, with no executor
+    assert result["concurrent_futures"] is False
 
 
 LAZY_PATHS_RUN = """

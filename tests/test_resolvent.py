@@ -599,6 +599,15 @@ def test_sweep_with_every_point_flagged_raises():
                                seed=0)
 
 
+def test_empty_grid_is_rejected_before_any_chunk():
+    def family(fp):
+        raise AssertionError("no field is assembled")
+
+    with pytest.raises(ValueError, match="frequency grid is empty"):
+        res.verify_equivalence(family, 1, [], gamma_star=-0.25, trials=2,
+                               seed=0)
+
+
 def test_transverse_frequency_path_against_fourier_oracle():
     # d = 2 with a genuine transverse term i eta A_2 in the field
     sys2 = systems.jin_xin_2d(2.0)
@@ -932,22 +941,18 @@ def test_power_iteration_solves_single_columns(jx, front, geom, monkeypatch):
 
 def test_sweep_chunk_layout(jx, front, monkeypatch):
     # a chunk holds as many consecutive points as fit CHUNK_BYTES of
-    # collocation matrices, at least one, and the pool has one thread per
+    # collocation matrices, at least one, and chunks run on one thread per
     # chunk at most
     monkeypatch.setenv("RELAXSTAB_THREADS", "2")
-    kernel, pool = res._sweep_chunk, res.ThreadPoolExecutor
-    chunks, threads = [], []
+    kernel = res._sweep_chunk
+    chunks, threads = [], set()
 
     def recording_kernel(points, *args):
         chunks.append(len(points))
+        threads.add(threading.get_ident())
         return kernel(points, *args)
 
-    def recording_pool(max_workers):
-        threads.append(max_workers)
-        return pool(max_workers=max_workers)
-
     monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
-    monkeypatch.setattr(res, "ThreadPoolExecutor", recording_pool)
     for n_nodes, n_points, sizes in ((43, 9, [9]), (161, 3, [1, 1, 1])):
         geom = res.CollocationGrid(n_nodes=n_nodes, length=20.0)
         grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
@@ -958,7 +963,83 @@ def test_sweep_chunk_layout(jx, front, monkeypatch):
             lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
             gamma_star=-0.25, trials=2, seed=0)
         assert chunks == sizes
-        assert threads == [min(2, len(sizes))]
+        assert len(threads) == min(2, len(sizes))
+
+
+def test_one_chunk_sweep_runs_on_the_calling_thread(jx, front, monkeypatch):
+    # a sweep of one chunk starts no thread, whatever RELAXSTAB_THREADS says
+    monkeypatch.setenv("RELAXSTAB_THREADS", "2")
+    kernel = res._sweep_chunk
+    threads = []
+
+    def recording_kernel(points, *args):
+        threads.append(threading.get_ident())
+        return kernel(points, *args)
+
+    monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
+    geom = res.CollocationGrid(n_nodes=43, length=20.0)
+    grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+            for tau in np.linspace(0.0, 10.0, 9)]
+    res.verify_equivalence(
+        lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+        gamma_star=-0.25, trials=2, seed=0)
+    assert threads == [threading.get_ident()]
+
+
+def _failing_sweep(jx, front, geom, fails):
+    """Sweep four one-point chunks (161 nodes) on two threads, the fields of
+    points 1 and 2 assembled at once on different threads; the field of a
+    point for which ``fails(i)`` holds raises :class:`NumericError`.
+    Returns the error and ``{point: thread}`` of the fields assembled."""
+    both = threading.Barrier(2, timeout=30)
+    threads = {}
+
+    def family(fp):
+        i = int(fp.lam.imag)
+        threads[i] = threading.get_ident()
+        if i in (1, 2):
+            both.wait()
+        if fails(i):
+            if i == 1:
+                time.sleep(0.05)    # the later chunk fails first
+            raise NumericError(f"field of point {i}")
+        return res.assemble_G(jx, front, fp, geom=geom)
+
+    grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+            for tau in range(4)]
+    with pytest.raises(NumericError) as err:
+        res.verify_equivalence(family, 1, grid, gamma_star=-0.25, trials=2,
+                               seed=0)
+    assert threads[1] != threads[2]
+    return str(err.value), threads
+
+
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_sweep_raises_a_failing_chunk_of_either_thread(jx, front, geom,
+                                                       monkeypatch, on_caller):
+    monkeypatch.setenv("RELAXSTAB_THREADS", "2")
+    caller = threading.get_ident()
+    failed = []
+
+    def fails(i):
+        if i in (1, 2) and (threading.get_ident() == caller) == on_caller:
+            failed.append(i)
+            return True
+        return False
+
+    message, _ = _failing_sweep(jx, front, geom, fails)
+    assert len(failed) == 1 and message == f"field of point {failed[0]}"
+
+
+def test_sweep_raises_the_earliest_failing_chunk(jx, front, geom,
+                                                 monkeypatch):
+    # points 1 and 2 fail on different threads, point 2 first: point 1's
+    # error wins, and no thread starts point 3 after a failure
+    monkeypatch.setenv("RELAXSTAB_THREADS", "2")
+    message, threads = _failing_sweep(jx, front, geom,
+                                      lambda i: i in (1, 2))
+    assert message == "field of point 1"
+    assert 3 not in threads
 
 
 def _chunk_points(fields, lams):
