@@ -376,7 +376,7 @@ class _Runner:
                   ["re_lambda", "im_lambda", "eta", "hfres_gain",
                    "pdamp_gain", "absorption", "hfres_pass", "pdamp_pass"],
                   rows)
-        # a flagged (singular-set) point has no gain and fails hfres_pass
+        # a flagged point has no gain and fails hfres_pass
         passed = sweep.agreement == 1.0 and bool(np.all(sweep.hfres_pass))
         flagged = [{"re_lambda": pts[i].lam.real, "im_lambda": pts[i].lam.imag,
                     "eta": pts[i].eta, "message": msg}

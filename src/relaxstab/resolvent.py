@@ -37,54 +37,47 @@ stack of any size.  Every collocation solve goes through :func:`lu_solve`:
 a stack through one ``getrs`` call, a single column (the power iteration's
 20 per point) through a row permutation and two ``trsv`` calls.  At one
 BLAS thread a one-column ``getrs`` packs the whole factor for ``trsm`` on
-every call and takes about three times as long.  These routines are called
-through ctypes in the OpenBLAS that numpy loaded (``relaxstab._lapack``,
-which imports nothing of scipy): ``zgetrf`` factors the collocation matrix
-as scipy's ``lu_factor`` would, and an exactly zero pivot raises
-:class:`NumericError`; ``zgetrs`` and ``ztrsv`` solve with it; ``dpotrf``
-factors the real hat-Gram matrix as ``cho_factor`` would, and ``dpotrs``
-solves with that real factor.  ctypes releases the GIL for each LAPACK
-call.
+every call and takes about three times as long.  The routines are called
+through ctypes in the OpenBLAS that numpy loaded (:mod:`relaxstab._lapack`,
+which imports nothing of scipy), and ctypes releases the GIL for each call.
 
 Everything else is numpy work, which holds the GIL, and on a small grid
 (43 nodes: a few microseconds per LAPACK call) it is nearly all of a
-point's time.  So consecutive points advance in lockstep as one chunk
-(:func:`_sweep_chunk`): the bumps of every forcing of the chunk are
-evaluated in one pass, its solutions normed in one pass, and each
-power-iteration step (the Gram products, the end-row fixes, the
-``A_1^{-1}`` node maps, the envelope, the normalization and the residual
-checks) is one numpy call over the chunk's stack; only the LAPACK calls are
-made point by point.  Each point gets the bits it gets alone.  A chunk holds
-as many points as fit ``CHUNK_BYTES`` (2 MiB) of collocation matrices, at
-least one: the 9 points of a sweep at 43 nodes (118 KB each) form one
-chunk, and at 161 nodes (1.66 MB) each point is a chunk of its own, which
-keeps about one factor per thread in memory.  A stack holds one rank pair
-``(j, k)`` of the limit splits, so a chunk whose points have several pairs
-runs one stack per pair.  A degenerate point rides along as zero fields: a
-point with no positive start ratio starts its power iteration from zero,
-and a step forcing of zero norm stays zero, so the point ends with no
-refined gain.  Around the LAPACK calls the
-matrices stay small: the collocation matrix is filled in Fortran order and
-factored in place; the real matrices ``D^k``, the hat-Gram matrix and its
-Cholesky factor act on the real view of a complex field (its real and
-imaginary parts as ``2n`` real columns) instead of being cast to complex;
-and the residual check reads only the interior rows.
+point's time.  So consecutive points advance in lockstep as one
+:class:`_Chunk` (:func:`_sweep_chunk`), which factors their collocation
+matrices itself: their limit matrices are split in one pass, the bumps of
+every forcing evaluated in one pass, the solutions normed in one pass, and
+each power-iteration step is one numpy call over the chunk's stack; only
+the LAPACK calls are made point by point, and each point gets the bits it
+gets alone.  A chunk holds as many points as fit ``CHUNK_BYTES`` (2 MiB)
+of collocation matrices, at least one: the 9 points of a sweep at 43 nodes
+(118 KB each) form one chunk, and at 161 nodes (1.66 MB) each point is a
+chunk of its own, which keeps about one factor per thread in memory.  A
+stack holds one rank pair ``(j, k)`` of the limit splits, so a chunk whose
+points have several pairs runs one stack per pair.  A degenerate point
+rides along as zero fields and ends with no refined gain
+(:func:`_power_gains`); a point whose trial forcings all vanish is
+flagged.  Around the LAPACK calls the matrices stay small: the collocation
+matrix is filled in Fortran order and factored in place; the real
+matrices ``D^k``, the hat-Gram matrix and its Cholesky factor act on the
+real view of a complex field (its real and imaginary parts as ``2n`` real
+columns) instead of being cast to complex; and the residual check reads
+only the interior rows.
 
 The chunks of a sweep run on the calling thread alongside
 ``min(worker_count(), chunks) - 1`` helper threads (:func:`worker_count`),
 the program's only source of parallelism: each thread takes the next chunk
 until none is left, so a one-chunk sweep starts no thread.  The LAPACK work
 of one chunk's points overlaps that of another's, while their numpy work
-takes turns at the GIL.
-``RELAXSTAB_THREADS`` never changes an output, and BLAS defaults to one
-thread.  A user-set ``OPENBLAS_NUM_THREADS`` or numpy loaded before
-``relaxstab`` keeps several BLAS threads, and then the last digit of a
-result can move (README.md).
+takes turns at the GIL.  ``RELAXSTAB_THREADS`` never changes an output, and
+BLAS defaults to one thread.  A user-set ``OPENBLAS_NUM_THREADS`` or numpy
+loaded before ``relaxstab`` keeps several BLAS threads, and then the last
+digit of a result can move (README.md).
 """
 
 import os
 import threading
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,16 +110,9 @@ CHUNK_BYTES = 2 ** 21     # collocation matrices of the points run in lockstep
 
 
 def worker_count():
-    """Most threads of a sweep, the calling thread included:
-    ``RELAXSTAB_THREADS`` where it is set, else the core count, at most 8; a
-    sweep runs its chunks of points on the caller and ``threads - 1``
-    helpers, one thread per chunk at most, so a one-chunk sweep starts no
-    thread (:func:`verify_equivalence`).
-
-    These threads are the program's only source of parallelism: importing
-    ``relaxstab`` pins OpenBLAS to one thread (unless the caller set
-    ``OPENBLAS_NUM_THREADS`` or loaded numpy first), and their count never
-    changes a result.  Raises :class:`ConfigError` when
+    """Most threads of a sweep, the calling thread included (see the
+    module docstring): ``RELAXSTAB_THREADS`` where it is set, else the core
+    count, at most 8.  Raises :class:`ConfigError` when
     ``RELAXSTAB_THREADS`` is not a positive integer.
     """
     env = os.environ.get("RELAXSTAB_THREADS")
@@ -271,28 +257,67 @@ class SpectralSplit:
 
 
 def limit_spectral_split(G_inf):
-    """Stable/unstable eigenbasis of a constant matrix.
+    """Stable/unstable eigenbasis of a constant matrix (a stack of one of
+    :func:`_spectral_splits`); a flag raises :class:`CenterSpectrumError`."""
+    split, = _spectral_splits(np.asarray(G_inf)[None])
+    if isinstance(split, str):
+        raise CenterSpectrumError(split)
+    return split
 
-    Eigenvectors are ordered by real part, each with its largest-magnitude
-    component made real positive.  Raises :class:`CenterSpectrumError` when
-    an eigenvalue sits within ``SPLIT_GAP_TOL`` of the imaginary axis.
-    """
-    mu, V = np.linalg.eig(np.asarray(G_inf))
-    margin = float(np.min(np.abs(mu.real)))
-    if margin < SPLIT_GAP_TOL:
-        raise CenterSpectrumError(
-            f"limit matrix has eigenvalue with |Re| = {margin:.3g} "
-            "on the imaginary axis (frequency on the singular set)")
-    order = np.argsort(mu.real)
-    mu, V = mu[order], V[:, order]
-    for c in range(V.shape[1]):
-        pivot = V[np.argmax(np.abs(V[:, c])), c]
-        V[:, c] *= np.abs(pivot) / pivot
-    W = np.linalg.inv(V)
-    stable = mu.real < 0
-    return SpectralSplit(stable=V[:, stable], unstable=V[:, ~stable],
-                         left_stable=W[stable], left_unstable=W[~stable],
-                         gap=margin, values=mu)
+
+def _spectral_splits(G):
+    """Per matrix of a stack ``(P, n, n)`` its :class:`SpectralSplit`, from
+    one ``eig`` and one ``inv`` call and the same bits in any stack, or a
+    flag message when an eigenvalue sits within ``SPLIT_GAP_TOL`` of the
+    imaginary axis.  Eigenvectors are ordered by real part, each with its
+    largest-magnitude component made real positive."""
+    # complex even for a real stack: numpy returns real eigendata for a real
+    # matrix alone but complex for a stack where any matrix needs it
+    mu, V = np.linalg.eig(np.asarray(G, dtype=complex))
+    margins = np.min(np.abs(mu.real), axis=-1)
+    order = np.argsort(mu.real, axis=-1)
+    mu = np.take_along_axis(mu, order, -1)
+    V = np.take_along_axis(V, order[:, None, :], -1)
+    pivot = np.take_along_axis(V, np.argmax(np.abs(V), axis=-2)[:, None], -2)
+    V *= np.abs(pivot) / pivot
+    W = iter(np.linalg.inv(V[margins >= SPLIT_GAP_TOL]))
+    splits = []
+    for values, vectors, margin in zip(mu, V, margins.tolist()):
+        if margin < SPLIT_GAP_TOL:
+            splits.append(
+                f"limit matrix has eigenvalue with |Re| = {margin:.3g} "
+                "on the imaginary axis (frequency on the singular set)")
+            continue
+        left, stable = next(W), values.real < 0
+        splits.append(SpectralSplit(vectors[:, stable], vectors[:, ~stable],
+                                    left[stable], left[~stable], margin,
+                                    values))
+    return splits
+
+
+def _ranks(split):
+    """``(j, k) = (dim S(+inf), dim U(-inf))`` of limit splits."""
+    return split[1].stable.shape[1], split[0].unstable.shape[1]
+
+
+def _limit_splits(fields):
+    """Per field its limit splits ``(minus, plus)``, every limit matrix split
+    in one pass, or the message of the first flag: ``G(-inf)``, ``G(+inf)``,
+    then ``dim S(+inf) + dim U(-inf) != n``."""
+    if not fields:
+        return []
+    n = fields[0].n
+    splits = _spectral_splits(
+        np.array([field.limits for field in fields]).reshape(-1, n, n))
+    out = []
+    for split in zip(splits[::2], splits[1::2]):
+        flags = [flag for flag in split if isinstance(flag, str)]
+        if not flags and sum(_ranks(split)) != n:
+            j, k = _ranks(split)
+            flags.append(f"inconsistent splitting: dim U(-inf) = {k}, "
+                         f"dim S(+inf) = {j}, need sum n = {n}")
+        out.append(flags[0] if flags else split)
+    return out
 
 
 @dataclass(eq=False)
@@ -309,10 +334,7 @@ class ResolventOperatorField:
     perturbation: object = None
     deriv_order: int = 0
     _interp: object = None       # read by perfbench/tracing.py's G_at hook
-    _bvp: object = None
     _propagators: object = None  # (Phi, Phi_inv), see dichotomy
-    _lock: object = dfield(default_factory=threading.Lock, init=False,
-                           repr=False)
 
     @property
     def n(self):
@@ -331,28 +353,14 @@ class ResolventOperatorField:
         return G if np.ndim(x) else G[0]
 
     def limit_splits(self):
-        """Spectral splits ``(minus, plus)`` of ``G(-inf)`` and ``G(+inf)``.
-
-        The boundary rows of the collocation operator and the seeds of the
-        dichotomy both come from here.  Raises :class:`CenterSpectrumError`
-        unless ``dim S(+inf) + dim U(-inf) = n``.
-        """
-        minus, plus = (limit_spectral_split(G) for G in self.limits)
-        j, k = plus.stable.shape[1], minus.unstable.shape[1]
-        if j + k != self.n:
-            raise CenterSpectrumError(
-                f"inconsistent splitting: dim U(-inf) = {k}, "
-                f"dim S(+inf) = {j}, need sum n = {self.n}")
-        return minus, plus
-
-    def bvp(self):
-        """The LU-factored collocation operator, built on first use; the
-        build holds the field's lock, so threads that ask at once share one
-        factorization."""
-        with self._lock:
-            if self._bvp is None:
-                self._bvp = _BvpOperator(self)
-        return self._bvp
+        """Spectral splits ``(minus, plus)`` of ``G(-inf)`` and ``G(+inf)``,
+        which give the collocation operator its boundary rows and seed the
+        dichotomy; a flag (:func:`_limit_splits`) raises
+        :class:`CenterSpectrumError`."""
+        split, = _limit_splits([self])
+        if isinstance(split, str):
+            raise CenterSpectrumError(split)
+        return split
 
 
 @dataclass(frozen=True)
@@ -455,77 +463,49 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
                                   perturbation=v, deriv_order=deriv_order)
 
 
-class _BvpOperator:
-    """LU-factored collocation operator with boundary-projection rows.
+def _collocation_lu(field, minus, plus):
+    """LU factors of the collocation matrix of ``field``.  Only its end-node
+    rows differ from plain collocation: of the limit splits ``minus, plus``
+    the kept left eigenvectors project the equation, and the complementary
+    left rows confine the end values to the admissible subspaces."""
+    geom = field.geom
+    m, n = geom.n_nodes, field.n
 
-    Only the end-node rows differ from plain collocation.  They come from the
-    limit splits that also seed the dichotomy
-    (:meth:`ResolventOperatorField.limit_splits`): the kept left eigenvectors
-    (``keep_minus``, ``keep_plus``) project the equation, and the
-    complementary left rows confine the end values to the admissible
-    subspaces.  The operator keeps the node arrays, not the field, so that
-    the field (which holds the operator) is freed by reference counting.
-    Its solves are those of a :class:`_Chunk` of one point.
-    """
+    # M[(i, a), (j, b)] = D[i, j] delta_ab - delta_ij G_i[a, b], filled
+    # through its C-ordered transpose Mt[j, b, i, a]: M is then
+    # Fortran-ordered, and LAPACK factors it in place
+    Mt = np.zeros((m, n, m, n), dtype=complex)
+    for a in range(n):
+        Mt[:, a, :, a] = geom.D.T
+    nodes = np.arange(m)
+    Mt[nodes, :, nodes, :] -= field.G_nodes.transpose(0, 2, 1)
+    M = Mt.reshape(m * n, m * n).T
+    j, k = _ranks((minus, plus))
 
-    def __init__(self, field):
-        geom = self.geom = field.geom
-        m, n = geom.n_nodes, field.n
-        self.m, self.n = m, n
-        G = field.G_nodes
-        self.A1inv = field.A1inv_nodes
-        self.G_inner = G[1:-1]    # the residual is taken at the interior nodes
-        self.freq_mag = field.fp.magnitude
+    # the kept left rows project the end rows of the equation (from
+    # C-ordered copies: a strided operand moves the last bits of the
+    # products); the complementary left rows annihilate the admissible
+    # subspaces
+    r0, rN = slice(0, n), slice((m - 1) * n, m * n)
+    top = minus.left_unstable @ np.ascontiguousarray(M[r0])
+    bot = plus.left_stable @ np.ascontiguousarray(M[rN])
+    M[r0], M[rN] = 0.0, 0.0
+    M[: n - k, r0] = minus.left_stable
+    M[n - k: n] = top
+    M[rN.start: rN.start + j] = bot
+    M[rN.start + j:, rN] = plus.left_unstable
 
-        # M[(i, a), (j, b)] = D[i, j] delta_ab - delta_ij G_i[a, b], filled
-        # through its C-ordered transpose Mt[j, b, i, a]: M is then
-        # Fortran-ordered, and LAPACK factors it in place
-        Mt = np.zeros((m, n, m, n), dtype=complex)
-        for a in range(n):
-            Mt[:, a, :, a] = geom.D.T
-        nodes = np.arange(m)
-        Mt[nodes, :, nodes, :] -= G.transpose(0, 2, 1)
-        M = Mt.reshape(m * n, m * n).T
-
-        minus, plus = field.limit_splits()
-        self.keep_minus = minus.left_unstable                    # (k, n)
-        self.keep_plus = plus.left_stable                        # (j, n)
-        k, j = len(self.keep_minus), len(self.keep_plus)
-        self.ranks = (j, k)
-
-        # the kept left rows project the end rows of the equation (from
-        # C-ordered copies: a strided operand moves the last bits of the
-        # products); the complementary left rows annihilate the admissible
-        # subspaces
-        r0, rN = slice(0, n), slice((m - 1) * n, m * n)
-        top = self.keep_minus @ np.ascontiguousarray(M[r0])
-        bot = self.keep_plus @ np.ascontiguousarray(M[rN])
-        M[r0], M[rN] = 0.0, 0.0
-        M[: n - k, r0] = minus.left_stable
-        M[n - k: n] = top
-        M[rN.start: rN.start + j] = bot
-        M[rN.start + j:, rN] = plus.left_unstable
-
-        # G is finite by construction, and every solution is checked by the
-        # residual cap, so no finiteness scan of M
-        self.lu = lu_factor(M)
-
-    def solve(self, f_nodes, apply_a1inv=True):
-        """Solve ``v' = G v + rhs`` for one forcing ``(m, n)`` or a stack
-        ``(T, m, n)``; returns node values of the same shape
-        (:meth:`_Chunk.solve`: a stack through one multi-column LU solve,
-        one forcing as a single column)."""
-        f = np.asarray(f_nodes, dtype=complex)
-        chunk = _Chunk([self])
-        if f.ndim == 3:
-            return chunk.solve(f, [len(f)], apply_a1inv)
-        return chunk.solve(f.reshape(1, self.m, self.n), None, apply_a1inv)[0]
+    # G is finite by construction, and every solution is checked by the
+    # residual cap, so no finiteness scan of M
+    return lu_factor(M)
 
 
 class _Chunk:
     """The collocation operators of consecutive frequency points on one grid,
     whose limit splits have one rank pair ``(j, k)``, solved in lockstep.
 
+    Each point's matrix is factored from its field and limit splits
+    (:func:`_collocation_lu`; ``lu`` and ``last_residual`` are per point).
     The node arrays that a solve applies (``A_1^{-1}``, ``G`` at the interior
     nodes for the residual check, the kept left rows of the end projections)
     are stacked over the points, so that each step of a solve is one numpy
@@ -533,24 +513,28 @@ class _Chunk:
     (:func:`lu_solve`) are made point by point.
     """
 
-    def __init__(self, ops):
-        self.ops = ops
-        self.geom, self.m, self.n = ops[0].geom, ops[0].m, ops[0].n
-        grid = (self.geom.n_nodes, self.geom.length, self.n)
-        if any((op.geom.n_nodes, op.geom.length, op.n) != grid for op in ops):
+    def __init__(self, fields, splits):
+        self.geom, self.n = fields[0].geom, fields[0].n
+        self.m = self.geom.n_nodes
+        grid = (self.m, self.geom.length, self.n)
+        if any((f.geom.n_nodes, f.geom.length, f.n) != grid for f in fields):
             raise ValueError("the points of a sweep must share one "
                              "collocation grid")
         # the end rows of a stack are projected with one pair of ranks
-        self.ranks = ops[0].ranks
-        if any(op.ranks != self.ranks for op in ops):
+        self.ranks = _ranks(splits[0])
+        if any(_ranks(split) != self.ranks for split in splits):
             raise ValueError("the points of a chunk must share the ranks "
                              "(j, k) of their limit splits")
-        self.freq_mags = [op.freq_mag for op in ops]
-        A1inv = np.stack([op.A1inv for op in ops])
+        self.freq_mags = [f.fp.magnitude for f in fields]
+        A1inv = np.stack([f.A1inv_nodes for f in fields])
         self.A1inv_c, self.A1inv_h = A1inv.astype(complex), A1inv.conj()
-        self.G_inner = np.stack([op.G_inner for op in ops])
-        self.keep_minus = np.array([op.keep_minus for op in ops])  # (P, k, n)
-        self.keep_plus = np.array([op.keep_plus for op in ops])    # (P, j, n)
+        self.G_inner = np.stack([f.G_nodes[1:-1] for f in fields])
+        # (P, k, n) and (P, j, n)
+        self.keep_minus = np.array([sp[0].left_unstable for sp in splits])
+        self.keep_plus = np.array([sp[1].left_stable for sp in splits])
+        self.lu = [_collocation_lu(f, *split)
+                   for f, split in zip(fields, splits)]
+        self.last_residual = [None] * len(fields)
 
     def solve(self, F, counts, apply_a1inv):
         """Solve ``v' = G v + rhs`` for a stack of forcings ``F`` ``(R, m, n)``
@@ -565,9 +549,9 @@ class _Chunk:
         m, n = self.m, self.n
         j, k = self.ranks
         if counts is None:
-            runs, owner = [1] * len(self.ops), slice(None)
+            runs, owner = [1] * len(self.lu), slice(None)
         else:
-            runs, owner = counts, np.repeat(np.arange(len(self.ops)), counts)
+            runs, owner = counts, np.repeat(np.arange(len(self.lu)), counts)
         rhs = _nodewise(self.A1inv_c[owner], F) if apply_a1inv else F
         # projected by _project, the end rows of a forcing, and so its
         # solution, are the same bits alone and in a stack of any size
@@ -578,13 +562,13 @@ class _Chunk:
         # b is a scratch copy, and every solution is checked by the residual
         # cap, so LAPACK may overwrite it and need not scan it
         off = 0
-        for op, c in zip(self.ops, runs):
+        for lu, c in zip(self.lu, runs):
             if counts is None:
-                b[off] = lu_solve(op.lu, b[off].reshape(-1),
+                b[off] = lu_solve(lu, b[off].reshape(-1),
                                   trans=0).reshape(m, n)
             else:
                 cols = b[off:off + c].reshape(c, -1).T
-                b[off:off + c] = lu_solve(op.lu, cols, trans=0).T.reshape(
+                b[off:off + c] = lu_solve(lu, cols, trans=0).T.reshape(
                     c, m, n)
             off += c
         self._check_residual(b, rhs, self.G_inner[owner], runs)
@@ -595,8 +579,8 @@ class _Chunk:
         ``A_1^{-1}``) to one field per point, a stack ``(P, m, n)``."""
         m, n = self.m, self.n
         j, k = self.ranks
-        U = np.array([lu_solve(op.lu, y.reshape(-1), trans=2)
-                      for op, y in zip(self.ops, Y)]).reshape(len(Y), m, n)
+        U = np.array([lu_solve(lu, y.reshape(-1), trans=2)
+                      for lu, y in zip(self.lu, Y)]).reshape(len(Y), m, n)
         # (n, k) and (n, j) transposed views, the layout that BLAS got for
         # one point's keep_minus.conj().T
         km_h, kp_h = (a.conj().transpose(0, 2, 1)
@@ -610,7 +594,7 @@ class _Chunk:
         ``RESIDUAL_CAP``: the collocation residual ``D v - G v - rhs`` at
         the interior nodes (``G`` holds each row's interior node matrices),
         in the quadrature norm, relative to ``max(1, |rhs|)``.  Each
-        operator keeps the largest residual of its rows."""
+        point keeps the largest residual of its rows."""
         wq = self.geom.wq
         # D is real: one real product takes the real and imaginary parts
         res = (self.geom.D[1:-1] @ _real_view(V)).view(complex)
@@ -625,8 +609,8 @@ class _Chunk:
                     f"{RESIDUAL_CAP:.0e} (relative to forcing scale "
                     f"{scale:.3g})")
         off = 0
-        for op, c in zip(self.ops, runs):
-            op.last_residual = max(r2[off:off + c], default=0.0) ** 0.5
+        for p, c in enumerate(runs):
+            self.last_residual[p] = max(r2[off:off + c], default=0.0) ** 0.5
             off += c
 
 
@@ -749,7 +733,8 @@ def _ensemble(chunk, seeds, s, trials, starts):
 
     Returns per point ``(g_hf, g_pd, absorb, ratio, best)`` (``ratio`` 0.0
     without a probe; ``best`` the largest positive hat-norm gain of its
-    starts, else 0.0) and, stacked ``(P, m, n)``, the solution of each
+    starts, else 0.0), or a flag message when the point has trials and
+    every one is zero, and, stacked ``(P, m, n)``, the solution of each
     point's best start: a zero field for a point with no positive start
     ratio.
     """
@@ -769,6 +754,12 @@ def _ensemble(chunk, seeds, s, trials, starts):
     hat, l2, h1 = HatNorm(s).norms(np.concatenate([V, F]), geom, mags * 2)
     T = len(F)
     hv, hf, l2v, l2f, h1v = hat[:T], hat[T:], l2[:T], l2[T:], h1[:T]
+    # a forcing whose bumps all underflow is zero, and so is its solution:
+    # its ratios are 0 where they would be 0/0
+    live = hf > 0
+    gains, pdamp, absorb = (np.divide(a, b, out=np.zeros(T), where=live)
+                            for a, b in ((hv, hf), (hv, hf + l2v),
+                                         (l2v, h1v + l2f)))
     stats = []
     V_best = np.zeros((len(counts), chunk.m, chunk.n), dtype=complex)
     off = 0
@@ -778,13 +769,15 @@ def _ensemble(chunk, seeds, s, trials, starts):
         if count > b - off and l2v[b] > 0:
             ratio = float(hv[b] / l2v[b])
         best = 0.0
-        for r, x in enumerate((hv[a:b] / hf[a:b]).tolist()):
+        for r, x in enumerate(gains[a:b].tolist()):
             if x > best:
                 best, V_best[p] = x, V[a + r]
-        stats.append((_worst(hv[off:a] / hf[off:a]),
-                      _worst(hv[off:a] / (hf[off:a] + l2v[off:a])),
-                      _worst(l2v[off:a] / (h1v[off:a] + l2f[off:a])),
-                      ratio, best))
+        if trials and not live[off:a].any():
+            stats.append("every trial forcing vanishes at the collocation "
+                         "nodes")
+        else:
+            stats.append((_worst(gains[off:a]), _worst(pdamp[off:a]),
+                          _worst(absorb[off:a]), ratio, best))
         off += count
     return stats, V_best
 
@@ -827,37 +820,43 @@ def _sweep_chunk(points, s, trials, starts, power_iters):
 
     ``points`` holds ``(field, seed, probe_seed)`` per point, ``field()``
     returning its assembled field.  A point on the singular set (its
-    operator raises :class:`CenterSpectrumError`) gets that error's message;
-    every other point gets ``(g_hf, g_pd, absorb, ratio)``: its worst
-    hat-norm gain (the ``trials`` forcings from ``seed``, and the
-    ``power_iters`` power-iteration steps from the best of the ``starts``
-    forcings from ``seed + 1``), its worst damping-bound gain and
-    absorption ratio (the trials), and with a ``probe_seed`` the hat/L2
-    ratio of one forcing from that seed (else 0.0).  The points whose limit
-    splits have the same ranks ``(j, k)`` run as one :class:`_Chunk`, the
-    groups in the order their first points come.  See :func:`_ensemble`
-    and :func:`_power_gains`.
+    assembly or its limit splits raise :class:`CenterSpectrumError`), or
+    whose trial forcings all vanish, gets a message; every other point gets
+    ``(g_hf, g_pd, absorb, ratio)``: its worst hat-norm gain (the ``trials``
+    forcings from ``seed``, and the ``power_iters`` power-iteration steps
+    from the best of the ``starts`` forcings from ``seed + 1``), its worst
+    damping-bound gain and absorption ratio (the trials), and with a
+    ``probe_seed`` the hat/L2 ratio of one forcing from that seed (else
+    0.0).  The points whose limit splits have the same ranks ``(j, k)`` run
+    as one :class:`_Chunk`, the groups in the order their first points come.
+    See :func:`_ensemble` and :func:`_power_gains`.
     """
-    results, groups = [None] * len(points), {}
+    results, fields = [None] * len(points), {}
     for i, (field, _, _) in enumerate(points):
         try:
-            op = field().bvp()
+            fields[i] = field()
         except CenterSpectrumError as exc:
             results[i] = str(exc)
-            continue
-        groups.setdefault(op.ranks, []).append((i, op))
+    groups = {}
+    for i, split in zip(fields, _limit_splits(list(fields.values()))):
+        if isinstance(split, str):
+            results[i] = split
+        else:
+            groups.setdefault(_ranks(split), []).append((i, split))
     for members in groups.values():
-        live, ops = zip(*members)
-        chunk = _Chunk(list(ops))
+        live, splits = zip(*members)
+        chunk = _Chunk([fields[i] for i in live], list(splits))
         stats, V = _ensemble(chunk, [points[i][1:] for i in live], s,
                              trials, starts)
         refined = [None] * len(live)
         if power_iters > 0:
             refined = _power_gains(chunk, s, V, power_iters)
-        for i, (g_hf, g_pd, absorb, ratio, best), gain in zip(live, stats,
-                                                              refined):
-            gain = best if gain is None else max(best, gain)
-            results[i] = (max(g_hf, gain), g_pd, absorb, ratio)
+        for i, stat, gain in zip(live, stats, refined):
+            if not isinstance(stat, str):
+                g_hf, g_pd, absorb, ratio, best = stat
+                gain = best if gain is None else max(best, gain)
+                stat = (max(g_hf, gain), g_pd, absorb, ratio)
+            results[i] = stat
     return results
 
 
@@ -872,7 +871,7 @@ class SweepResult:
     absorption: np.ndarray        # |v|_L2 / (|v|_H1 + |f|_L2)
     hfres_pass: np.ndarray
     pdamp_pass: np.ndarray
-    flagged: list                 # (index, message) for singular-set points
+    flagged: list                 # (index, message) per point without gains
     constants: dict
     agreement: float              # fraction of non-flagged points agreeing
     bounded_ratio: float          # max |v|_hat / |v|_L2 at bounded frequencies
@@ -891,14 +890,11 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     arguments.
 
     ``field_family`` maps a :class:`FrequencyPoint` to an assembled field,
-    every field on one collocation grid.  Consecutive points advance in
-    lockstep as chunks (:func:`_sweep_chunk`), each of as many points as
-    fit ``CHUNK_BYTES`` of collocation matrices (at least one); a point
-    gets the same bits in any chunk.  The calling thread runs chunks
-    alongside ``min(worker_count(), chunks) - 1`` helper threads, each
-    taking the next chunk until none is left, so a one-chunk sweep starts
-    no thread.  A failing chunk stops the hand-out of chunks, and once the
-    helpers are joined the error of the earliest failing chunk is raised.
+    every field on one collocation grid.  Consecutive points run in
+    lockstep as chunks (:func:`_sweep_chunk`) on the calling thread and its
+    helpers (module docstring); a point gets the same bits in any chunk.  A
+    failing chunk stops the hand-out of chunks, and once the helpers are
+    joined the error of the earliest failing chunk is raised.
     Each bound gets its own constant, 1.25x the worst calibration gain over
     every other grid point; the pass flags are deterministic functions of
     the per-point gains and the constants, and the pass sets of the two
@@ -908,8 +904,9 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
     exponent).  Raises ``ValueError``, before any point is solved, when the
     grid is empty or a point has ``Re lambda <= gamma_star``.  Singular-set
-    points are left out and listed in ``flagged``; when every point is on
-    the singular set, :class:`CenterSpectrumError` is raised.
+    points, and points whose trial forcings all vanish, are left out and
+    listed in ``flagged``; when every point is flagged,
+    :class:`CenterSpectrumError` is raised, quoting the first flag.
     """
     grid = list(grid)
     nP = len(grid)
@@ -992,7 +989,9 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ok = ~np.isnan(g_hf)
     if not np.any(ok):
         raise CenterSpectrumError(
-            f"no grid point of {nP} is off the singular set")
+            f"no grid point of {nP} is off the singular set with a trial "
+            f"forcing that does not vanish; point {flagged[0][0]}: "
+            f"{flagged[0][1]}")
     hf_scaled = g_hf * weights
     pd_scaled = g_pd * weights
     # each bound gets its own constant (the two conditions are equivalent

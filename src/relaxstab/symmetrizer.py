@@ -287,12 +287,12 @@ def energy_estimate_check(S, field, trials, theta, C0, seed=0):
     the constants measured for the symmetrizer ``S`` (see
     :func:`verify_symmetrizer`); only they enter the check.
     """
-    from .resolvent import _random_forcings
+    from .resolvent import _Chunk, _random_forcings
     if theta <= 0:
         raise CertificateError("energy check requires a positive theta")
     F = _random_forcings(field.geom, field.n, np.random.default_rng(seed),
                          trials)
-    U = field.bvp().solve(F, apply_a1inv=False)
+    U = _Chunk([field], [field.limit_splits()]).solve(F, [len(F)], False)
     for u in U:
         edge = max(np.max(np.abs(u[0])), np.max(np.abs(u[-1])))
         if edge > DECAY_TOL * max(np.max(np.abs(u)), 1e-300):

@@ -65,6 +65,22 @@ def front_symmetrizer(front_dichotomy):
     return symm.assemble_symmetrizer(data.frame, forms)
 
 
+def one_point_chunk(field):
+    """The LU-factored collocation operator of ``field``: a chunk of one
+    point."""
+    return res._Chunk([field], [field.limit_splits()])
+
+
+def chunk_solve(chunk, f, apply_a1inv=True):
+    """Solve ``v' = G v + rhs`` with a one-point ``chunk`` for one forcing
+    ``(m, n)`` (a single column) or a stack ``(T, m, n)`` (one multi-column
+    solve); returns node values of the same shape."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim == 3:
+        return chunk.solve(f, [len(f)], apply_a1inv)
+    return chunk.solve(f[None], None, apply_a1inv)[0]
+
+
 def transport_system(A_stack, n, d=1):
     """Linear system with constant flux Jacobians and zero relaxation."""
     A = np.asarray(A_stack, dtype=float).reshape(d, n, n)

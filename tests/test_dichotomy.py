@@ -14,7 +14,7 @@ from relaxstab.errors import (CenterSpectrumError, CertificateError,
                               FrameConditioningError,
                               TurningPointSuspectedError, WindowOverflowError)
 
-from conftest import transport_system
+from conftest import one_point_chunk, transport_system
 
 
 # ------------------------------------------------------------ limit split ----
@@ -40,11 +40,12 @@ def test_split_center_spectrum_raises():
 
 
 def test_bvp_and_dichotomy_share_ranks(front_field, front_dichotomy):
-    assert front_field.bvp().ranks == front_dichotomy.ranks == (1, 1)
+    ranks = one_point_chunk(front_field).ranks
+    assert ranks == front_dichotomy.ranks == (1, 1)
     geom = res.CollocationGrid(n_nodes=33, length=10.0)
     field = res.constant_field(np.diag([-1.0, 2.0, -3.0]), geom)
     data = dich.propagate_subspaces(field, fit_pairs=4)
-    assert field.bvp().ranks == data.ranks == (2, 1)
+    assert one_point_chunk(field).ranks == data.ranks == (2, 1)
 
 
 def test_inconsistent_ranks_same_error_from_bvp_and_dichotomy():
@@ -53,7 +54,7 @@ def test_inconsistent_ranks_same_error_from_bvp_and_dichotomy():
     # dim U(-inf) = 1 but dim S(+inf) = 2
     field.limits = (np.diag([-1.0, 2.0]), np.diag([-1.0, -2.0]))
     with pytest.raises(CenterSpectrumError) as from_bvp:
-        field.bvp()
+        one_point_chunk(field)
     with pytest.raises(CenterSpectrumError) as from_dichotomy:
         dich.propagate_subspaces(field, fit_pairs=4)
     assert str(from_bvp.value) == str(from_dichotomy.value)

@@ -11,6 +11,8 @@ from relaxstab import _lapack
 from relaxstab import resolvent as res
 from relaxstab.errors import CompatibilityError, NumericError
 
+from conftest import one_point_chunk
+
 
 def _recorded(monkeypatch, module, name):
     """Copies of the arguments of every call the package makes to
@@ -39,7 +41,7 @@ def test_lu_factor_matches_scipy_on_the_collocation_matrix(jx, front, geom,
     calls = _recorded(monkeypatch, res, "lu_factor")
     fp = res.FrequencyPoint(np.zeros(0), 0.5 + 3j)
     field = res.assemble_G(jx, front, fp, geom=geom)
-    lu, piv, _ = field.bvp().lu
+    lu, piv, _ = one_point_chunk(field).lu[0]
     (M,), = calls
     assert M.shape == (322, 322) and M.dtype == complex
     assert M.flags.f_contiguous

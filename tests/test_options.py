@@ -34,7 +34,7 @@ ALLOWED = {
 }
 
 # Defaulted parameters in src/relaxstab; a change that adds one raises this.
-MAX_DEFAULTS = 61
+MAX_DEFAULTS = 60
 # Config keys of the CLI (``cli.OPTIONS``); the same holds for a new key.
 MAX_CONFIG_KEYS = 34
 

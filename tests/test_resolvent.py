@@ -17,7 +17,7 @@ from relaxstab import resolvent as res
 from relaxstab import systems
 from relaxstab.errors import CenterSpectrumError, NumericError
 
-from conftest import transport_system
+from conftest import chunk_solve, one_point_chunk, transport_system
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +124,14 @@ def test_assemble_rejects_wrong_eta_length(jx, front, geom):
 # ------------------------------------------------------------- BVP solve ----
 
 def test_zero_forcing_zero_solution(front_field):
-    v = front_field.bvp().solve(np.zeros((161, 2)))
+    v = chunk_solve(one_point_chunk(front_field), np.zeros((161, 2)))
     assert np.max(np.abs(v)) == 0.0
 
 
 def test_bvp_matches_fourier_oracle(jx, eq_field, geom):
     width, direction = 5.0, np.array([1.0, 0.5])
     f = np.exp(-(geom.x / width) ** 2)[:, None] * direction[None, :]
-    v = eq_field.bvp().solve(f)
+    v = chunk_solve(one_point_chunk(eq_field), f)
     A1 = np.array([[0.0, 1.0], [4.0, 0.0]]) - 0.3 * np.eye(2)
     oracle = _fourier_oracle(eq_field.limits[0], np.linalg.inv(A1), None,
                              geom, lambda x: np.exp(-(x / width) ** 2),
@@ -141,14 +141,16 @@ def test_bvp_matches_fourier_oracle(jx, eq_field, geom):
 
 def test_bvp_residual_cap(front_field, geom):
     f = np.exp(-(geom.x / 4.0) ** 2)[:, None] * np.ones(2)[None, :]
-    front_field.bvp().solve(f)
-    assert front_field.bvp().last_residual <= 1e-8
+    op = one_point_chunk(front_field)
+    chunk_solve(op, f)
+    assert op.last_residual[0] <= 1e-8
 
 
 def test_phase_equivariance(front_field, geom):
     f = np.exp(-(geom.x / 4.0) ** 2)[:, None] * np.array([1.0, -0.5])[None, :]
-    v = front_field.bvp().solve(f)
-    vth = front_field.bvp().solve(np.exp(0.7j) * f)
+    op = one_point_chunk(front_field)
+    v = chunk_solve(op, f)
+    vth = chunk_solve(op, np.exp(0.7j) * f)
     assert np.max(np.abs(vth - np.exp(0.7j) * v)) < 1e-10
 
 
@@ -221,16 +223,17 @@ def test_batched_solve_matches_single_solves(front_field):
     F2 = res._random_forcings(field.geom, field.n, np.random.default_rng(4),
                               5)
     assert np.array_equal(F2, F)          # same draws, same order
-    op = field.bvp()
-    V = op.solve(F2)
+    op = one_point_chunk(field)
+    V = chunk_solve(op, F2)
     assert V.shape == F.shape
     scale = np.max(np.abs(V))
     for f, v in zip(F, V):
-        assert np.allclose(v, op.solve(f), rtol=1e-12, atol=1e-12 * scale)
-    U = op.solve(F, apply_a1inv=False)
-    for f, u in zip(F, U):
-        assert np.allclose(u, op.solve(f, apply_a1inv=False), rtol=1e-12,
+        assert np.allclose(v, chunk_solve(op, f), rtol=1e-12,
                            atol=1e-12 * scale)
+    U = chunk_solve(op, F, apply_a1inv=False)
+    for f, u in zip(F, U):
+        assert np.allclose(u, chunk_solve(op, f, apply_a1inv=False),
+                           rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("lam", [0.5 + 15.65j, 0.5 + 60j])
@@ -240,32 +243,34 @@ def test_stacked_solutions_do_not_depend_on_the_stack(jx, front, geom, lam):
     # stack of them (at 0.5 + 60j: seed 0, forcing 2)
     field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), lam),
                            geom=geom)
-    op = field.bvp()
+    op = one_point_chunk(field)
     for seed in range(3):
         F = res._random_forcings(geom, 2, np.random.default_rng(seed), 9)
-        V = op.solve(F)
+        V = chunk_solve(op, F)
         for i, v in enumerate(V):
-            assert np.array_equal(op.solve(F[i:i + 1])[0], v), (seed, i)
+            alone = chunk_solve(op, F[i:i + 1])[0]
+            assert np.array_equal(alone, v), (seed, i)
 
 
 @pytest.mark.parametrize("which", ["front", "transverse"])
 def test_solve_and_adjoint_match_dense_operator(which, front_field):
     field = front_field if which == "front" else _transverse_field()
-    op = field.bvp()
+    op = one_point_chunk(field)
     m, n = field.geom.n_nodes, field.n
     M, P = _dense_operator(field)
     rng = np.random.default_rng(9)
     f = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     y = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
-    v = op.solve(f, apply_a1inv=False)
+    v = chunk_solve(op, f, apply_a1inv=False)
     ref = np.linalg.solve(M, P @ f.ravel()).reshape(m, n)
     assert np.allclose(v, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
     fa = np.einsum("ijk,ik->ij", field.A1inv_nodes, f)
-    assert np.allclose(op.solve(f), op.solve(fa, apply_a1inv=False),
+    assert np.allclose(chunk_solve(op, f),
+                       chunk_solve(op, fa, apply_a1inv=False),
                        rtol=1e-12, atol=1e-12 * np.max(np.abs(v)))
 
-    u = res._Chunk([op]).solve_adjoint(y[None])[0]
+    u = op.solve_adjoint(y[None])[0]
     ref = (P.conj().T @ np.linalg.solve(M.conj().T, y.ravel())).reshape(m, n)
     assert np.allclose(u, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
     lhs, rhs = np.vdot(y, v), np.vdot(u, f)
@@ -282,7 +287,49 @@ def test_center_spectrum_flagged():
     field = res.assemble_G(sys, p, res.FrequencyPoint(np.zeros(0), 0.0 + 0j),
                            geom=geom)
     with pytest.raises(CenterSpectrumError):
-        field.bvp().solve(np.zeros((33, 2)))
+        chunk_solve(one_point_chunk(field), np.zeros((33, 2)))
+
+
+def _same_split(a, b):
+    names = ("stable", "unstable", "left_stable", "left_unstable", "values")
+    return a.gap == b.gap and all(
+        getattr(a, k).dtype == getattr(b, k).dtype
+        and np.array_equal(getattr(a, k), getattr(b, k)) for k in names)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_limit_splits_match_single_splits(dtype):
+    # one eig and one inv call over the limit matrices of many points give
+    # each point the bits, and each flag the message, of its own splits:
+    # random limits of two rank pairs or of inconsistent ranks, and a point
+    # on the singular set
+    geom = res.CollocationGrid(n_nodes=33, length=10.0)
+    rng = np.random.default_rng(5)
+    shape = (12, 2, 3, 3)
+    limits = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        limits += 1j * rng.standard_normal(shape)
+    limits[3, 1] = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    fields = []
+    for minus, plus in limits:
+        field = res.constant_field(np.eye(3), geom)
+        field.limits = (minus, plus)
+        fields.append(field)
+    stacked = res._limit_splits(fields)
+    for field, split in zip(fields, stacked):
+        try:
+            alone = field.limit_splits()
+        except CenterSpectrumError as exc:
+            assert split == str(exc)
+            continue
+        for G, a, b in zip(field.limits, split, alone):
+            assert _same_split(a, b)
+            assert _same_split(a, res.limit_spectral_split(G))
+    flags = [x for x in stacked if isinstance(x, str)]
+    assert "singular set" in stacked[3]
+    assert any("inconsistent splitting" in x for x in flags)
+    ranks = {res._ranks(x) for x in stacked if not isinstance(x, str)}
+    assert len(ranks) >= 2
 
 
 def test_nonfinite_forcing_is_numeric_error(front_field):
@@ -290,7 +337,7 @@ def test_nonfinite_forcing_is_numeric_error(front_field):
     f = np.zeros((front_field.geom.n_nodes, 2))
     f[80, 1] = np.nan
     with pytest.raises(NumericError, match="residual"):
-        front_field.bvp().solve(f)
+        chunk_solve(one_point_chunk(front_field), f)
 
 
 # ------------------------------------------------------------------ gains ----
@@ -351,8 +398,9 @@ def test_bounded_frequency_a_priori(jx, front, geom):
     field = res.assemble_G(jx, front, fp, geom=geom)
     rng = np.random.default_rng(3)
     hat = res.HatNorm(1)
+    op = one_point_chunk(field)
     for f in res._random_forcings(geom, 2, rng, 5):
-        v = field.bvp().solve(f)
+        v = chunk_solve(op, f)
         hv, l2, _ = hat.norms(v[None], geom, fp.magnitude)
         assert hv[0] / l2[0] < 50.0
 
@@ -629,8 +677,9 @@ def test_transverse_frequency_path_against_fourier_oracle():
 
     direction = np.array([1.0, 0.3, -0.2])
     f = np.exp(-(geom.x / 5.0) ** 2)[:, None] * direction[None, :]
-    v = field.bvp().solve(f)
-    assert field.bvp().last_residual <= 1e-8
+    op = one_point_chunk(field)
+    v = chunk_solve(op, f)
+    assert op.last_residual[0] <= 1e-8
     oracle = _fourier_oracle(field.limits[0], np.linalg.inv(A1), None, geom,
                              lambda x: np.exp(-(x / 5.0) ** 2), direction)
     assert np.max(np.abs(v - oracle)) < 1e-6
@@ -803,7 +852,7 @@ def test_sweep_point_gains_match_reference_kernel(jx, front, geom, lam):
     fp = res.FrequencyPoint(np.zeros(0), lam)
     field = res.assemble_G(jx, front, fp, geom=geom)
     ref = _ReferenceOperator(field)
-    for a, b in zip(field.bvp().lu, ref.lu):
+    for a, b in zip(one_point_chunk(field).lu[0], ref.lu):
         assert np.array_equal(a, b)
     s, trials, seed = 1, 4, KERNEL_SEED
 
@@ -828,14 +877,19 @@ def test_power_iteration_memory(jx, front, geom):
     # past four real m x m arrays
     fp = res.FrequencyPoint(np.zeros(0), 0.5 + 15.65j)
     field = res.assemble_G(jx, front, fp, geom=geom)
-    # one point, its power iteration started from 4 forcings of seed 0; the
-    # first call factors the operator and builds the grid's stiffness
-    # matrix, both kept for later calls
-    point = [(lambda: field, -1, None)]
-    res._sweep_chunk(point, 1, 0, 4, res.POWER_ITERS)
+    # one point, its power iteration started from 4 forcings of seed 0; its
+    # chunk (the factored operator) is built first, and the first run
+    # builds the grid's stiffness matrix, kept for later runs
+    chunk = one_point_chunk(field)
+
+    def gains():
+        V = res._ensemble(chunk, [(-1, None)], 1, 0, 4)[1]
+        return res._power_gains(chunk, 1, V, res.POWER_ITERS)
+
+    gains()
     tracemalloc.start()
     try:
-        res._sweep_chunk(point, 1, 0, 4, res.POWER_ITERS)
+        gains()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -883,7 +937,7 @@ def test_row_permutation_reproduces_lu(front_field):
     rng = np.random.default_rng(11)
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     lu, piv = lu_factor(A)
-    lu_M, _, perm_M = front_field.bvp().lu
+    lu_M, _, perm_M = one_point_chunk(front_field).lu[0]
     for A, lu, perm in ((A, lu, _lapack.row_permutation(piv)),
                         (_ReferenceOperator(front_field).M, lu_M, perm_M)):
         assert sorted(perm.tolist()) == list(range(len(A)))
@@ -895,7 +949,7 @@ def test_row_permutation_reproduces_lu(front_field):
 @pytest.mark.parametrize("which", ["front", "transverse"])
 def test_single_column_solves_match_scipy(which, front_field):
     field = front_field if which == "front" else _transverse_field()
-    factors = field.bvp().lu
+    factors = one_point_chunk(field).lu[0]
     lu, piv, _ = factors
     rng = np.random.default_rng(12)
     B = rng.standard_normal((len(lu), 3)) + 1j * rng.standard_normal(
@@ -1083,8 +1137,8 @@ def _supersonic_fields():
                                   res.FrequencyPoint(np.zeros(0), lam),
                                   geom=geom)
               for lam in lams}
-    assert [fields[lam].bvp().ranks for lam in lams] == [(2, 0), (0, 2),
-                                                         (2, 0), (0, 2)]
+    assert [one_point_chunk(fields[lam]).ranks for lam in lams] == [
+        (2, 0), (0, 2), (2, 0), (0, 2)]
     return fields, lams
 
 
@@ -1103,7 +1157,12 @@ def test_chunk_rejects_points_of_other_ranks():
     # a chunk projects the end rows of its stack with one pair of ranks
     fields, lams = _supersonic_fields()
     with pytest.raises(ValueError, match="ranks"):
-        res._Chunk([fields[lam].bvp() for lam in lams[:2]])
+        res._Chunk([fields[lam] for lam in lams[:2]],
+                   [fields[lam].limit_splits() for lam in lams[:2]])
+
+
+# the flag of a sweep point whose trial forcings all vanish
+VANISHING = "every trial forcing vanishes at the collocation nodes"
 
 
 def _shifted_grid(shift):
@@ -1112,10 +1171,12 @@ def _shifted_grid(shift):
     return grid
 
 
-def test_chunk_of_vanishing_forcings_gives_zero_gains(jx, front):
+def test_chunk_of_vanishing_forcings_flags_every_point(jx, front):
     # every bump underflows, as on the far grid of
     # test_random_forcings_are_bump_by_bump_sums: every forcing, solution
-    # and power-iteration field is zero, and every point reports no gain
+    # and power-iteration field is zero, and every point is flagged, with no
+    # 0/0 warning; a sweep of such points has no gain to fit its constants
+    # on
     geom = _shifted_grid(1e3)
     lams = (1.0 + 1.0j, 0.5 + 15.65j, 300.0)
     fields = {lam: res.assemble_G(jx, front,
@@ -1123,29 +1184,38 @@ def test_chunk_of_vanishing_forcings_gives_zero_gains(jx, front):
                                   geom=geom)
               for lam in lams}
     points = _chunk_points(fields, lams)
-    with np.errstate(invalid="ignore"):      # the gains of zero fields: 0/0
+    with np.errstate(divide="raise", invalid="raise"):
         together = res._sweep_chunk(points, 1, 4, 4, res.POWER_ITERS)
         alone = [res._sweep_chunk([p], 1, 4, 4, res.POWER_ITERS)[0]
                  for p in points]
-    assert together == alone == [(0.0, 0.0, 0.0, 0.0)] * len(lams)
+    assert together == alone == [VANISHING] * len(lams)
+    with pytest.raises(CenterSpectrumError,
+                       match=f"no grid point of 3 .*{VANISHING}"):
+        res.verify_equivalence(lambda fp: fields[fp.lam], 1,
+                               [res.FrequencyPoint(np.zeros(0), lam)
+                                for lam in lams], trials=4, seed=0)
 
 
 def test_live_point_beside_a_vanishing_one_gets_its_bits_alone(jx, front):
     # at this shift the forcings from seeds 121 and 122 underflow at every
     # node, those from seeds 60 and 61 peak near 1e-120: the first point
-    # rides along as zero fields, the second gets its gains, and the
-    # envelope of the power iteration underflows too, so its step forcing
-    # vanishes at the first step
+    # rides along as zero fields and is flagged, the second gets its gains,
+    # and the envelope of the power iteration underflows too, so its step
+    # forcing vanishes at the first step.  The third point's trial forcing
+    # (seed 48) underflows but its start (seed 49) does not: it runs its
+    # power iteration and is flagged, since its damping-bound gain and
+    # absorption ratio come from the trials alone
     geom = _shifted_grid(72.5)
     fields = [res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), lam),
                              geom=geom)
-              for lam in (0.5 + 3.0j, 0.5 + 15.65j)]
-    points = [(lambda: fields[0], 121, None), (lambda: fields[1], 60, None)]
-    with np.errstate(invalid="ignore"):
+              for lam in (0.5 + 3.0j, 0.5 + 15.65j, 0.5 + 3.0j)]
+    points = [(lambda i=i: fields[i], seed, None)
+              for i, seed in enumerate((121, 60, 48))]
+    with np.errstate(divide="raise", invalid="raise"):
         together = res._sweep_chunk(points, 1, 1, 1, res.POWER_ITERS)
         alone = [res._sweep_chunk([p], 1, 1, 1, res.POWER_ITERS)[0]
                  for p in points]
-    assert together[0] == (0.0, 0.0, 0.0, 0.0)
+    assert together[0] == together[2] == VANISHING
     assert min(together[1][:3]) > 0 and together[1][3] == 0.0   # no probe
     for a, b in zip(together, alone):
         assert np.array_equal(a, b)
@@ -1179,11 +1249,12 @@ field = res.assemble_G(systems.jin_xin(2.0),
                        geom=res.CollocationGrid(n_nodes=161, length=50.0))
 rng = np.random.default_rng(0)
 F = rng.standard_normal((2, 161, 2)) + 1j * rng.standard_normal((2, 161, 2))
-serial = field.bvp().solve(F)
+chunk = res._Chunk([field], [field.limit_splits()])
+serial = chunk.solve(F, [2], True)
 same = []
 
 def work():
-    same.append(all(np.array_equal(field.bvp().solve(F), serial)
+    same.append(all(np.array_equal(chunk.solve(F, [2], True), serial)
                     for _ in range(1500)))
 
 threads = [threading.Thread(target=work) for _ in range(2)]
@@ -1198,7 +1269,7 @@ assert same == [True, True], same
 def test_concurrent_solves_on_one_field():
     # getrs shifts the pivots it is given while it runs; two threads that
     # shared them corrupted the heap and killed the interpreter, so the
-    # solves run in a fresh one
+    # solves, two threads on one chunk, run in a fresh one
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(res.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1206,34 +1277,3 @@ def test_concurrent_solves_on_one_field():
     done = subprocess.run([sys.executable, "-c", CONCURRENT_SOLVES], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-
-
-def test_concurrent_first_bvp_calls_factor_once(jx, front, monkeypatch):
-    # two threads ask a fresh field for its operator at once; the first
-    # factorization is slowed down so that the second arrives while it runs
-    field = res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), 0.5),
-                           geom=res.CollocationGrid(n_nodes=33, length=20.0))
-    factor = res.lu_factor
-    calls = []
-
-    def slow_factor(*args, **kwargs):
-        calls.append(threading.get_ident())
-        time.sleep(0.2)
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(res, "lu_factor", slow_factor)
-    start = threading.Barrier(2)
-    ops = []
-
-    def work():
-        start.wait(timeout=30)
-        ops.append(field.bvp())
-
-    threads = [threading.Thread(target=work) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert len(calls) == 1
-    assert ops[0] is ops[1]

@@ -12,6 +12,8 @@ from relaxstab.model import per_state
 from relaxstab.errors import (CertificateError, FrameConditioningError,
                               StabilityError)
 
+from conftest import chunk_solve, one_point_chunk
+
 
 @pytest.fixture(scope="module")
 def small_geom():
@@ -353,8 +355,8 @@ def test_theta_monotone_under_refinement(jx, front):
 
 def test_energy_zero_forcing_zero_ratio(small_geom):
     field = res.constant_field(np.array([[-1.0]]), small_geom)
-    u = field.bvp().solve(np.zeros((small_geom.n_nodes, 1)),
-                          apply_a1inv=False)
+    u = chunk_solve(one_point_chunk(field),
+                    np.zeros((small_geom.n_nodes, 1)), apply_a1inv=False)
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -363,7 +365,7 @@ def test_energy_scalar_vs_quadrature_oracle(small_geom):
     field = res.constant_field(np.array([[-1.0]]), small_geom)
     x = small_geom.x
     f = np.exp(-((x - 1.0) / 3.0) ** 2)[:, None]
-    u = field.bvp().solve(f, apply_a1inv=False)
+    u = chunk_solve(one_point_chunk(field), f, apply_a1inv=False)
     oracle = np.empty_like(x)
     for i, xi in enumerate(x):
         ys = np.linspace(-40.0, xi, 20001)
