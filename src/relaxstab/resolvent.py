@@ -43,26 +43,20 @@ which imports nothing of scipy), and ctypes releases the GIL for each call.
 
 Everything else is numpy work, which holds the GIL, and on a small grid
 (43 nodes: a few microseconds per LAPACK call) it is nearly all of a
-point's time.  So consecutive points advance in lockstep as one
-:class:`_Chunk` (:func:`_sweep_chunk`), which factors their collocation
-matrices itself: their limit matrices are split in one pass, the bumps of
-every forcing evaluated in one pass, the solutions normed in one pass, and
-each power-iteration step is one numpy call over the chunk's stack; only
-the LAPACK calls are made point by point, and each point gets the bits it
-gets alone.  A chunk holds as many points as fit ``CHUNK_BYTES`` (2 MiB)
-of collocation matrices, at least one: the 9 points of a sweep at 43 nodes
+point's time.  So a sweep is set up once, on the calling thread, before
+any point is solved (:func:`_sweep_plan`): its points are assembled, their
+limit matrices split in one pass, and the points of each rank pair
+``(j, k)`` of the splits, the pairs in the order their first points come,
+cut into chunks of as many points as fit ``CHUNK_BYTES`` (2 MiB) of
+collocation matrices, at least one.  The 9 points of a sweep at 43 nodes
 (118 KB each) form one chunk, and at 161 nodes (1.66 MB) each point is a
-chunk of its own, which keeps about one factor per thread in memory.  A
-stack holds one rank pair ``(j, k)`` of the limit splits, so a chunk whose
-points have several pairs runs one stack per pair.  A degenerate point
-rides along as zero fields and ends with no refined gain
-(:func:`_power_gains`); a point whose trial forcings all vanish is
-flagged.  Around the LAPACK calls the matrices stay small: the collocation
-matrix is filled in Fortran order and factored in place; the real
-matrices ``D^k``, the hat-Gram matrix and its Cholesky factor act on the
-real view of a complex field (its real and imaginary parts as ``2n`` real
-columns) instead of being cast to complex; and the residual check reads
-only the interior rows.
+chunk of its own, which keeps about one factor per thread in memory.  The
+points of a chunk advance in lockstep as one :class:`_Chunk`
+(:func:`_sweep_chunk`), which factors their collocation matrices: the
+bumps of every forcing are evaluated in one pass, the solutions normed in
+one pass, and each power-iteration step is one numpy call over the
+chunk's stack; only the LAPACK calls are made point by point, and each
+point gets the bits it gets alone.
 
 The chunks of a sweep run on the calling thread alongside
 ``min(worker_count(), chunks) - 1`` helper threads (:func:`worker_count`),
@@ -303,19 +297,26 @@ def _ranks(split):
 def _limit_splits(fields):
     """Per field its limit splits ``(minus, plus)``, every limit matrix split
     in one pass, or the message of the first flag: ``G(-inf)``, ``G(+inf)``,
-    then ``dim S(+inf) + dim U(-inf) != n``."""
+    then ``dim S(+inf) + dim U(-inf) != n``, then ranks other than the
+    field's ``large_lambda_ranks`` (not the consistent splitting)."""
     if not fields:
         return []
     n = fields[0].n
     splits = _spectral_splits(
         np.array([field.limits for field in fields]).reshape(-1, n, n))
     out = []
-    for split in zip(splits[::2], splits[1::2]):
+    for field, split in zip(fields, zip(splits[::2], splits[1::2])):
         flags = [flag for flag in split if isinstance(flag, str)]
-        if not flags and sum(_ranks(split)) != n:
-            j, k = _ranks(split)
-            flags.append(f"inconsistent splitting: dim U(-inf) = {k}, "
-                         f"dim S(+inf) = {j}, need sum n = {n}")
+        if not flags:
+            j, k = ranks = _ranks(split)
+            if j + k != n:
+                flags.append(f"inconsistent splitting: dim U(-inf) = {k}, "
+                             f"dim S(+inf) = {j}, need sum n = {n}")
+            elif field.large_lambda_ranks not in (None, ranks):
+                flags.append(f"inconsistent splitting: ranks (j, k) = "
+                             f"{ranks}, not the {field.large_lambda_ranks} "
+                             "of large real lambda (another component of "
+                             "the resolvent set)")
         out.append(flags[0] if flags else split)
     return out
 
@@ -333,6 +334,8 @@ class ResolventOperatorField:
     limits: tuple                # (G at -inf, G at +inf)
     perturbation: object = None
     deriv_order: int = 0
+    # (j, k) of the limit splits as lambda -> +inf; None: not checked
+    large_lambda_ranks: tuple = None
     _interp: object = None       # read by perfbench/tracing.py's G_at hook
     _propagators: object = None  # (Phi, Phi_inv), see dichotomy
 
@@ -451,16 +454,21 @@ def assemble_G(sys, profile, fp, geom, v=None, deriv_order=0):
     ``deriv_order * d/dx A_1`` to the zero-order coefficient (realized by
     finite differencing, not symbolic re-derivation).  The
     lambda-independent coefficients come from the grid's memo
-    (:func:`_wave_coefficients`), so a point pays only for ``G`` itself.
+    (:func:`_wave_coefficients`), so a point pays only for ``G`` itself and
+    its ``large_lambda_ranks`` (:func:`_limit_splits`).
     """
     if fp.eta.size != sys.d - 1:
         raise ValueError(f"eta must have length d-1 = {sys.d - 1}")
     nodes, limits = _wave_coefficients(sys, profile, geom, v, deriv_order)
+    # as lambda -> +inf, G -> -lambda (A_1 - s*I)^{-1} at each end
+    mu = np.linalg.eigvals(limits.A1inv).real
     return ResolventOperatorField(sys=sys, profile=profile, fp=fp, geom=geom,
                                   G_nodes=_G_product(fp, nodes),
                                   A1inv_nodes=nodes.A1inv,
                                   limits=tuple(_G_product(fp, limits)),
-                                  perturbation=v, deriv_order=deriv_order)
+                                  perturbation=v, deriv_order=deriv_order,
+                                  large_lambda_ranks=(int(np.sum(mu[1] > 0)),
+                                                      int(np.sum(mu[0] < 0))))
 
 
 def _collocation_lu(field, minus, plus):
@@ -501,8 +509,8 @@ def _collocation_lu(field, minus, plus):
 
 
 class _Chunk:
-    """The collocation operators of consecutive frequency points on one grid,
-    whose limit splits have one rank pair ``(j, k)``, solved in lockstep.
+    """The collocation operators of frequency points on one grid, whose
+    limit splits have one rank pair ``(j, k)``, solved in lockstep.
 
     Each point's matrix is factored from its field and limit splits
     (:func:`_collocation_lu`; ``lu`` and ``last_residual`` are per point).
@@ -516,10 +524,6 @@ class _Chunk:
     def __init__(self, fields, splits):
         self.geom, self.n = fields[0].geom, fields[0].n
         self.m = self.geom.n_nodes
-        grid = (self.m, self.geom.length, self.n)
-        if any((f.geom.n_nodes, f.geom.length, f.n) != grid for f in fields):
-            raise ValueError("the points of a sweep must share one "
-                             "collocation grid")
         # the end rows of a stack are projected with one pair of ranks
         self.ranks = _ranks(splits[0])
         if any(_ranks(split) != self.ranks for split in splits):
@@ -815,48 +819,53 @@ def _power_gains(chunk, s, V, power_iters):
             for hv, hf in zip(hat[:len(V)], hat[len(V):])]
 
 
-def _sweep_chunk(points, s, trials, starts, power_iters):
-    """Gains of a chunk of frequency points that advance in lockstep.
-
-    ``points`` holds ``(field, seed, probe_seed)`` per point, ``field()``
-    returning its assembled field.  A point on the singular set (its
-    assembly or its limit splits raise :class:`CenterSpectrumError`), or
-    whose trial forcings all vanish, gets a message; every other point gets
-    ``(g_hf, g_pd, absorb, ratio)``: its worst hat-norm gain (the ``trials``
-    forcings from ``seed``, and the ``power_iters`` power-iteration steps
-    from the best of the ``starts`` forcings from ``seed + 1``), its worst
-    damping-bound gain and absorption ratio (the trials), and with a
-    ``probe_seed`` the hat/L2 ratio of one forcing from that seed (else
-    0.0).  The points whose limit splits have the same ranks ``(j, k)`` run
-    as one :class:`_Chunk`, the groups in the order their first points come.
-    See :func:`_ensemble` and :func:`_power_gains`.
-    """
-    results, fields = [None] * len(points), {}
-    for i, (field, _, _) in enumerate(points):
+def _sweep_plan(field_family, grid):
+    """The set-up of a sweep over ``grid`` (module docstring).  Returns per
+    point its flag message (from its assembly by ``field_family`` or from
+    :func:`_limit_splits`) or None, and the chunks, each a tuple of the
+    indices, the fields and the limit splits of its points.  Raises
+    ``ValueError`` when the fields do not share one collocation grid."""
+    results, fields = [None] * len(grid), {}
+    for i, fp in enumerate(grid):
         try:
-            fields[i] = field()
+            fields[i] = field_family(fp)
         except CenterSpectrumError as exc:
             results[i] = str(exc)
+    grids = {(f.geom.n_nodes, f.geom.length, f.n) for f in fields.values()}
+    if len(grids) > 1:
+        raise ValueError("the points of a sweep must share one collocation "
+                         "grid")
     groups = {}
-    for i, split in zip(fields, _limit_splits(list(fields.values()))):
+    for (i, field), split in zip(fields.items(),
+                                 _limit_splits(list(fields.values()))):
         if isinstance(split, str):
             results[i] = split
         else:
-            groups.setdefault(_ranks(split), []).append((i, split))
-    for members in groups.values():
-        live, splits = zip(*members)
-        chunk = _Chunk([fields[i] for i in live], list(splits))
-        stats, V = _ensemble(chunk, [points[i][1:] for i in live], s,
-                             trials, starts)
-        refined = [None] * len(live)
-        if power_iters > 0:
-            refined = _power_gains(chunk, s, V, power_iters)
-        for i, stat, gain in zip(live, stats, refined):
-            if not isinstance(stat, str):
-                g_hf, g_pd, absorb, ratio, best = stat
-                gain = best if gain is None else max(best, gain)
-                stat = (max(g_hf, gain), g_pd, absorb, ratio)
-            results[i] = stat
+            groups.setdefault(_ranks(split), []).append((i, field, split))
+    # a collocation matrix has (mn)^2 complex entries
+    size = max([1] + [CHUNK_BYTES // (16 * (m * n) ** 2)
+                      for m, _, n in grids])
+    return results, [tuple(zip(*members[c:c + size]))
+                     for members in groups.values()
+                     for c in range(0, len(members), size)]
+
+
+def _sweep_chunk(chunk, seeds, s, trials, starts, power_iters):
+    """Gains of the points of a :class:`_Chunk`, which advance in lockstep,
+    from the forcings that ``seeds`` give (:func:`_ensemble`): per point its
+    flag message, or ``(g_hf, g_pd, absorb, ratio)``, its worst hat-norm
+    gain over its trials and its ``power_iters`` power-iteration steps
+    (:func:`_power_gains`), its worst damping-bound gain and absorption
+    ratio, and its hat/L2 ratio."""
+    stats, V = _ensemble(chunk, seeds, s, trials, starts)
+    refined = _power_gains(chunk, s, V, power_iters)
+    results = []
+    for stat, gain in zip(stats, refined):
+        if not isinstance(stat, str):
+            g_hf, g_pd, absorb, ratio, best = stat
+            gain = best if gain is None else max(best, gain)
+            stat = (max(g_hf, gain), g_pd, absorb, ratio)
+        results.append(stat)
     return results
 
 
@@ -890,11 +899,11 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     arguments.
 
     ``field_family`` maps a :class:`FrequencyPoint` to an assembled field,
-    every field on one collocation grid.  Consecutive points run in
-    lockstep as chunks (:func:`_sweep_chunk`) on the calling thread and its
-    helpers (module docstring); a point gets the same bits in any chunk.  A
-    failing chunk stops the hand-out of chunks, and once the helpers are
-    joined the error of the earliest failing chunk is raised.
+    every field on one collocation grid.  Its points run in lockstep as
+    chunks (:func:`_sweep_plan`, :func:`_sweep_chunk`) on the calling thread
+    and its helpers (module docstring); a point gets the same bits in any
+    chunk.  A failing chunk stops the hand-out of chunks, and once the
+    helpers are joined the error of the earliest failing chunk is raised.
     Each bound gets its own constant, 1.25x the worst calibration gain over
     every other grid point; the pass flags are deterministic functions of
     the per-point gains and the constants, and the pass sets of the two
@@ -903,10 +912,12 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     ratio is reported); (ii) along growing ``|lambda|`` the ratio
     ``|v|_L2 / (|v|_H1 + |f|_L2)`` decays like ``C/|lambda|`` (fitted
     exponent).  Raises ``ValueError``, before any point is solved, when the
-    grid is empty or a point has ``Re lambda <= gamma_star``.  Singular-set
-    points, and points whose trial forcings all vanish, are left out and
-    listed in ``flagged``; when every point is flagged,
-    :class:`CenterSpectrumError` is raised, quoting the first flag.
+    grid is empty, a point has ``Re lambda <= gamma_star`` or the fields do
+    not share one collocation grid.  Points on the singular set or with
+    inconsistent limit splits (:func:`_limit_splits`), and points whose
+    trial forcings all vanish, are left out and listed in ``flagged``; when
+    every point is flagged, :class:`CenterSpectrumError` is raised, quoting
+    the first flag.
     """
     grid = list(grid)
     nP = len(grid)
@@ -921,31 +932,15 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
     flagged = []
     bounded_ratio = 0.0
 
-    # the first point's field sizes the chunks (a collocation matrix has
-    # (mn)^2 complex entries), and its chunk then takes it over
-    pending = {}
-    size = 1
-    try:
-        pending[0] = field_family(grid[0])
-    except CenterSpectrumError:
-        pass
-    else:
-        mn = pending[0].geom.n_nodes * pending[0].n
-        size = max(1, CHUNK_BYTES // (16 * mn ** 2))
-
-    def field(i):
-        return lambda: pending.pop(i) if i in pending else field_family(
-            grid[i])
-
-    points = [(field(i), seed + 1000 * i,
-               seed + 7 * i if abs(fp.lam) <= BOUNDED_CUT else None)
-              for i, fp in enumerate(grid)]
-    chunks = [points[c:c + size] for c in range(0, nP, size)]
+    results, chunks = _sweep_plan(field_family, grid)
+    seeds = [(seed + 1000 * i,
+              seed + 7 * i if abs(fp.lam) <= BOUNDED_CUT else None)
+             for i, fp in enumerate(grid)]
 
     # the caller and its helpers each take the next chunk until none is
     # left; a failing chunk, or the caller leaving early (a helper that
     # could not start), marks every chunk taken, so no new chunk starts
-    outs, errors = [None] * len(chunks), {}
+    errors = {}
     lock = threading.Lock()
     taken = 0
 
@@ -955,13 +950,17 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
             with lock:
                 if taken == len(chunks):
                     return
-                i, taken = taken, taken + 1
+                c, taken = taken, taken + 1
+            points, fields, splits = chunks[c]
             try:
-                outs[i] = _sweep_chunk(chunks[i], s, trials,
-                                       max(4, trials // 4), POWER_ITERS)
+                out = _sweep_chunk(_Chunk(fields, splits),
+                                   [seeds[i] for i in points], s, trials,
+                                   max(4, trials // 4), POWER_ITERS)
+                for i, res in zip(points, out):
+                    results[i] = res
             except BaseException as exc:
                 with lock:
-                    errors[i] = exc
+                    errors[c] = exc
                     taken = len(chunks)
 
     helpers = []
@@ -978,7 +977,6 @@ def verify_equivalence(field_family, s, grid, gamma_star=-0.25, trials=8,
             helper.join()
     if errors:
         raise errors[min(errors)]
-    results = [r for out in outs for r in out]
     for i, res in enumerate(results):
         if isinstance(res, str):
             flagged.append((i, res))

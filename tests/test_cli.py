@@ -409,6 +409,22 @@ def test_numeric_failure_exit_code(tmp_path):
     assert cli.run(cfg, pipeline="dichotomy", out_dir=str(tmp_path / "o")) == 3
 
 
+def test_dichotomy_in_another_component_of_the_resolvent_set(tmp_path,
+                                                             capsys):
+    # at lambda = -0.9 the limit splits of the front have ranks (0, 2): their
+    # count is n, but they are not the (1, 1) of large real lambda, so the
+    # stage names both pairs instead of failing inside the propagators
+    data = small_config()
+    data["dichotomy"]["lambda"] = [-0.9, 0.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["run", "--config", str(path), "--pipeline", "dichotomy",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "(0, 2)" in err and "(1, 1)" in err and "Traceback" not in err
+
+
 def test_dichotomy_verifier_draws_pairs_of_its_own(tmp_path, monkeypatch):
     # with the fit's pairs the verifier's decay check could not fail: every
     # pair it checked would lie under the fitted bound by construction

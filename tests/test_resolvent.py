@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -347,8 +348,8 @@ def _gain(field, s, trials, seed, power_iters=res.POWER_ITERS):
     ``trials`` random forcings from ``seed``, refined by power iteration.
     That is the chunk kernel on the point alone with no trials of its own:
     its power iteration starts from forcings drawn from its seed + 1."""
-    return res._sweep_chunk([(lambda: field, seed - 1, None)], s, 0, trials,
-                            power_iters)[0][0]
+    return res._sweep_chunk(one_point_chunk(field), [(seed - 1, None)], s, 0,
+                            trials, power_iters)[0][0]
 
 
 def test_gain_matches_symbol_oracle(jx, eq_field):
@@ -861,8 +862,8 @@ def test_sweep_point_gains_match_reference_kernel(jx, front, geom, lam):
                                                 seed + 1))
 
     g_hf, g_pd, absorb, ratio = res._sweep_chunk(
-        [(lambda: field, seed, seed + 7)], s, trials, max(4, trials // 4),
-        res.POWER_ITERS)[0]
+        one_point_chunk(field), [(seed, seed + 7)], s, trials,
+        max(4, trials // 4), res.POWER_ITERS)[0]
     _, _, (hv, l2v, h1v), (hf, l2f, _) = _reference_trials(field, ref, s,
                                                            trials, seed)
     _, _, (hp, l2p, _), _ = _reference_trials(field, ref, s, 1, seed + 7)
@@ -1001,10 +1002,10 @@ def test_sweep_chunk_layout(jx, front, monkeypatch):
     kernel = res._sweep_chunk
     chunks, threads = [], set()
 
-    def recording_kernel(points, *args):
-        chunks.append(len(points))
+    def recording_kernel(chunk, seeds, *args):
+        chunks.append(len(seeds))
         threads.add(threading.get_ident())
-        return kernel(points, *args)
+        return kernel(chunk, seeds, *args)
 
     monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
     for n_nodes, n_points, sizes in ((43, 9, [9]), (161, 3, [1, 1, 1])):
@@ -1026,9 +1027,9 @@ def test_one_chunk_sweep_runs_on_the_calling_thread(jx, front, monkeypatch):
     kernel = res._sweep_chunk
     threads = []
 
-    def recording_kernel(points, *args):
+    def recording_kernel(chunk, seeds, *args):
         threads.append(threading.get_ident())
-        return kernel(points, *args)
+        return kernel(chunk, seeds, *args)
 
     monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
     geom = res.CollocationGrid(n_nodes=43, length=20.0)
@@ -1040,30 +1041,33 @@ def test_one_chunk_sweep_runs_on_the_calling_thread(jx, front, monkeypatch):
     assert threads == [threading.get_ident()]
 
 
-def _failing_sweep(jx, front, geom, fails):
-    """Sweep four one-point chunks (161 nodes) on two threads, the fields of
-    points 1 and 2 assembled at once on different threads; the field of a
+def _failing_sweep(jx, front, geom, monkeypatch, fails):
+    """Sweep four one-point chunks (161 nodes) on two threads, the chunks of
+    points 1 and 2 started at once on different threads; the chunk of a
     point for which ``fails(i)`` holds raises :class:`NumericError`.
-    Returns the error and ``{point: thread}`` of the fields assembled."""
+    Returns the error and ``{point: thread}`` of the chunks started."""
     both = threading.Barrier(2, timeout=30)
     threads = {}
+    kernel = res._sweep_chunk
 
-    def family(fp):
-        i = int(fp.lam.imag)
+    def failing_kernel(chunk, seeds, *args):
+        i = seeds[0][0] // 1000
         threads[i] = threading.get_ident()
         if i in (1, 2):
             both.wait()
         if fails(i):
             if i == 1:
                 time.sleep(0.05)    # the later chunk fails first
-            raise NumericError(f"field of point {i}")
-        return res.assemble_G(jx, front, fp, geom=geom)
+            raise NumericError(f"chunk of point {i}")
+        return kernel(chunk, seeds, *args)
 
+    monkeypatch.setattr(res, "_sweep_chunk", failing_kernel)
     grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
             for tau in range(4)]
     with pytest.raises(NumericError) as err:
-        res.verify_equivalence(family, 1, grid, gamma_star=-0.25, trials=2,
-                               seed=0)
+        res.verify_equivalence(
+            lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+            gamma_star=-0.25, trials=2, seed=0)
     assert threads[1] != threads[2]
     return str(err.value), threads
 
@@ -1081,8 +1085,8 @@ def test_sweep_raises_a_failing_chunk_of_either_thread(jx, front, geom,
             return True
         return False
 
-    message, _ = _failing_sweep(jx, front, geom, fails)
-    assert len(failed) == 1 and message == f"field of point {failed[0]}"
+    message, _ = _failing_sweep(jx, front, geom, monkeypatch, fails)
+    assert len(failed) == 1 and message == f"chunk of point {failed[0]}"
 
 
 def test_sweep_raises_the_earliest_failing_chunk(jx, front, geom,
@@ -1090,22 +1094,37 @@ def test_sweep_raises_the_earliest_failing_chunk(jx, front, geom,
     # points 1 and 2 fail on different threads, point 2 first: point 1's
     # error wins, and no thread starts point 3 after a failure
     monkeypatch.setenv("RELAXSTAB_THREADS", "2")
-    message, threads = _failing_sweep(jx, front, geom,
+    message, threads = _failing_sweep(jx, front, geom, monkeypatch,
                                       lambda i: i in (1, 2))
-    assert message == "field of point 1"
+    assert message == "chunk of point 1"
     assert 3 not in threads
 
 
 def _chunk_points(fields, lams):
     """Kernel points of ``fields`` (by lambda) with the sweep's seeds."""
-    return [(lambda lam=lam: fields[lam], 1000 * i,
+    return [(fields[lam], 1000 * i,
              7 * i if abs(lam) <= res.BOUNDED_CUT else None)
             for i, lam in enumerate(lams)]
 
 
+def _sweep_points(points, *args):
+    """The results of ``points``, ``(field, seed, probe_seed)`` each, as a
+    sweep gets them: the flags of its set-up, then one kernel call per
+    chunk."""
+    results, chunks = res._sweep_plan(lambda i: points[i][0],
+                                      range(len(points)))
+    for live, fields, splits in chunks:
+        out = res._sweep_chunk(res._Chunk(fields, splits),
+                               [points[i][1:] for i in live], *args)
+        for i, result in zip(live, out):
+            results[i] = result
+    return results
+
+
 def test_chunk_matches_its_points_alone(jx, front):
-    # a singular-set point (lambda = 0), a bounded point with a probe and
-    # large-|lambda| points in one chunk: each gets the bits it gets alone
+    # a singular-set point (lambda = 0, flagged by the set-up), a bounded
+    # point with a probe and large-|lambda| points in one chunk: each gets
+    # the bits it gets alone
     geom = res.CollocationGrid(n_nodes=65, length=30.0)
     lams = (0.0, 1.0 + 1.0j, 0.5 + 15.65j, 300.0, 2.0)
     fields = {lam: res.assemble_G(jx, front,
@@ -1113,8 +1132,8 @@ def test_chunk_matches_its_points_alone(jx, front):
                                   geom=geom)
               for lam in lams}
     points = _chunk_points(fields, lams)
-    together = res._sweep_chunk(points, 1, 4, 4, res.POWER_ITERS)
-    alone = [res._sweep_chunk([p], 1, 4, 4, res.POWER_ITERS)[0]
+    together = _sweep_points(points, 1, 4, 4, res.POWER_ITERS)
+    alone = [_sweep_points([p], 1, 4, 4, res.POWER_ITERS)[0]
              for p in points]
     assert isinstance(together[0], str) and together[0] == alone[0]
     for a, b in zip(together[1:], alone[1:]):
@@ -1122,21 +1141,25 @@ def test_chunk_matches_its_points_alone(jx, front):
     assert together[1][3] > 0 and together[2][3] == 0.0   # probe, none
 
 
+def _supersonic_field(lam, geom):
+    """The field ``G = -lambda diag(1, 1/2)`` of two supersonic transport
+    modes, built without a system, so that no ranks of large real lambda
+    are checked: both limit eigenvalues are stable for Re lambda > 0 and
+    unstable for Re lambda < 0, so the points split into rank groups
+    (2, 0) and (0, 2).  (Built from a transport system, a point with
+    Re lambda < 0 is flagged: its ranks are not the (2, 0) of large real
+    lambda.)"""
+    field = res.constant_field(-lam * np.diag([1.0, 0.5]), geom)
+    field.fp = res.FrequencyPoint(np.zeros(0), lam)
+    return field
+
+
 def _supersonic_fields():
-    """Fields of two supersonic transport modes: both limit eigenvalues are
-    stable for Re lambda > 0 and unstable for Re lambda < 0, so the points
-    split into rank groups (2, 0) and (0, 2)."""
-    sys = transport_system([[1.0, 0.0], [0.0, 2.0]], n=2)
-    p = prof.WaveProfile(grid=np.linspace(-20, 20, 11),
-                         values=np.zeros((11, 2)), derivs=np.zeros((11, 2)),
-                         speed=0.0, endstates=(np.zeros(2), np.zeros(2)),
-                         decay_rate=0.0, tol_end=1e-8)
+    """Supersonic fields (:func:`_supersonic_field`) of both rank groups,
+    by lambda, and their lambdas."""
     geom = res.CollocationGrid(n_nodes=33, length=20.0)
     lams = (1.0, -0.5 + 2.0j, 3.0 + 1.0j, -0.25)
-    fields = {lam: res.assemble_G(sys, p,
-                                  res.FrequencyPoint(np.zeros(0), lam),
-                                  geom=geom)
-              for lam in lams}
+    fields = {lam: _supersonic_field(lam, geom) for lam in lams}
     assert [one_point_chunk(fields[lam]).ranks for lam in lams] == [
         (2, 0), (0, 2), (2, 0), (0, 2)]
     return fields, lams
@@ -1146,8 +1169,8 @@ def test_chunk_with_unequal_ranks_matches_its_points_alone():
     # the kernel runs each rank group as a chunk of its own
     fields, lams = _supersonic_fields()
     points = _chunk_points(fields, lams)
-    together = res._sweep_chunk(points, 0, 4, 4, res.POWER_ITERS)
-    alone = [res._sweep_chunk([q], 0, 4, 4, res.POWER_ITERS)[0]
+    together = _sweep_points(points, 0, 4, 4, res.POWER_ITERS)
+    alone = [_sweep_points([q], 0, 4, 4, res.POWER_ITERS)[0]
              for q in points]
     for a, b in zip(together, alone):
         assert np.array_equal(a, b)
@@ -1185,8 +1208,8 @@ def test_chunk_of_vanishing_forcings_flags_every_point(jx, front):
               for lam in lams}
     points = _chunk_points(fields, lams)
     with np.errstate(divide="raise", invalid="raise"):
-        together = res._sweep_chunk(points, 1, 4, 4, res.POWER_ITERS)
-        alone = [res._sweep_chunk([p], 1, 4, 4, res.POWER_ITERS)[0]
+        together = _sweep_points(points, 1, 4, 4, res.POWER_ITERS)
+        alone = [_sweep_points([p], 1, 4, 4, res.POWER_ITERS)[0]
                  for p in points]
     assert together == alone == [VANISHING] * len(lams)
     with pytest.raises(CenterSpectrumError,
@@ -1209,11 +1232,11 @@ def test_live_point_beside_a_vanishing_one_gets_its_bits_alone(jx, front):
     fields = [res.assemble_G(jx, front, res.FrequencyPoint(np.zeros(0), lam),
                              geom=geom)
               for lam in (0.5 + 3.0j, 0.5 + 15.65j, 0.5 + 3.0j)]
-    points = [(lambda i=i: fields[i], seed, None)
+    points = [(fields[i], seed, None)
               for i, seed in enumerate((121, 60, 48))]
     with np.errstate(divide="raise", invalid="raise"):
-        together = res._sweep_chunk(points, 1, 1, 1, res.POWER_ITERS)
-        alone = [res._sweep_chunk([p], 1, 1, 1, res.POWER_ITERS)[0]
+        together = _sweep_points(points, 1, 1, 1, res.POWER_ITERS)
+        alone = [_sweep_points([p], 1, 1, 1, res.POWER_ITERS)[0]
                  for p in points]
     assert together[0] == together[2] == VANISHING
     assert min(together[1][:3]) > 0 and together[1][3] == 0.0   # no probe
@@ -1223,7 +1246,9 @@ def test_live_point_beside_a_vanishing_one_gets_its_bits_alone(jx, front):
 
 def test_sweep_rejects_fields_on_different_grids(jx, front):
     # a chunk stacks its points' node arrays: an equal grid built per point
-    # is fine, a grid of another size is a caller error
+    # is fine, a grid of another size is a caller error, caught before any
+    # point is solved, also at 161 and 171 nodes, where each point is a
+    # chunk of its own
     grid = [res.FrequencyPoint(np.zeros(0), lam) for lam in (0.5, 0.5 + 3j)]
 
     def family(sizes):
@@ -1235,8 +1260,85 @@ def test_sweep_rejects_fields_on_different_grids(jx, front):
     sweep = res.verify_equivalence(family((33, 33)), 1, grid, trials=2,
                                    seed=0)
     assert np.all(np.isfinite(sweep.hfres_gain))
-    with pytest.raises(ValueError, match="one collocation grid"):
-        res.verify_equivalence(family((33, 43)), 1, grid, trials=2, seed=0)
+    for sizes in ((33, 43), (161, 171)):
+        with pytest.raises(ValueError, match="one collocation grid"):
+            res.verify_equivalence(family(sizes), 1, grid, trials=2, seed=0)
+
+
+def test_sweep_splits_every_limit_matrix_in_one_call(jx, front, geom,
+                                                     monkeypatch):
+    # the set-up splits the limit matrices of every point in one pass, also
+    # at 161 nodes, where each point is a chunk of its own
+    calls = []
+    splits = res._spectral_splits
+
+    def counted_splits(G):
+        calls.append(len(G))
+        return splits(G)
+
+    monkeypatch.setattr(res, "_spectral_splits", counted_splits)
+    grid = [res.FrequencyPoint(np.zeros(0), complex(0.5, tau))
+            for tau in (0.0, 5.0, 10.0)]
+    res.verify_equivalence(
+        lambda fp: res.assemble_G(jx, front, fp, geom=geom), 1, grid,
+        gamma_star=-0.25, trials=2, seed=0)
+    assert calls == [2 * len(grid)]
+
+
+def test_sweep_flags_a_point_of_another_component_of_the_resolvent_set(
+        jx, front, geom):
+    # at lambda = -0.9 the limit splits of the front have ranks (0, 2):
+    # their count is n, but they are not the (1, 1) of large real lambda,
+    # so the point is flagged instead of solved, and its field's splits
+    # raise
+    def family(fp):
+        return res.assemble_G(jx, front, fp, geom=geom)
+
+    grid = [res.FrequencyPoint(np.zeros(0), lam) for lam in (0.5, -0.9, 2.0)]
+    sweep = res.verify_equivalence(family, 1, grid, gamma_star=-1.0,
+                                   trials=2, seed=0)
+    (i, message), = sweep.flagged
+    assert i == 1 and "(0, 2)" in message and "(1, 1)" in message
+    assert np.all(np.isfinite(sweep.hfres_gain[[0, 2]]))
+    with pytest.raises(CenterSpectrumError, match=r"\(0, 2\).*\(1, 1\)"):
+        family(grid[1]).limit_splits()
+
+
+def test_sweep_chunks_hold_one_rank_pair_each(monkeypatch):
+    # the set-up groups the live points by the ranks of their limit splits,
+    # the pairs in the order their first points come, and cuts each group
+    # into chunks (of two points here); the point on the singular set
+    # (lambda = 2i) is flagged before any chunk starts, and the result is
+    # the same at one thread and at two
+    geom = res.CollocationGrid(n_nodes=33, length=20.0)
+    monkeypatch.setattr(res, "CHUNK_BYTES", 2 * 16 * (33 * 2) ** 2)
+    kernel = res._sweep_chunk
+    chunks = []
+
+    def recording_kernel(chunk, seeds, *args):
+        chunks.append((chunk.ranks, [sd // 1000 for sd, _ in seeds]))
+        return kernel(chunk, seeds, *args)
+
+    monkeypatch.setattr(res, "_sweep_chunk", recording_kernel)
+    grid = [res.FrequencyPoint(np.zeros(0), lam)
+            for lam in (1.0, -0.5 + 2.0j, 3.0 + 1.0j, 2.0j, -0.25, 2.0)]
+
+    def sweep(threads):
+        monkeypatch.setenv("RELAXSTAB_THREADS", threads)
+        chunks.clear()
+        return res.verify_equivalence(
+            lambda fp: _supersonic_field(fp.lam, geom), 1, grid,
+            gamma_star=-1.0, trials=4, seed=0)
+
+    one = sweep("1")
+    order = [((2, 0), [0, 2]), ((2, 0), [5]), ((0, 2), [1, 4])]
+    assert chunks == order
+    two = sweep("2")
+    assert sorted(chunks) == sorted(order)
+    assert pickle.dumps(one) == pickle.dumps(two)
+    (i, message), = one.flagged
+    assert i == 3 and "singular set" in message
+    assert np.all(np.isfinite(np.delete(one.hfres_gain, 3)))
 
 
 CONCURRENT_SOLVES = """
